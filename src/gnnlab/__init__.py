@@ -2,11 +2,10 @@
 
 Graph convolutions with weighted self-loops, top-k pooling, jumping-knowledge
 taps, data-driven variance re-initialisation, shallow baselines, and a
-deterministic 10-fold benchmark harness, all on numpy with numba-accelerated
-sparse kernels.
+deterministic 10-fold benchmark harness, all on numpy (sparse kernels
+included).
 """
 
-from ._kernels import USING_NUMBA
 from .config import DatasetConfig, ExperimentConfig
 from .graphdata import (Dataset, FoldSplit, Graph, fetch_tu, parse_tu,
                         stratified_folds, write_tu)
@@ -20,7 +19,7 @@ from .training import (Adam, FoldResult, RunReport, TrainConfig, cross_entropy,
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA", "DatasetConfig", "ExperimentConfig", "Dataset", "FoldSplit",
+    "DatasetConfig", "ExperimentConfig", "Dataset", "FoldSplit",
     "Graph", "fetch_tu", "parse_tu", "stratified_folds", "write_tu",
     "InitScheme", "ReinitReport", "init_standard", "reinit", "DenseLayer",
     "GcnLayer", "Readout", "TopKPool", "readout", "Model", "ModelSpec", "build",

@@ -1,33 +1,50 @@
 """Hot CSR kernels: sparse aggregation, GCN normalisation, induced subgraphs.
 
-Each kernel exists twice: a numba ``@njit`` version (default) and a pure-numpy
-version. Set ``GNNLAB_NO_NUMBA=1`` to select the numpy path, e.g. on machines
-where numba is unavailable or to cross-check results. ``gnnlab bench`` times
-both paths side by side.
+One numpy implementation of each. ``scipy.sparse`` is deliberately not used:
+importing it alone raises a process's peak resident memory from about 27 MB
+(numpy only) to about 49 MB, while these kernels need nothing beyond numpy.
+Callers resolve the kernels through this module at call time
+(``_kernels.spmm(...)``), so the names and signatures here are the interface.
 """
-
-import os
 
 import numpy as np
 
 
-def numba_disabled() -> bool:
-    return os.environ.get("GNNLAB_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+def spmm(indptr, indices, data, x):
+    """Row i of the result is the data-weighted sum of x rows listed in row i.
 
-
-# --------------------------------------------------------------------------
-# numpy implementations
-
-def spmm_numpy(indptr, indices, data, x):
-    """Row i of the result is the data-weighted sum of x rows listed in row i."""
+    Rows are visited in descending degree order and the CSR entries are laid
+    out k-major (entry k of every row with more than k entries, rows in that
+    order), so step k adds one contiguous block into a prefix of the output.
+    Each row is still summed as ``0 + a0 + a1 + ...`` in CSR order, the order
+    of ``np.add.at``, so the result is bit-identical to that formula.
+    """
     n = indptr.shape[0] - 1
+    nnz = indices.shape[0]
     out = np.zeros((n, x.shape[1]), dtype=np.float64)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    np.add.at(out, rows, data[:, None] * x[indices])
-    return out
+    if nnz == 0:
+        return out
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    # count[k] rows have more than k entries; block k starts at start[k], and
+    # entry k of the row ranked r goes to slot start[k] + r
+    count = n - np.cumsum(np.bincount(deg))[:-1]
+    start = np.cumsum(count) - count
+    slot = start[np.arange(nnz) - np.repeat(indptr[:-1], deg)] + np.repeat(rank, deg)
+    idx = np.empty_like(indices)
+    idx[slot] = indices
+    w = np.empty(nnz, dtype=np.float64)
+    w[slot] = data
+    prod = np.asarray(x, dtype=np.float64)[idx]
+    prod *= w[:, None]
+    for s, c in zip(start.tolist(), count.tolist()):
+        out[:c] += prod[s:s + c]
+    return out[rank]
 
 
-def gcn_norm_numpy(indptr, indices, data, self_weight, symmetric):
+def gcn_norm(indptr, indices, data, self_weight, symmetric):
     """CSR of the propagation operator built from adjacency plus weighted self-loops.
 
     Returns ``(indptr, indices, w, w_t)`` where ``w`` are the entries of the
@@ -59,7 +76,7 @@ def gcn_norm_numpy(indptr, indices, data, self_weight, symmetric):
     return new_indptr, new_indices, w, w_t
 
 
-def induced_subgraph_numpy(indptr, indices, data, kept):
+def induced_subgraph(indptr, indices, data, kept):
     """CSR of the subgraph on ``kept`` (ascending original node ids)."""
     n = indptr.shape[0] - 1
     m = kept.shape[0]
@@ -73,113 +90,3 @@ def induced_subgraph_numpy(indptr, indices, data, kept):
     counts = np.bincount(new_rows, minlength=m)
     new_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     return new_indptr, new_cols, new_data
-
-
-# --------------------------------------------------------------------------
-# loop implementations, numba-compiled when enabled
-
-def _spmm_loop(indptr, indices, data, x):
-    n = indptr.shape[0] - 1
-    f = x.shape[1]
-    out = np.zeros((n, f), dtype=np.float64)
-    for i in range(n):
-        for e in range(indptr[i], indptr[i + 1]):
-            j = indices[e]
-            w = data[e]
-            for c in range(f):
-                out[i, c] += w * x[j, c]
-    return out
-
-
-def _gcn_norm_loop(indptr, indices, data, self_weight, symmetric):
-    n = indptr.shape[0] - 1
-    nnz = indices.shape[0]
-    dhat = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        s = self_weight
-        for e in range(indptr[i], indptr[i + 1]):
-            s += data[e]
-        dhat[i] = s
-    new_indptr = np.empty(n + 1, dtype=np.int64)
-    new_indices = np.empty(nnz + n, dtype=np.int64)
-    new_vals = np.empty(nnz + n, dtype=np.float64)
-    new_indptr[0] = 0
-    pos = 0
-    for i in range(n):
-        for e in range(indptr[i], indptr[i + 1]):
-            new_indices[pos] = indices[e]
-            new_vals[pos] = data[e]
-            pos += 1
-        new_indices[pos] = i
-        new_vals[pos] = self_weight
-        pos += 1
-        new_indptr[i + 1] = pos
-    w = np.empty(nnz + n, dtype=np.float64)
-    w_t = np.empty(nnz + n, dtype=np.float64)
-    if symmetric:
-        inv = 1.0 / np.sqrt(dhat)
-        for i in range(n):
-            for e in range(new_indptr[i], new_indptr[i + 1]):
-                w[e] = new_vals[e] * inv[i] * inv[new_indices[e]]
-                w_t[e] = w[e]
-    else:
-        for i in range(n):
-            for e in range(new_indptr[i], new_indptr[i + 1]):
-                w[e] = new_vals[e] / dhat[i]
-                w_t[e] = new_vals[e] / dhat[new_indices[e]]
-    return new_indptr, new_indices, w, w_t
-
-
-def _induced_subgraph_loop(indptr, indices, data, kept):
-    n = indptr.shape[0] - 1
-    m = kept.shape[0]
-    lookup = np.full(n, -1, dtype=np.int64)
-    for r in range(m):
-        lookup[kept[r]] = r
-    count = 0
-    for r in range(m):
-        i = kept[r]
-        for e in range(indptr[i], indptr[i + 1]):
-            if lookup[indices[e]] >= 0:
-                count += 1
-    new_indptr = np.empty(m + 1, dtype=np.int64)
-    new_indices = np.empty(count, dtype=np.int64)
-    new_data = np.empty(count, dtype=np.float64)
-    new_indptr[0] = 0
-    pos = 0
-    for r in range(m):
-        i = kept[r]
-        for e in range(indptr[i], indptr[i + 1]):
-            c = lookup[indices[e]]
-            if c >= 0:
-                new_indices[pos] = c
-                new_data[pos] = data[e]
-                pos += 1
-        new_indptr[r + 1] = pos
-    return new_indptr, new_indices, new_data
-
-
-spmm_numba = None
-gcn_norm_numba = None
-induced_subgraph_numba = None
-USING_NUMBA = False
-
-if not numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-        spmm_numba = njit(cache=True)(_spmm_loop)
-        gcn_norm_numba = njit(cache=True)(_gcn_norm_loop)
-        induced_subgraph_numba = njit(cache=True)(_induced_subgraph_loop)
-        USING_NUMBA = True
-
-if USING_NUMBA:
-    spmm = spmm_numba
-    gcn_norm = gcn_norm_numba
-    induced_subgraph = induced_subgraph_numba
-else:
-    spmm = spmm_numpy
-    gcn_norm = gcn_norm_numpy
-    induced_subgraph = induced_subgraph_numpy

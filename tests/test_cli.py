@@ -206,13 +206,6 @@ def test_plot_unknown_series_exit_code(tu_dir, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bench_command(capsys):
-    assert main(["bench", "--nodes", "120", "--features", "4",
-                 "--avg-degree", "3", "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "spmm" in out and "gcn_norm" in out
-
-
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--model", "bogus_kind", "--dataset", "X"])

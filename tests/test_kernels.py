@@ -1,55 +1,65 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from gnnlab import Rng, bench
+from gnnlab import Rng, SparseAdj
 from gnnlab import _kernels
 
 from conftest import random_adj
 
-needs_numba = pytest.mark.skipif(not _kernels.USING_NUMBA,
-                                 reason="numba path disabled in this run")
+
+def spmm_add_at(indptr, indices, data, x):
+    """Reference: the np.add.at formula the kernel must reproduce bit for bit."""
+    n = indptr.shape[0] - 1
+    out = np.zeros((n, x.shape[1]), dtype=np.float64)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    np.add.at(out, rows, data[:, None] * x[indices])
+    return out
 
 
-def _random_csr(seed, n=50, p=0.2):
-    adj = random_adj(Rng(seed), n, p)
-    return adj.indptr, adj.indices, adj.weights
+def csr_dense(indptr, indices, vals):
+    n = indptr.shape[0] - 1
+    out = np.zeros((n, n))
+    for i in range(n):
+        for e in range(indptr[i], indptr[i + 1]):
+            out[i, indices[e]] = vals[e]
+    return out
 
 
-@needs_numba
-def test_spmm_paths_agree():
-    for seed in range(10):
-        indptr, indices, data = _random_csr(seed)
-        x = Rng(seed).normal(indptr.shape[0] - 1, 7, 1.0)
-        a = _kernels.spmm_numpy(indptr, indices, data, x)
-        b = _kernels.spmm_numba(indptr, indices, data, x)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+def star(n):
+    return SparseAdj.from_edges(n, [(0, j) for j in range(1, n)])
 
 
-@needs_numba
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_gcn_norm_paths_agree(symmetric):
-    for seed in range(10):
-        indptr, indices, data = _random_csr(seed)
-        out_np = _kernels.gcn_norm_numpy(indptr, indices, data, 2.0, symmetric)
-        out_nb = _kernels.gcn_norm_numba(indptr, indices, data, 2.0, symmetric)
-        for a, b in zip(out_np, out_nb):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+def adjacencies():
+    """Random graphs (sparse enough to leave isolated nodes), a star, no edges."""
+    adjs = [random_adj(Rng(seed), n, p)
+            for seed, (n, p) in enumerate([(30, 0.05), (50, 0.2), (12, 0.5), (80, 0.03)])]
+    return adjs + [star(40), SparseAdj.empty(6)]
 
 
-@needs_numba
-def test_induced_subgraph_paths_agree():
-    for seed in range(10):
-        indptr, indices, data = _random_csr(seed)
-        n = indptr.shape[0] - 1
-        kept = np.sort(Rng(seed).permutation(n)[: n // 2 + 1]).astype(np.int64)
-        out_np = _kernels.induced_subgraph_numpy(indptr, indices, data, kept)
-        out_nb = _kernels.induced_subgraph_numba(indptr, indices, data, kept)
-        for a, b in zip(out_np, out_nb):
-            assert np.array_equal(a, b)
+def operators(adj):
+    """The raw adjacency plus w and w_t of both normalisations, each with its dense form."""
+    ops = [((adj.indptr, adj.indices, adj.weights), adj.to_dense())]
+    for symmetric in (True, False):
+        indptr, indices, w, w_t = _kernels.gcn_norm(adj.indptr, adj.indices,
+                                                    adj.weights, 2.0, symmetric)
+        dense = csr_dense(indptr, indices, w)
+        ops += [((indptr, indices, w), dense), ((indptr, indices, w_t), dense.T)]
+    return ops
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("f", [1, 3, 128])
+def test_spmm_bit_equal_to_add_at_and_close_to_dense(f):
+    for k, adj in enumerate(adjacencies()):
+        x = Rng(k).normal(adj.n, f, 1.0)
+        for csr, dense in operators(adj):
+            got = _kernels.spmm(*csr, x)
+            assert got.shape == (adj.n, f)
+            assert np.array_equal(bits(got), bits(spmm_add_at(*csr, x)))
+            assert np.allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
 
 
 def test_empty_rows_handled():
@@ -58,28 +68,32 @@ def test_empty_rows_handled():
     indices = np.array([1, 0], dtype=np.int64)
     data = np.array([1.0, 1.0])
     x = np.array([[1.0], [2.0], [3.0]])
-    out = _kernels.spmm_numpy(indptr, indices, data, x)
+    out = _kernels.spmm(indptr, indices, data, x)
     assert np.array_equal(out, [[2.0], [1.0], [0.0]])
 
 
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, GNNLAB_NO_NUMBA="1")
-    code = ("from gnnlab import _kernels; "
-            "assert not _kernels.USING_NUMBA; "
-            "assert _kernels.spmm is _kernels.spmm_numpy; "
-            "print('numpy path ok')")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy path ok" in proc.stdout
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_gcn_norm_matches_dense_normalisation(symmetric):
+    for adj in adjacencies():
+        indptr, indices, w, w_t = _kernels.gcn_norm(adj.indptr, adj.indices,
+                                                    adj.weights, 2.0, symmetric)
+        a_hat = adj.to_dense() + 2.0 * np.eye(adj.n)
+        d_hat = a_hat.sum(axis=1)
+        if symmetric:
+            want = a_hat / np.sqrt(np.outer(d_hat, d_hat))
+        else:
+            want = a_hat / d_hat[:, None]
+        assert np.allclose(csr_dense(indptr, indices, w), want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(csr_dense(indptr, indices, w_t), want.T, rtol=1e-12, atol=1e-12)
+        # the self-loop entry closes every row
+        assert np.array_equal(indices[indptr[1:] - 1], np.arange(adj.n))
 
 
-def test_bench_runs_and_paths_agree():
-    rows = bench.run_bench(nodes=150, features=6, avg_degree=4, repeats=1)
-    assert [r["kernel"] for r in rows] == ["spmm", "gcn_norm", "induced_subgraph"]
-    for r in rows:
-        assert r["numpy_s"] > 0
-        if _kernels.USING_NUMBA:
-            assert r["agree"] is True
-    table = bench.format_rows(rows)
-    assert "spmm" in table
+def test_induced_subgraph_matches_dense_submatrix():
+    for k, adj in enumerate(adjacencies()):
+        kept = np.sort(Rng(k).permutation(adj.n)[: adj.n // 2 + 1]).astype(np.int64)
+        indptr, indices, data = _kernels.induced_subgraph(adj.indptr, adj.indices,
+                                                          adj.weights, kept)
+        assert indptr.shape == (kept.shape[0] + 1,) and indptr[-1] == indices.shape[0]
+        want = adj.to_dense()[np.ix_(kept, kept)]
+        assert np.array_equal(csr_dense(indptr, indices, data), want)
