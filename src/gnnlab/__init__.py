@@ -7,7 +7,7 @@ included).
 """
 
 from .config import DatasetConfig, ExperimentConfig
-from .graphdata import (Dataset, FoldSplit, Graph, fetch_tu, parse_tu,
+from .graphdata import (Batch, Dataset, FoldSplit, Graph, fetch_tu, parse_tu,
                         stratified_folds, write_tu)
 from .init import InitScheme, ReinitReport, init_standard, reinit
 from .layers import DenseLayer, GcnLayer, Readout, TopKPool, readout
@@ -19,7 +19,7 @@ from .training import (Adam, FoldResult, RunReport, TrainConfig, cross_entropy,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DatasetConfig", "ExperimentConfig", "Dataset", "FoldSplit",
+    "DatasetConfig", "ExperimentConfig", "Batch", "Dataset", "FoldSplit",
     "Graph", "fetch_tu", "parse_tu", "stratified_folds", "write_tu",
     "InitScheme", "ReinitReport", "init_standard", "reinit", "DenseLayer",
     "GcnLayer", "Readout", "TopKPool", "readout", "Model", "ModelSpec", "build",

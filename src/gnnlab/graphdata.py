@@ -1,4 +1,5 @@
-"""TU-format graph dataset parsing, featurisation, fetching, and fold splits.
+"""TU-format graph dataset parsing, featurisation, fetching, fold splits, and
+the disjoint-union batches the models run on.
 
 The TU convention is a directory of plain-text files sharing a dataset name
 prefix: an edge list (``*_A.txt``, 1-indexed "i, j" lines), a per-node graph
@@ -38,6 +39,47 @@ class Graph:
     features: np.ndarray
     label: int
     id: int
+
+
+# Node budget of one chunk. A chunk's activations, pooled subgraphs and
+# products all grow with its node count, so chunks stay far below a whole
+# mini-batch (about 25k nodes on REDDIT-sized graphs) to bound peak memory.
+CHUNK_NODES = 256
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Disjoint union of graphs: a block-diagonal adjacency, the features of
+    every graph stacked in order, one label and one node count per graph."""
+    adj: SparseAdj
+    features: np.ndarray
+    labels: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, graphs) -> "Batch":
+        graphs = list(graphs)
+        labels = np.array([g.label for g in graphs], dtype=np.int64)
+        sizes = np.array([g.adj.n for g in graphs], dtype=np.int64)
+        if len(graphs) == 1:
+            # the graph's own adjacency keeps its memoised propagation operator
+            return cls(graphs[0].adj, graphs[0].features, labels, sizes)
+        return cls(SparseAdj.block_diag([g.adj for g in graphs]),
+                   np.concatenate([g.features for g in graphs]), labels, sizes)
+
+
+def chunks(graphs):
+    """Consecutive runs of ``graphs`` as batches of at most ``CHUNK_NODES``
+    nodes; a graph larger than that forms a batch on its own. Built lazily."""
+    run, nodes = [], 0
+    for g in graphs:
+        if run and nodes + g.adj.n > CHUNK_NODES:
+            yield Batch.of(run)
+            run, nodes = [], 0
+        run.append(g)
+        nodes += g.adj.n
+    if run:
+        yield Batch.of(run)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ distribution and projection/dense weights from a fan-sum-scaled uniform one;
 biases start at zero. The rescaling pass ("reinit") then walks the block
 stack in order, measuring the standard deviation of each block's output over
 a calibration set and dividing it out, so every block emits unit-variance
-activations on that set. Convolution divisors are folded into the weights
-and bias; pool divisors are kept as forward-time scale factors because the
-pool scores are projection-norm invariant, leaving no weight to fold into.
+activations on that set. The calibration graphs run through the blocks in
+the node-bounded chunks training uses (:func:`gnnlab.graphdata.chunks`).
+Convolution divisors are folded into the weights and bias; pool divisors are
+kept as forward-time scale factors because the pool scores are
+projection-norm invariant, leaving no weight to fold into.
 """
 
 import math
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ConfigError
+from .graphdata import chunks
 from .layers import GcnLayer, TopKPool
 from .numcore import Rng
 
@@ -107,8 +110,8 @@ class _Moments:
 
 def _block_output_std(model, graphs, stage: int) -> float:
     mom = _Moments()
-    for g in graphs:
-        mom.add(model.run_blocks(g, stage))
+    for batch in chunks(graphs):  # lazily: one chunk alive at a time
+        mom.add(model.run_blocks(batch, stage))
     return mom.std()
 
 

@@ -1,11 +1,18 @@
 """Differentiable building blocks with hand-derived backward passes.
 
-Every layer caches what its backward pass needs during forward; a layer
-instance is therefore single-owner within a training step. Gradients are
+Every layer caches what its backward pass needs during forward, and the
+backward pass releases it; a layer instance is therefore single-owner within
+a training step, and each forward allows one backward. Layers whose state
+grows with the node count drop the previous state before computing, so a
+forward-only sweep never holds two chunks' state at once. Gradients are
 exact (checked against central finite differences in the test suite).
-"""
 
-import math
+The layers run on the disjoint union of several graphs as well as on one:
+node rows of consecutive graphs are stacked, and ``sizes`` gives each graph's
+node count. Convolutions and dense layers need nothing more (a block-diagonal
+adjacency keeps the graphs apart); top-k pools select within each graph and
+readouts return one row per graph.
+"""
 
 import numpy as np
 
@@ -56,24 +63,31 @@ class GcnLayer:
         if x.shape[1] != self.w.shape[0]:
             raise ShapeError(
                 f"gcn expects {self.w.shape[0]} input features, got {x.shape[1]}")
+        self._cache = None
         indptr, indices, w_p, w_pt = adj.normalized(
             SELF_LOOP_WEIGHT, symmetric_norm=(self.norm == "sym"))
         m = _kernels.spmm(indptr, indices, w_p, x)
-        pre = (m @ self.w) / self.scale + self.b
+        pre = m @ self.w
+        pre /= self.scale
+        pre += self.b
         out = relu(pre) if self.activation == "relu" else pre
         self._cache = {"m": m, "pre": pre, "prop_t": (indptr, indices, w_pt)}
         return out
 
-    def backward(self, grad_out: np.ndarray):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):
+        """Parameter gradients, and the input gradient (None unless
+        ``input_grad``: a network's first convolution has no use for it)."""
         if self._cache is None:
             raise StateError("gcn backward called before forward")
-        c = self._cache
+        c, self._cache = self._cache, None
         grad_pre = grad_out * (c["pre"] > 0) if self.activation == "relu" else grad_out
         grad_b = grad_pre.sum(axis=0)
         grad_w = (c["m"].T @ grad_pre) / self.scale
-        grad_m = (grad_pre @ self.w.T) / self.scale
-        indptr, indices, w_pt = c["prop_t"]
-        grad_x = _kernels.spmm(indptr, indices, w_pt, grad_m)
+        grad_x = None
+        if input_grad:
+            grad_m = (grad_pre @ self.w.T) / self.scale
+            indptr, indices, w_pt = c["prop_t"]
+            grad_x = _kernels.spmm(indptr, indices, w_pt, grad_m)
         return grad_x, {"W": grad_w, "b": grad_b}
 
     @property
@@ -83,20 +97,26 @@ class GcnLayer:
         return self._cache["pre"]
 
 
-def keep_count(k: float, n: int) -> int:
-    """Nodes retained by a top-k pool: max(1, ceil(k*n)), float-dust guarded."""
-    return max(1, math.ceil(k * n - 1e-9))
+def keep_count(k: float, n):
+    """Nodes retained by a top-k pool: max(1, ceil(k*n)), float-dust guarded.
+    ``n`` may be an array of per-graph node counts."""
+    return np.maximum(1, np.ceil(k * np.asarray(n) - 1e-9)).astype(np.int64)
+
+
+def _starts(sizes) -> np.ndarray:
+    """First row of each graph in a stack of graphs with ``sizes`` rows."""
+    return np.cumsum(sizes) - sizes
 
 
 class TopKPool:
     """Node-dropping pool ranked by the normalised projection of features.
 
     Scores are the projection of each feature row onto ``p`` divided by the
-    norm of ``p``; the highest-scoring max(1, ceil(k*N)) nodes survive (ties
-    broken toward lower node index) and their features are gated by the tanh
-    of their score. The selection itself is treated as constant in backward;
-    gradients flow through the feature term and the gate, including the
-    gate's dependence on features and on ``p``.
+    norm of ``p``; in each graph the highest-scoring max(1, ceil(k*N)) nodes
+    survive (ties broken toward lower node index) and their features are
+    gated by the tanh of their score. The selection itself is treated as
+    constant in backward; gradients flow through the feature term and the
+    gate, including the gate's dependence on features and on ``p``.
     """
 
     def __init__(self, p, k=0.8, scale=1.0):
@@ -109,17 +129,29 @@ class TopKPool:
         self.scale = float(scale)
         self._cache = None
 
-    def forward(self, adj: SparseAdj, x: np.ndarray):
+    def forward(self, adj: SparseAdj, x: np.ndarray, sizes=None):
+        """Pool every graph of the stack (one graph when ``sizes`` is None);
+        returns (subgraph, pooled features, kept row ids, ascending)."""
         if x.shape[1] != self.p.shape[0]:
             raise ShapeError(
                 f"pool projection has {self.p.shape[0]} entries, features have {x.shape[1]}")
+        self._cache = None
+        sizes = np.array([x.shape[0]]) if sizes is None else np.asarray(sizes)
         nrm = float(np.linalg.norm(self.p))
         denom = max(nrm, PNORM_EPS)
-        scores = (x @ self.p) / denom
-        m = keep_count(self.k, x.shape[0])
-        # stable argsort on -scores breaks ties toward lower node index
-        ranked = np.argsort(-scores, kind="stable")
-        kept = np.sort(ranked[:m])
+        # One product per graph: BLAS rounds a row of one matrix-vector
+        # product differently depending on where the row sits, and exact
+        # score ties at the keep cut must resolve as in a one-graph stack.
+        starts = _starts(sizes)
+        scores = np.concatenate([x[a:a + n] @ self.p
+                                 for a, n in zip(starts.tolist(), sizes.tolist())]) / denom
+        graph = np.repeat(np.arange(sizes.shape[0]), sizes)
+        # by graph, then by descending score; the sort is stable, so ties go
+        # to the lower node index. Position i of ``ranked`` still belongs to
+        # graph[i], so i - starts[graph[i]] is the rank within that graph.
+        ranked = np.lexsort((-scores, graph))
+        rank = np.arange(x.shape[0]) - starts[graph]
+        kept = np.sort(ranked[rank < keep_count(self.k, sizes)[graph]])
         gate = np.tanh(scores[kept])
         x_kept = x[kept]
         out = (x_kept * gate[:, None]) / self.scale
@@ -131,7 +163,7 @@ class TopKPool:
     def backward(self, grad_out: np.ndarray):
         if self._cache is None:
             raise StateError("top-k backward called before forward")
-        c = self._cache
+        c, self._cache = self._cache, None
         kept, gate, x_kept = c["kept"], c["gate"], c["x_kept"]
         denom = c["denom"]
         phat = self.p / denom
@@ -179,7 +211,7 @@ class DenseLayer:
     def backward(self, grad_out: np.ndarray):
         if self._cache is None:
             raise StateError("dense backward called before forward")
-        c = self._cache
+        c, self._cache = self._cache, None
         grad_pre = grad_out * (c["pre"] > 0) if self.activation == "relu" else grad_out
         grad_b = grad_pre.sum(axis=0)
         grad_w = c["x"].T @ grad_pre
@@ -191,7 +223,7 @@ READOUT_KINDS = ("mean", "sum", "max", "max_and_sum")
 
 
 class Readout:
-    """Permutation-invariant reduction of node rows to one graph vector."""
+    """Permutation-invariant reduction of node rows to one vector per graph."""
 
     def __init__(self, kind: str):
         if kind not in READOUT_KINDS:
@@ -202,40 +234,52 @@ class Readout:
     def width(self, feature_dim: int) -> int:
         return 2 * feature_dim if self.kind == "max_and_sum" else feature_dim
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] < 1:
+    def forward(self, x: np.ndarray, sizes=None) -> np.ndarray:
+        """One row per graph of the stack; a single vector when ``sizes`` is
+        None (the whole matrix is one graph)."""
+        single = sizes is None
+        sizes = np.array([x.shape[0]]) if single else np.asarray(sizes)
+        if x.shape[0] < 1 or sizes.min() < 1:
             raise DomainError("readout of an empty matrix")
-        self._cache = {"rows": x.shape[0]}
-        if self.kind == "mean":
-            return x.mean(axis=0)
-        if self.kind == "sum":
-            return x.sum(axis=0)
-        # ties route the gradient to the lowest row index (argmax does exactly that)
-        argmax = np.argmax(x, axis=0)
-        self._cache["argmax"] = argmax
-        mx = x[argmax, np.arange(x.shape[1])]
-        if self.kind == "max":
-            return mx
-        return np.concatenate([mx, x.sum(axis=0)])
+        starts = _starts(sizes)
+        self._cache = {"sizes": sizes}
+        if self.kind in ("mean", "sum"):
+            out = np.add.reduceat(x, starts, axis=0)
+            if self.kind == "mean":
+                out = out / sizes[:, None]
+        else:
+            # ties route the gradient to the lowest row index of each graph
+            # (argmax does exactly that)
+            argmax = np.stack([a + np.argmax(x[a:a + n], axis=0)
+                               for a, n in zip(starts.tolist(), sizes.tolist())])
+            self._cache["argmax"] = argmax
+            out = x[argmax, np.arange(x.shape[1])]
+            if self.kind == "max_and_sum":
+                out = np.concatenate([out, np.add.reduceat(x, starts, axis=0)], axis=1)
+        return out[0] if single else out
 
-    def backward(self, grad_vec: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        """Gradient on the node rows, from one gradient row per graph (or a
+        single vector, matching forward)."""
         if self._cache is None:
             raise StateError("readout backward called before forward")
-        n = self._cache["rows"]
+        cache, self._cache = self._cache, None
+        grad = np.atleast_2d(grad)
+        sizes = cache["sizes"]
+        graph = np.repeat(np.arange(sizes.shape[0]), sizes)
         if self.kind == "mean":
-            return np.tile(grad_vec / n, (n, 1))
+            return (grad / sizes[:, None])[graph]
         if self.kind == "sum":
-            return np.tile(grad_vec, (n, 1))
-        f = self._cache["argmax"].shape[0]
-        out = np.zeros((n, f), dtype=np.float64)
-        if self.kind == "max":
-            out[self._cache["argmax"], np.arange(f)] = grad_vec
-            return out
-        out[self._cache["argmax"], np.arange(f)] = grad_vec[:f]
-        out += grad_vec[f:]
+            return grad[graph]
+        argmax = cache["argmax"]
+        f = argmax.shape[1]
+        out = np.zeros((graph.shape[0], f), dtype=np.float64)
+        out[argmax, np.arange(f)] = grad[:, :f]
+        if self.kind == "max_and_sum":
+            out += grad[graph, f:]
         return out
 
 
 def readout(kind: str, x: np.ndarray) -> np.ndarray:
-    """One-shot readout without keeping backward state."""
+    """One-shot readout of one graph without keeping backward state."""
     return Readout(kind).forward(x)

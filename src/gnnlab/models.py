@@ -12,6 +12,9 @@ Five kinds are supported:
   every convolution output fed to the MLP through skip taps.
 * ``probe4`` — four convolution+pool blocks, global mean of the final
   representation into the MLP, no skip taps (the diagnostics probe).
+
+A model runs on a :class:`~gnnlab.graphdata.Batch`, the disjoint union of
+one or more graphs, and emits one row of class scores per graph.
 """
 
 from dataclasses import dataclass, fields
@@ -19,9 +22,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ShapeError, SpecError, StateError
-from .graphdata import Graph
+from .graphdata import Batch
 from .init import init_standard
-from .layers import DenseLayer, GcnLayer, Readout, TopKPool
+from .layers import DenseLayer, GcnLayer, Readout, TopKPool, keep_count
 from .numcore import Rng
 
 MODEL_KINDS = ("mlp", "gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4")
@@ -110,87 +113,97 @@ class Model:
 
     # ---------------------------------------------------------------- forward
 
-    def forward(self, g: Graph) -> np.ndarray:
-        if g.features.shape[1] != self.num_features:
-            raise ShapeError(
-                f"model expects {self.num_features} features, graph has {g.features.shape[1]}")
-        adj, x = g.adj, g.features
+    def forward(self, batch: Batch) -> np.ndarray:
+        """Class scores, one row per graph of the batch."""
+        if batch.features.shape[1] != self.num_features:
+            raise ShapeError(f"model expects {self.num_features} features, "
+                             f"graphs have {batch.features.shape[1]}")
+        self._cache = None  # let the previous batch's outputs go first
+        adj, x, sizes = batch.adj, batch.features, batch.sizes
         gcn_outs = []
-        stage_x = [x]  # stage_x[i] is the input to block i; stage_x[-1] the final output
+        # stage_x[i] is the input to block i, stage_x[-1] the final output;
+        # stage_sizes[i] the per-graph row counts of stage_x[i]
+        stage_x, stage_sizes = [x], [sizes]
         for gcn, pool in self.blocks:
             h = gcn.forward(adj, x)
             gcn_outs.append(h)
             if pool is not None:
-                adj, x, _ = pool.forward(adj, h)
+                adj, x, _ = pool.forward(adj, h, sizes)
+                sizes = keep_count(pool.k, sizes)
             else:
                 x = h
             stage_x.append(x)
-        tap_vecs = []
-        for source, ro in self.taps:
-            tap_vecs.append(ro.forward(self._tap_matrix(source, g, gcn_outs, stage_x)))
-        if self.spec.jk_agg == "sum" and len(tap_vecs) > 1:
-            z = np.sum(tap_vecs, axis=0)[None, :]
+            stage_sizes.append(sizes)
+        tap_mats = [ro.forward(*self._tap_input(source, gcn_outs, stage_x, stage_sizes))
+                    for source, ro in self.taps]
+        if self.spec.jk_agg == "sum" and len(tap_mats) > 1:
+            a = np.sum(tap_mats, axis=0)
         else:
-            z = np.concatenate(tap_vecs)[None, :]
-        a = z
+            a = np.concatenate(tap_mats, axis=1)
         for layer in self.mlp:
             a = layer.forward(a)
         self._cache = {"gcn_outs": gcn_outs, "stage_x": stage_x}
-        return a[0]
+        return a
 
     @staticmethod
-    def _tap_matrix(source, g, gcn_outs, stage_x):
+    def _tap_input(source, gcn_outs, stage_x, stage_sizes):
+        """The node matrix a tap reads, and its per-graph row counts."""
         if source == "input":
-            return g.features
+            return stage_x[0], stage_sizes[0]
         if source == "final":
-            return stage_x[-1]
+            return stage_x[-1], stage_sizes[-1]
         kind, i = source
-        return gcn_outs[i] if kind == "gcn" else stage_x[i + 1]
+        if kind == "gcn":  # a convolution keeps the rows of its input
+            return gcn_outs[i], stage_sizes[i]
+        return stage_x[i + 1], stage_sizes[i + 1]
 
     def backward(self, grad_scores: np.ndarray) -> dict:
-        """Gradients for every registered parameter; frozen entries are zeroed."""
+        """Gradients for every registered parameter from the gradient of the
+        scores of the last forward, summed over its graphs; frozen entries
+        are zeroed. Gradients on the raw input are never formed."""
         if self._cache is None:
             raise StateError("model backward called before forward")
-        gcn_outs = self._cache["gcn_outs"]
-        stage_x = self._cache["stage_x"]
+        self._cache = None
         grads = {}
-        a_grad = np.asarray(grad_scores, dtype=np.float64)[None, :]
+        z_grad = np.asarray(grad_scores, dtype=np.float64)
         for j in range(len(self.mlp), 0, -1):
-            a_grad, layer_grads = self.mlp[j - 1].backward(a_grad)
+            z_grad, layer_grads = self.mlp[j - 1].backward(z_grad)
             grads[f"mlp{j}.W"] = layer_grads["W"]
             grads[f"mlp{j}.b"] = layer_grads["b"]
-        z_grad = a_grad[0]
         if self.spec.jk_agg == "sum" and len(self.taps) > 1:
             tap_grads = [z_grad] * len(self.taps)
         else:
             widths = [ro.width(self._tap_dim(source)) for source, ro in self.taps]
             offsets = np.concatenate(([0], np.cumsum(widths)))
-            tap_grads = [z_grad[offsets[i]:offsets[i + 1]] for i in range(len(self.taps))]
-        gcn_grads = [np.zeros_like(h) for h in gcn_outs]
-        stage_grads = [np.zeros_like(x) for x in stage_x]
-        for (source, ro), gvec in zip(self.taps, tap_grads):
-            mat = ro.backward(gvec)
+            tap_grads = [z_grad[:, offsets[i]:offsets[i + 1]] for i in range(len(self.taps))]
+        # gradient on each node matrix; None where nothing downstream reads it
+        gcn_grads = [None] * len(self.blocks)
+        stage_grads = [None] * (len(self.blocks) + 1)
+        for (source, ro), gmat in zip(self.taps, tap_grads):
             if source == "input":
                 continue  # no parameters upstream of the raw input
+            mat = ro.backward(gmat)
             if source == "final":
-                stage_grads[-1] += mat
+                stage_grads[-1] = _add(stage_grads[-1], mat)
             elif source[0] == "gcn":
-                gcn_grads[source[1]] += mat
+                gcn_grads[source[1]] = _add(gcn_grads[source[1]], mat)
             else:
-                stage_grads[source[1] + 1] += mat
+                stage_grads[source[1] + 1] = _add(stage_grads[source[1] + 1], mat)
         x_grad = stage_grads[-1]
         for i in range(len(self.blocks) - 1, -1, -1):
             gcn, pool = self.blocks[i]
+            h_grad = x_grad
             if pool is not None:
-                h_grad, pool_grads = pool.backward(x_grad)
-                grads[f"pool{i + 1}.p"] = pool_grads["p"]
-            else:
-                h_grad = x_grad
-            h_grad = h_grad + gcn_grads[i]
-            x_grad, layer_grads = gcn.backward(h_grad)
+                if x_grad is None:  # the pooled output feeds nothing
+                    grads[f"pool{i + 1}.p"] = np.zeros_like(pool.p)
+                else:
+                    h_grad, pool_grads = pool.backward(x_grad)
+                    grads[f"pool{i + 1}.p"] = pool_grads["p"]
+            h_grad = _add(h_grad, gcn_grads[i])
+            x_grad, layer_grads = gcn.backward(h_grad, input_grad=i > 0)
             grads[f"gcn{i + 1}.W"] = layer_grads["W"]
             grads[f"gcn{i + 1}.b"] = layer_grads["b"]
-            x_grad = x_grad + stage_grads[i]
+            x_grad = _add(x_grad, stage_grads[i])
         for name in self.frozen:
             grads[name] = np.zeros_like(self.params[name])
         self.last_grads = grads
@@ -199,9 +212,9 @@ class Model:
     def _tap_dim(self, source) -> int:
         return self.num_features if source == "input" else self.spec.hidden_dim
 
-    def predict(self, g: Graph) -> int:
-        scores = self.forward(g)
-        return int(np.argmax(scores))  # argmax ties resolve to the lowest index
+    def predict(self, batch: Batch) -> np.ndarray:
+        """Predicted class per graph; ties resolve to the lowest class index."""
+        return np.argmax(self.forward(batch), axis=1)
 
     # ------------------------------------------------------------ inspection
 
@@ -214,10 +227,10 @@ class Model:
                 out.append((f"pool{i}", pool))
         return out
 
-    def run_blocks(self, g: Graph, upto: int) -> np.ndarray:
+    def run_blocks(self, batch: Batch, upto: int) -> np.ndarray:
         """Forward through the block stack only, returning the output of flat
         stage ``upto`` (0 = first convolution, 1 = its pool, and so on)."""
-        adj, x = g.adj, g.features
+        adj, x, sizes = batch.adj, batch.features, batch.sizes
         stage = 0
         for gcn, pool in self.blocks:
             h = gcn.forward(adj, x)
@@ -225,7 +238,8 @@ class Model:
                 return h
             stage += 1
             if pool is not None:
-                adj, x, _ = pool.forward(adj, h)
+                adj, x, _ = pool.forward(adj, h, sizes)
+                sizes = keep_count(pool.k, sizes)
                 if stage == upto:
                     return x
                 stage += 1
@@ -246,6 +260,13 @@ class Model:
             if pool is not None:
                 out.append((f"pool{i}", stage_x[i], None))
         return out
+
+
+def _add(a, b):
+    """Sum of two gradients, either of which may be None (no gradient)."""
+    if a is None:
+        return b
+    return a if b is None else a + b
 
 
 def build(spec: ModelSpec, num_features: int, num_classes: int, rng: Rng) -> Model:

@@ -95,6 +95,19 @@ class SparseAdj:
         return cls(n, indptr, indices, vals, symmetric=symmetric, validate=False)
 
     @classmethod
+    def block_diag(cls, adjs) -> "SparseAdj":
+        """Disjoint union: ``adjs`` as diagonal blocks, nodes numbered in order."""
+        sizes = np.array([a.n for a in adjs], dtype=np.int64)
+        nnz = np.array([a.indices.shape[0] for a in adjs], dtype=np.int64)
+        node_off = np.cumsum(sizes) - sizes
+        entry_off = np.cumsum(nnz) - nnz
+        indptr = np.concatenate([[0]] + [a.indptr[1:] + e for a, e in zip(adjs, entry_off)])
+        indices = np.concatenate([a.indices + o for a, o in zip(adjs, node_off)])
+        weights = np.concatenate([a.weights for a in adjs])
+        return cls(int(sizes.sum()), indptr, indices, weights,
+                   symmetric=all(a.symmetric for a in adjs), validate=False)
+
+    @classmethod
     def empty(cls, n):
         return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.float64), validate=False)

@@ -1,8 +1,11 @@
 """Loss, Adam with coupled weight decay, the epoch loop, and k-fold harness.
 
-Graphs are processed one at a time; a mini-batch is a gradient accumulation
-over its graphs (mean of per-graph gradients) followed by one optimiser
-step. Everything is keyed by seeds, so a fold run is bit-reproducible.
+A mini-batch is cut into consecutive chunks of at most ``CHUNK_NODES``
+nodes (see :func:`gnnlab.graphdata.chunks`); each chunk runs as one
+disjoint-union graph through one forward and one backward pass, and the
+chunk gradients add up to the mean of the per-graph gradients, followed by
+one optimiser step. Evaluation runs on chunks the same way. Everything is
+keyed by seeds, so a fold run is bit-reproducible.
 """
 
 import time
@@ -12,7 +15,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import HarnessError, ShapeError
-from .graphdata import Dataset, FoldSplit, stratified_folds
+from .graphdata import Dataset, FoldSplit, chunks, stratified_folds
 from .init import InitScheme, reinit
 from .models import Model, ModelSpec, build
 from .numcore import Rng
@@ -100,17 +103,22 @@ class RunReport:
         return out
 
 
-def cross_entropy(scores: np.ndarray, label: int):
-    """Softmax cross-entropy in log-sum-exp form; returns (loss, grad_scores)."""
-    if not (0 <= label < scores.shape[0]):
-        raise ShapeError(f"label {label} out of range for {scores.shape[0]} classes")
-    shift = scores - scores.max()
+def cross_entropy(scores: np.ndarray, labels: np.ndarray):
+    """Softmax cross-entropy of each row of ``scores`` against its label, in
+    log-sum-exp form; returns (per-row losses, grad_scores)."""
+    labels = np.asarray(labels)
+    classes = scores.shape[1]
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ShapeError(f"label {int(bad[0])} out of range for {classes} classes")
+    rows = np.arange(scores.shape[0])
+    shift = scores - scores.max(axis=1, keepdims=True)
     expd = np.exp(shift)
-    total = expd.sum()
-    loss = float(np.log(total) - shift[label])
-    grad = expd / total
-    grad[label] -= 1.0
-    return loss, grad
+    total = expd.sum(axis=1)
+    losses = np.log(total) - shift[rows, labels]
+    grad = expd / total[:, None]
+    grad[rows, labels] -= 1.0
+    return losses, grad
 
 
 class Adam:
@@ -164,9 +172,10 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
                 sink=None, opt: Adam | None = None) -> list:
     """Run the epoch loop on ``graphs``; returns per-epoch mean train losses.
 
-    Optimiser steps use the mean gradient over each batch. When a trace sink
-    is given, per-epoch activation/gradient statistics and the train loss are
-    recorded through it; tracing never perturbs the trajectory.
+    Optimiser steps use the mean gradient over each batch, summed from one
+    backward pass per chunk of the batch. When a trace sink is given,
+    per-epoch activation/gradient statistics and the train loss are recorded
+    through it; tracing never perturbs the trajectory.
     """
     if not graphs:
         raise HarnessError("cannot train on an empty graph list")
@@ -176,19 +185,21 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(graphs))
         total = 0.0
-        for batch in _batches(order, cfg.batch_size):
-            accum = {name: np.zeros_like(p) for name, p in model.params.items()}
-            inv = 1.0 / batch.shape[0]
-            for gi in batch:
-                g = graphs[int(gi)]
-                scores = model.forward(g)
-                loss, grad_scores = cross_entropy(scores, g.label)
-                total += loss
-                grads = model.backward(grad_scores)
-                for name in accum:
-                    accum[name] += inv * grads[name]
+        for picks in _batches(order, cfg.batch_size):
+            accum = None
+            inv = 1.0 / picks.shape[0]
+            for chunk in chunks(graphs[int(gi)] for gi in picks):
+                scores = model.forward(chunk)
                 if sink is not None:
                     diagnostics.record_forward(sink, epoch, model)
+                chunk_losses, grad_scores = cross_entropy(scores, chunk.labels)
+                total += float(chunk_losses.sum())
+                grads = model.backward(inv * grad_scores)
+                if accum is None:
+                    accum = grads
+                else:
+                    for name in accum:
+                        accum[name] += grads[name]
             model.last_grads = accum
             if sink is not None:
                 diagnostics.record_backward(sink, epoch, model)
@@ -203,7 +214,8 @@ def evaluate(model: Model, graphs) -> float:
     """Accuracy percentage of argmax predictions."""
     if not graphs:
         raise HarnessError("cannot evaluate on an empty graph list")
-    correct = sum(1 for g in graphs if model.predict(g) == g.label)
+    correct = sum(int(np.count_nonzero(model.predict(chunk) == chunk.labels))
+                  for chunk in chunks(graphs))
     return 100.0 * correct / len(graphs)
 
 

@@ -122,13 +122,14 @@ def write_tu_files(directory: Path, name: str, graphs_edges, labels,
 # --------------------------------------------------------------------------
 # finite differences
 
-def fd_max_rel_err(model, g, direction, h: float = 1e-6, skip=frozenset()) -> float:
+def fd_max_rel_err(model, batch, direction, h: float = 1e-6, skip=frozenset()) -> float:
     """Max guarded relative error between analytic and central-difference
-    gradients of sum(scores * direction) over all (non-skipped) parameters."""
+    gradients of sum(scores * direction) over all (non-skipped) parameters;
+    ``direction`` has one row per graph of ``batch``."""
     direction = np.asarray(direction, dtype=np.float64)
 
     def scalar():
-        return float(model.forward(g) @ direction)
+        return float((model.forward(batch) * direction).sum())
 
     scalar()
     analytic = model.backward(direction)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gnnlab import (DenseLayer, InitScheme, ModelSpec, Readout, Rng,
+from gnnlab import (Batch, DenseLayer, InitScheme, ModelSpec, Readout, Rng,
                     TopKPool, TrainConfig, build, parse_tu, reinit,
                     stratified_folds, run_cv, train_model, write_tu)
 from gnnlab.cli import main
@@ -117,8 +117,8 @@ def test_criterion_1_gradient_exactness():
             model = build(ModelSpec(kind=kind, hidden_dim=5, mlp_dims=(4, 4),
                                     k=0.6), 3, 2, rng.derive(1))
             randomize_params(model, rng.derive(2))
-            direction = rng.derive(3).normal(1, 2, 1.0)[0]
-            worst = max(worst, fd_max_rel_err(model, g, direction,
+            direction = rng.derive(3).normal(1, 2, 1.0)
+            worst = max(worst, fd_max_rel_err(model, Batch.of([g]), direction,
                                               skip=model.frozen))
         assert worst < 1e-6, f"max relative error {worst:.3e}"
 
@@ -141,7 +141,7 @@ def test_criterion_2_reinit_postcondition():
             for stage in range(len(model.block_stages())):
                 mom = _Moments()
                 for g in graphs:
-                    mom.add(model.run_blocks(g, stage))
+                    mom.add(model.run_blocks(Batch.of([g]), stage))
                 assert abs(mom.std() - 1.0) < 1e-6
             second = reinit(model, graphs)
             assert all(abs(d - 1.0) < 1e-6 for d in second.divisors)
@@ -184,9 +184,9 @@ def test_criterion_4_permutation_invariance():
                 model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4),
                                         k=0.6), 3, 2, rng.derive(1))
                 randomize_params(model, rng.derive(2))
-                scores = model.forward(g)
+                scores = model.forward(Batch.of([g]))
                 perm = rng.derive(3).permutation(n)
-                pscores = model.forward(permute_graph(g, perm))
+                pscores = model.forward(Batch.of([permute_graph(g, perm)]))
                 assert np.max(np.abs(scores - pscores)) < 1e-9
 
 

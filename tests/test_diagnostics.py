@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnnlab import ModelSpec, Rng, TrainConfig, build, train_model
+from gnnlab import Batch, ModelSpec, Rng, TrainConfig, build, train_model
 from gnnlab.diagnostics import (TraceEvent, TraceSink, emit_csv, load_events_csv,
                                 parse_series_spec, record_backward, record_forward,
                                 record_loss, render_svg, write_events_csv)
@@ -13,9 +13,9 @@ from conftest import random_graph, synth_dataset
 def _traced_model(seed=0, kind="probe4"):
     model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4), k=0.7),
                   3, 2, Rng(seed))
-    g = random_graph(Rng(seed + 1), 8, 3)
-    model.forward(g)
-    return model, g
+    batch = Batch.of([random_graph(Rng(seed + 1), 8, 3)])
+    model.forward(batch)
+    return model, batch
 
 
 def test_record_forward_relu_outputs_nonnegative_mean():
@@ -48,7 +48,7 @@ def test_epoch_pooling_matches_concatenated_statistics():
     # two record calls in one epoch pool entries exactly like one big matrix
     model, g = _traced_model(3)
     rng = Rng(9)
-    g2 = random_graph(rng, 11, 3)
+    g2 = Batch.of([random_graph(rng, 11, 3)])
     sink = TraceSink()
     record_forward(sink, 1, model)
     first = model.trace_states()[0][1].copy()
@@ -85,7 +85,7 @@ def test_record_forward_after_reinit_reports_unit_std():
     reinit(model, graphs)
     sink = TraceSink()
     for g in graphs:
-        model.forward(g)
+        model.forward(Batch.of([g]))
         record_forward(sink, 0, model)
     values = {(e.layer, e.kind): e.value for e in sink.events()}
     for i in range(1, 5):
@@ -116,7 +116,7 @@ def test_perfect_scores_give_vanishing_grad_norms():
     model, g = _traced_model(7, kind="mlp")
     # a near-one-hot gradient source: softmax(scores) ~ onehot when confident
     from gnnlab import cross_entropy
-    _, grad = cross_entropy(np.array([60.0, 0.0]), 0)
+    _, grad = cross_entropy(np.array([[60.0, 0.0]]), [0])
     model.forward(g)
     model.backward(grad)
     sink = TraceSink()

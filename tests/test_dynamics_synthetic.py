@@ -10,7 +10,7 @@ initialisation keeps every block alive and trains immediately.
 import numpy as np
 import pytest
 
-from gnnlab import ModelSpec, Rng, TrainConfig, build, reinit, train_model
+from gnnlab import Batch, ModelSpec, Rng, TrainConfig, build, reinit, train_model
 from gnnlab.diagnostics import TraceSink
 from gnnlab.init import _Moments
 
@@ -28,7 +28,7 @@ def corpus():
 def _unit_output_stds(model, graphs):
     states = None
     for g in graphs:
-        model.forward(g)
+        model.forward(Batch.of([g]))
         traced = model.trace_states()
         if states is None:
             states = [(name, _Moments()) for name, _, _ in traced]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gnnlab import Graph, InitScheme, ModelSpec, Rng, SparseAdj, build, init_standard, reinit
+from gnnlab import (Batch, Graph, InitScheme, ModelSpec, Rng, SparseAdj, build,
+                    init_standard, reinit)
 from gnnlab.errors import CalibrationError, ConfigError
 from gnnlab.init import _Moments, glorot_bound, kaiming_std
 
@@ -57,12 +58,13 @@ def _calibration(seed, count=12, f=3):
 
 
 def _independent_block_stds(model, graphs):
-    """Oracle: pooled std per block stage, computed from scratch."""
+    """Oracle: pooled std per block stage, computed from scratch one graph
+    at a time."""
     stds = []
     for stage in range(len(model.block_stages())):
         mom = _Moments()
         for g in graphs:
-            mom.add(model.run_blocks(g, stage))
+            mom.add(model.run_blocks(Batch.of([g]), stage))
         stds.append(mom.std())
     return stds
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnnlab import Adam, Graph, ModelSpec, Rng, SparseAdj, build, cross_entropy
+from gnnlab import Adam, Batch, Graph, ModelSpec, Rng, SparseAdj, build, cross_entropy
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
 
 from conftest import (fd_max_rel_err, permute_graph, random_adj, random_graph,
@@ -49,7 +49,7 @@ def test_mlp_ignores_rewiring_bit_exact():
     x = rng.normal(7, 3, 1.0)
     g1 = Graph(adj=random_adj(rng.derive(0), 7, 0.3), features=x, label=0, id=0)
     g2 = Graph(adj=random_adj(rng.derive(1), 7, 0.7), features=x, label=0, id=1)
-    assert np.array_equal(model.forward(g1), model.forward(g2))
+    assert np.array_equal(model.forward(Batch.of([g1])), model.forward(Batch.of([g2])))
 
 
 def test_mlp_mean_readout_blind_to_node_count():
@@ -60,7 +60,7 @@ def test_mlp_mean_readout_blind_to_node_count():
     small = Graph(adj=SparseAdj.empty(2), features=np.tile(row, (2, 1)), label=0, id=0)
     large = Graph(adj=random_adj(Rng(8), 9, 0.4), features=np.tile(row, (9, 1)),
                   label=0, id=1)
-    assert np.array_equal(model.forward(small), model.forward(large))
+    assert np.array_equal(model.forward(Batch.of([small])), model.forward(Batch.of([large])))
 
 
 @pytest.mark.parametrize("kind", ["mlp", "gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4"])
@@ -72,9 +72,9 @@ def test_prediction_permutation_invariance(kind):
         spec = ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4), k=0.6)
         model = build(spec, 3, 2, rng.derive(1))
         randomize_params(model, rng.derive(2))
-        scores = model.forward(g)
+        scores = model.forward(Batch.of([g]))
         perm = rng.derive(3).permutation(n)
-        pscores = model.forward(permute_graph(g, perm))
+        pscores = model.forward(Batch.of([permute_graph(g, perm)]))
         assert np.max(np.abs(scores - pscores)) < 1e-9
 
 
@@ -83,8 +83,8 @@ def test_gcn_r_mlp_freezes_convolution():
                   3, 2, Rng(9))
     assert model.frozen == {"gcn1.W", "gcn1.b"}
     g = random_graph(Rng(10), 6, 3)
-    model.forward(g)
-    grads = model.backward(np.array([1.0, -1.0]))
+    model.forward(Batch.of([g]))
+    grads = model.backward(np.array([[1.0, -1.0]]))
     assert not grads["gcn1.W"].any() and not grads["gcn1.b"].any()
     # trained parameters are exactly the MLP head's
     trained = {name for name in model.params if name not in model.frozen}
@@ -96,10 +96,10 @@ def test_frozen_params_survive_optimiser_steps():
                   3, 2, Rng(11))
     frozen_before = model.params["gcn1.W"].copy()
     opt = Adam(model.params, model.frozen, lr=0.05, weight_decay=1e-2)
-    g = random_graph(Rng(12), 6, 3)
+    batch = Batch.of([random_graph(Rng(12), 6, 3)])
     for _ in range(5):
-        scores = model.forward(g)
-        _, grad = cross_entropy(scores, 0)
+        scores = model.forward(batch)
+        _, grad = cross_entropy(scores, batch.labels)
         opt.step(model.backward(grad))
     assert np.array_equal(model.params["gcn1.W"], frozen_before)
     assert not np.array_equal(model.params["mlp1.W"],
@@ -116,8 +116,22 @@ def test_full_model_gradients_match_finite_differences(kind):
         spec = ModelSpec(kind=kind, hidden_dim=5, mlp_dims=(4, 4), k=0.6)
         model = build(spec, 3, 2, rng.derive(1))
         randomize_params(model, rng.derive(2))
-        direction = rng.derive(3).normal(1, 2, 1.0)[0]
-        worst = max(worst, fd_max_rel_err(model, g, direction))
+        direction = rng.derive(3).normal(1, 2, 1.0)
+        worst = max(worst, fd_max_rel_err(model, Batch.of([g]), direction))
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["jk_sum", "gcn_mlp"])
+def test_three_graph_batch_gradients_match_finite_differences(kind):
+    worst = 0.0
+    for trial in range(3):
+        rng = Rng(230 + trial)
+        graphs = [random_graph(rng.derive(i), 4 + rng.integers(0, 6), 3) for i in range(3)]
+        spec = ModelSpec(kind=kind, hidden_dim=5, mlp_dims=(4, 4), k=0.6)
+        model = build(spec, 3, 2, rng.derive(10))
+        randomize_params(model, rng.derive(11))
+        direction = rng.derive(12).normal(3, 2, 1.0)
+        worst = max(worst, fd_max_rel_err(model, Batch.of(graphs), direction))
     assert worst < 1e-6
 
 
@@ -138,7 +152,7 @@ def test_tap_pooled_variant():
     assert [t[0] for t in model.taps] == [("pool", 0), ("pool", 1), ("pool", 2)]
     g = random_graph(Rng(15), 8, 3)
     randomize_params(model, Rng(16))
-    worst = fd_max_rel_err(model, g, Rng(17).normal(1, 2, 1.0)[0])
+    worst = fd_max_rel_err(model, Batch.of([g]), Rng(17).normal(1, 2, 1.0))
     assert worst < 1e-6
 
 
@@ -147,7 +161,7 @@ def test_jk_agg_sum_gradients():
                             jk_agg="sum"), 3, 2, Rng(18))
     randomize_params(model, Rng(19))
     g = random_graph(Rng(20), 7, 3)
-    assert fd_max_rel_err(model, g, Rng(21).normal(1, 2, 1.0)[0]) < 1e-6
+    assert fd_max_rel_err(model, Batch.of([g]), Rng(21).normal(1, 2, 1.0)) < 1e-6
 
 
 def test_row_normalisation_gradients():
@@ -155,26 +169,26 @@ def test_row_normalisation_gradients():
                             gcn_norm="row"), 3, 2, Rng(22))
     randomize_params(model, Rng(23))
     g = random_graph(Rng(24), 7, 3)
-    assert fd_max_rel_err(model, g, Rng(25).normal(1, 2, 1.0)[0]) < 1e-6
+    assert fd_max_rel_err(model, Batch.of([g]), Rng(25).normal(1, 2, 1.0)) < 1e-6
 
 
 def test_predict_tie_breaks_to_lowest_class():
     model = build(ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(4, 4)), 3, 3, Rng(26))
     model.params["mlp3.W"][...] = 0.0
     model.params["mlp3.b"][...] = 0.0
-    assert model.predict(random_graph(Rng(27), 5, 3)) == 0
+    assert model.predict(Batch.of([random_graph(Rng(27), 5, 3)])).tolist() == [0]
 
 
 def test_backward_before_forward_raises():
     model = build(ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(4, 4)), 3, 2, Rng(28))
     with pytest.raises(StateError):
-        model.backward(np.zeros(2))
+        model.backward(np.zeros((1, 2)))
 
 
 def test_feature_dim_mismatch_raises():
     model = build(ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(4, 4)), 3, 2, Rng(29))
     with pytest.raises(ShapeError):
-        model.forward(random_graph(Rng(30), 5, 4))
+        model.forward(Batch.of([random_graph(Rng(30), 5, 4)]))
 
 
 def test_spec_validation():

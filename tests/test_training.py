@@ -13,50 +13,61 @@ from conftest import constant_feature_dataset, synth_dataset
 
 def test_cross_entropy_uniform_scores():
     for c in (2, 3, 7):
-        loss, grad = cross_entropy(np.zeros(c), 0)
-        assert loss == pytest.approx(math.log(c), abs=1e-12)
-        assert np.allclose(grad, np.full(c, 1.0 / c) - np.eye(c)[0], atol=1e-12)
+        loss, grad = cross_entropy(np.zeros((1, c)), [0])
+        assert loss[0] == pytest.approx(math.log(c), abs=1e-12)
+        assert np.allclose(grad[0], np.full(c, 1.0 / c) - np.eye(c)[0], atol=1e-12)
 
 
 def test_cross_entropy_confident_limit():
-    loss, _ = cross_entropy(np.array([60.0, 0.0]), 0)
-    assert 0.0 <= loss < 1e-15
+    loss, _ = cross_entropy(np.array([[60.0, 0.0]]), [0])
+    assert 0.0 <= loss[0] < 1e-15
 
 
 def test_cross_entropy_hand_case():
-    loss, _ = cross_entropy(np.array([2.0, 1.0, 0.0]), 0)
-    assert loss == pytest.approx(math.log(1 + math.exp(-1) + math.exp(-2)), abs=1e-12)
-    assert loss == pytest.approx(0.40760596444438079, abs=1e-12)
+    loss, _ = cross_entropy(np.array([[2.0, 1.0, 0.0]]), [0])
+    assert loss[0] == pytest.approx(math.log(1 + math.exp(-1) + math.exp(-2)), abs=1e-12)
+    assert loss[0] == pytest.approx(0.40760596444438079, abs=1e-12)
 
 
 def test_cross_entropy_grad_is_softmax_minus_onehot():
     scores = np.array([0.3, -1.2, 2.0])
-    _, grad = cross_entropy(scores, 2)
+    _, grad = cross_entropy(scores[None, :], [2])
     p = np.exp(scores) / np.exp(scores).sum()
-    assert np.allclose(grad, p - np.eye(3)[2], atol=1e-12)
+    assert np.allclose(grad[0], p - np.eye(3)[2], atol=1e-12)
+
+
+def test_cross_entropy_rows_are_independent():
+    rng = Rng(1)
+    scores = rng.normal(4, 3, 3.0)
+    labels = np.array([2, 0, 1, 2])
+    losses, grad = cross_entropy(scores, labels)
+    for r in range(4):
+        loss_r, grad_r = cross_entropy(scores[r:r + 1], labels[r:r + 1])
+        assert losses[r] == loss_r[0]
+        assert np.array_equal(grad[r], grad_r[0])
 
 
 def test_cross_entropy_grad_matches_finite_differences():
     rng = Rng(0)
     worst = 0.0
     for _ in range(20):
-        scores = rng.normal(1, 5, 2.0)[0]
-        label = rng.integers(0, 5)
+        scores = rng.normal(1, 5, 2.0)
+        label = [rng.integers(0, 5)]
         _, grad = cross_entropy(scores, label)
         h = 1e-6
         for i in range(5):
             bumped = scores.copy()
-            bumped[i] += h
+            bumped[0, i] += h
             lp, _ = cross_entropy(bumped, label)
-            bumped[i] -= 2 * h
+            bumped[0, i] -= 2 * h
             lm, _ = cross_entropy(bumped, label)
-            worst = max(worst, abs(grad[i] - (lp - lm) / (2 * h)))
+            worst = max(worst, abs(grad[0, i] - (lp[0] - lm[0]) / (2 * h)))
     assert worst < 1e-8
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ShapeError):
-        cross_entropy(np.zeros(3), 3)
+        cross_entropy(np.zeros((2, 3)), [0, 3])
 
 
 def test_adam_zero_grad_no_decay_is_noop():
