@@ -129,6 +129,10 @@ class TopKPool:
         self.scale = float(scale)
         self._cache = None
 
+    def kept_sizes(self, sizes) -> np.ndarray:
+        """Rows each graph keeps, from its row counts ``sizes``."""
+        return keep_count(self.k, sizes)
+
     def forward(self, adj: SparseAdj, x: np.ndarray, sizes=None):
         """Pool every graph of the stack (one graph when ``sizes`` is None);
         returns (subgraph, pooled features, kept row ids, ascending)."""
@@ -151,7 +155,7 @@ class TopKPool:
         # graph[i], so i - starts[graph[i]] is the rank within that graph.
         ranked = np.lexsort((-scores, graph))
         rank = np.arange(x.shape[0]) - starts[graph]
-        kept = np.sort(ranked[rank < keep_count(self.k, sizes)[graph]])
+        kept = np.sort(ranked[rank < self.kept_sizes(sizes)[graph]])
         gate = np.tanh(scores[kept])
         x_kept = x[kept]
         out = (x_kept * gate[:, None]) / self.scale
@@ -235,10 +239,8 @@ class Readout:
         return 2 * feature_dim if self.kind == "max_and_sum" else feature_dim
 
     def forward(self, x: np.ndarray, sizes=None) -> np.ndarray:
-        """One row per graph of the stack; a single vector when ``sizes`` is
-        None (the whole matrix is one graph)."""
-        single = sizes is None
-        sizes = np.array([x.shape[0]]) if single else np.asarray(sizes)
+        """One row per graph of the stack (one graph when ``sizes`` is None)."""
+        sizes = np.array([x.shape[0]]) if sizes is None else np.asarray(sizes)
         if x.shape[0] < 1 or sizes.min() < 1:
             raise DomainError("readout of an empty matrix")
         starts = _starts(sizes)
@@ -256,15 +258,13 @@ class Readout:
             out = x[argmax, np.arange(x.shape[1])]
             if self.kind == "max_and_sum":
                 out = np.concatenate([out, np.add.reduceat(x, starts, axis=0)], axis=1)
-        return out[0] if single else out
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Gradient on the node rows, from one gradient row per graph (or a
-        single vector, matching forward)."""
+        """Gradient on the node rows, from one gradient row per graph."""
         if self._cache is None:
             raise StateError("readout backward called before forward")
         cache, self._cache = self._cache, None
-        grad = np.atleast_2d(grad)
         sizes = cache["sizes"]
         graph = np.repeat(np.arange(sizes.shape[0]), sizes)
         if self.kind == "mean":
@@ -282,4 +282,4 @@ class Readout:
 
 def readout(kind: str, x: np.ndarray) -> np.ndarray:
     """One-shot readout of one graph without keeping backward state."""
-    return Readout(kind).forward(x)
+    return Readout(kind).forward(x)[0]

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, SpecError, StateError
 from .graphdata import Batch
 from .init import init_standard
-from .layers import DenseLayer, GcnLayer, Readout, TopKPool, keep_count
+from .layers import DenseLayer, GcnLayer, Readout, TopKPool
 from .numcore import Rng
 
 MODEL_KINDS = ("mlp", "gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4")
@@ -129,7 +129,7 @@ class Model:
             gcn_outs.append(h)
             if pool is not None:
                 adj, x, _ = pool.forward(adj, h, sizes)
-                sizes = keep_count(pool.k, sizes)
+                sizes = pool.kept_sizes(sizes)
             else:
                 x = h
             stage_x.append(x)
@@ -160,7 +160,7 @@ class Model:
     def backward(self, grad_scores: np.ndarray) -> dict:
         """Gradients for every registered parameter from the gradient of the
         scores of the last forward, summed over its graphs; frozen entries
-        are zeroed. Gradients on the raw input are never formed."""
+        are zeroed. Gradients on the raw input are never used."""
         if self._cache is None:
             raise StateError("model backward called before forward")
         self._cache = None
@@ -180,9 +180,13 @@ class Model:
         gcn_grads = [None] * len(self.blocks)
         stage_grads = [None] * (len(self.blocks) + 1)
         for (source, ro), gmat in zip(self.taps, tap_grads):
-            if source == "input":
-                continue  # no parameters upstream of the raw input
             mat = ro.backward(gmat)
+            if source == "input":
+                # nothing upstream of the raw input has parameters, so this
+                # gradient is dropped; the backward still runs because
+                # perfbench expects layers.readout.bwd on every workload, and
+                # the mlp model has no other readout (ROADMAP item 3)
+                continue
             if source == "final":
                 stage_grads[-1] = _add(stage_grads[-1], mat)
             elif source[0] == "gcn":
@@ -239,7 +243,7 @@ class Model:
             stage += 1
             if pool is not None:
                 adj, x, _ = pool.forward(adj, h, sizes)
-                sizes = keep_count(pool.k, sizes)
+                sizes = pool.kept_sizes(sizes)
                 if stage == upto:
                     return x
                 stage += 1

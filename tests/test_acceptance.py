@@ -104,11 +104,11 @@ def test_criterion_1_gradient_exactness():
             direction = rng.normal(1, ro.width(4), 1.0)[0]
 
             def run():
-                return float(ro.forward(x) @ direction)
+                return float(ro.forward(x)[0] @ direction)
 
             run()
             worst = max(worst, layer_fd_max_rel_err(
-                {"x": (x, ro.backward(direction))}, run))
+                {"x": (x, ro.backward(direction[None]))}, run))
 
         for trial in range(50):  # full models, all five kinds
             rng = Rng(50_000 + trial)

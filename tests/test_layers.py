@@ -327,7 +327,7 @@ def test_readout_mean_backward_uniform():
     ro = Readout("mean")
     ro.forward(Rng(14).normal(5, 3, 1.0))
     g = np.array([1.0, 2.0, 3.0])
-    back = ro.backward(g)
+    back = ro.backward(g[None])
     assert np.allclose(back, np.tile(g / 5.0, (5, 1)), atol=1e-15)
 
 
@@ -335,7 +335,7 @@ def test_readout_max_backward_ties_to_lowest_index():
     ro = Readout("max")
     x = np.array([[1.0, 5.0], [1.0, 2.0]])
     ro.forward(x)
-    back = ro.backward(np.array([1.0, 1.0]))
+    back = ro.backward(np.array([[1.0, 1.0]]))
     assert np.array_equal(back, [[1.0, 1.0], [0.0, 0.0]])
 
 
@@ -349,10 +349,10 @@ def test_readout_backward_matches_finite_differences(kind):
         direction = rng.normal(1, ro.width(3), 1.0)[0]
 
         def run():
-            return float(ro.forward(x) @ direction)
+            return float(ro.forward(x)[0] @ direction)
 
         run()
-        grad_x = ro.backward(direction)
+        grad_x = ro.backward(direction[None])
         worst = max(worst, layer_fd_max_rel_err({"x": (x, grad_x)}, run))
     assert worst < 1e-6
 
