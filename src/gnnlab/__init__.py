@@ -12,7 +12,7 @@ from .graphdata import (Batch, Dataset, FoldSplit, Graph, fetch_tu, parse_tu,
 from .init import InitScheme, ReinitReport, init_standard, reinit
 from .layers import DenseLayer, GcnLayer, Readout, TopKPool, readout
 from .models import Model, ModelSpec, build
-from .numcore import Rng, SparseAdj, col_stats, matmul, rng_normal, rng_uniform, spmm
+from .numcore import Rng, SparseAdj, spmm
 from .training import (Adam, FoldResult, RunReport, TrainConfig, cross_entropy,
                        evaluate, run_cv, train_fold, train_model)
 
@@ -23,7 +23,6 @@ __all__ = [
     "Graph", "fetch_tu", "parse_tu", "stratified_folds", "write_tu",
     "InitScheme", "ReinitReport", "init_standard", "reinit", "DenseLayer",
     "GcnLayer", "Readout", "TopKPool", "readout", "Model", "ModelSpec", "build",
-    "Rng", "SparseAdj", "col_stats", "matmul", "rng_normal", "rng_uniform",
-    "spmm", "Adam", "FoldResult", "RunReport", "TrainConfig", "cross_entropy",
-    "evaluate", "run_cv", "train_fold", "train_model",
+    "Rng", "SparseAdj", "spmm", "Adam", "FoldResult", "RunReport", "TrainConfig",
+    "cross_entropy", "evaluate", "run_cv", "train_fold", "train_model",
 ]

@@ -10,13 +10,13 @@ per (layer, kind) series.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import RenderError, StateError
+from .numcore import Moments
 
 KINDS = ("act_mean", "act_std", "preact_std", "grad_norm", "train_loss")
 
@@ -34,7 +34,7 @@ class TraceSink:
 
     def __init__(self):
         self._order = []    # first-insertion order of keys
-        self._moments = {}  # (epoch, layer, stat) -> [count, sum, sumsq]
+        self._moments = {}  # (epoch, layer, stat) -> Moments
         self._scalars = {}  # (epoch, layer, kind) -> [count, sum]
 
     def _touch(self, key):
@@ -46,10 +46,7 @@ class TraceSink:
         ("act" yields act_mean/act_std events, "preact" yields preact_std)."""
         key = (epoch, layer, stat)
         self._touch(key)
-        acc = self._moments.setdefault(key, [0, 0.0, 0.0])
-        acc[0] += x.size
-        acc[1] += float(x.sum())
-        acc[2] += float(np.square(x).sum())
+        self._moments.setdefault(key, Moments()).add(x)
 
     def add_scalar(self, epoch: int, layer: str, kind: str, value: float):
         key = (epoch, layer, kind)
@@ -64,14 +61,12 @@ class TraceSink:
         for key in self._order:
             epoch, layer, tag = key
             if key in self._moments:
-                count, total, sq = self._moments[key]
-                mean = total / count
-                std = math.sqrt(max(sq / count - mean * mean, 0.0))
+                mom = self._moments[key]
                 if tag == "act":
-                    out.append(TraceEvent(epoch, layer, "act_mean", mean))
-                    out.append(TraceEvent(epoch, layer, "act_std", std))
+                    out.append(TraceEvent(epoch, layer, "act_mean", mom.mean()))
+                    out.append(TraceEvent(epoch, layer, "act_std", mom.std()))
                 else:
-                    out.append(TraceEvent(epoch, layer, "preact_std", std))
+                    out.append(TraceEvent(epoch, layer, "preact_std", mom.std()))
             else:
                 count, total = self._scalars[key]
                 out.append(TraceEvent(epoch, layer, tag, total / count))

@@ -12,6 +12,7 @@ import io
 import logging
 import os
 import time
+import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,18 +122,55 @@ def _read_lines(path: Path):
                 yield lineno, line
 
 
-def _parse_int(token: str, path: Path, lineno: int) -> int:
+def _parse(token: str, path: Path, lineno: int, kind=int):
     try:
-        return int(token.strip())
+        return kind(token.strip())
     except ValueError:
-        raise TuParseError(f"{path.name}:{lineno}: expected an integer, got {token!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise TuParseError(f"{path.name}:{lineno}: expected {what}, got {token!r}") from None
 
 
-def _parse_float(token: str, path: Path, lineno: int) -> float:
-    try:
-        return float(token.strip())
-    except ValueError:
-        raise TuParseError(f"{path.name}:{lineno}: expected a number, got {token!r}") from None
+def _scan(path: Path, check) -> None:
+    """Error path: ``check(line, lineno)`` every non-blank line in order, so
+    the first bad line raises an error that names it."""
+    for lineno, line in _read_lines(path):
+        check(line, lineno)
+
+
+def _read_table(path: Path, dtype, check, width=None, usecols=None) -> np.ndarray:
+    """The comma-separated values of a TU file as a 2-D array of ``width``
+    columns (any width if None), read by numpy in one pass. When numpy
+    rejects the file, :func:`_scan` runs ``check`` to name the first bad
+    line; if every line passes (numpy also refuses whitespace-only lines,
+    which the format allows), the non-blank lines are read again."""
+    kwargs = dict(dtype=dtype, delimiter=",", ndmin=2, comments=None,
+                  encoding="utf-8", usecols=usecols)
+
+    def load(source):
+        table = np.loadtxt(source, **kwargs)
+        return table.reshape(0, width or 0) if table.size == 0 else table
+
+    with warnings.catch_warnings():
+        # a file without data lines is an empty table
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            table = load(path)
+            if width in (None, table.shape[1]):
+                return table
+        except ValueError:
+            pass
+        _scan(path, check)
+        try:
+            return load([line for _, line in _read_lines(path)])
+        except ValueError as exc:
+            raise TuParseError(f"{path.name}: {exc}") from None
+
+
+def _read_ints(path: Path, first_column: bool = False) -> np.ndarray:
+    """One integer per line, or the first of a line's comma-separated values."""
+    def check(line, lineno):
+        _parse(line.split(",")[0] if first_column else line, path, lineno)
+    return _read_table(path, np.int64, check, 1, 0 if first_column else None)[:, 0]
 
 
 def parse_tu(directory, name: str, feature_policy: str | None = None,
@@ -143,6 +181,8 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     available one is used (attributes > label_onehot > degree_onehot).
     Raw self-loops are dropped (the GCN adds its own), edge direction is
     ignored, and graph labels are remapped to a contiguous 0-based range.
+    Each file is read once into an array; a malformed or inconsistent line
+    is named by its file and line number.
     """
     directory = Path(directory)
     paths = {kind: directory / f"{name}_{kind}.txt"
@@ -152,130 +192,106 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
         if not paths[kind].is_file():
             raise IngestError(f"missing mandatory file {paths[kind].name} in {directory}")
 
-    node_graph = []  # 1-based graph id per global node (nodes are 1-based in files)
-    for lineno, line in _read_lines(paths["graph_indicator"]):
-        node_graph.append(_parse_int(line, paths["graph_indicator"], lineno))
-    if not node_graph:
+    indicator = _read_ints(paths["graph_indicator"])
+    if indicator.size == 0:
         raise IngestError(f"{paths['graph_indicator'].name} is empty")
-    node_graph = np.array(node_graph, dtype=np.int64)
-    graph_ids = sorted(set(node_graph.tolist()))
-    gindex = {g: k for k, g in enumerate(graph_ids)}
-    num_graphs = len(graph_ids)
+    num_nodes = indicator.shape[0]
+    # graph index per node (ids may be unsorted or have gaps); nodes are then
+    # stacked graph by graph, keeping file order within each graph
+    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
+    num_graphs = graph_ids.shape[0]
+    sizes = np.bincount(node_graph, minlength=num_graphs)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(node_graph, kind="stable")  # the stack's rows, as file nodes
+    local = np.empty(num_nodes, dtype=np.int64)  # node index within its graph
+    local[order] = np.arange(num_nodes) - np.repeat(starts, sizes)
 
-    # local node index within its graph, in file order
-    local = np.empty(node_graph.shape[0], dtype=np.int64)
-    counts = {g: 0 for g in graph_ids}
-    for v, g in enumerate(node_graph.tolist()):
-        local[v] = counts[g]
-        counts[g] += 1
-    sizes = np.array([counts[g] for g in graph_ids], dtype=np.int64)
-
-    raw_labels = []
-    for lineno, line in _read_lines(paths["graph_labels"]):
-        raw_labels.append(_parse_int(line, paths["graph_labels"], lineno))
-    if len(raw_labels) != num_graphs:
+    raw_labels = _read_ints(paths["graph_labels"])
+    if raw_labels.shape[0] != num_graphs:
         raise ConsistencyError(
-            f"{paths['graph_labels'].name} has {len(raw_labels)} labels "
+            f"{paths['graph_labels'].name} has {raw_labels.shape[0]} labels "
             f"but the indicator names {num_graphs} graphs")
-    label_map = {lab: k for k, lab in enumerate(sorted(set(raw_labels)))}
-    labels = [label_map[lab] for lab in raw_labels]
+    label_values, labels = np.unique(raw_labels, return_inverse=True)
 
-    edges = [set() for _ in range(num_graphs)]
-    self_loops = 0
-    for lineno, line in _read_lines(paths["A"]):
+    edge_path = paths["A"]
+
+    def check_edge(line, lineno):
         parts = line.split(",")
         if len(parts) != 2:
-            raise TuParseError(f"{paths['A'].name}:{lineno}: expected 'i, j', got {line!r}")
-        i = _parse_int(parts[0], paths["A"], lineno)
-        j = _parse_int(parts[1], paths["A"], lineno)
-        if not (1 <= i <= len(node_graph)) or not (1 <= j <= len(node_graph)):
-            raise ConsistencyError(f"{paths['A'].name}:{lineno}: node id out of range")
+            raise TuParseError(f"{edge_path.name}:{lineno}: expected 'i, j', got {line!r}")
+        i, j = (_parse(token, edge_path, lineno) for token in parts)
+        if not (1 <= i <= num_nodes) or not (1 <= j <= num_nodes):
+            raise ConsistencyError(f"{edge_path.name}:{lineno}: node id out of range")
         if node_graph[i - 1] != node_graph[j - 1]:
             raise ConsistencyError(
-                f"{paths['A'].name}:{lineno}: edge ({i}, {j}) crosses graph boundaries")
-        if i == j:
-            self_loops += 1
-            continue
-        g = gindex[node_graph[i - 1]]
-        a, b = int(local[i - 1]), int(local[j - 1])
-        edges[g].add((min(a, b), max(a, b)))
-    if self_loops:
-        log.warning("dropped %d raw self-loop(s) while parsing %s", self_loops, name)
+                f"{edge_path.name}:{lineno}: edge ({i}, {j}) crosses graph boundaries")
 
-    node_label_values = None
+    ends = _read_table(edge_path, np.int64, check_edge, width=2) - 1
+    if not ((ends >= 0) & (ends < num_nodes)).all() or \
+            (node_graph[ends[:, 0]] != node_graph[ends[:, 1]]).any():
+        _scan(edge_path, check_edge)  # raises at the first bad line
+    loops = ends[:, 0] == ends[:, 1]
+    if loops.any():
+        log.warning("dropped %d raw self-loop(s) while parsing %s", int(loops.sum()), name)
+        ends = ends[~loops]
+    # edges grouped by graph, in local node numbers
+    edge_graph = node_graph[ends[:, 0]]
+    pairs = local[ends[np.argsort(edge_graph, kind="stable")]]
+    edge_end = np.cumsum(np.bincount(edge_graph, minlength=num_graphs))
+
+    node_labels = None
     if paths["node_labels"].is_file():
-        node_label_values = []
-        for lineno, line in _read_lines(paths["node_labels"]):
-            # some TU dumps carry multiple comma-separated labels; use the first
-            node_label_values.append(_parse_int(line.split(",")[0], paths["node_labels"], lineno))
-        if len(node_label_values) != len(node_graph):
-            raise ConsistencyError(
-                f"{paths['node_labels'].name} has {len(node_label_values)} rows "
-                f"for {len(node_graph)} nodes")
+        # some TU dumps carry multiple comma-separated labels; use the first
+        node_labels = _read_ints(paths["node_labels"], first_column=True)
+        if node_labels.shape[0] != num_nodes:
+            raise ConsistencyError(f"{paths['node_labels'].name} has "
+                                   f"{node_labels.shape[0]} rows for {num_nodes} nodes")
 
-    attribute_rows = None
+    attributes = None
     if paths["node_attributes"].is_file():
-        attribute_rows = []
-        width = None
-        for lineno, line in _read_lines(paths["node_attributes"]):
-            row = [_parse_float(tok, paths["node_attributes"], lineno)
-                   for tok in line.split(",")]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise TuParseError(
-                    f"{paths['node_attributes'].name}:{lineno}: expected {width} values")
-            attribute_rows.append(row)
-        if len(attribute_rows) != len(node_graph):
+        attr_path = paths["node_attributes"]
+        first_width = None
+
+        def check_attributes(line, lineno):
+            nonlocal first_width
+            values = [_parse(tok, attr_path, lineno, float) for tok in line.split(",")]
+            first_width = first_width or len(values)
+            if len(values) != first_width:
+                raise TuParseError(f"{attr_path.name}:{lineno}: expected {first_width} values")
+
+        attributes = _read_table(attr_path, np.float64, check_attributes)
+        if attributes.shape[0] != num_nodes:
             raise ConsistencyError(
-                f"{paths['node_attributes'].name} has {len(attribute_rows)} rows "
-                f"for {len(node_graph)} nodes")
+                f"{attr_path.name} has {attributes.shape[0]} rows for {num_nodes} nodes")
 
     if feature_policy is None:
-        if attribute_rows is not None:
-            feature_policy = "attributes"
-        elif node_label_values is not None:
-            feature_policy = "label_onehot"
-        else:
-            feature_policy = "degree_onehot"
+        feature_policy = ("attributes" if attributes is not None else
+                          "label_onehot" if node_labels is not None else "degree_onehot")
     if feature_policy not in FEATURE_POLICIES:
         raise IngestError(f"unknown feature policy {feature_policy!r}")
-    if feature_policy == "attributes" and attribute_rows is None:
+    if feature_policy == "attributes" and attributes is None:
         raise IngestError(f"{name} has no node attributes file")
-    if feature_policy == "label_onehot" and node_label_values is None:
+    if feature_policy == "label_onehot" and node_labels is None:
         raise IngestError(f"{name} has no node labels file")
 
-    if feature_policy == "label_onehot":
-        distinct = sorted(set(node_label_values))
-        col = {lab: c for c, lab in enumerate(distinct)}
-        feature_dim = len(distinct)
-    elif feature_policy == "attributes":
-        feature_dim = len(attribute_rows[0])
+    adjs = [SparseAdj.from_edges(int(n), e) for n, e in zip(sizes, np.split(pairs, edge_end[:-1]))]
+    # one stacked feature matrix; each graph's features are a row slice of it
+    if feature_policy == "attributes":
+        features = attributes[order]
     else:
-        feature_dim = int(degree_cap)
+        if feature_policy == "label_onehot":
+            distinct, column = np.unique(node_labels, return_inverse=True)
+            width, column = distinct.shape[0], column[order]
+        else:
+            width = int(degree_cap)
+            column = np.minimum(np.concatenate([a.degrees() for a in adjs]), width - 1)
+        features = np.zeros((num_nodes, width), dtype=np.float64)
+        features[np.arange(num_nodes), column] = 1.0
+    feature_dim = features.shape[1]
 
-    graphs = []
-    for g in range(num_graphs):
-        n = int(sizes[g])
-        adj = SparseAdj.from_edges(n, edges[g]) if edges[g] else SparseAdj.empty(n)
-        feats = np.zeros((n, feature_dim), dtype=np.float64)
-        graphs.append((adj, feats))
-
-    for v in range(len(node_graph)):
-        g = gindex[node_graph[v]]
-        row = int(local[v])
-        if feature_policy == "attributes":
-            graphs[g][1][row, :] = attribute_rows[v]
-        elif feature_policy == "label_onehot":
-            graphs[g][1][row, col[node_label_values[v]]] = 1.0
-    if feature_policy == "degree_onehot":
-        for adj, feats in graphs:
-            deg = np.minimum(adj.degrees(), feature_dim - 1)
-            feats[np.arange(adj.n), deg] = 1.0
-
-    built = tuple(Graph(adj=a, features=f, label=labels[g], id=g)
-                  for g, (a, f) in enumerate(graphs))
-    return Dataset(name=name, graphs=built, num_classes=len(label_map),
+    built = tuple(Graph(adj=adj, features=f, label=int(labels[g]), id=g)
+                  for g, (adj, f) in enumerate(zip(adjs, np.split(features, starts[1:]))))
+    return Dataset(name=name, graphs=built, num_classes=label_values.shape[0],
                    feature_dim=feature_dim, feature_policy=feature_policy)
 
 
@@ -284,17 +300,15 @@ def write_tu(ds: Dataset, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     a_lines, ind_lines, nlab_lines, attr_lines = [], [], [], []
-    offset = 0
+    offset = 1  # node ids are 1-based
     for gi, g in enumerate(ds.graphs, start=1):
-        for i in range(g.adj.n):
-            ind_lines.append(str(gi))
-            for e in range(g.adj.indptr[i], g.adj.indptr[i + 1]):
-                j = int(g.adj.indices[e])
-                a_lines.append(f"{offset + i + 1}, {offset + j + 1}")
-            if ds.feature_policy == "label_onehot":
-                nlab_lines.append(str(int(np.argmax(g.features[i]))))
-            elif ds.feature_policy == "attributes":
-                attr_lines.append(", ".join(repr(float(v)) for v in g.features[i]))
+        rows = np.repeat(np.arange(g.adj.n), g.adj.degrees()) + offset
+        a_lines += map("{}, {}".format, rows.tolist(), (g.adj.indices + offset).tolist())
+        ind_lines += [str(gi)] * g.adj.n
+        if ds.feature_policy == "label_onehot":
+            nlab_lines += map(str, np.argmax(g.features, axis=1).tolist())
+        elif ds.feature_policy == "attributes":
+            attr_lines += (", ".join(map(repr, row)) for row in g.features.tolist())
         offset += g.adj.n
     (directory / f"{ds.name}_A.txt").write_text("\n".join(a_lines) + "\n")
     (directory / f"{ds.name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")

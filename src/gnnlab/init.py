@@ -15,12 +15,10 @@ projection-norm invariant, leaving no weight to fold into.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CalibrationError, ConfigError
 from .graphdata import chunks
 from .layers import GcnLayer, TopKPool
-from .numcore import Rng
+from .numcore import Moments, Rng
 
 REINIT_TOL = 1e-6
 
@@ -87,32 +85,14 @@ def init_standard(model, rng: Rng) -> None:
         layer.b[...] = 0.0
 
 
-class _Moments:
-    """Streaming count/sum/sum-of-squares over matrix entries."""
-
-    __slots__ = ("count", "total", "sq")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.sq = 0.0
-
-    def add(self, x: np.ndarray):
-        self.count += x.size
-        self.total += float(x.sum())
-        self.sq += float(np.square(x).sum())
-
-    def std(self) -> float:
-        mean = self.total / self.count
-        var = max(self.sq / self.count - mean * mean, 0.0)
-        return math.sqrt(var)
-
-
-def _block_output_std(model, graphs, stage: int) -> float:
-    mom = _Moments()
+def _output_stds(model, graphs, first: int, upto: int) -> list:
+    """Output stds of flat stages ``first``..``upto`` in one sweep over the
+    graphs, each pooled over every entry of every graph."""
+    moments = [Moments() for _ in range(first, upto + 1)]
     for batch in chunks(graphs):  # lazily: one chunk alive at a time
-        mom.add(model.run_blocks(batch, stage))
-    return mom.std()
+        for mom, out in zip(moments, model.run_blocks(batch, upto)[first:]):
+            mom.add(out)
+    return [mom.std() for mom in moments]
 
 
 def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
@@ -121,15 +101,20 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     Walks the flattened conv/pool stack; for each stage the calibration
     graphs are pushed through everything rescaled so far, the std of this
     stage's output (post-activation for convolutions) is measured, and its
-    inverse is applied. The MLP head is never touched. Raises
-    :class:`CalibrationError` when a stage emits constant output.
+    inverse is applied. Rescaling a stage leaves the stages before it
+    unchanged, so the sweep that measures stage i also verifies stage i - 1;
+    one more sweep verifies the last stage: S + 1 sweeps for S stages. The
+    MLP head is never touched. Raises :class:`CalibrationError` when a stage
+    emits constant output, and then when a rescaled std misses one by more
+    than ``tol``.
     """
     if not calibration:
         raise CalibrationError("reinit needs a non-empty calibration set")
     stages = model.block_stages()
     report = ReinitReport()
     for idx, (name, layer) in enumerate(stages):
-        sigma = _block_output_std(model, calibration, idx)
+        *verified, sigma = _output_stds(model, calibration, max(idx - 1, 0), idx)
+        report.post_std += verified
         if sigma < 1e-300:
             raise CalibrationError(f"block {name} produced constant output during reinit")
         if isinstance(layer, GcnLayer):
@@ -139,9 +124,10 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
             layer.scale *= sigma
         report.blocks.append(name)
         report.divisors.append(float(sigma))
-    for idx, (name, _) in enumerate(stages):
-        post = _block_output_std(model, calibration, idx)
-        report.post_std.append(float(post))
+    if stages:
+        last = len(stages) - 1
+        report.post_std += _output_stds(model, calibration, last, last)
+    for name, post in zip(report.blocks, report.post_std):
         if abs(post - 1.0) > max(tol, 1e-9):
             raise CalibrationError(
                 f"block {name} std is {post:.9f} after reinit (expected 1 within {tol})")

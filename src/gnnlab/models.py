@@ -173,7 +173,7 @@ class Model:
         if self.spec.jk_agg == "sum" and len(self.taps) > 1:
             tap_grads = [z_grad] * len(self.taps)
         else:
-            widths = [ro.width(self._tap_dim(source)) for source, ro in self.taps]
+            widths = _tap_widths(self.taps, self.num_features, self.spec.hidden_dim)
             offsets = np.concatenate(([0], np.cumsum(widths)))
             tap_grads = [z_grad[:, offsets[i]:offsets[i + 1]] for i in range(len(self.taps))]
         # gradient on each node matrix; None where nothing downstream reads it
@@ -213,9 +213,6 @@ class Model:
         self.last_grads = grads
         return grads
 
-    def _tap_dim(self, source) -> int:
-        return self.num_features if source == "input" else self.spec.hidden_dim
-
     def predict(self, batch: Batch) -> np.ndarray:
         """Predicted class per graph; ties resolve to the lowest class index."""
         return np.argmax(self.forward(batch), axis=1)
@@ -231,25 +228,22 @@ class Model:
                 out.append((f"pool{i}", pool))
         return out
 
-    def run_blocks(self, batch: Batch, upto: int) -> np.ndarray:
-        """Forward through the block stack only, returning the output of flat
-        stage ``upto`` (0 = first convolution, 1 = its pool, and so on)."""
+    def run_blocks(self, batch: Batch, upto: int) -> list:
+        """Forward through the block stack only, returning the outputs of flat
+        stages 0..``upto`` (0 = first convolution, 1 = its pool, and so on)."""
+        if not 0 <= upto < len(self.block_stages()):
+            raise StateError(f"block stage {upto} out of range")
         adj, x, sizes = batch.adj, batch.features, batch.sizes
-        stage = 0
+        outs = []
         for gcn, pool in self.blocks:
-            h = gcn.forward(adj, x)
-            if stage == upto:
-                return h
-            stage += 1
-            if pool is not None:
-                adj, x, _ = pool.forward(adj, h, sizes)
+            x = gcn.forward(adj, x)
+            outs.append(x)
+            if pool is not None and len(outs) <= upto:
+                adj, x, _ = pool.forward(adj, x, sizes)
                 sizes = pool.kept_sizes(sizes)
-                if stage == upto:
-                    return x
-                stage += 1
-            else:
-                x = h
-        raise StateError(f"block stage {upto} out of range")
+                outs.append(x)
+            if len(outs) > upto:
+                return outs
 
     def trace_states(self):
         """(layer id, output, preactivation-or-None) per block stage of the
@@ -264,6 +258,11 @@ class Model:
             if pool is not None:
                 out.append((f"pool{i}", stage_x[i], None))
         return out
+
+
+def _tap_widths(taps, num_features: int, hidden: int) -> list:
+    """Columns each tap's readout contributes to the MLP input."""
+    return [ro.width(num_features if source == "input" else hidden) for source, ro in taps]
 
 
 def _add(a, b):
@@ -292,20 +291,18 @@ def build(spec: ModelSpec, num_features: int, num_classes: int, rng: Rng) -> Mod
     taps = []
     if spec.kind == "mlp":
         taps.append(("input", Readout(spec.readout_kind)))
-        mlp_in = num_features
     elif spec.kind in ("gcn_mlp", "gcn_r_mlp"):
         taps.append(("input", Readout(spec.readout_kind)))
         taps.append((("gcn", 0), Readout(spec.readout_kind)))
-        mlp_in = num_features + hidden
     elif spec.kind == "jk_sum":
         source_kind = "pool" if spec.tap_pooled else "gcn"
         for i in range(nblocks):
             taps.append(((source_kind, i), Readout("max_and_sum")))
-        per_tap = 2 * hidden
-        mlp_in = per_tap if spec.jk_agg == "sum" else nblocks * per_tap
     else:  # probe4
         taps.append(("final", Readout("mean")))
-        mlp_in = hidden
+    widths = _tap_widths(taps, num_features, hidden)
+    # summed taps add elementwise; concatenated ones side by side
+    mlp_in = widths[0] if spec.jk_agg == "sum" and len(taps) > 1 else sum(widths)
 
     dims = [mlp_in, spec.mlp_dims[0], spec.mlp_dims[1], num_classes]
     mlp = [DenseLayer(np.zeros((dims[j], dims[j + 1])), np.zeros(dims[j + 1]),

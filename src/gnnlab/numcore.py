@@ -1,9 +1,11 @@
-"""Dense matrices, sparse adjacencies, and a deterministic RNG.
+"""Dense matrices, sparse adjacencies, entry moments and a deterministic RNG.
 
 Matrices are plain 2-D float64 numpy arrays. Adjacencies are immutable CSR
 structures; the propagation operators derived from them are memoised on the
 instance because graphs are revisited every epoch.
 """
+
+import math
 
 import numpy as np
 
@@ -19,17 +21,30 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+class Moments:
+    """Streaming count, sum and sum of squares over matrix entries, for the
+    mean and population standard deviation of everything added."""
 
+    __slots__ = ("count", "total", "sq")
 
-def col_stats(x: np.ndarray) -> tuple[float, float]:
-    """Mean and population standard deviation over all entries of ``x``."""
-    if x.size == 0:
-        raise DomainError("statistics of an empty matrix are undefined")
-    return float(np.mean(x)), float(np.std(x))
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.sq = 0.0
+
+    def add(self, x: np.ndarray) -> None:
+        self.count += x.size
+        self.total += float(x.sum())
+        self.sq += float(np.square(x).sum())
+
+    def mean(self) -> float:
+        if self.count == 0:
+            raise DomainError("statistics of an empty matrix are undefined")
+        return self.total / self.count
+
+    def std(self) -> float:
+        mean = self.mean()
+        return math.sqrt(max(self.sq / self.count - mean * mean, 0.0))
 
 
 class SparseAdj:
@@ -74,25 +89,24 @@ class SparseAdj:
 
     @classmethod
     def from_edges(cls, n, edges, weights=None, symmetric=True):
-        """Build from (i, j) pairs; symmetric graphs get both directions stored."""
-        pairs = {}
-        for k, (i, j) in enumerate(edges):
-            w = 1.0 if weights is None else float(weights[k])
-            pairs[(int(i), int(j))] = w
-            if symmetric:
-                pairs[(int(j), int(i))] = w
-        counts = np.zeros(n, dtype=np.int64)
-        for i, _ in pairs:
-            counts[i] += 1
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        indices = np.empty(len(pairs), dtype=np.int64)
-        vals = np.empty(len(pairs), dtype=np.float64)
-        cursor = indptr[:-1].copy()
-        for (i, j) in sorted(pairs):
-            indices[cursor[i]] = j
-            vals[cursor[i]] = pairs[(i, j)]
-            cursor[i] += 1
-        return cls(n, indptr, indices, vals, symmetric=symmetric, validate=False)
+        """Build from (i, j) pairs (an array or any iterable, such as a set);
+        symmetric graphs get both directions stored. A repeated entry keeps
+        the weight of its last occurrence."""
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64).reshape(-1, 2)
+        w = (np.ones(pairs.shape[0]) if weights is None
+             else np.asarray(weights, dtype=np.float64).reshape(-1))
+        keys = pairs[:, 0] * n + pairs[:, 1]  # row-major entry order
+        if symmetric:  # (i, j) then (j, i) for each pair, in input order
+            keys = np.stack([keys, pairs[:, 1] * n + pairs[:, 0]], axis=1).reshape(-1)
+            w = np.repeat(w, 2)
+        order = np.argsort(keys, kind="stable")  # equal keys stay in input order
+        keys = keys[order]
+        last = np.ones(keys.shape[0], dtype=bool)  # the last of each run of equal keys
+        last[:-1] = keys[1:] != keys[:-1]
+        keys = keys[last]
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return cls(n, indptr, keys % n, w[order][last], symmetric=symmetric, validate=False)
 
     @classmethod
     def block_diag(cls, adjs) -> "SparseAdj":
@@ -192,10 +206,3 @@ class Rng:
     def integers(self, low, high=None) -> int:
         return int(self._gen.integers(low, high))
 
-
-def rng_normal(rng: Rng, rows: int, cols: int, std: float) -> np.ndarray:
-    return rng.normal(rows, cols, std)
-
-
-def rng_uniform(rng: Rng, rows: int, cols: int, bound: float) -> np.ndarray:
-    return rng.uniform(rows, cols, bound)

@@ -12,7 +12,7 @@ import pytest
 
 from gnnlab import Batch, ModelSpec, Rng, TrainConfig, build, reinit, train_model
 from gnnlab.diagnostics import TraceSink
-from gnnlab.init import _Moments
+from gnnlab.numcore import Moments
 
 from conftest import synth_dataset
 
@@ -31,7 +31,7 @@ def _unit_output_stds(model, graphs):
         model.forward(Batch.of([g]))
         traced = model.trace_states()
         if states is None:
-            states = [(name, _Moments()) for name, _, _ in traced]
+            states = [(name, Moments()) for name, _, _ in traced]
         for (_, mom), (_, out, _) in zip(states, traced):
             mom.add(out)
     return {name: mom.std() for name, mom in states}

@@ -3,16 +3,17 @@ import io
 import logging
 import threading
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnnlab import Dataset, parse_tu, stratified_folds, write_tu
+from gnnlab import Dataset, Graph, Rng, parse_tu, stratified_folds, write_tu
 from gnnlab.errors import (ConsistencyError, IngestError, IntegrityError,
                            StratificationError, TransportError, TuParseError)
 from gnnlab.graphdata import fetch_tu
 
-from conftest import synth_dataset, write_tu_files
+from conftest import random_adj, synth_dataset, write_tu_files
 
 
 def test_parse_two_graph_toy(tmp_path):
@@ -146,6 +147,146 @@ def test_parsed_graphs_have_no_self_loops_and_are_symmetric(tmp_path):
         edges = g.adj.edge_set()
         assert all(i != j for i, j in edges)
         assert all((j, i) in edges for i, j in edges)
+
+
+# --------------------------------------------------------------------------
+# the vectorised parser against a line-by-line reference
+
+def reference_parse(directory, name, feature_policy=None, degree_cap=64):
+    """Oracle: valid TU files read one line at a time with Python ints and
+    floats. Returns the dataset fields and, per graph, (indptr, indices,
+    features, label, id)."""
+    def rows(kind):
+        path = Path(directory) / f"{name}_{kind}.txt"
+        if not path.is_file():
+            return None
+        return [line.strip().split(",") for line in path.read_text().splitlines()
+                if line.strip()]
+
+    node_graph = [int(r[0]) for r in rows("graph_indicator")]
+    graph_ids = sorted(set(node_graph))
+    members = {g: [v for v, h in enumerate(node_graph) if h == g] for g in graph_ids}
+    local = {v: k for g in graph_ids for k, v in enumerate(members[g])}
+    raw_labels = [int(r[0]) for r in rows("graph_labels")]
+    classes = sorted(set(raw_labels))
+    entries = {g: set() for g in graph_ids}
+    for a, b in rows("A"):
+        i, j = int(a) - 1, int(b) - 1
+        if i != j:
+            entries[node_graph[i]] |= {(local[i], local[j]), (local[j], local[i])}
+    node_labels, attributes = rows("node_labels"), rows("node_attributes")
+    policy = feature_policy or ("attributes" if attributes else
+                                "label_onehot" if node_labels else "degree_onehot")
+    distinct = sorted({int(r[0]) for r in node_labels or []})
+    dim = {"attributes": len((attributes or [[]])[0]), "label_onehot": len(distinct),
+           "degree_onehot": degree_cap}[policy]
+    graphs = []
+    for gi, g in enumerate(graph_ids):
+        n = len(members[g])
+        pairs = sorted(entries[g])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        for i, _ in pairs:
+            indptr[i + 1] += 1
+        indptr = np.cumsum(indptr)
+        feats = np.zeros((n, dim))
+        for k, v in enumerate(members[g]):
+            if policy == "attributes":
+                feats[k] = [float(t) for t in attributes[v]]
+            elif policy == "label_onehot":
+                feats[k, distinct.index(int(node_labels[v][0]))] = 1.0
+            else:
+                feats[k, min(indptr[k + 1] - indptr[k], dim - 1)] = 1.0
+        graphs.append((indptr, np.array([j for _, j in pairs], dtype=np.int64), feats,
+                       classes.index(raw_labels[gi]), gi))
+    return len(classes), dim, policy, graphs
+
+
+def assert_parses_like_reference(directory, name, **kwargs):
+    ds = parse_tu(directory, name, **kwargs)
+    num_classes, dim, policy, graphs = reference_parse(directory, name, **kwargs)
+    assert (ds.num_classes, ds.feature_dim, ds.feature_policy) == (num_classes, dim, policy)
+    assert len(ds.graphs) == len(graphs)
+    for g, (indptr, indices, feats, label, gid) in zip(ds.graphs, graphs):
+        assert np.array_equal(g.adj.indptr, indptr)
+        assert np.array_equal(g.adj.indices, indices)
+        assert np.array_equal(g.adj.weights, np.ones(indices.shape[0]))
+        assert g.features.shape == feats.shape and np.array_equal(g.features, feats)
+        assert (g.label, g.id) == (label, gid)
+    return ds
+
+
+@pytest.mark.parametrize("policy", ["degree_onehot", "label_onehot", "attributes"])
+def test_parse_equals_reference_on_random_corpora(tmp_path, policy):
+    for trial in range(4):
+        rng = Rng(900 + trial)
+        graphs = []
+        for gi in range(3 + rng.integers(0, 12)):
+            n = 1 + rng.integers(0, 14)
+            if policy == "attributes":
+                feats = rng.normal(n, 3, 10.0)
+            else:
+                feats = np.eye(4)[[rng.integers(0, 4) for _ in range(n)]]
+            graphs.append(Graph(adj=random_adj(rng.derive(gi), n, 0.3), features=feats,
+                                label=rng.integers(0, 3), id=gi))
+        ds = Dataset(name="RND", graphs=tuple(graphs), num_classes=3, feature_dim=4,
+                     feature_policy=policy)
+        directory = write_tu(ds, tmp_path / f"{policy}{trial}")
+        assert_parses_like_reference(directory, "RND", degree_cap=5)
+
+
+def test_parse_blank_lines_unsorted_gapped_ids_and_repeated_edges(tmp_path):
+    # graphs 7, 3 and 10 with interleaved nodes; blank and whitespace-only
+    # lines; an edge given in both directions, another one twice
+    (tmp_path / "ODD_graph_indicator.txt").write_text("7\n3\n\n7\n3\n  \n10\n7\n")
+    (tmp_path / "ODD_graph_labels.txt").write_text("\n5\n-2\n5\n")
+    (tmp_path / "ODD_A.txt").write_text("1, 3\n\n3, 1\n1, 6\n1,6\n2, 4\n")
+    (tmp_path / "ODD_node_labels.txt").write_text("4, 0\n9, 1\n4\n\n2, 7, 7\n9\n4\n")
+    ds = assert_parses_like_reference(tmp_path, "ODD")
+    assert [g.adj.n for g in ds.graphs] == [2, 3, 1]  # graph ids in sorted order
+    assert [g.label for g in ds.graphs] == [1, 0, 1]
+    # graph 7 holds file nodes 1, 3 and 6, in that order
+    assert ds.graphs[1].adj.edge_set() == {(0, 1), (1, 0), (0, 2), (2, 0)}
+    assert ds.feature_policy == "label_onehot" and ds.feature_dim == 3
+
+
+def test_parse_empty_edge_file(tmp_path):
+    write_tu_files(tmp_path, "NOE", [(2, []), (3, [])], labels=[1, 2])
+    (tmp_path / "NOE_A.txt").write_text("")
+    ds = assert_parses_like_reference(tmp_path, "NOE", degree_cap=3)
+    assert all(g.adj.indices.size == 0 for g in ds.graphs)
+    assert np.array_equal(ds.graphs[1].features, [[1, 0, 0]] * 3)
+
+
+def test_parse_mismatched_attribute_widths_name_the_line(tmp_path):
+    write_tu_files(tmp_path, "TOY", [(3, [(1, 2)])], labels=[1])
+    (tmp_path / "TOY_node_attributes.txt").write_text("1.0, 2.0\n\n3.0, 4.0\n5.0\n")
+    with pytest.raises(TuParseError, match="TOY_node_attributes.txt:4: expected 2 values"):
+        parse_tu(tmp_path, "TOY")
+
+
+def test_parse_crossing_edge_after_blank_line_names_its_line(tmp_path):
+    write_tu_files(tmp_path, "TOY", [(2, []), (2, [])], labels=[1, 2])
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n\n2, 1\n\n\n3, 4\n2, 3\n")
+    with pytest.raises(ConsistencyError, match=r"TOY_A.txt:7: edge \(2, 3\) crosses"):
+        parse_tu(tmp_path, "TOY")
+
+
+def test_parse_reports_the_first_bad_line_in_file_order(tmp_path):
+    write_tu_files(tmp_path, "TOY", [(2, [])], labels=[1])
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n2, 9\n1, x\n")
+    with pytest.raises(ConsistencyError, match="TOY_A.txt:2: node id out of range"):
+        parse_tu(tmp_path, "TOY")
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n1, 2, 3\n2, 9\n")
+    with pytest.raises(TuParseError, match="TOY_A.txt:2: expected 'i, j'"):
+        parse_tu(tmp_path, "TOY")
+    (tmp_path / "TOY_A.txt").write_text("1, 2\n")
+    (tmp_path / "TOY_graph_indicator.txt").write_text("1\n\n1.0\n")
+    with pytest.raises(TuParseError, match="TOY_graph_indicator.txt:3: expected an integer"):
+        parse_tu(tmp_path, "TOY")
+    # the format has no comment lines
+    (tmp_path / "TOY_graph_indicator.txt").write_text("1\n# 1\n")
+    with pytest.raises(TuParseError, match="TOY_graph_indicator.txt:2: expected an integer"):
+        parse_tu(tmp_path, "TOY")
 
 
 def test_stratified_folds_balanced():

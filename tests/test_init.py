@@ -4,7 +4,9 @@ import pytest
 from gnnlab import (Batch, Graph, InitScheme, ModelSpec, Rng, SparseAdj, build,
                     init_standard, reinit)
 from gnnlab.errors import CalibrationError, ConfigError
-from gnnlab.init import _Moments, glorot_bound, kaiming_std
+from gnnlab.graphdata import CHUNK_NODES, chunks
+from gnnlab.init import glorot_bound, kaiming_std
+from gnnlab.numcore import Moments
 
 from conftest import random_graph, synth_dataset
 
@@ -62,9 +64,9 @@ def _independent_block_stds(model, graphs):
     at a time."""
     stds = []
     for stage in range(len(model.block_stages())):
-        mom = _Moments()
+        mom = Moments()
         for g in graphs:
-            mom.add(model.run_blocks(Batch.of([g]), stage))
+            mom.add(model.run_blocks(Batch.of([g]), stage)[-1])
         stds.append(mom.std())
     return stds
 
@@ -79,6 +81,23 @@ def test_reinit_post_condition(kind):
         assert all(abs(s - 1.0) < 1e-6 for s in report.post_std)
         for sigma in _independent_block_stds(model, graphs):
             assert abs(sigma - 1.0) < 1e-6
+
+
+def test_reinit_post_std_equals_a_verification_sweep_after_rescaling():
+    # each stage's post-rescale std is read from the sweep that measures the
+    # next stage; it must equal, bit for bit, a separate sweep over the same
+    # chunks once every divisor is applied
+    graphs = _calibration(12, count=60)
+    for kind in ("gcn_mlp", "jk_sum"):
+        model = build(ModelSpec(kind=kind, hidden_dim=7, mlp_dims=(6, 5), k=0.7),
+                      3, 2, Rng(12))
+        report = reinit(model, graphs)
+        assert sum(g.adj.n for g in graphs) > CHUNK_NODES
+        for stage, post in enumerate(report.post_std):
+            mom = Moments()
+            for batch in chunks(graphs):
+                mom.add(model.run_blocks(batch, stage)[-1])
+            assert mom.std() == post
 
 
 def test_reinit_idempotent_and_fixed_point():

@@ -3,6 +3,7 @@ import pytest
 
 from gnnlab import Adam, Batch, Graph, ModelSpec, Rng, SparseAdj, build, cross_entropy
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
+from gnnlab.layers import READOUT_KINDS
 
 from conftest import (fd_max_rel_err, permute_graph, random_adj, random_graph,
                       randomize_params)
@@ -170,6 +171,27 @@ def test_row_normalisation_gradients():
     randomize_params(model, Rng(23))
     g = random_graph(Rng(24), 7, 3)
     assert fd_max_rel_err(model, Batch.of([g]), Rng(25).normal(1, 2, 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("readout_kind", READOUT_KINDS)
+@pytest.mark.parametrize("kind", ["mlp", "gcn_mlp", "gcn_r_mlp"])
+def test_every_readout_sizes_the_mlp_input(kind, readout_kind):
+    model = build(ModelSpec(kind=kind, hidden_dim=5, mlp_dims=(4, 4),
+                            readout_kind=readout_kind), 3, 2, Rng(40))
+    wide = 2 if readout_kind == "max_and_sum" else 1
+    assert model.params["mlp1.W"].shape[0] == wide * (3 if kind == "mlp" else 3 + 5)
+    batch = Batch.of([random_graph(Rng(41 + i), 4 + i, 3) for i in range(3)])
+    assert model.forward(batch).shape == (3, 2)
+    grads = model.backward(np.ones((3, 2)))
+    assert all(grads[name].shape == p.shape for name, p in model.params.items())
+
+
+def test_max_and_sum_readout_model_gradients_match_finite_differences():
+    model = build(ModelSpec(kind="gcn_mlp", hidden_dim=4, mlp_dims=(4, 3),
+                            readout_kind="max_and_sum"), 3, 2, Rng(44))
+    randomize_params(model, Rng(45))
+    graphs = [random_graph(Rng(46 + i), 5 + i, 3) for i in range(2)]
+    assert fd_max_rel_err(model, Batch.of(graphs), Rng(48).normal(2, 2, 1.0)) < 1e-6
 
 
 def test_predict_tie_breaks_to_lowest_class():

@@ -1,34 +1,30 @@
 import numpy as np
 import pytest
 
-from gnnlab import Rng, SparseAdj, col_stats, matmul, rng_normal, rng_uniform, spmm
+from gnnlab import Rng, SparseAdj, spmm
 from gnnlab.errors import DomainError, ShapeError
+from gnnlab.numcore import Moments
 
 from conftest import random_adj
 
 
 def test_matmul_identity():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(a, np.eye(2)), a)
-    assert np.array_equal(matmul(np.eye(2), np.array([[5.0], [7.0]])), [[5.0], [7.0]])
+    assert np.array_equal(a @ np.eye(2), a)
+    assert np.array_equal(np.eye(2) @ np.array([[5.0], [7.0]]), [[5.0], [7.0]])
 
 
 def test_matmul_hand_case():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[1.0], [1.0]])
-    assert np.array_equal(matmul(a, b), [[3.0], [7.0]])
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+    assert np.array_equal(a @ b, [[3.0], [7.0]])
 
 
 def test_matmul_associativity():
     rng = Rng(3)
     a, b, c = (rng.normal(8, 8, 1.0) for _ in range(3))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
+    left = (a @ b) @ c
+    right = a @ (b @ c)
     assert np.max(np.abs(left - right)) < 1e-9
 
 
@@ -65,6 +61,52 @@ def test_spmm_matches_dense_matmul():
         assert np.max(np.abs(spmm(adj, x) - dense)) < 1e-12
 
 
+def _reference_from_edges(n, edges, weights=None, symmetric=True):
+    """The dict loop ``SparseAdj.from_edges`` replaced: the last occurrence
+    of an entry sets its weight; entries come out sorted."""
+    pairs = {}
+    for k, (i, j) in enumerate(edges):
+        w = 1.0 if weights is None else float(weights[k])
+        pairs[(int(i), int(j))] = w
+        if symmetric:
+            pairs[(int(j), int(i))] = w
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for i, _ in pairs:
+        indptr[i + 1] += 1
+    keys = sorted(pairs)
+    return (np.cumsum(indptr), np.array([j for _, j in keys], dtype=np.int64),
+            np.array([pairs[k] for k in keys], dtype=np.float64))
+
+
+def test_from_edges_matches_the_dict_loop():
+    rng = Rng(17)
+    for trial in range(60):
+        n = 1 + rng.integers(0, 12)
+        m = rng.integers(0, 30)
+        edges = [(rng.integers(0, n), rng.integers(0, n)) for _ in range(m)]
+        weights = rng.normal(1, m, 1.0)[0] if trial % 2 else None
+        for symmetric in (True, False):
+            adj = SparseAdj.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                                       weights, symmetric=symmetric)
+            want = _reference_from_edges(n, edges, weights, symmetric)
+            for got, ref in zip((adj.indptr, adj.indices, adj.weights), want):
+                assert np.array_equal(got, ref)
+            assert adj.symmetric == symmetric
+
+
+def test_from_edges_accepts_a_set_and_keeps_the_last_weight():
+    from_set = SparseAdj.from_edges(3, {(0, 1), (2, 1)})
+    assert from_set.edge_set() == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    assert np.array_equal(from_set.indptr, [0, 1, 3, 4])
+    # (1, 0) repeats (0, 1) of a symmetric graph, so its weight wins both ways
+    adj = SparseAdj.from_edges(2, [(0, 1), (1, 0)], weights=[2.0, 5.0])
+    assert np.array_equal(adj.to_dense(), [[0.0, 5.0], [5.0, 0.0]])
+    directed = SparseAdj.from_edges(2, iter([(0, 1), (1, 0), (0, 1)]), weights=[2.0, 5.0, 7.0],
+                                    symmetric=False)
+    assert np.array_equal(directed.to_dense(), [[0.0, 7.0], [5.0, 0.0]])
+    assert SparseAdj.from_edges(2, []).indices.size == 0
+
+
 def test_sparse_adj_rejects_bad_indices():
     with pytest.raises(ShapeError):
         SparseAdj(2, [0, 1, 2], [0, 5], [1.0, 1.0])
@@ -76,46 +118,54 @@ def test_sparse_adj_rejects_asymmetry():
         SparseAdj(2, indptr, [1], [1.0], symmetric=True)
 
 
-def test_col_stats_constant():
-    assert col_stats(np.full((3, 3), 5.0)) == (5.0, 0.0)
+def _moments(*mats):
+    mom = Moments()
+    for x in mats:
+        mom.add(x)
+    return mom.mean(), mom.std()
 
 
-def test_col_stats_hand_case():
-    mean, std = col_stats(np.array([[1.0, -1.0], [1.0, -1.0]]))
-    assert mean == 0.0 and std == 1.0
+def test_moments_constant():
+    assert _moments(np.full((3, 3), 5.0)) == (5.0, 0.0)
 
 
-def test_col_stats_zeros():
-    assert col_stats(np.zeros((2, 2))) == (0.0, 0.0)
+def test_moments_hand_case():
+    assert _moments(np.array([[1.0, -1.0], [1.0, -1.0]])) == (0.0, 1.0)
+    # pooled over every entry of every matrix added
+    assert _moments(np.array([[1.0, -1.0]]), np.array([[1.0], [-1.0]])) == (0.0, 1.0)
 
 
-def test_col_stats_empty_matrix():
+def test_moments_zeros():
+    assert _moments(np.zeros((2, 2))) == (0.0, 0.0)
+
+
+def test_moments_empty_matrix():
     with pytest.raises(DomainError):
-        col_stats(np.zeros((0, 2)))
+        _moments(np.zeros((0, 2)))
 
 
 def test_rng_zero_std_and_bound():
     rng = Rng(5)
-    assert np.array_equal(rng_normal(rng, 3, 2, 0.0), np.zeros((3, 2)))
-    assert np.array_equal(rng_uniform(rng, 3, 2, 0.0), np.zeros((3, 2)))
+    assert np.array_equal(rng.normal(3, 2, 0.0), np.zeros((3, 2)))
+    assert np.array_equal(rng.uniform(3, 2, 0.0), np.zeros((3, 2)))
 
 
 def test_rng_determinism():
-    a = rng_normal(Rng(99), 16, 16, 1.0)
-    b = rng_normal(Rng(99), 16, 16, 1.0)
+    a = Rng(99).normal(16, 16, 1.0)
+    b = Rng(99).normal(16, 16, 1.0)
     assert np.array_equal(a, b)
-    u1 = rng_uniform(Rng(99), 16, 16, 2.0)
-    u2 = rng_uniform(Rng(99), 16, 16, 2.0)
+    u1 = Rng(99).uniform(16, 16, 2.0)
+    u2 = Rng(99).uniform(16, 16, 2.0)
     assert np.array_equal(u1, u2)
 
 
 def test_rng_normal_sample_std():
-    samples = rng_normal(Rng(7), 1000, 100, 1.0)
+    samples = Rng(7).normal(1000, 100, 1.0)
     assert 0.99 <= samples.std() <= 1.01
 
 
 def test_rng_uniform_bound_respected():
-    samples = rng_uniform(Rng(8), 100, 100, 0.5)
+    samples = Rng(8).uniform(100, 100, 0.5)
     assert np.all(np.abs(samples) <= 0.5)
     # uniform(-b, b) has std b/sqrt(3)
     assert abs(samples.std() - 0.5 / np.sqrt(3)) < 0.01
