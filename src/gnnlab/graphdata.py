@@ -8,17 +8,19 @@ features are built from the first available source in the order
 attributes > node-label one-hots > degree one-hots.
 """
 
+import http.client
 import io
 import logging
 import os
 import time
+import urllib.error
+import urllib.request
 import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .errors import (ConsistencyError, IngestError, IntegrityError,
                      StratificationError, TransportError, TuParseError)
@@ -379,14 +381,16 @@ def fetch_tu(name: str, url_base: str = DEFAULT_TU_URL, cache_dir=None) -> Path:
             return raw
         url = f"{url_base.rstrip('/')}/{name}.zip"
         try:
-            resp = requests.get(url, timeout=120)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(url, timeout=120) as resp:
+                content = resp.read()
+        except urllib.error.HTTPError as exc:
+            raise TransportError(f"fetch of {url} returned HTTP {exc.code}",
+                                 status=exc.code) from exc
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            # URLError, refused connections, timeouts, broken responses, bad urls
             raise TransportError(f"fetch of {url} failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"fetch of {url} returned HTTP {resp.status_code}",
-                                 status=resp.status_code)
         try:
-            archive = zipfile.ZipFile(io.BytesIO(resp.content))
+            archive = zipfile.ZipFile(io.BytesIO(content))
         except zipfile.BadZipFile as exc:
             raise IntegrityError(f"archive for {name} is not a valid zip") from exc
         raw.mkdir(parents=True, exist_ok=True)

@@ -70,11 +70,10 @@ def glorot_bound(fan_in: int, fan_out: int) -> float:
 
 def init_standard(model, rng: Rng) -> None:
     """Kaiming-normal convolution weights, Glorot-uniform pool/dense weights,
-    zero biases, unit scale divisors. Draw order follows the registry."""
+    zero biases, unit pool scale divisors. Draw order follows the registry."""
     for gcn, pool in model.blocks:
         gcn.w[...] = rng.normal(gcn.fan_in, gcn.fan_out, kaiming_std(gcn.fan_in))
         gcn.b[...] = 0.0
-        gcn.scale = 1.0
         if pool is not None:
             f = pool.p.shape[0]
             pool.p[...] = rng.uniform(1, f, glorot_bound(f, 1))[0]

@@ -32,22 +32,18 @@ class GcnLayer:
     """Graph convolution with weighted self-loops and degree normalisation.
 
     Propagates features with P built from the adjacency plus self-loops of
-    weight 2, then applies an affine map and optional ReLU. ``scale`` divides
-    the pre-activation; the variance re-initialisation pass folds its divisor
-    into W and b instead, so scale normally stays 1.
+    weight 2, then applies an affine map and optional ReLU. The variance
+    re-initialisation pass folds its divisor into W and b.
     """
 
-    def __init__(self, w, b, activation="relu", scale=1.0, norm="sym"):
+    def __init__(self, w, b, activation="relu", norm="sym"):
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
         if norm not in ("sym", "row"):
             raise ValueError(f"unknown normalisation {norm!r}")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64).reshape(-1)
         self.activation = activation
-        self.scale = float(scale)
         self.norm = norm
         self._cache = None
 
@@ -68,7 +64,6 @@ class GcnLayer:
             SELF_LOOP_WEIGHT, symmetric_norm=(self.norm == "sym"))
         m = _kernels.spmm(indptr, indices, w_p, x)
         pre = m @ self.w
-        pre /= self.scale
         pre += self.b
         out = relu(pre) if self.activation == "relu" else pre
         self._cache = {"m": m, "pre": pre, "prop_t": (indptr, indices, w_pt)}
@@ -82,10 +77,10 @@ class GcnLayer:
         c, self._cache = self._cache, None
         grad_pre = grad_out * (c["pre"] > 0) if self.activation == "relu" else grad_out
         grad_b = grad_pre.sum(axis=0)
-        grad_w = (c["m"].T @ grad_pre) / self.scale
+        grad_w = c["m"].T @ grad_pre
         grad_x = None
         if input_grad:
-            grad_m = (grad_pre @ self.w.T) / self.scale
+            grad_m = grad_pre @ self.w.T
             indptr, indices, w_pt = c["prop_t"]
             grad_x = _kernels.spmm(indptr, indices, w_pt, grad_m)
         return grad_x, {"W": grad_w, "b": grad_b}

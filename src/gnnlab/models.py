@@ -14,7 +14,11 @@ Five kinds are supported:
   representation into the MLP, no skip taps (the diagnostics probe).
 
 A model runs on a :class:`~gnnlab.graphdata.Batch`, the disjoint union of
-one or more graphs, and emits one row of class scores per graph.
+one or more graphs, and emits one row of class scores per graph. One stage
+walk over the flat convolution/pool stack serves forward, reinit
+(:meth:`Model.run_blocks`) and tracing. Each tap reads one state of that
+walk, and forward stops at the last state a tap reads: with convolution
+taps, ``jk_sum`` never runs its third pool.
 """
 
 from dataclasses import dataclass, fields
@@ -87,8 +91,12 @@ class Model:
     """An instantiated layer stack with a named-parameter registry.
 
     ``taps`` lists (source, Readout) pairs feeding the MLP head; a source is
-    ``"input"``, ``"final"``, ``("gcn", i)`` or ``("pool", i)``. Forward
-    caches per-layer state, so an instance is single-owner during a step.
+    ``"input"``, ``"final"``, ``("gcn", i)`` or ``("pool", i)``. Each source
+    resolves once to an index into the state list of the stage walk: 0 is the
+    input, s the output of flat stage s - 1 (see :meth:`block_stages`), and S
+    the final output. Forward runs stages up to the highest tap index only,
+    so a pool no tap reads is skipped, and caches the states, so an instance
+    is single-owner during a step.
     """
 
     def __init__(self, spec, num_features, num_classes, blocks, taps, mlp, frozen):
@@ -100,16 +108,39 @@ class Model:
         self.mlp = mlp
         self.frozen = frozen
         self.params = {}
+        self._stages = []
         for i, (gcn, pool) in enumerate(blocks, start=1):
             self.params[f"gcn{i}.W"] = gcn.w
             self.params[f"gcn{i}.b"] = gcn.b
+            self._stages.append((f"gcn{i}", gcn))
             if pool is not None:
                 self.params[f"pool{i}.p"] = pool.p
+                self._stages.append((f"pool{i}", pool))
         for j, layer in enumerate(mlp, start=1):
             self.params[f"mlp{j}.W"] = layer.w
             self.params[f"mlp{j}.b"] = layer.b
+        names = [name for name, _ in self._stages]
+        self._tap_index = [0 if source == "input" else
+                           len(names) if source == "final" else
+                           names.index(f"{source[0]}{source[1] + 1}") + 1
+                           for source, _ in taps]
+        self._live = max(self._tap_index)  # stages a forward runs
         self._cache = None
         self.last_grads = None
+
+    def _walk(self, batch: Batch, upto: int) -> list:
+        """(node matrix, per-graph row counts) of the input and after each of
+        the first ``upto`` flat stages of the block stack."""
+        adj, x, sizes = batch.adj, batch.features, batch.sizes
+        states = [(x, sizes)]
+        for _, layer in self._stages[:upto]:
+            if isinstance(layer, TopKPool):
+                adj, x, _ = layer.forward(adj, x, sizes)
+                sizes = layer.kept_sizes(sizes)
+            else:
+                x = layer.forward(adj, x)
+            states.append((x, sizes))
+        return states
 
     # ---------------------------------------------------------------- forward
 
@@ -119,48 +150,22 @@ class Model:
             raise ShapeError(f"model expects {self.num_features} features, "
                              f"graphs have {batch.features.shape[1]}")
         self._cache = None  # let the previous batch's outputs go first
-        adj, x, sizes = batch.adj, batch.features, batch.sizes
-        gcn_outs = []
-        # stage_x[i] is the input to block i, stage_x[-1] the final output;
-        # stage_sizes[i] the per-graph row counts of stage_x[i]
-        stage_x, stage_sizes = [x], [sizes]
-        for gcn, pool in self.blocks:
-            h = gcn.forward(adj, x)
-            gcn_outs.append(h)
-            if pool is not None:
-                adj, x, _ = pool.forward(adj, h, sizes)
-                sizes = pool.kept_sizes(sizes)
-            else:
-                x = h
-            stage_x.append(x)
-            stage_sizes.append(sizes)
-        tap_mats = [ro.forward(*self._tap_input(source, gcn_outs, stage_x, stage_sizes))
-                    for source, ro in self.taps]
-        if self.spec.jk_agg == "sum" and len(tap_mats) > 1:
+        states = self._walk(batch, self._live)
+        tap_mats = [ro.forward(*states[t]) for t, (_, ro) in zip(self._tap_index, self.taps)]
+        if self.spec.jk_agg == "sum":
             a = np.sum(tap_mats, axis=0)
         else:
             a = np.concatenate(tap_mats, axis=1)
         for layer in self.mlp:
             a = layer.forward(a)
-        self._cache = {"gcn_outs": gcn_outs, "stage_x": stage_x}
+        self._cache = states
         return a
-
-    @staticmethod
-    def _tap_input(source, gcn_outs, stage_x, stage_sizes):
-        """The node matrix a tap reads, and its per-graph row counts."""
-        if source == "input":
-            return stage_x[0], stage_sizes[0]
-        if source == "final":
-            return stage_x[-1], stage_sizes[-1]
-        kind, i = source
-        if kind == "gcn":  # a convolution keeps the rows of its input
-            return gcn_outs[i], stage_sizes[i]
-        return stage_x[i + 1], stage_sizes[i + 1]
 
     def backward(self, grad_scores: np.ndarray) -> dict:
         """Gradients for every registered parameter from the gradient of the
-        scores of the last forward, summed over its graphs; frozen entries
-        are zeroed. Gradients on the raw input are never used."""
+        scores of the last forward, summed over its graphs; frozen entries,
+        and those of stages the forward did not run, are zero. Gradients on
+        the raw input are never used."""
         if self._cache is None:
             raise StateError("model backward called before forward")
         self._cache = None
@@ -168,50 +173,34 @@ class Model:
         z_grad = np.asarray(grad_scores, dtype=np.float64)
         for j in range(len(self.mlp), 0, -1):
             z_grad, layer_grads = self.mlp[j - 1].backward(z_grad)
-            grads[f"mlp{j}.W"] = layer_grads["W"]
-            grads[f"mlp{j}.b"] = layer_grads["b"]
-        if self.spec.jk_agg == "sum" and len(self.taps) > 1:
+            grads.update({f"mlp{j}.{k}": g for k, g in layer_grads.items()})
+        if self.spec.jk_agg == "sum":
             tap_grads = [z_grad] * len(self.taps)
         else:
             widths = _tap_widths(self.taps, self.num_features, self.spec.hidden_dim)
             offsets = np.concatenate(([0], np.cumsum(widths)))
             tap_grads = [z_grad[:, offsets[i]:offsets[i + 1]] for i in range(len(self.taps))]
-        # gradient on each node matrix; None where nothing downstream reads it
-        gcn_grads = [None] * len(self.blocks)
-        stage_grads = [None] * (len(self.blocks) + 1)
-        for (source, ro), gmat in zip(self.taps, tap_grads):
+        # gradient on each state's node matrix; None where nothing reads it
+        state_grads = [None] * (self._live + 1)
+        for t, (_, ro), gmat in zip(self._tap_index, self.taps, tap_grads):
             mat = ro.backward(gmat)
-            if source == "input":
-                # nothing upstream of the raw input has parameters, so this
-                # gradient is dropped; the backward still runs because
-                # perfbench expects layers.readout.bwd on every workload, and
-                # the mlp model has no other readout (ROADMAP item 3)
-                continue
-            if source == "final":
-                stage_grads[-1] = _add(stage_grads[-1], mat)
-            elif source[0] == "gcn":
-                gcn_grads[source[1]] = _add(gcn_grads[source[1]], mat)
+            # nothing upstream of the raw input (state 0) has parameters, so
+            # its gradient is dropped; the readout backward still runs because
+            # perfbench expects layers.readout.bwd on every workload, and the
+            # mlp model has no other readout (ROADMAP item 1)
+            if t:
+                state_grads[t] = _add(state_grads[t], mat)
+        for s in range(self._live, 0, -1):
+            name, layer = self._stages[s - 1]
+            if isinstance(layer, TopKPool):
+                x_grad, layer_grads = layer.backward(state_grads[s])
             else:
-                stage_grads[source[1] + 1] = _add(stage_grads[source[1] + 1], mat)
-        x_grad = stage_grads[-1]
-        for i in range(len(self.blocks) - 1, -1, -1):
-            gcn, pool = self.blocks[i]
-            h_grad = x_grad
-            if pool is not None:
-                if x_grad is None:  # the pooled output feeds nothing
-                    grads[f"pool{i + 1}.p"] = np.zeros_like(pool.p)
-                else:
-                    h_grad, pool_grads = pool.backward(x_grad)
-                    grads[f"pool{i + 1}.p"] = pool_grads["p"]
-            h_grad = _add(h_grad, gcn_grads[i])
-            x_grad, layer_grads = gcn.backward(h_grad, input_grad=i > 0)
-            grads[f"gcn{i + 1}.W"] = layer_grads["W"]
-            grads[f"gcn{i + 1}.b"] = layer_grads["b"]
-            x_grad = _add(x_grad, stage_grads[i])
-        for name in self.frozen:
-            grads[name] = np.zeros_like(self.params[name])
-        self.last_grads = grads
-        return grads
+                x_grad, layer_grads = layer.backward(state_grads[s], input_grad=s > 1)
+            grads.update({f"{name}.{k}": g for k, g in layer_grads.items()})
+            state_grads[s - 1] = _add(state_grads[s - 1], x_grad)
+        self.last_grads = {name: grads[name] if name in grads and name not in self.frozen
+                           else np.zeros_like(p) for name, p in self.params.items()}
+        return self.last_grads
 
     def predict(self, batch: Batch) -> np.ndarray:
         """Predicted class per graph; ties resolve to the lowest class index."""
@@ -221,43 +210,22 @@ class Model:
 
     def block_stages(self):
         """(layer id, layer) pairs for the convolution/pool stack, in order."""
-        out = []
-        for i, (gcn, pool) in enumerate(self.blocks, start=1):
-            out.append((f"gcn{i}", gcn))
-            if pool is not None:
-                out.append((f"pool{i}", pool))
-        return out
+        return list(self._stages)
 
     def run_blocks(self, batch: Batch, upto: int) -> list:
         """Forward through the block stack only, returning the outputs of flat
         stages 0..``upto`` (0 = first convolution, 1 = its pool, and so on)."""
-        if not 0 <= upto < len(self.block_stages()):
+        if not 0 <= upto < len(self._stages):
             raise StateError(f"block stage {upto} out of range")
-        adj, x, sizes = batch.adj, batch.features, batch.sizes
-        outs = []
-        for gcn, pool in self.blocks:
-            x = gcn.forward(adj, x)
-            outs.append(x)
-            if pool is not None and len(outs) <= upto:
-                adj, x, _ = pool.forward(adj, x, sizes)
-                sizes = pool.kept_sizes(sizes)
-                outs.append(x)
-            if len(outs) > upto:
-                return outs
+        return [x for x, _ in self._walk(batch, upto + 1)[1:]]
 
     def trace_states(self):
-        """(layer id, output, preactivation-or-None) per block stage of the
-        most recent forward."""
+        """(layer id, output, preactivation-or-None) per block stage the most
+        recent forward ran."""
         if self._cache is None:
             raise StateError("no cached forward state to trace")
-        gcn_outs = self._cache["gcn_outs"]
-        stage_x = self._cache["stage_x"]
-        out = []
-        for i, (gcn, pool) in enumerate(self.blocks, start=1):
-            out.append((f"gcn{i}", gcn_outs[i - 1], gcn.last_preactivation))
-            if pool is not None:
-                out.append((f"pool{i}", stage_x[i], None))
-        return out
+        return [(name, x, layer.last_preactivation if isinstance(layer, GcnLayer) else None)
+                for (name, layer), (x, _) in zip(self._stages, self._cache[1:])]
 
 
 def _tap_widths(taps, num_features: int, hidden: int) -> list:
@@ -302,7 +270,9 @@ def build(spec: ModelSpec, num_features: int, num_classes: int, rng: Rng) -> Mod
         taps.append(("final", Readout("mean")))
     widths = _tap_widths(taps, num_features, hidden)
     # summed taps add elementwise; concatenated ones side by side
-    mlp_in = widths[0] if spec.jk_agg == "sum" and len(taps) > 1 else sum(widths)
+    if spec.jk_agg == "sum" and len(set(widths)) > 1:
+        raise SpecError(f"jk_agg 'sum' needs taps of equal width, {spec.kind} has {widths}")
+    mlp_in = widths[0] if spec.jk_agg == "sum" else sum(widths)
 
     dims = [mlp_in, spec.mlp_dims[0], spec.mlp_dims[1], num_classes]
     mlp = [DenseLayer(np.zeros((dims[j], dims[j + 1])), np.zeros(dims[j + 1]),

@@ -171,23 +171,17 @@ def layer_fd_max_rel_err(params, run, h: float = 1e-6) -> float:
 
 
 # --------------------------------------------------------------------------
-# real datasets (network-gated)
-
-DATA_ENV_HINT = ("dataset unavailable: no network route to the TU archive host "
-                 "and nothing cached (set GNNLAB_CACHE to a pre-populated cache "
-                 "to run this criterion)")
+# real datasets (cache-gated: the suite never downloads)
 
 
 @pytest.fixture(scope="session")
 def tu_dataset_dir():
-    """Factory fixture: resolve a real TU dataset to its raw dir or skip."""
+    """Factory fixture: resolve a cached real TU dataset to its raw dir or skip."""
     def resolve(name: str) -> Path:
-        if is_cached(name):
-            return fetch_tu(name)
-        try:
-            return fetch_tu(name)
-        except Exception:
-            pytest.skip(f"{name} {DATA_ENV_HINT}")
+        if not is_cached(name):
+            pytest.skip(f"{name} is not cached: run `gnnlab fetch {name}`, or point "
+                        f"GNNLAB_CACHE at a cache that holds it")
+        return fetch_tu(name)
     return resolve
 
 

@@ -407,3 +407,8 @@ def test_fetch_tu_corrupt_archive(tu_server, tmp_path):
 def test_fetch_tu_connection_refused(tmp_path):
     with pytest.raises(TransportError):
         fetch_tu("MINI", url_base="http://127.0.0.1:1", cache_dir=tmp_path / "c4")
+
+
+def test_fetch_tu_url_without_scheme(tmp_path):
+    with pytest.raises(TransportError):
+        fetch_tu("MINI", url_base="no-scheme", cache_dir=tmp_path / "c5")

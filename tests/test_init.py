@@ -42,8 +42,8 @@ def test_biases_zero_and_scales_one():
     for name, p in model.params.items():
         if name.endswith(".b"):
             assert not p.any()
-    for _, layer in model.block_stages():
-        assert layer.scale == 1.0
+    for _, pool in model.blocks:
+        assert pool.scale == 1.0
 
 
 def test_pool_projection_within_glorot_bound():
@@ -106,15 +106,15 @@ def test_reinit_idempotent_and_fixed_point():
                   3, 2, Rng(9))
     reinit(model, graphs)
     snapshot = {k: v.copy() for k, v in model.params.items()}
-    scales = [layer.scale for _, layer in model.block_stages()]
+    scales = [pool.scale for _, pool in model.blocks]
     second = reinit(model, graphs)
     # a unit-variance model is a fixed point: divisors 1, parameters unchanged
     assert all(abs(d - 1.0) < 1e-6 for d in second.divisors)
     for name, before in snapshot.items():
         after = model.params[name]
         assert np.allclose(after, before, rtol=1e-5, atol=1e-12)
-    for (_, layer), s in zip(model.block_stages(), scales):
-        assert abs(layer.scale - s) / s < 1e-5
+    for (_, pool), s in zip(model.blocks, scales):
+        assert abs(pool.scale - s) / s < 1e-5
 
 
 def test_reinit_leaves_mlp_head_untouched():

@@ -10,10 +10,10 @@ from gnnlab.layers import keep_count
 from conftest import layer_fd_max_rel_err, random_adj
 
 
-def make_gcn(rng, fan_in, fan_out, activation="none", norm="sym", scale=1.0):
+def make_gcn(rng, fan_in, fan_out, activation="none", norm="sym"):
     return GcnLayer(rng.normal(fan_in, fan_out, 0.7),
                     rng.uniform(1, fan_out, 0.5)[0],
-                    activation=activation, norm=norm, scale=scale)
+                    activation=activation, norm=norm)
 
 
 # --------------------------------------------------------------------------
@@ -49,16 +49,6 @@ def test_gcn_feature_dim_mismatch():
     layer = make_gcn(Rng(2), 3, 4)
     with pytest.raises(ShapeError):
         layer.forward(SparseAdj.empty(2), np.zeros((2, 5)))
-
-
-def test_gcn_scale_halves_preactivation():
-    rng = Rng(3)
-    adj = random_adj(rng, 6, 0.4)
-    x = rng.normal(6, 3, 1.0)
-    w = rng.normal(3, 4, 1.0)
-    one = GcnLayer(w, np.zeros(4), activation="none", scale=1.0)
-    two = GcnLayer(w, np.zeros(4), activation="none", scale=2.0)
-    assert np.allclose(one.forward(adj, x), 2.0 * two.forward(adj, x), atol=1e-12)
 
 
 def test_gcn_permutation_equivariance():

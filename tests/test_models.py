@@ -3,7 +3,8 @@ import pytest
 
 from gnnlab import Adam, Batch, Graph, ModelSpec, Rng, SparseAdj, build, cross_entropy
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
-from gnnlab.layers import READOUT_KINDS
+from gnnlab.layers import READOUT_KINDS, TopKPool
+from gnnlab.models import MODEL_KINDS
 
 from conftest import (fd_max_rel_err, permute_graph, random_adj, random_graph,
                       randomize_params)
@@ -108,7 +109,7 @@ def test_frozen_params_survive_optimiser_steps():
                                               mlp_dims=(5, 4)), 3, 2, Rng(11)).params["mlp1.W"])
 
 
-@pytest.mark.parametrize("kind", ["mlp", "gcn_mlp", "jk_sum", "probe4"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_full_model_gradients_match_finite_differences(kind):
     worst = 0.0
     for trial in range(6):
@@ -118,7 +119,10 @@ def test_full_model_gradients_match_finite_differences(kind):
         model = build(spec, 3, 2, rng.derive(1))
         randomize_params(model, rng.derive(2))
         direction = rng.derive(3).normal(1, 2, 1.0)
-        worst = max(worst, fd_max_rel_err(model, Batch.of([g]), direction))
+        worst = max(worst, fd_max_rel_err(model, Batch.of([g]), direction,
+                                          skip=model.frozen))
+        # frozen parameters do move the scores, but get no gradient
+        assert all(not model.last_grads[name].any() for name in model.frozen)
     assert worst < 1e-6
 
 
@@ -192,6 +196,76 @@ def test_max_and_sum_readout_model_gradients_match_finite_differences():
     randomize_params(model, Rng(45))
     graphs = [random_graph(Rng(46 + i), 5 + i, 3) for i in range(2)]
     assert fd_max_rel_err(model, Batch.of(graphs), Rng(48).normal(2, 2, 1.0)) < 1e-6
+
+
+def test_jk_agg_sum_needs_taps_of_equal_width():
+    # gcn_mlp sums the input readout (3 wide) and the convolution readout
+    with pytest.raises(SpecError):
+        build(ModelSpec(kind="gcn_mlp", hidden_dim=5, jk_agg="sum"), 3, 2, Rng(49))
+    model = build(ModelSpec(kind="gcn_mlp", hidden_dim=3, mlp_dims=(4, 4),
+                            jk_agg="sum"), 3, 2, Rng(49))
+    assert model.params["mlp1.W"].shape == (3, 4)
+    randomize_params(model, Rng(50))
+    graphs = [random_graph(Rng(51 + i), 5 + i, 3) for i in range(2)]
+    assert fd_max_rel_err(model, Batch.of(graphs), Rng(53).normal(2, 2, 1.0)) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# the stage walk runs only the stages a tap reads
+
+WALK_SPECS = {
+    "jk_sum": (ModelSpec(kind="jk_sum", hidden_dim=5, mlp_dims=(4, 4), k=0.6), 2),
+    "jk_sum-tap_pooled": (ModelSpec(kind="jk_sum", hidden_dim=5, mlp_dims=(4, 4), k=0.6,
+                                    tap_pooled=True), 3),
+    "probe4": (ModelSpec(kind="probe4", hidden_dim=5, mlp_dims=(4, 4), k=0.6), 4),
+}
+
+
+@pytest.mark.parametrize("name", WALK_SPECS)
+def test_forward_runs_only_the_pools_a_tap_reads(name, monkeypatch):
+    spec, pools_run = WALK_SPECS[name]
+    model = build(spec, 3, 2, Rng(60))
+    calls = []
+    forward = TopKPool.forward
+
+    def spy(self, adj, x, sizes=None):
+        calls.append(self)
+        return forward(self, adj, x, sizes)
+
+    monkeypatch.setattr(TopKPool, "forward", spy)
+    batch = Batch.of([random_graph(Rng(61 + i), 6 + i, 3) for i in range(3)])
+    model.forward(batch)
+    assert calls == [pool for _, pool in model.blocks[:pools_run]]
+
+
+def test_unread_pool_gets_an_exactly_zero_gradient():
+    model = build(ModelSpec(kind="jk_sum", hidden_dim=5, mlp_dims=(4, 4), k=0.6),
+                  3, 2, Rng(62))
+    randomize_params(model, Rng(63))
+    batch = Batch.of([random_graph(Rng(64 + i), 6 + i, 3) for i in range(3)])
+    model.forward(batch)
+    grads = model.backward(Rng(67).normal(3, 2, 1.0))
+    assert grads["pool3.p"].shape == model.params["pool3.p"].shape
+    assert not grads["pool3.p"].any()
+    assert grads["pool2.p"].any() and grads["gcn3.W"].any()
+
+
+@pytest.mark.parametrize("name", WALK_SPECS)
+def test_run_blocks_equals_the_traced_forward_states(name):
+    spec, _ = WALK_SPECS[name]
+    model = build(spec, 3, 2, Rng(70))
+    randomize_params(model, Rng(71))
+    batch = Batch.of([random_graph(Rng(72 + i), 6 + i, 3) for i in range(3)])
+    model.forward(batch)
+    traced = model.trace_states()
+    stages = model.block_stages()
+    # every stage up to the last tapped one ran: jk_sum stops after gcn3
+    assert [lid for lid, _, _ in traced] == [lid for lid, _ in stages][:len(traced)]
+    assert len(traced) == (5 if name == "jk_sum" else len(stages))
+    outs = model.run_blocks(batch, len(stages) - 1)
+    assert len(outs) == len(stages)
+    for (_, out, _), again in zip(traced, outs):
+        assert np.array_equal(out, again)
 
 
 def test_predict_tie_breaks_to_lowest_class():
