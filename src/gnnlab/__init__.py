@@ -6,23 +6,24 @@ deterministic 10-fold benchmark harness, all on numpy (sparse kernels
 included).
 """
 
-from .config import DatasetConfig, ExperimentConfig
+from .config import (DatasetConfig, ExperimentConfig, Folds, InitScheme, ModelSpec,
+                     TrainConfig)
 from .graphdata import (Batch, Dataset, FoldSplit, Graph, fetch_tu, parse_tu,
                         stratified_folds, write_tu)
-from .init import InitScheme, ReinitReport, init_standard, reinit
-from .layers import DenseLayer, GcnLayer, Readout, TopKPool, readout
-from .models import Model, ModelSpec, build
-from .numcore import Rng, SparseAdj, spmm
-from .training import (Adam, FoldResult, RunReport, TrainConfig, cross_entropy,
-                       evaluate, run_cv, train_fold, train_model)
+from .init import ReinitReport, init_standard, reinit
+from .layers import DenseLayer, GcnLayer, Readout, TopKPool
+from .models import Model, build
+from .numcore import Rng, SparseAdj
+from .training import (Adam, FoldResult, RunReport, cross_entropy, evaluate, run_cv,
+                       train_fold, train_model)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DatasetConfig", "ExperimentConfig", "Batch", "Dataset", "FoldSplit",
+    "DatasetConfig", "ExperimentConfig", "Folds", "Batch", "Dataset", "FoldSplit",
     "Graph", "fetch_tu", "parse_tu", "stratified_folds", "write_tu",
     "InitScheme", "ReinitReport", "init_standard", "reinit", "DenseLayer",
-    "GcnLayer", "Readout", "TopKPool", "readout", "Model", "ModelSpec", "build",
-    "Rng", "SparseAdj", "spmm", "Adam", "FoldResult", "RunReport", "TrainConfig",
+    "GcnLayer", "Readout", "TopKPool", "Model", "ModelSpec", "build",
+    "Rng", "SparseAdj", "Adam", "FoldResult", "RunReport", "TrainConfig",
     "cross_entropy", "evaluate", "run_cv", "train_fold", "train_model",
 ]

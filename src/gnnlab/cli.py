@@ -5,19 +5,18 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on usage/config errors.
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import diagnostics
-from .config import DatasetConfig, ExperimentConfig
+from .config import (JK_AGGS, MODEL_KINDS, DatasetConfig, ExperimentConfig, TrainConfig,
+                     read_json)
 from .errors import ConfigError, GnnLabError
-from .graphdata import (DEFAULT_TU_URL, Dataset, default_cache_dir, fetch_tu,
-                        is_cached, parse_tu)
-from .models import MODEL_KINDS, ModelSpec
-from .training import TrainConfig, run_cv
-from .init import InitScheme
+from .graphdata import (DEFAULT_TU_URL, FEATURE_POLICIES, Dataset, default_cache_dir,
+                        fetch_tu, is_cached, parse_tu)
+from .layers import READOUT_KINDS
+from .training import run_cv
 
 
 def load_dataset(dc: DatasetConfig) -> Dataset:
@@ -36,39 +35,51 @@ def load_dataset(dc: DatasetConfig) -> Dataset:
                     degree_cap=dc.degree_cap)
 
 
+# each `train` flag overrides one (section, key) of the experiment config
+FLAG_KEYS = {
+    "dataset": ("dataset", "name"),
+    "data_dir": ("dataset", "path"),
+    "cache_dir": ("dataset", "cache_dir"),
+    "feature_policy": ("dataset", "feature_policy"),
+    "model": ("model", "kind"),
+    "hidden_dim": ("model", "hidden_dim"),
+    "jk_agg": ("model", "jk_agg"),
+    "readout": ("model", "readout_kind"),
+    "epochs": ("train", "epochs"),
+    "lr": ("train", "lr"),
+    "weight_decay": ("train", "weight_decay"),
+    "batch_size": ("train", "batch_size"),
+    "seed": ("train", "seed"),
+    "folds": ("folds", "count"),
+    "fold_seed": ("folds", "seed"),
+}
+
+
+def _set(d: dict, keys, value) -> None:
+    """``d[k1][k2]...= value``, creating missing sections; a section that is
+    not an object is left for :meth:`ExperimentConfig.from_dict` to reject."""
+    *sections, key = keys
+    for section in sections:
+        d = d.setdefault(section, {})
+        if not isinstance(d, dict):
+            return
+    d[key] = value
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.load(args.config)
-        # a handful of flags may override the file for quick experiments
-        if args.epochs is not None or args.seed is not None:
-            train = cfg.train.to_dict()
-            if args.epochs is not None:
-                train["epochs"] = args.epochs
-            if args.seed is not None:
-                train["seed"] = args.seed
-            cfg = dataclasses.replace(cfg, train=TrainConfig.from_dict(train))
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
-        return cfg
-    if not args.dataset:
-        raise ConfigError("either --config or --dataset is required")
-    if not args.model:
-        raise ConfigError("--model is required when no config file is given")
-    init = InitScheme(kind="standard_then_reinit" if args.reinit else "standard")
-    train = TrainConfig(
-        lr=args.lr, weight_decay=args.weight_decay,
-        epochs=args.epochs if args.epochs is not None else 100,
-        batch_size=args.batch_size,
-        seed=args.seed if args.seed is not None else 12345, init=init)
-    model = ModelSpec(kind=args.model, hidden_dim=args.hidden_dim,
-                      jk_agg=args.jk_agg, readout_kind=args.readout)
-    dataset = DatasetConfig(name=args.dataset, path=args.data_dir,
-                            cache_dir=args.cache_dir,
-                            feature_policy=args.feature_policy)
-    return ExperimentConfig(dataset=dataset, model=model, train=train,
-                            fold_count=args.folds, fold_seed=args.fold_seed,
-                            diagnostics=not args.no_diagnostics,
-                            out_dir=args.out if args.out is not None else "out")
+    """The ``--config`` file (or an empty config) with every given flag
+    written over its key; defaults come from the settings classes alone."""
+    d = read_json(args.config) if args.config else {}
+    for flag, keys in FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            _set(d, keys, getattr(args, flag))
+    if args.reinit:
+        _set(d, ("train", "init", "kind"), "standard_then_reinit")
+    if args.no_diagnostics:
+        d["diagnostics"] = False
+    if args.out is not None:
+        d["out_dir"] = args.out
+    return ExperimentConfig.from_dict(d)
 
 
 def _write_report(report, traces, out_dir: Path, diagnostics_on: bool) -> Path:
@@ -96,13 +107,13 @@ def cmd_fetch(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     ds = load_dataset(cfg.dataset)
-    report, traces = run_cv(ds, cfg.model, cfg.train, folds=cfg.fold_count,
-                            fold_seed=cfg.fold_seed, jobs=args.jobs,
+    report, traces = run_cv(ds, cfg.model, cfg.train, folds=cfg.folds.count,
+                            fold_seed=cfg.folds.seed, jobs=args.jobs,
                             trace=cfg.diagnostics)
     out_dir = Path(cfg.out_dir)
     report_path = _write_report(report, traces, out_dir, cfg.diagnostics)
     print(f"{ds.name} {cfg.model.kind}: {report.mean:.2f} +/- {report.std:.2f} "
-          f"(over {cfg.fold_count} folds) -> {report_path}")
+          f"(over {cfg.folds.count} folds) -> {report_path}")
     return 0
 
 
@@ -122,8 +133,8 @@ def cmd_sweep_epochs(args) -> int:
                 datasets[key] = load_dataset(cfg.dataset)
             ds = datasets[key]
             train = TrainConfig.from_dict({**cfg.train.to_dict(), "epochs": budget})
-            report, _ = run_cv(ds, cfg.model, train, folds=cfg.fold_count,
-                               fold_seed=cfg.fold_seed, jobs=args.jobs, trace=False)
+            report, _ = run_cv(ds, cfg.model, train, folds=cfg.folds.count,
+                               fold_seed=cfg.folds.seed, jobs=args.jobs, trace=False)
             rows.append((budget, report.mean, report.std, variant))
             print(f"epochs={budget} {variant}: {report.mean:.2f} +/- {report.std:.2f}")
     csv_path = out_dir / "accuracy_vs_epochs.csv"
@@ -156,26 +167,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fetch)
 
     p = sub.add_parser("train", help="run k-fold cross-validation and write a report")
-    p.add_argument("--config", default=None, help="experiment config JSON")
+    p.add_argument("--config", default=None,
+                   help="experiment config JSON; setting flags override its keys")
     p.add_argument("--dataset", default=None)
     p.add_argument("--data-dir", default=None, help="local dir with raw TU files")
     p.add_argument("--cache-dir", default=None)
+    p.add_argument("--feature-policy", choices=FEATURE_POLICIES, default=None)
     p.add_argument("--model", choices=MODEL_KINDS, default=None)
+    p.add_argument("--hidden-dim", type=int, default=None)
+    p.add_argument("--jk-agg", choices=JK_AGGS, default=None)
+    p.add_argument("--readout", choices=READOUT_KINDS, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--reinit", action="store_true")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--fold-seed", type=int, default=12345)
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--weight-decay", type=float, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--hidden-dim", type=int, default=128)
-    p.add_argument("--jk-agg", choices=("concat", "sum"), default="concat")
-    p.add_argument("--readout", choices=("mean", "sum", "max", "max_and_sum"),
-                   default="mean")
-    p.add_argument("--feature-policy",
-                   choices=("attributes", "label_onehot", "degree_onehot"), default=None)
-    p.add_argument("--no-diagnostics", action="store_true")
+    p.add_argument("--reinit", action="store_true", default=None)
+    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--fold-seed", type=int, default=None)
+    p.add_argument("--no-diagnostics", action="store_true", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_train)

@@ -1,21 +1,84 @@
-"""Experiment configuration: strict JSON round-tripping for reproducible runs.
+"""Every experiment setting, declared once, with one strict JSON codec.
 
-Unknown keys are rejected everywhere; a typo in a config file should fail
-loudly rather than silently run a different experiment.
+Each settings class is a frozen dataclass deriving from :class:`Settings`:
+its fields, their annotations and their defaults are the only declaration
+of a setting. ``to_dict``/``from_dict`` are derived from the fields, and
+``from_dict`` rejects unknown keys, missing required keys and values of the
+wrong JSON type, and reports out-of-range values from ``__post_init__`` as
+:class:`ConfigError`; a typo in a config file fails loudly rather than
+silently running a different experiment. The ``gnnlab train`` flags are
+overrides of these same keys (see :mod:`gnnlab.cli`).
 """
 
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SpecError
 from .graphdata import DEFAULT_DEGREE_CAP, DEFAULT_FOLD_SEED, FEATURE_POLICIES
-from .models import ModelSpec
-from .training import TrainConfig
+from .layers import READOUT_KINDS
+
+INIT_KINDS = ("standard", "standard_then_reinit")
+MODEL_KINDS = ("mlp", "gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4")
+JK_AGGS = ("concat", "sum")
+
+
+class Settings:
+    """Base of the settings dataclasses: the JSON codec over their fields."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        return _decode(cls, d, cls.__name__)
+
+
+def _encode(value):
+    if isinstance(value, Settings):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(tp, value, where: str):
+    """``value`` read from JSON as annotation ``tp``; ``where`` names it."""
+    if isinstance(tp, types.UnionType):  # X | None
+        if value is None:
+            return None
+        tp, = (arg for arg in typing.get_args(tp) if arg is not type(None))
+    if isinstance(tp, type) and issubclass(tp, Settings):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {value!r}")
+        known = {f.name: f for f in fields(tp)}
+        unknown = sorted(set(value) - set(known))
+        if unknown:
+            raise ConfigError(f"{where}: unknown key(s) {unknown}")
+        missing = [name for name, f in known.items() if name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"{where}: missing key(s) {missing}")
+        kwargs = {k: _decode(known[k].type, v, f"{where}.{k}") for k, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except (ConfigError, SpecError, ValueError) as exc:  # from __post_init__
+            raise ConfigError(f"{where}: {exc}") from exc
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    # bool is not an int, and an int is a float
+    if type(value) is not tp and not (tp is float and type(value) is int):
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Settings):
     name: str
     path: str | None = None          # local dir with raw TU files; skips fetching
     url_base: str | None = None      # fetch source override
@@ -26,86 +89,112 @@ class DatasetConfig:
     def __post_init__(self):
         if self.feature_policy is not None and self.feature_policy not in FEATURE_POLICIES:
             raise ConfigError(f"unknown feature policy {self.feature_policy!r}")
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "path": self.path, "url_base": self.url_base,
-                "cache_dir": self.cache_dir, "feature_policy": self.feature_policy,
-                "degree_cap": self.degree_cap}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetConfig":
-        known = {"name", "path", "url_base", "cache_dir", "feature_policy", "degree_cap"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown dataset key(s): {sorted(unknown)}")
-        if "name" not in d:
-            raise ConfigError("dataset config needs a 'name'")
-        return cls(**d)
+        if self.degree_cap < 1:
+            raise ConfigError(f"degree cap must be at least 1, got {self.degree_cap}")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ModelSpec(Settings):
+    kind: str
+    hidden_dim: int = 128
+    mlp_dims: tuple[int, ...] = (128, 128)
+    k: float = 0.8
+    readout_kind: str = "mean"
+    jk_agg: str = "concat"
+    tap_pooled: bool = False  # tap block outputs after the pool instead of the GCN
+    gcn_norm: str = "sym"     # "sym" or "row" degree normalisation
+
+    def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise SpecError(f"unknown model kind {self.kind!r}")
+        if self.hidden_dim < 1:
+            raise SpecError(f"hidden width must be at least 1, got {self.hidden_dim}")
+        if len(self.mlp_dims) != 2 or any(not isinstance(d, int) or d < 1
+                                          for d in self.mlp_dims):
+            raise SpecError("the MLP head has exactly three layers; give two hidden "
+                            f"widths of at least 1, got {list(self.mlp_dims)}")
+        if self.readout_kind not in READOUT_KINDS:
+            raise SpecError(f"unknown readout {self.readout_kind!r}")
+        if self.jk_agg not in JK_AGGS:
+            raise SpecError(f"unknown jk aggregation {self.jk_agg!r}")
+        if not (0 <= self.k < 1):
+            raise SpecError("pool keep fraction must lie in [0, 1)")
+        if self.gcn_norm not in ("sym", "row"):
+            raise SpecError(f"unknown gcn normalisation {self.gcn_norm!r}")
+
+
+@dataclass(frozen=True)
+class InitScheme(Settings):
+    kind: str = "standard"
+    seed: int | None = None            # defaults to the training seed
+    reinit_sample_cap: int | None = None  # calibration graphs; None = all
+
+    def __post_init__(self):
+        if self.kind not in INIT_KINDS:
+            raise ConfigError(f"unknown init kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class TrainConfig(Settings):
+    lr: float = 5e-4
+    weight_decay: float = 0.0
+    epochs: int = 100
+    batch_size: int = 64
+    betas: tuple[float, ...] = (0.9, 0.999)
+    eps: float = 1e-8
+    seed: int = 12345
+    init: InitScheme = field(default_factory=InitScheme)
+
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ValueError("learning rate must be positive")
+        if self.epochs < 1:
+            raise ValueError("need at least one epoch")
+        if self.weight_decay < 0:
+            raise ValueError("weight decay must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be positive")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), got {list(self.betas)}")
+
+
+@dataclass(frozen=True)
+class Folds(Settings):
+    count: int = 10
+    seed: int = DEFAULT_FOLD_SEED
+
+    def __post_init__(self):
+        if self.count < 2:
+            raise ConfigError(f"fold count must be at least 2, got {self.count}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(Settings):
     dataset: DatasetConfig
     model: ModelSpec
     train: TrainConfig = field(default_factory=TrainConfig)
-    fold_count: int = 10
-    fold_seed: int = DEFAULT_FOLD_SEED
+    folds: Folds = field(default_factory=Folds)
     diagnostics: bool = True
     out_dir: str = "out"
 
-    def __post_init__(self):
-        if self.fold_count < 2:
-            raise ConfigError(f"fold count must be at least 2, got {self.fold_count}")
-
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset.to_dict(), "model": self.model.to_dict(),
-                "train": self.train.to_dict(),
-                "folds": {"count": self.fold_count, "seed": self.fold_seed},
-                "diagnostics": self.diagnostics, "out_dir": self.out_dir}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"dataset", "model", "train", "folds", "diagnostics", "out_dir"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        for section in ("dataset", "model"):
-            if section not in d:
-                raise ConfigError(f"config needs a '{section}' section")
-        kwargs = {
-            "dataset": DatasetConfig.from_dict(d["dataset"]),
-            "model": ModelSpec.from_dict(d["model"]),
-        }
-        if "train" in d:
-            kwargs["train"] = TrainConfig.from_dict(d["train"])
-        if "folds" in d:
-            folds = d["folds"]
-            unknown = set(folds) - {"count", "seed"}
-            if unknown:
-                raise ConfigError(f"unknown folds key(s): {sorted(unknown)}")
-            if "count" in folds:
-                kwargs["fold_count"] = folds["count"]
-            if "seed" in folds:
-                kwargs["fold_seed"] = folds["seed"]
-        if "diagnostics" in d:
-            kwargs["diagnostics"] = bool(d["diagnostics"])
-        if "out_dir" in d:
-            kwargs["out_dir"] = d["out_dir"]
-        return cls(**kwargs)
-
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file {path} does not exist") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file at ``path``."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path} does not exist") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return data

@@ -100,10 +100,6 @@ def record_loss(sink: TraceSink, epoch: int, value: float) -> None:
 CSV_HEADER = ("epoch", "layer", "kind", "value")
 
 
-def emit_csv(sink: TraceSink, path) -> None:
-    write_events_csv(sink.events(), path)
-
-
 def write_events_csv(events, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

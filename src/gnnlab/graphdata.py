@@ -12,7 +12,8 @@ import http.client
 import io
 import logging
 import os
-import time
+import shutil
+import tempfile
 import urllib.error
 import urllib.request
 import warnings
@@ -340,68 +341,54 @@ def _raw_files_present(raw: Path, name: str) -> bool:
     return all((raw / f"{name}_{s}.txt").is_file() for s in MANDATORY_SUFFIXES)
 
 
-class _CacheLock:
-    """Tiny exclusive lock file so concurrent fetches of one name serialise."""
-
-    def __init__(self, path: Path, timeout: float = 300.0):
-        self.path = path
-        self.timeout = timeout
-
-    def __enter__(self):
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                return self
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise TransportError(f"timed out waiting for lock {self.path}")
-                time.sleep(0.05)
-
-    def __exit__(self, *exc):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-
-
 def fetch_tu(name: str, url_base: str = DEFAULT_TU_URL, cache_dir=None) -> Path:
     """Download and unpack ``{url_base}/{name}.zip``; idempotent via the cache.
 
-    Returns the directory containing the raw ``*.txt`` files.
+    The archive is unpacked into a temporary directory beside ``raw/``,
+    checked for the mandatory files, and renamed onto ``raw/`` in one step,
+    so ``raw/`` is either absent or complete, also when the unpacking is
+    interrupted or several fetches of one name race (the first rename wins;
+    the others return its directory). Returns the directory containing the
+    raw ``*.txt`` files.
     """
     cache = Path(cache_dir) if cache_dir else default_cache_dir()
     raw = cache / name / "raw"
     if _raw_files_present(raw, name):
         return raw
-    cache.mkdir(parents=True, exist_ok=True)
-    with _CacheLock(cache / f"{name}.lock"):
-        if _raw_files_present(raw, name):
-            return raw
-        url = f"{url_base.rstrip('/')}/{name}.zip"
-        try:
-            with urllib.request.urlopen(url, timeout=120) as resp:
-                content = resp.read()
-        except urllib.error.HTTPError as exc:
-            raise TransportError(f"fetch of {url} returned HTTP {exc.code}",
-                                 status=exc.code) from exc
-        except (OSError, http.client.HTTPException, ValueError) as exc:
-            # URLError, refused connections, timeouts, broken responses, bad urls
-            raise TransportError(f"fetch of {url} failed: {exc}") from exc
-        try:
-            archive = zipfile.ZipFile(io.BytesIO(content))
-        except zipfile.BadZipFile as exc:
-            raise IntegrityError(f"archive for {name} is not a valid zip") from exc
-        raw.mkdir(parents=True, exist_ok=True)
+    url = f"{url_base.rstrip('/')}/{name}.zip"
+    try:
+        with urllib.request.urlopen(url, timeout=120) as resp:
+            content = resp.read()
+    except urllib.error.HTTPError as exc:
+        raise TransportError(f"fetch of {url} returned HTTP {exc.code}",
+                             status=exc.code) from exc
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        # URLError, refused connections, timeouts, broken responses, bad urls
+        raise TransportError(f"fetch of {url} failed: {exc}") from exc
+    try:
+        archive = zipfile.ZipFile(io.BytesIO(content))
+    except zipfile.BadZipFile as exc:
+        raise IntegrityError(f"archive for {name} is not a valid zip") from exc
+    raw.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=raw.parent))
+    try:
         for info in archive.infolist():
             base = os.path.basename(info.filename)
             if not base or not base.endswith(".txt"):
                 continue
             with archive.open(info) as src:
-                (raw / base).write_bytes(src.read())
-        if not _raw_files_present(raw, name):
+                (staging / base).write_bytes(src.read())
+        if not _raw_files_present(staging, name):
             raise IntegrityError(f"archive for {name} lacks the mandatory TU files")
+        staging.chmod(0o755)  # mkdtemp's 0700 would make the cache entry private
+        try:
+            os.replace(staging, raw)  # onto an absent or empty raw/ only
+        except OSError:
+            if not _raw_files_present(raw, name):
+                raise IntegrityError(f"{raw} is incomplete; remove it and fetch "
+                                     f"{name} again") from None
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return raw
 
 

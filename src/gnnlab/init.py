@@ -9,42 +9,21 @@ activations on that set. The calibration graphs run through the blocks in
 the node-bounded chunks training uses (:func:`gnnlab.graphdata.chunks`).
 Convolution divisors are folded into the weights and bias; pool divisors are
 kept as forward-time scale factors because the pool scores are
-projection-norm invariant, leaving no weight to fold into.
+projection-norm invariant, leaving no weight to fold into. Which scheme a
+run uses is its :class:`~gnnlab.config.InitScheme`, declared with the other
+settings in :mod:`gnnlab.config`.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .errors import CalibrationError, ConfigError
+from .config import InitScheme  # noqa: F401  (importable from here too)
+from .errors import CalibrationError
 from .graphdata import chunks
 from .layers import GcnLayer, TopKPool
 from .numcore import Moments, Rng
 
 REINIT_TOL = 1e-6
-
-INIT_KINDS = ("standard", "standard_then_reinit")
-
-
-@dataclass(frozen=True)
-class InitScheme:
-    kind: str = "standard"
-    seed: int | None = None            # defaults to the training seed
-    reinit_sample_cap: int | None = None  # calibration graphs; None = all
-
-    def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ConfigError(f"unknown init kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed,
-                "reinit_sample_cap": self.reinit_sample_cap}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InitScheme":
-        unknown = set(d) - {"kind", "seed", "reinit_sample_cap"}
-        if unknown:
-            raise ConfigError(f"unknown init key(s): {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass

@@ -273,8 +273,3 @@ class Readout:
         if self.kind == "max_and_sum":
             out += grad[graph, f:]
         return out
-
-
-def readout(kind: str, x: np.ndarray) -> np.ndarray:
-    """One-shot readout of one graph without keeping backward state."""
-    return Readout(kind).forward(x)[0]

@@ -1,13 +1,15 @@
 """Model zoo: declarative specs wired into layer stacks with JK-style taps.
 
-Five kinds are supported:
+A :class:`~gnnlab.config.ModelSpec` (declared with the other settings in
+:mod:`gnnlab.config`) names one of five kinds:
 
 * ``mlp`` — structure-blind baseline: global readout of the input features
   into a three-layer MLP; the adjacency is never touched.
 * ``gcn_mlp`` / ``gcn_r_mlp`` — a single graph convolution whose readout is
   concatenated with the readout of the raw input (the skip from the input
   graph) before the MLP; the ``_r`` variant keeps the convolution frozen at
-  its random initial values.
+  its random initial values (the fixed-weight baseline, and the only kind
+  with frozen parameters).
 * ``jk_sum`` — three convolution+pool blocks, the max-and-sum readout of
   every convolution output fed to the MLP through skip taps.
 * ``probe4`` — four convolution+pool blocks, global mean of the final
@@ -21,66 +23,14 @@ walk, and forward stops at the last state a tap reads: with convolution
 taps, ``jk_sum`` never runs its third pool.
 """
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SpecError, StateError
+from .config import ModelSpec
+from .errors import ShapeError, SpecError, StateError
 from .graphdata import Batch
 from .init import init_standard
 from .layers import DenseLayer, GcnLayer, Readout, TopKPool
 from .numcore import Rng
-
-MODEL_KINDS = ("mlp", "gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4")
-JK_AGGS = ("concat", "sum")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    hidden_dim: int = 128
-    mlp_dims: tuple = (128, 128)
-    k: float = 0.8
-    readout_kind: str = "mean"
-    jk_agg: str = "concat"
-    freeze_gcn: bool = False
-    tap_pooled: bool = False  # tap block outputs after the pool instead of the GCN
-    gcn_norm: str = "sym"     # "sym" or "row" degree normalisation
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise SpecError(f"unknown model kind {self.kind!r}")
-        if len(self.mlp_dims) != 2:
-            raise SpecError("the MLP head has exactly three layers; give two hidden widths")
-        if self.jk_agg not in JK_AGGS:
-            raise SpecError(f"unknown jk aggregation {self.jk_agg!r}")
-        if not (0 <= self.k < 1):
-            raise SpecError("pool keep fraction must lie in [0, 1)")
-        if self.gcn_norm not in ("sym", "row"):
-            raise SpecError(f"unknown gcn normalisation {self.gcn_norm!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "hidden_dim": self.hidden_dim,
-                "mlp_dims": list(self.mlp_dims), "k": self.k,
-                "readout_kind": self.readout_kind, "jk_agg": self.jk_agg,
-                "freeze_gcn": self.freeze_gcn, "tap_pooled": self.tap_pooled,
-                "gcn_norm": self.gcn_norm}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model key(s): {sorted(unknown)}")
-        if "kind" not in d:
-            raise ConfigError("model config needs a 'kind'")
-        kwargs = dict(d)
-        if "mlp_dims" in kwargs:
-            kwargs["mlp_dims"] = tuple(kwargs["mlp_dims"])
-        try:
-            return cls(**kwargs)
-        except SpecError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _num_blocks(kind: str) -> int:
@@ -280,7 +230,7 @@ def build(spec: ModelSpec, num_features: int, num_classes: int, rng: Rng) -> Mod
            for j in range(3)]
 
     frozen = set()
-    if spec.kind == "gcn_r_mlp" or spec.freeze_gcn:
+    if spec.kind == "gcn_r_mlp":
         for i in range(1, nblocks + 1):
             frozen.add(f"gcn{i}.W")
             frozen.add(f"gcn{i}.b")

@@ -13,14 +13,6 @@ from . import _kernels
 from .errors import DomainError, ShapeError
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a contiguous 2-D float64 array."""
-    a = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
-
-
 class Moments:
     """Streaming count, sum and sum of squares over matrix entries, for the
     mean and population standard deviation of everything added."""
@@ -162,12 +154,6 @@ class SparseAdj:
             self.indptr, self.indices, self.weights, kept)
         return SparseAdj(kept.shape[0], indptr, indices, weights,
                          symmetric=self.symmetric, validate=False)
-
-
-def spmm(adj: SparseAdj, x: np.ndarray) -> np.ndarray:
-    if adj.n != x.shape[0]:
-        raise ShapeError(f"adjacency has {adj.n} nodes but features have {x.shape[0]} rows")
-    return _kernels.spmm(adj.indptr, adj.indices, adj.weights, x)
 
 
 class Rng:

@@ -5,66 +5,23 @@ nodes (see :func:`gnnlab.graphdata.chunks`); each chunk runs as one
 disjoint-union graph through one forward and one backward pass, and the
 chunk gradients add up to the mean of the per-graph gradients, followed by
 one optimiser step. Evaluation runs on chunks the same way. Everything is
-keyed by seeds, so a fold run is bit-reproducible.
+keyed by seeds, so a fold run is bit-reproducible. The run's settings,
+:class:`~gnnlab.config.TrainConfig` and :class:`~gnnlab.config.ModelSpec`,
+are declared with the other settings in :mod:`gnnlab.config`.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
+from .config import ModelSpec, TrainConfig
 from .errors import HarnessError, ShapeError
 from .graphdata import Dataset, FoldSplit, chunks, stratified_folds
-from .init import InitScheme, reinit
-from .models import Model, ModelSpec, build
+from .init import ReinitReport, reinit
+from .models import Model, build
 from .numcore import Rng
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 5e-4
-    weight_decay: float = 0.0
-    epochs: int = 100
-    batch_size: int = 64
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    seed: int = 12345
-    init: InitScheme = field(default_factory=InitScheme)
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("need at least one epoch")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
-
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "weight_decay": self.weight_decay,
-                "epochs": self.epochs, "batch_size": self.batch_size,
-                "betas": list(self.betas), "eps": self.eps, "seed": self.seed,
-                "init": self.init.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        from .errors import ConfigError
-        known = {"lr", "weight_decay", "epochs", "batch_size", "betas", "eps",
-                 "seed", "init"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train key(s): {sorted(unknown)}")
-        kwargs = dict(d)
-        if "betas" in kwargs:
-            kwargs["betas"] = tuple(kwargs["betas"])
-        if "init" in kwargs:
-            kwargs["init"] = InitScheme.from_dict(kwargs["init"])
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -73,6 +30,7 @@ class FoldResult:
     accuracy: float            # percentage on the held-out fold
     train_losses: list         # one mean loss per epoch
     best_epoch: int            # 1-based epoch with the lowest train loss
+    reinit_report: ReinitReport | None = None  # set when the rescaling init ran
 
     def to_dict(self) -> dict:
         return {"fold": self.fold, "accuracy": self.accuracy,
@@ -245,19 +203,15 @@ def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
     shuffle_rng = Rng(cfg.seed ^ fold).derive(1)
     losses = train_model(model, train_graphs, cfg, shuffle_rng, sink=sink)
     acc = evaluate(model, test_graphs)
-    result = FoldResult(fold=fold, accuracy=acc, train_losses=losses,
-                        best_epoch=int(np.argmin(losses)) + 1)
-    result.reinit_report = reinit_report
-    return result
+    return FoldResult(fold=fold, accuracy=acc, train_losses=losses,
+                      best_epoch=int(np.argmin(losses)) + 1, reinit_report=reinit_report)
 
 
 def _run_fold_job(args):
     ds, split, fold, spec, cfg, trace = args
     sink = diagnostics.TraceSink() if trace else None
     result = train_fold(ds, split, fold, spec, cfg, sink=sink)
-    events = sink.events() if sink is not None else None
-    report = getattr(result, "reinit_report", None)
-    return result, events, report.to_dict() if report is not None else None
+    return result, sink.events() if sink is not None else None
 
 
 def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = 10,
@@ -278,13 +232,12 @@ def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = 10,
         outcomes = [_run_fold_job(a) for a in jobs_args]
     results = [o[0] for o in outcomes]
     traces = [o[1] for o in outcomes]
-    reinit_reports = [o[2] for o in outcomes]
     accs = np.array([r.accuracy for r in results])
     report = RunReport(
         model=spec.to_dict(), config=cfg.to_dict(), dataset=ds.name,
         feature_policy=ds.feature_policy, folds=results,
         mean=float(accs.mean()), std=float(accs.std()),
-        reinit_divisors=(reinit_reports
+        reinit_divisors=([r.reinit_report.to_dict() for r in results]
                          if cfg.init.kind == "standard_then_reinit" else None),
         wall_clock_s=time.perf_counter() - started)
     return report, traces

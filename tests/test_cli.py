@@ -1,11 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from gnnlab import ExperimentConfig, write_tu
-from gnnlab.cli import main
-from gnnlab.config import DatasetConfig
+from gnnlab.cli import FLAG_KEYS, _config_from_args, build_parser, main
+from gnnlab.config import DatasetConfig, Folds
 from gnnlab.errors import ConfigError
 
 from conftest import synth_dataset
@@ -93,7 +94,7 @@ def test_train_from_config_file(tu_dir, tmp_path):
         dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
         model=__import__("gnnlab").ModelSpec(kind="gcn_mlp", hidden_dim=8,
                                              mlp_dims=(8, 8)),
-        fold_count=2, out_dir=str(tmp_path / "cfgrun"))
+        folds=Folds(count=2), out_dir=str(tmp_path / "cfgrun"))
     cfg_path = tmp_path / "exp.json"
     cfg.save(cfg_path)
     loaded = ExperimentConfig.load(cfg_path)
@@ -125,7 +126,7 @@ def test_config_round_trip_is_lossless():
     cfg = ExperimentConfig(
         dataset=DatasetConfig(name="DD", feature_policy="label_onehot"),
         model=__import__("gnnlab").ModelSpec(kind="jk_sum", jk_agg="sum"),
-        fold_count=10, fold_seed=99, diagnostics=False, out_dir="runs/dd")
+        folds=Folds(count=10, seed=99), diagnostics=False, out_dir="runs/dd")
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
@@ -156,7 +157,7 @@ def test_sweep_epochs(tu_dir, tmp_path, capsys):
             dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
             model=__import__("gnnlab").ModelSpec(kind=kind, hidden_dim=8,
                                                  mlp_dims=(8, 8)),
-            fold_count=2)
+            folds=Folds(count=2))
         path = tmp_path / f"{kind}.json"
         cfg.save(path)
         cfgs.append(str(path))
@@ -175,7 +176,7 @@ def test_sweep_single_budget(tu_dir, tmp_path):
         dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
         model=__import__("gnnlab").ModelSpec(kind="mlp", hidden_dim=8,
                                              mlp_dims=(8, 8)),
-        fold_count=2)
+        folds=Folds(count=2))
     path = tmp_path / "one.json"
     cfg.save(path)
     out = tmp_path / "sweep1"
@@ -210,3 +211,84 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--model", "bogus_kind", "--dataset", "X"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "readout_kind", "bogus"),
+    ("model", "hidden_dim", -3),
+    ("model", "hidden_dim", 0),
+    ("model", "mlp_dims", [0, 4]),
+    ("model", "freeze_gcn", False),
+    ("train", "betas", [0.9]),
+    ("train", "betas", [0.9, 1.0]),
+    ("train", "batch_size", "8"),
+    ("train", "epochs", True),
+    ("train", "seed", None),
+    ("folds", "count", 2.0),
+    ("dataset", "degree_cap", 0),
+])
+def test_train_rejects_bad_config_values(tu_dir, tmp_path, capsys, section, key, value):
+    d = {"dataset": {"name": "SYNTH", "path": str(tu_dir)},
+         "model": {"kind": "mlp", "hidden_dim": 8, "mlp_dims": [8, 8]},
+         "train": {"epochs": 1}, "folds": {"count": 2}}
+    d[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "dataset": {"name": "OTHER", "path": str(tmp_path / "nowhere"),
+                    "feature_policy": "degree_onehot"},
+        "model": {"kind": "mlp", "hidden_dim": 16, "mlp_dims": [8, 8], "k": 0.5,
+                  "jk_agg": "sum", "readout_kind": "mean"},
+        "train": {"epochs": 5, "lr": 0.5, "weight_decay": 0.0, "batch_size": 64,
+                  "seed": 1, "init": {"kind": "standard", "reinit_sample_cap": 10}},
+        "folds": {"count": 2, "seed": 1},
+        "out_dir": str(tmp_path / "ignored")}))
+    out = tmp_path / "flags"
+    flags = {"dataset": "SYNTH", "data_dir": str(tu_dir), "cache_dir": str(tmp_path / "c"),
+             "feature_policy": "label_onehot", "model": "gcn_mlp", "hidden_dim": "8",
+             "jk_agg": "concat", "readout": "max_and_sum", "epochs": "2", "lr": "0.01",
+             "weight_decay": "0.001", "batch_size": "4", "seed": "3", "folds": "3",
+             "fold_seed": "5"}
+    assert set(flags) == set(FLAG_KEYS)
+    args = ["train", "--config", str(path), "--reinit", "--no-diagnostics", "--out", str(out)]
+    for dest, value in flags.items():
+        args += ["--" + dest.replace("_", "-"), value]
+    assert main(args) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["dataset"] == "SYNTH"
+    assert report["feature_policy"] == "label_onehot"
+    assert {k: report["model"][k] for k in ("kind", "hidden_dim", "jk_agg", "readout_kind")} \
+        == {"kind": "gcn_mlp", "hidden_dim": 8, "jk_agg": "concat",
+            "readout_kind": "max_and_sum"}
+    assert report["model"]["mlp_dims"] == [8, 8] and report["model"]["k"] == 0.5
+    assert {k: report["config"][k] for k in ("epochs", "lr", "weight_decay", "batch_size",
+                                             "seed")} \
+        == {"epochs": 2, "lr": 0.01, "weight_decay": 0.001, "batch_size": 4, "seed": 3}
+    assert report["config"]["init"] == {"kind": "standard_then_reinit", "seed": None,
+                                        "reinit_sample_cap": 10}
+    assert len(report["folds"]) == 3 and len(report["reinit_divisors"]) == 3
+    assert not list(out.glob("trace_fold*.csv"))
+    assert not (tmp_path / "ignored").exists()
+    # the two overrides report.json does not echo
+    cfg = _config_from_args(build_parser().parse_args(args))
+    assert cfg.folds.seed == 5
+    assert cfg.dataset.cache_dir == str(tmp_path / "c")
+
+
+def test_train_flags_and_settings_do_not_drift():
+    namespace = vars(build_parser().parse_args(["train"]))
+    own = {"command", "fn", "jobs"}
+    assert {k: v for k, v in namespace.items() if k not in own and v is not None} == {}
+    # every parsed flag reaches the config, and lands on a real settings field
+    assert set(namespace) - own - {"config", "reinit", "no_diagnostics", "out"} \
+        == set(FLAG_KEYS)
+    sections = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for section, key in FLAG_KEYS.values():
+        assert key in {f.name for f in dataclasses.fields(sections[section])}

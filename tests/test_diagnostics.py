@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnnlab import Batch, ModelSpec, Rng, TrainConfig, build, train_model
-from gnnlab.diagnostics import (TraceEvent, TraceSink, emit_csv, load_events_csv,
+from gnnlab.diagnostics import (TraceEvent, TraceSink, load_events_csv,
                                 parse_series_spec, record_backward, record_forward,
                                 record_loss, render_svg, write_events_csv)
 from gnnlab.errors import RenderError, StateError
@@ -127,7 +127,7 @@ def test_perfect_scores_give_vanishing_grad_norms():
 
 def test_emit_csv_empty_sink_header_only(tmp_path):
     path = tmp_path / "trace.csv"
-    emit_csv(TraceSink(), path)
+    write_events_csv(TraceSink().events(), path)
     assert path.read_text() == "epoch,layer,kind,value\n"
 
 
@@ -166,7 +166,7 @@ def test_render_svg_polyline_count(tmp_path):
         record_forward(sink, ep, model)
         record_loss(sink, ep, 1.0 / ep)
     csv_path = tmp_path / "trace.csv"
-    emit_csv(sink, csv_path)
+    write_events_csv(sink.events(), csv_path)
     out = tmp_path / "chart.svg"
     render_svg(csv_path, None, out)
     text = out.read_text()
@@ -181,7 +181,7 @@ def test_render_svg_series_filter(tmp_path):
     sink = TraceSink()
     record_forward(sink, 1, model)
     csv_path = tmp_path / "trace.csv"
-    emit_csv(sink, csv_path)
+    write_events_csv(sink.events(), csv_path)
     out = tmp_path / "one.svg"
     render_svg(csv_path, "kind=act_std,layer=gcn1", out)
     assert out.read_text().count("<polyline") == 1
@@ -192,7 +192,7 @@ def test_render_svg_unknown_series(tmp_path):
     sink = TraceSink()
     record_forward(sink, 1, model)
     csv_path = tmp_path / "trace.csv"
-    emit_csv(sink, csv_path)
+    write_events_csv(sink.events(), csv_path)
     with pytest.raises(RenderError):
         render_svg(csv_path, "kind=no_such_kind", tmp_path / "x.svg")
     with pytest.raises(RenderError):
@@ -206,7 +206,7 @@ def test_render_svg_unwritable_path(tmp_path):
     sink = TraceSink()
     record_forward(sink, 1, model)
     csv_path = tmp_path / "trace.csv"
-    emit_csv(sink, csv_path)
+    write_events_csv(sink.events(), csv_path)
     with pytest.raises(OSError):
         render_svg(csv_path, None, tmp_path / "missing_dir" / "x.svg")
 

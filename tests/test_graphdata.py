@@ -1,7 +1,10 @@
 import http.server
 import io
 import logging
+import re
+import sys
 import threading
+import urllib.request
 import zipfile
 from pathlib import Path
 
@@ -373,12 +376,17 @@ def tu_server(tmp_path):
     with zipfile.ZipFile(buf, "w") as zf:
         for f in sorted(ds_dir.iterdir()):
             zf.write(f, f"MINI/{f.name}")
-    _Handler.payloads = {"MINI.zip": buf.getvalue(), "BROKEN.zip": b"not a zip"}
+    partial = io.BytesIO()
+    with zipfile.ZipFile(partial, "w") as zf:
+        zf.writestr("PARTIAL/PARTIAL_A.txt", "1, 2\n")
+    _Handler.payloads = {"MINI.zip": buf.getvalue(), "BROKEN.zip": b"not a zip",
+                         "PARTIAL.zip": partial.getvalue()}
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -412,3 +420,80 @@ def test_fetch_tu_connection_refused(tmp_path):
 def test_fetch_tu_url_without_scheme(tmp_path):
     with pytest.raises(TransportError):
         fetch_tu("MINI", url_base="no-scheme", cache_dir=tmp_path / "c5")
+
+
+def test_fetch_tu_interrupted_extraction_leaves_no_raw(tu_server, tmp_path, monkeypatch):
+    cache = tmp_path / "c6"
+    real_open = zipfile.ZipFile.open
+    opened = []
+
+    def open_then_fail(self, *args, **kwargs):
+        opened.append(args)
+        if len(opened) > 1:
+            raise OSError("disk full")
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", open_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        fetch_tu("MINI", url_base=tu_server, cache_dir=cache)
+    monkeypatch.undo()
+    assert list((cache / "MINI").iterdir()) == []  # no raw/, no staging dir
+    raw = fetch_tu("MINI", url_base=tu_server, cache_dir=cache)
+    assert len(parse_tu(raw, "MINI").graphs) == 2
+
+
+def test_fetch_tu_archive_without_mandatory_files(tu_server, tmp_path):
+    cache = tmp_path / "c7"
+    with pytest.raises(IntegrityError, match="mandatory"):
+        fetch_tu("PARTIAL", url_base=tu_server, cache_dir=cache)
+    assert list((cache / "PARTIAL").iterdir()) == []
+
+
+def test_fetch_tu_concurrent_fetches_publish_one_complete_raw(tu_server, tmp_path,
+                                                              monkeypatch):
+    cache = tmp_path / "c8"
+    workers = 6
+    # every worker passes the cache check and downloads before any publishes
+    barrier = threading.Barrier(workers, timeout=30)
+    real_urlopen = urllib.request.urlopen
+
+    def urlopen(*args, **kwargs):
+        barrier.wait()
+        return real_urlopen(*args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    results, errors = [], []
+
+    def fetch():
+        try:
+            results.append(fetch_tu("MINI", url_base=tu_server, cache_dir=cache))
+        except Exception as exc:  # reported through the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fetch) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    raw = cache / "MINI" / "raw"
+    assert results == [raw] * workers
+    assert [p.name for p in (cache / "MINI").iterdir()] == ["raw"]
+    assert not list(cache.rglob("*.lock"))
+    assert len(parse_tu(raw, "MINI").graphs) == 2
+
+
+def test_fetch_tu_names_a_leftover_incomplete_raw(tu_server, tmp_path):
+    raw = tmp_path / "c9" / "MINI" / "raw"
+    raw.mkdir(parents=True)
+    (raw / "MINI_A.txt").write_text("1, 2\n")
+    with pytest.raises(IntegrityError, match=re.escape(str(raw))):
+        fetch_tu("MINI", url_base=tu_server, cache_dir=tmp_path / "c9")
+    assert [p.name for p in raw.parent.iterdir()] == ["raw"]
+    assert [p.name for p in raw.iterdir()] == ["MINI_A.txt"]

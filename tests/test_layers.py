@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnnlab import DenseLayer, GcnLayer, Readout, Rng, SparseAdj, TopKPool, readout
+from gnnlab import DenseLayer, GcnLayer, Readout, Rng, SparseAdj, TopKPool
 from gnnlab.errors import DomainError, ShapeError, StateError
 from gnnlab.layers import keep_count
 
@@ -299,18 +299,18 @@ def test_dense_backward_matches_finite_differences(activation):
 def test_readout_single_row():
     x = np.array([[1.0, -2.0, 3.0]])
     for kind in ("mean", "sum", "max"):
-        assert np.array_equal(readout(kind, x), x[0])
-    assert np.array_equal(readout("max_and_sum", x), np.concatenate([x[0], x[0]]))
+        assert np.array_equal(Readout(kind).forward(x)[0], x[0])
+    assert np.array_equal(Readout("max_and_sum").forward(x)[0], np.concatenate([x[0], x[0]]))
 
 
 def test_readout_max_and_sum_hand_case():
     x = np.array([[1.0, 4.0], [3.0, 2.0]])
-    assert np.array_equal(readout("max_and_sum", x), [3.0, 4.0, 4.0, 6.0])
+    assert np.array_equal(Readout("max_and_sum").forward(x)[0], [3.0, 4.0, 4.0, 6.0])
 
 
 def test_readout_empty_matrix():
     with pytest.raises(DomainError):
-        readout("mean", np.zeros((0, 3)))
+        Readout("mean").forward(np.zeros((0, 3)))
 
 
 def test_readout_mean_backward_uniform():
@@ -352,4 +352,5 @@ def test_readout_permutation_invariance():
     x = rng.normal(7, 4, 1.0)
     perm = rng.permutation(7)
     for kind in ("mean", "sum", "max", "max_and_sum"):
-        assert np.allclose(readout(kind, x), readout(kind, x[perm]), atol=1e-12)
+        assert np.allclose(Readout(kind).forward(x)[0], Readout(kind).forward(x[perm])[0],
+                           atol=1e-12)

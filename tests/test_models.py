@@ -4,7 +4,7 @@ import pytest
 from gnnlab import Adam, Batch, Graph, ModelSpec, Rng, SparseAdj, build, cross_entropy
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
 from gnnlab.layers import READOUT_KINDS, TopKPool
-from gnnlab.models import MODEL_KINDS
+from gnnlab.config import MODEL_KINDS
 
 from conftest import (fd_max_rel_err, permute_graph, random_adj, random_graph,
                       randomize_params)

@@ -27,7 +27,7 @@ def test_all_table_rows_have_a_config():
 def test_preset_loads_and_round_trips(path):
     cfg = ExperimentConfig.load(path)
     assert cfg.to_dict() == json.loads(path.read_text())
-    assert cfg.fold_count == 10
+    assert cfg.folds.count == 10
     assert cfg.train.lr == 5e-4
     assert cfg.train.epochs == 100
     stem = path.stem
