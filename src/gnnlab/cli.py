@@ -118,7 +118,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep_epochs(args) -> int:
-    budgets = sorted({int(tok) for tok in args.epochs.split(",") if tok.strip()})
+    budgets = set()
+    for tok in filter(None, map(str.strip, args.epochs.split(","))):
+        try:
+            budgets.add(int(tok))
+        except ValueError:
+            raise ConfigError(f"--epochs: budget {tok!r} is not an integer") from None
+    budgets = sorted(budgets)
     if not budgets:
         raise ConfigError("--epochs needs a comma-separated list of budgets")
     configs = [(Path(p).stem, ExperimentConfig.load(p)) for p in args.config]

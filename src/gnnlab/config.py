@@ -132,6 +132,11 @@ class InitScheme(Settings):
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ConfigError(f"unknown init kind {self.kind!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.reinit_sample_cap is not None and self.reinit_sample_cap < 1:
+            raise ConfigError(f"reinit sample cap must be at least 1 or null, "
+                              f"got {self.reinit_sample_cap}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,8 @@ class TrainConfig(Settings):
             raise ValueError("batch size must be positive")
         if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
             raise ValueError(f"betas must be two values in [0, 1), got {list(self.betas)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,8 @@ class Folds(Settings):
     def __post_init__(self):
         if self.count < 2:
             raise ConfigError(f"fold count must be at least 2, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"fold seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

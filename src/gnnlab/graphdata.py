@@ -20,6 +20,7 @@ import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,15 @@ class Graph:
 CHUNK_NODES = 256
 
 
+class State(NamedTuple):
+    """A batch as it enters or leaves one stage of a model's block stack: the
+    block-diagonal adjacency (shrunk by any pool before it), the stacked node
+    rows and each graph's row count."""
+    adj: SparseAdj
+    x: np.ndarray
+    sizes: np.ndarray
+
+
 @dataclass(frozen=True)
 class Batch:
     """Disjoint union of graphs: a block-diagonal adjacency, the features of
@@ -59,6 +69,11 @@ class Batch:
     features: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray
+
+    @property
+    def state(self) -> State:
+        """The batch as it enters the first stage of a block stack."""
+        return State(self.adj, self.features, self.sizes)
 
     @classmethod
     def of(cls, graphs) -> "Batch":
@@ -360,6 +375,7 @@ def fetch_tu(name: str, url_base: str = DEFAULT_TU_URL, cache_dir=None) -> Path:
         with urllib.request.urlopen(url, timeout=120) as resp:
             content = resp.read()
     except urllib.error.HTTPError as exc:
+        exc.close()  # the error carries the open response; free its socket now
         raise TransportError(f"fetch of {url} returned HTTP {exc.code}",
                              status=exc.code) from exc
     except (OSError, http.client.HTTPException, ValueError) as exc:

@@ -6,7 +6,9 @@ biases start at zero. The rescaling pass ("reinit") then walks the block
 stack in order, measuring the standard deviation of each block's output over
 a calibration set and dividing it out, so every block emits unit-variance
 activations on that set. The calibration graphs run through the blocks in
-the node-bounded chunks training uses (:func:`gnnlab.graphdata.chunks`).
+the node-bounded chunks training uses (:func:`gnnlab.graphdata.chunks`),
+and each sweep resumes from the stage states the one before it left in a
+temp-file stash.
 Convolution divisors are folded into the weights and bias; pool divisors are
 kept as forward-time scale factors because the pool scores are
 projection-norm invariant, leaving no weight to fold into. Which scheme a
@@ -15,13 +17,16 @@ settings in :mod:`gnnlab.config`.
 """
 
 import math
+import pickle
+import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .config import InitScheme  # noqa: F401  (importable from here too)
 from .errors import CalibrationError
-from .graphdata import chunks
+from .graphdata import State, chunks
 from .layers import GcnLayer, TopKPool
-from .numcore import Moments, Rng
+from .numcore import Moments, Rng, SparseAdj
 
 REINIT_TOL = 1e-6
 
@@ -63,13 +68,78 @@ def init_standard(model, rng: Rng) -> None:
         layer.b[...] = 0.0
 
 
-def _output_stds(model, graphs, first: int, upto: int) -> list:
+class _Stash:
+    """Block-stack states of successive calibration chunks, written in chunk
+    order to an anonymous temp file (no path, mode 0600, in ``$TMPDIR``) and
+    read back in that order. Only the arrays are stored, never a
+    :class:`SparseAdj` with its memoised operators. When the file cannot be
+    created or written (a full disk, say) the stash drops it and stays
+    unusable, so the next sweep walks from the raw chunks instead."""
+
+    def __init__(self):
+        self._count = 0
+        try:
+            self._fh = tempfile.TemporaryFile()
+        except OSError:
+            self._fh = None
+
+    def write(self, state: State) -> None:
+        if self._fh is None:
+            return
+        adj, x, sizes = state
+        try:
+            pickle.dump((adj.indptr, adj.indices, adj.weights, adj.symmetric, x, sizes),
+                        self._fh, protocol=pickle.HIGHEST_PROTOCOL)
+            self._count += 1
+        except OSError:
+            self.close()
+
+    def seal(self) -> bool:
+        """Flush what is still buffered and rewind for reading; whether every
+        state reached the file."""
+        if self._fh is not None:
+            try:
+                self._fh.flush()
+                self._fh.seek(0)
+            except OSError:
+                self.close()
+        return self._fh is not None
+
+    def read(self):
+        for _ in range(self._count):
+            try:
+                indptr, indices, weights, symmetric, x, sizes = pickle.load(self._fh)
+            except OSError as exc:
+                raise CalibrationError(f"reinit cannot read back its stage stash in "
+                                       f"{tempfile.gettempdir()}: {exc}") from exc
+            adj = SparseAdj(indptr.shape[0] - 1, indptr, indices, weights,
+                            symmetric=symmetric, validate=False)
+            yield State(adj, x, sizes)
+
+    def close(self) -> None:
+        if self._fh is not None:
+            with suppress(OSError):  # a failed flush of data no one will read
+                self._fh.close()
+            self._fh = None
+
+
+def _output_stds(model, calibration, stash, first: int, upto: int, into=None) -> list:
     """Output stds of flat stages ``first``..``upto`` in one sweep over the
-    graphs, each pooled over every entry of every graph."""
+    calibration chunks, each std pooled over every entry of every chunk. The
+    states entering stage ``first`` are read back from ``stash``, or, without
+    one, each chunk walks from its raw batch at stage 0. Writes each chunk's
+    output state of stage ``first`` to the stash ``into`` when one is given."""
+    if stash is not None:
+        states, start = stash.read(), first
+    else:
+        states, start = (batch.state for batch in chunks(calibration)), 0
     moments = [Moments() for _ in range(first, upto + 1)]
-    for batch in chunks(graphs):  # lazily: one chunk alive at a time
-        for mom, out in zip(moments, model.run_blocks(batch, upto)[first:]):
-            mom.add(out)
+    for state in states:  # lazily: one chunk alive at a time
+        outs = model.run_blocks(state, upto, start)[first - start:]
+        for mom, out in zip(moments, outs):
+            mom.add(out.x)
+        if into is not None:
+            into.write(outs[0])
     return [mom.std() for mom in moments]
 
 
@@ -81,30 +151,55 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     stage's output (post-activation for convolutions) is measured, and its
     inverse is applied. Rescaling a stage leaves the stages before it
     unchanged, so the sweep that measures stage i also verifies stage i - 1;
-    one more sweep verifies the last stage: S + 1 sweeps for S stages. The
-    MLP head is never touched. Raises :class:`CalibrationError` when a stage
-    emits constant output, and then when a rescaled std misses one by more
-    than ``tol``.
+    one more sweep verifies the last stage: S + 1 sweeps for S stages.
+
+    Each sweep starts where the one before it left off: sweep i >= 1 runs
+    stages i - 1 and i and writes every chunk's output of stage i - 1, final
+    once its divisor is applied, to a temp-file stash (:class:`_Stash`); the
+    next sweep reads those states back instead of re-running the stages
+    before. That is 2S layer forwards per chunk, with every stage seeing the
+    same input as a walk from the raw chunk would give it. At most two stash
+    files are open at once, each about (calibration nodes x hidden width x
+    8 B). A sweep whose stash cannot be created or written leaves none, and
+    the next sweep walks every chunk from its raw batch as a reinit without
+    a stash would. The MLP head is never touched. Raises
+    :class:`CalibrationError` when a stage emits constant output, then when
+    a rescaled std misses one by more than ``tol``, and when a written stash
+    cannot be read back.
     """
     if not calibration:
         raise CalibrationError("reinit needs a non-empty calibration set")
     stages = model.block_stages()
     report = ReinitReport()
-    for idx, (name, layer) in enumerate(stages):
-        *verified, sigma = _output_stds(model, calibration, max(idx - 1, 0), idx)
-        report.post_std += verified
-        if sigma < 1e-300:
-            raise CalibrationError(f"block {name} produced constant output during reinit")
-        if isinstance(layer, GcnLayer):
-            layer.w /= sigma
-            layer.b /= sigma
-        elif isinstance(layer, TopKPool):
-            layer.scale *= sigma
-        report.blocks.append(name)
-        report.divisors.append(float(sigma))
-    if stages:
-        last = len(stages) - 1
-        report.post_std += _output_stds(model, calibration, last, last)
+    read = write = None  # the stashes the current sweep reads and writes
+    try:
+        for idx, (name, layer) in enumerate(stages):
+            if idx:
+                write = _Stash()
+            first = max(idx - 1, 0)
+            *verified, sigma = _output_stds(model, calibration, read, first, idx, write)
+            if read is not None:
+                read.close()
+            read, write = write, None
+            if read is not None and not read.seal():
+                read = None
+            report.post_std += verified
+            if sigma < 1e-300:
+                raise CalibrationError(f"block {name} produced constant output during reinit")
+            if isinstance(layer, GcnLayer):
+                layer.w /= sigma
+                layer.b /= sigma
+            elif isinstance(layer, TopKPool):
+                layer.scale *= sigma
+            report.blocks.append(name)
+            report.divisors.append(float(sigma))
+        if stages:
+            last = len(stages) - 1
+            report.post_std += _output_stds(model, calibration, read, last, last)
+    finally:
+        for stash in (read, write):
+            if stash is not None:
+                stash.close()
     for name, post in zip(report.blocks, report.post_std):
         if abs(post - 1.0) > max(tol, 1e-9):
             raise CalibrationError(

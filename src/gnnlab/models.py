@@ -18,16 +18,17 @@ A :class:`~gnnlab.config.ModelSpec` (declared with the other settings in
 A model runs on a :class:`~gnnlab.graphdata.Batch`, the disjoint union of
 one or more graphs, and emits one row of class scores per graph. One stage
 walk over the flat convolution/pool stack serves forward, reinit
-(:meth:`Model.run_blocks`) and tracing. Each tap reads one state of that
-walk, and forward stops at the last state a tap reads: with convolution
-taps, ``jk_sum`` never runs its third pool.
+(:meth:`Model.run_blocks`, which can start at any stage from a given state)
+and tracing. Each tap reads one state of that walk, and forward stops at the
+last state a tap reads: with convolution taps, ``jk_sum`` never runs its
+third pool.
 """
 
 import numpy as np
 
 from .config import ModelSpec
 from .errors import ShapeError, SpecError, StateError
-from .graphdata import Batch
+from .graphdata import Batch, State
 from .init import init_standard
 from .layers import DenseLayer, GcnLayer, Readout, TopKPool
 from .numcore import Rng
@@ -78,18 +79,19 @@ class Model:
         self._cache = None
         self.last_grads = None
 
-    def _walk(self, batch: Batch, upto: int) -> list:
-        """(node matrix, per-graph row counts) of the input and after each of
-        the first ``upto`` flat stages of the block stack."""
-        adj, x, sizes = batch.adj, batch.features, batch.sizes
-        states = [(x, sizes)]
-        for _, layer in self._stages[:upto]:
+    def _walk(self, state: State, upto: int, first: int = 0) -> list:
+        """``state``, the state entering flat stage ``first`` of the block
+        stack, followed by the state after each stage from ``first`` up to,
+        not including, ``upto``."""
+        adj, x, sizes = state
+        states = [state]
+        for _, layer in self._stages[first:upto]:
             if isinstance(layer, TopKPool):
                 adj, x, _ = layer.forward(adj, x, sizes)
                 sizes = layer.kept_sizes(sizes)
             else:
                 x = layer.forward(adj, x)
-            states.append((x, sizes))
+            states.append(State(adj, x, sizes))
         return states
 
     # ---------------------------------------------------------------- forward
@@ -100,8 +102,9 @@ class Model:
             raise ShapeError(f"model expects {self.num_features} features, "
                              f"graphs have {batch.features.shape[1]}")
         self._cache = None  # let the previous batch's outputs go first
-        states = self._walk(batch, self._live)
-        tap_mats = [ro.forward(*states[t]) for t, (_, ro) in zip(self._tap_index, self.taps)]
+        states = self._walk(batch.state, self._live)
+        tap_mats = [ro.forward(states[t].x, states[t].sizes)
+                    for t, (_, ro) in zip(self._tap_index, self.taps)]
         if self.spec.jk_agg == "sum":
             a = np.sum(tap_mats, axis=0)
         else:
@@ -162,20 +165,22 @@ class Model:
         """(layer id, layer) pairs for the convolution/pool stack, in order."""
         return list(self._stages)
 
-    def run_blocks(self, batch: Batch, upto: int) -> list:
-        """Forward through the block stack only, returning the outputs of flat
-        stages 0..``upto`` (0 = first convolution, 1 = its pool, and so on)."""
-        if not 0 <= upto < len(self._stages):
-            raise StateError(f"block stage {upto} out of range")
-        return [x for x, _ in self._walk(batch, upto + 1)[1:]]
+    def run_blocks(self, state: State, upto: int, first: int = 0) -> list:
+        """Forward through flat stages ``first``..``upto`` of the block stack
+        only (0 = first convolution, 1 = its pool, and so on), from the state
+        entering stage ``first`` (``Batch.state`` for stage 0); returns the
+        output state of each of those stages."""
+        if not 0 <= first <= upto < len(self._stages):
+            raise StateError(f"block stages {first}..{upto} out of range")
+        return self._walk(state, upto + 1, first)[1:]
 
     def trace_states(self):
         """(layer id, output, preactivation-or-None) per block stage the most
         recent forward ran."""
         if self._cache is None:
             raise StateError("no cached forward state to trace")
-        return [(name, x, layer.last_preactivation if isinstance(layer, GcnLayer) else None)
-                for (name, layer), (x, _) in zip(self._stages, self._cache[1:])]
+        return [(name, st.x, layer.last_preactivation if isinstance(layer, GcnLayer) else None)
+                for (name, layer), st in zip(self._stages, self._cache[1:])]
 
 
 def _tap_widths(taps, num_features: int, hidden: int) -> list:

@@ -141,7 +141,7 @@ def test_criterion_2_reinit_postcondition():
             for stage in range(len(model.block_stages())):
                 mom = Moments()
                 for g in graphs:
-                    mom.add(model.run_blocks(Batch.of([g]), stage)[-1])
+                    mom.add(model.run_blocks(Batch.of([g]).state, stage)[-1].x)
                 assert abs(mom.std() - 1.0) < 1e-6
             second = reinit(model, graphs)
             assert all(abs(d - 1.0) < 1e-6 for d in second.divisors)

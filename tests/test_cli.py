@@ -186,6 +186,14 @@ def test_sweep_single_budget(tu_dir, tmp_path):
     assert len(rows) == 2
 
 
+def test_sweep_rejects_a_non_integer_budget(tmp_path, capsys):
+    # budgets are parsed before any config is read
+    assert main(["sweep-epochs", "--config", str(tmp_path / "none.json"),
+                 "--epochs", "1,abc", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'abc'" in err
+
+
 def test_plot_command(tu_dir, tmp_path, capsys):
     out = tmp_path / "plotrun"
     args = ["train", "--dataset", "SYNTH", "--data-dir", str(tu_dir),
@@ -226,6 +234,11 @@ def test_usage_error_exit_code():
     ("train", "seed", None),
     ("folds", "count", 2.0),
     ("dataset", "degree_cap", 0),
+    ("train", "seed", -1),
+    ("train", "init", {"kind": "standard_then_reinit", "seed": -1}),
+    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": 0}),
+    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": -5}),
+    ("folds", "seed", -1),
 ])
 def test_train_rejects_bad_config_values(tu_dir, tmp_path, capsys, section, key, value):
     d = {"dataset": {"name": "SYNTH", "path": str(tu_dir)},
@@ -237,6 +250,14 @@ def test_train_rejects_bad_config_values(tu_dir, tmp_path, capsys, section, key,
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--fold-seed"])
+def test_train_rejects_a_negative_seed_flag(tu_dir, tmp_path, capsys, flag):
+    out = tmp_path / "o"
+    assert main(_train_args(tu_dir, out, [flag, "-1"])) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import http.server
 import io
 import logging
@@ -5,6 +6,7 @@ import re
 import sys
 import threading
 import urllib.request
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -405,6 +407,29 @@ def test_fetch_tu_404(tu_server, tmp_path):
     with pytest.raises(TransportError) as err:
         fetch_tu("NOPE", url_base=tu_server, cache_dir=tmp_path / "c2")
     assert err.value.status == 404
+
+
+def _fetch_missing(url_base, cache_dir):
+    with pytest.raises(TransportError) as err:
+        fetch_tu("NOPE", url_base=url_base, cache_dir=cache_dir)
+    assert err.value.status == 404
+    # on return, err and this frame, which its traceback holds, are left in
+    # a reference cycle: only the collector frees them, in no fixed order
+
+
+def test_fetch_tu_404_closes_the_error_response(tu_server, tmp_path, monkeypatch):
+    # the HTTP error carries the open response; if fetch_tu leaves it open,
+    # the collector can finalise its socket unclosed, which under
+    # error::ResourceWarning raises in the finaliser and reaches the
+    # unraisable-exception hook
+    gc.collect()  # what earlier tests left behind is not this test's leak
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        _fetch_missing(tu_server, tmp_path / "c2")
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_fetch_tu_corrupt_archive(tu_server, tmp_path):

@@ -1,8 +1,12 @@
+import errno
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
-from gnnlab import (Batch, Graph, InitScheme, ModelSpec, Rng, SparseAdj, build,
-                    init_standard, reinit)
+from gnnlab import (Batch, GcnLayer, Graph, InitScheme, Model, ModelSpec, Rng, SparseAdj,
+                    TopKPool, build, init_standard, reinit)
 from gnnlab.errors import CalibrationError, ConfigError
 from gnnlab.graphdata import CHUNK_NODES, chunks
 from gnnlab.init import glorot_bound, kaiming_std
@@ -66,7 +70,7 @@ def _independent_block_stds(model, graphs):
     for stage in range(len(model.block_stages())):
         mom = Moments()
         for g in graphs:
-            mom.add(model.run_blocks(Batch.of([g]), stage)[-1])
+            mom.add(model.run_blocks(Batch.of([g]).state, stage)[-1].x)
         stds.append(mom.std())
     return stds
 
@@ -96,8 +100,177 @@ def test_reinit_post_std_equals_a_verification_sweep_after_rescaling():
         for stage, post in enumerate(report.post_std):
             mom = Moments()
             for batch in chunks(graphs):
-                mom.add(model.run_blocks(batch, stage)[-1])
+                mom.add(model.run_blocks(batch.state, stage)[-1].x)
             assert mom.std() == post
+
+
+def _reference_reinit(model, calibration):
+    """Oracle: the O(S^2) reinit, in which every sweep walks each chunk from
+    its raw batch through all stages up to the one it measures. Returns the
+    divisors and post-rescale stds."""
+    def stds(first, upto):
+        moments = [Moments() for _ in range(first, upto + 1)]
+        for batch in chunks(calibration):
+            for mom, out in zip(moments, model.run_blocks(batch.state, upto)[first:]):
+                mom.add(out.x)
+        return [mom.std() for mom in moments]
+
+    stages = model.block_stages()
+    divisors, post_std = [], []
+    for idx, (_, layer) in enumerate(stages):
+        *verified, sigma = stds(max(idx - 1, 0), idx)
+        post_std += verified
+        if isinstance(layer, GcnLayer):
+            layer.w /= sigma
+            layer.b /= sigma
+        else:
+            layer.scale *= sigma
+        divisors.append(sigma)
+    return divisors, post_std + stds(len(stages) - 1, len(stages) - 1)
+
+
+STASH_SPECS = {
+    "gcn_mlp": ModelSpec(kind="gcn_mlp", hidden_dim=7, mlp_dims=(6, 5)),
+    "jk_sum": ModelSpec(kind="jk_sum", hidden_dim=7, mlp_dims=(6, 5), k=0.7),
+    "jk_sum_tap_pooled": ModelSpec(kind="jk_sum", hidden_dim=7, mlp_dims=(6, 5), k=0.7,
+                                   tap_pooled=True),
+    "probe4": ModelSpec(kind="probe4", hidden_dim=7, mlp_dims=(6, 5), k=0.7),
+}
+
+
+@pytest.mark.parametrize("name", STASH_SPECS)
+def test_reinit_stash_matches_the_full_walk_reference(name):
+    # every stage must see, bit for bit, the input a walk from the raw chunk
+    # gives it, so divisors, post-rescale stds and parameters all agree exactly
+    graphs = _calibration(31, count=90)
+    assert len(list(chunks(graphs))) >= 3
+    model = build(STASH_SPECS[name], 3, 2, Rng(31))
+    oracle = build(STASH_SPECS[name], 3, 2, Rng(31))
+    report = reinit(model, graphs)
+    divisors, post_std = _reference_reinit(oracle, graphs)
+    assert report.divisors == divisors
+    assert report.post_std == post_std
+    for key, value in model.params.items():
+        assert np.array_equal(value, oracle.params[key])
+    assert ([pool.scale for _, pool in model.blocks if pool is not None]
+            == [pool.scale for _, pool in oracle.blocks if pool is not None])
+
+
+@pytest.mark.parametrize("name", ["gcn_mlp", "jk_sum", "probe4"])
+def test_reinit_runs_two_layer_forwards_per_stage_and_chunk(name, monkeypatch):
+    graphs = _calibration(32, count=90)
+    nchunks = len(list(chunks(graphs)))
+    model = build(STASH_SPECS[name], 3, 2, Rng(32))
+    calls = {"forward": 0, "run_blocks": 0}
+
+    def counting(cls, attr, key):
+        real = getattr(cls, attr)
+
+        def spy(self, *args, **kwargs):
+            calls[key] += 1
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, attr, spy)
+
+    counting(GcnLayer, "forward", "forward")
+    counting(TopKPool, "forward", "forward")
+    counting(Model, "run_blocks", "run_blocks")
+    reinit(model, graphs)
+    stages = len(model.block_stages())
+    assert calls["forward"] == 2 * stages * nchunks
+    # one run_blocks call per chunk and sweep, S + 1 sweeps
+    assert calls["run_blocks"] == (stages + 1) * nchunks
+
+
+class _FailingDisk:
+    """A temp file whose writes fail as on a full disk, or whose reads fail
+    as on a bad sector."""
+
+    def __init__(self, fh, fail):
+        self._fh = fh
+        self._fail = fail
+
+    def _broken(self, *args):
+        if self._fail == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def __getattr__(self, name):
+        if name in {"write": ("write",),
+                    "read": ("read", "readinto", "readline", "peek")}[self._fail]:
+            return self._broken
+        return getattr(self._fh, name)
+
+
+def _spy_stash_files(monkeypatch, fail=None, fail_from=1):
+    """Record the temp files reinit opens and the most open at once. From the
+    ``fail_from``-th file on (1-based), ``fail`` is "create" (no file is
+    made), "write" (writes fail with ENOSPC) or "read" (reads fail with EIO)."""
+    opened, peak = [], [0]
+    real = tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        if fail == "create" and len(opened) + 1 >= fail_from:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        fh = real(*args, **kwargs)
+        opened.append(fh)
+        peak[0] = max(peak[0], sum(not f.closed for f in opened))
+        return _FailingDisk(fh, fail) if fail and len(opened) >= fail_from else fh
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    return opened, peak
+
+
+def test_reinit_closes_every_stash_file(monkeypatch):
+    opened, peak = _spy_stash_files(monkeypatch)
+    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(33))
+    reinit(model, _calibration(33, count=90))
+    # sweeps 1..S-1 each write one stash that the next sweep reads
+    assert len(opened) == len(model.block_stages()) - 1
+    assert peak[0] == 2
+    assert all(fh.closed for fh in opened)
+
+
+def test_reinit_closes_every_stash_file_on_calibration_error(monkeypatch):
+    opened, peak = _spy_stash_files(monkeypatch)
+    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(34))
+    model.params["gcn2.W"][...] = 0.0  # gcn2 emits constant zeros
+    with pytest.raises(CalibrationError, match="gcn2"):
+        reinit(model, _calibration(34, count=90))
+    assert len(opened) == 2 and peak[0] == 2
+    assert all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize("fail,fail_from", [("write", 1), ("write", 2), ("create", 1),
+                                            ("create", 3)])
+def test_reinit_without_a_writable_stash_walks_from_the_raw_chunks(fail, fail_from,
+                                                                   monkeypatch):
+    # a full disk costs the stash's saving, not the run: a sweep left without
+    # a stash is followed by one that walks every chunk from stage 0
+    graphs = _calibration(35, count=90)
+    oracle = build(STASH_SPECS["jk_sum"], 3, 2, Rng(35))
+    divisors, post_std = _reference_reinit(oracle, graphs)
+    opened, peak = _spy_stash_files(monkeypatch, fail, fail_from)
+    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(35))
+    report = reinit(model, graphs)
+    assert report.divisors == divisors
+    assert report.post_std == post_std
+    for key, value in model.params.items():
+        assert np.array_equal(value, oracle.params[key])
+    assert len(opened) == (fail_from - 1 if fail == "create" else
+                           len(model.block_stages()) - 1)
+    assert peak[0] <= 2
+    assert all(fh.closed for fh in opened)
+
+
+def test_reinit_stash_read_failure_is_a_calibration_error(monkeypatch):
+    # the second stash fails while being read back, with the third open
+    opened, peak = _spy_stash_files(monkeypatch, "read", fail_from=2)
+    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(36))
+    with pytest.raises(CalibrationError, match="read back its stage stash") as err:
+        reinit(model, _calibration(36, count=90))
+    assert tempfile.gettempdir() in str(err.value)
+    assert err.value.__cause__.errno == errno.EIO
+    assert len(opened) == 3 and peak[0] == 2
+    assert all(fh.closed for fh in opened)
 
 
 def test_reinit_idempotent_and_fixed_point():

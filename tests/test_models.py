@@ -262,10 +262,10 @@ def test_run_blocks_equals_the_traced_forward_states(name):
     # every stage up to the last tapped one ran: jk_sum stops after gcn3
     assert [lid for lid, _, _ in traced] == [lid for lid, _ in stages][:len(traced)]
     assert len(traced) == (5 if name == "jk_sum" else len(stages))
-    outs = model.run_blocks(batch, len(stages) - 1)
+    outs = model.run_blocks(batch.state, len(stages) - 1)
     assert len(outs) == len(stages)
     for (_, out, _), again in zip(traced, outs):
-        assert np.array_equal(out, again)
+        assert np.array_equal(out, again.x)
 
 
 def test_predict_tie_breaks_to_lowest_class():
