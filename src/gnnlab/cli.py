@@ -94,6 +94,11 @@ def _write_report(report, traces, out_dir: Path, diagnostics_on: bool) -> Path:
     return report_path
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+
+
 def cmd_fetch(args) -> int:
     cache_dir = args.cache_dir or default_cache_dir()
     if is_cached(args.name, cache_dir):
@@ -105,6 +110,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_jobs(args.jobs)
     cfg = _config_from_args(args)
     ds = load_dataset(cfg.dataset)
     report, traces = run_cv(ds, cfg.model, cfg.train, folds=cfg.folds.count,
@@ -118,6 +124,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep_epochs(args) -> int:
+    _check_jobs(args.jobs)
     budgets = set()
     for tok in filter(None, map(str.strip, args.epochs.split(","))):
         try:

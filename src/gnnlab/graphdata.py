@@ -19,6 +19,7 @@ import urllib.request
 import warnings
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,10 +47,13 @@ class Graph:
     id: int
 
 
-# Node budget of one chunk. A chunk's activations, pooled subgraphs and
-# products all grow with its node count, so chunks stay far below a whole
-# mini-batch (about 25k nodes on REDDIT-sized graphs) to bound peak memory.
-CHUNK_NODES = 256
+# Entry budget of one chunk: its node count times the widest node row the
+# model holds (see ``Model.width``). A chunk's activations, pooled subgraphs
+# and products all grow with its node count and row width, so chunks of a
+# wide model stay far below a whole mini-batch (about 25k nodes on
+# REDDIT-sized graphs) to bound peak memory: 256 nodes at width 128, while
+# the 3-column input of ``mlp`` on PROTEINS-shaped data fits a whole batch.
+CHUNK_ENTRIES = 256 * 128
 
 
 class State(NamedTuple):
@@ -63,12 +67,20 @@ class State(NamedTuple):
 
 @dataclass(frozen=True)
 class Batch:
-    """Disjoint union of graphs: a block-diagonal adjacency, the features of
-    every graph stacked in order, one label and one node count per graph."""
-    adj: SparseAdj
+    """Disjoint union of graphs: the features of every graph stacked in order,
+    one label and one node count per graph, and the block-diagonal adjacency
+    of the graphs' ``adjs``, built on first read."""
+    adjs: tuple
     features: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray
+
+    @cached_property
+    def adj(self) -> SparseAdj:
+        if len(self.adjs) == 1:
+            # the graph's own adjacency keeps its memoised propagation operator
+            return self.adjs[0]
+        return SparseAdj.block_diag(self.adjs)
 
     @property
     def state(self) -> State:
@@ -80,19 +92,19 @@ class Batch:
         graphs = list(graphs)
         labels = np.array([g.label for g in graphs], dtype=np.int64)
         sizes = np.array([g.adj.n for g in graphs], dtype=np.int64)
-        if len(graphs) == 1:
-            # the graph's own adjacency keeps its memoised propagation operator
-            return cls(graphs[0].adj, graphs[0].features, labels, sizes)
-        return cls(SparseAdj.block_diag([g.adj for g in graphs]),
-                   np.concatenate([g.features for g in graphs]), labels, sizes)
+        features = (graphs[0].features if len(graphs) == 1 else
+                    np.concatenate([g.features for g in graphs]))
+        return cls(tuple(g.adj for g in graphs), features, labels, sizes)
 
 
-def chunks(graphs):
-    """Consecutive runs of ``graphs`` as batches of at most ``CHUNK_NODES``
-    nodes; a graph larger than that forms a batch on its own. Built lazily."""
+def chunks(graphs, width: int):
+    """Consecutive runs of ``graphs`` as batches of at most ``CHUNK_ENTRIES //
+    width`` nodes, for a model whose widest node row has ``width`` entries; a
+    graph larger than that forms a batch on its own. Built lazily."""
+    limit = CHUNK_ENTRIES // width
     run, nodes = [], 0
     for g in graphs:
-        if run and nodes + g.adj.n > CHUNK_NODES:
+        if run and nodes + g.adj.n > limit:
             yield Batch.of(run)
             run, nodes = [], 0
         run.append(g)

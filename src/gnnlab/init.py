@@ -6,7 +6,8 @@ biases start at zero. The rescaling pass ("reinit") then walks the block
 stack in order, measuring the standard deviation of each block's output over
 a calibration set and dividing it out, so every block emits unit-variance
 activations on that set. The calibration graphs run through the blocks in
-the node-bounded chunks training uses (:func:`gnnlab.graphdata.chunks`),
+the chunks training uses (:func:`gnnlab.graphdata.chunks`, bounded by
+node count times ``Model.width``),
 and each sweep resumes from the stage states the one before it left in a
 temp-file stash.
 Convolution divisors are folded into the weights and bias; pool divisors are
@@ -132,7 +133,7 @@ def _output_stds(model, calibration, stash, first: int, upto: int, into=None) ->
     if stash is not None:
         states, start = stash.read(), first
     else:
-        states, start = (batch.state for batch in chunks(calibration)), 0
+        states, start = (batch.state for batch in chunks(calibration, model.width)), 0
     moments = [Moments() for _ in range(first, upto + 1)]
     for state in states:  # lazily: one chunk alive at a time
         outs = model.run_blocks(state, upto, start)[first - start:]

@@ -21,7 +21,8 @@ walk over the flat convolution/pool stack serves forward, reinit
 (:meth:`Model.run_blocks`, which can start at any stage from a given state)
 and tracing. Each tap reads one state of that walk, and forward stops at the
 last state a tap reads: with convolution taps, ``jk_sum`` never runs its
-third pool.
+third pool. The batch's adjacency is built only when a stage runs, so
+``mlp`` never builds one.
 """
 
 import numpy as np
@@ -76,6 +77,9 @@ class Model:
                            names.index(f"{source[0]}{source[1] + 1}") + 1
                            for source, _ in taps]
         self._live = max(self._tap_index)  # stages a forward runs
+        # entries of the widest node row a forward holds: the input's, and
+        # the hidden rows of any stage; chunks are budgeted by it
+        self.width = max(num_features, spec.hidden_dim) if blocks else num_features
         self._cache = None
         self.last_grads = None
 
@@ -102,7 +106,10 @@ class Model:
             raise ShapeError(f"model expects {self.num_features} features, "
                              f"graphs have {batch.features.shape[1]}")
         self._cache = None  # let the previous batch's outputs go first
-        states = self._walk(batch.state, self._live)
+        if self._live:
+            states = self._walk(batch.state, self._live)
+        else:  # no stage runs, so the batch's adjacency is never built
+            states = [State(None, batch.features, batch.sizes)]
         tap_mats = [ro.forward(states[t].x, states[t].sizes)
                     for t, (_, ro) in zip(self._tap_index, self.taps)]
         if self.spec.jk_agg == "sum":

@@ -1,7 +1,9 @@
 """Loss, Adam with coupled weight decay, the epoch loop, and k-fold harness.
 
-A mini-batch is cut into consecutive chunks of at most ``CHUNK_NODES``
-nodes (see :func:`gnnlab.graphdata.chunks`); each chunk runs as one
+A mini-batch is cut into consecutive chunks whose node count times the
+model's widest node row (``Model.width``) stays within ``CHUNK_ENTRIES``
+(see :func:`gnnlab.graphdata.chunks`): 256 nodes at width 128, a whole
+mini-batch for ``mlp`` on a few feature columns. Each chunk runs as one
 disjoint-union graph through one forward and one backward pass, and the
 chunk gradients add up to the mean of the per-graph gradients, followed by
 one optimiser step. Evaluation runs on chunks the same way. Everything is
@@ -146,7 +148,7 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
         for picks in _batches(order, cfg.batch_size):
             accum = None
             inv = 1.0 / picks.shape[0]
-            for chunk in chunks(graphs[int(gi)] for gi in picks):
+            for chunk in chunks((graphs[int(gi)] for gi in picks), model.width):
                 scores = model.forward(chunk)
                 if sink is not None:
                     diagnostics.record_forward(sink, epoch, model)
@@ -173,7 +175,7 @@ def evaluate(model: Model, graphs) -> float:
     if not graphs:
         raise HarnessError("cannot evaluate on an empty graph list")
     correct = sum(int(np.count_nonzero(model.predict(chunk) == chunk.labels))
-                  for chunk in chunks(graphs))
+                  for chunk in chunks(graphs, model.width))
     return 100.0 * correct / len(graphs)
 
 

@@ -108,7 +108,7 @@ def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch):
     assert ties > 0, "the corpus has no score tie at a keep cut"
 
     start = 0
-    for chunk in chunks(graphs):
+    for chunk in chunks(graphs, model.width):
         log.clear()
         model.forward(chunk)
         for stage, (kept, _, sizes) in enumerate(log):
@@ -122,14 +122,17 @@ def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch):
     assert start == len(graphs)
 
 
-def test_chunks_cover_graphs_in_order_within_the_node_budget():
+@pytest.mark.parametrize("width", [3, 64, 128, 500])
+def test_chunks_cover_graphs_in_order_within_the_node_budget(width):
+    budget = graphdata.CHUNK_ENTRIES // width
     rng = Rng(5)
-    sizes = [1 + rng.integers(0, 120) for _ in range(40)]
-    sizes[7] = graphdata.CHUNK_NODES + 44  # larger than any chunk may be
-    sizes[8] = graphdata.CHUNK_NODES
+    sizes = [1 + rng.integers(0, budget // 2) for _ in range(40)]
+    sizes[7] = budget + 44  # larger than any chunk may be
+    sizes[8] = budget
     graphs = [Graph(adj=SparseAdj.empty(n), features=np.full((n, 2), float(i)),
                     label=i, id=i) for i, n in enumerate(sizes)]
-    out = list(chunks(graphs))
+    out = list(chunks(graphs, width))
+    assert len(out) >= 4
     assert np.concatenate([c.labels for c in out]).tolist() == list(range(len(graphs)))
     assert np.concatenate([c.sizes for c in out]).tolist() == sizes
     assert np.array_equal(np.concatenate([c.features for c in out]),
@@ -137,9 +140,36 @@ def test_chunks_cover_graphs_in_order_within_the_node_budget():
     for c, nxt in zip(out, out[1:] + [None]):
         nodes = int(c.sizes.sum())
         assert c.adj.n == c.features.shape[0] == nodes
-        assert nodes <= graphdata.CHUNK_NODES or c.sizes.shape[0] == 1
+        assert nodes <= budget or c.sizes.shape[0] == 1
         if nxt is not None:  # greedy: the next graph would not have fitted
-            assert nodes + int(nxt.sizes[0]) > graphdata.CHUNK_NODES
+            assert nodes + int(nxt.sizes[0]) > budget
+
+
+def _greedy_node_runs(sizes, limit):
+    """Oracle: the node-count rule chunks followed before they were budgeted
+    by entries; each run of graph sizes holds at most ``limit`` nodes unless
+    it is a single graph."""
+    runs, run = [], []
+    for n in sizes:
+        if run and sum(run) + n > limit:
+            runs.append(run)
+            run = []
+        run.append(n)
+    return runs + [run]
+
+
+def test_chunks_at_width_128_are_the_256_node_chunks():
+    # every shipped preset is 128 wide, so its chunks, and so its reports
+    # and traces, must not move
+    rng = Rng(6)
+    sizes = [1 + rng.integers(0, 300) for _ in range(200)] + [1, 255, 256, 257, 1, 600, 2]
+    graphs = [Graph(adj=SparseAdj.empty(n), features=np.zeros((n, 3)), label=0, id=i)
+              for i, n in enumerate(sizes)]
+    assert ([c.sizes.tolist() for c in chunks(graphs, 128)]
+            == _greedy_node_runs(sizes, 256))
+    for kind in ("gcn_mlp", "jk_sum", "probe4"):
+        assert build(ModelSpec(kind=kind), 3, 2, Rng(0)).width == 128
+    assert build(ModelSpec(kind="mlp"), 3, 2, Rng(0)).width == 3
 
 
 def test_batch_adjacency_is_block_diagonal():
@@ -154,28 +184,52 @@ def test_batch_adjacency_is_block_diagonal():
     assert Batch.of(graphs[:1]).adj is graphs[0].adj
 
 
-@pytest.mark.parametrize("kind", ["gcn_mlp", "jk_sum"])
+@pytest.mark.parametrize("kind", ["mlp", "gcn_mlp", "jk_sum"])
 def test_minibatch_gradient_independent_of_chunking(kind, monkeypatch):
     # label one-hots: many exact score ties, which chunking must not move
     ds = synth_dataset(40, seed=3, n_lo=10, n_hi=30)
     graphs = list(ds.graphs)
-    assert sum(g.adj.n for g in graphs) > 2 * graphdata.CHUNK_NODES
+    assert sum(g.adj.n for g in graphs) > 2 * 100
     spec = ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(6, 5))
     cfg = TrainConfig(epochs=1, batch_size=len(graphs), seed=0)
 
-    def run(budget):
-        monkeypatch.setattr(graphdata, "CHUNK_NODES", budget)
+    def run(entries):
+        monkeypatch.setattr(graphdata, "CHUNK_ENTRIES", entries)
         model = build(spec, ds.feature_dim, ds.num_classes, Rng(1))
         losses = train_model(model, graphs, cfg, Rng(2))
         return model.last_grads, losses[0], evaluate(model, graphs)
 
-    chunked = run(graphdata.CHUNK_NODES)
-    for budget in (10 ** 9, 1):  # the whole mini-batch; one graph per chunk
-        grads, loss, accuracy = run(budget)
-        for name, grad in chunked[0].items():
+    whole = run(10 ** 9)  # the whole mini-batch in one chunk
+    width = build(spec, ds.feature_dim, ds.num_classes, Rng(1)).width
+    # chunks of at most 100 nodes; one graph per chunk
+    for entries in (100 * width, 1):
+        grads, loss, accuracy = run(entries)
+        for name, grad in whole[0].items():
             assert np.max(np.abs(grad - grads[name])) < 1e-12, name
-        assert abs(chunked[1] - loss) < 1e-12
-        assert chunked[2] == accuracy
+        assert abs(whole[1] - loss) < 1e-12
+        assert whole[2] == accuracy
+
+
+def test_mlp_never_builds_a_batch_adjacency(monkeypatch):
+    ds = synth_dataset(40, seed=4, n_lo=10, n_hi=30)
+    graphs = list(ds.graphs)
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
+    calls = []
+    block_diag = SparseAdj.block_diag.__func__
+
+    def spy(cls, adjs):
+        calls.append(len(adjs))
+        return block_diag(cls, adjs)
+
+    monkeypatch.setattr(SparseAdj, "block_diag", classmethod(spy))
+    for kind in ("mlp", "gcn_mlp"):
+        calls.clear()
+        model = build(ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(6, 5)),
+                      ds.feature_dim, ds.num_classes, Rng(1))
+        train_model(model, graphs, cfg, Rng(2))
+        evaluate(model, graphs)
+        # the spy sees the graph models' multi-graph chunks, and none of mlp's
+        assert (calls == []) == (kind == "mlp"), kind
 
 
 def test_reinit_divisors_independent_of_chunking(monkeypatch):
@@ -183,12 +237,13 @@ def test_reinit_divisors_independent_of_chunking(monkeypatch):
     # could flip, so the divisors of later stages stay comparable too
     rng = Rng(8)
     graphs = [random_graph(rng.derive(i), 10 + rng.integers(0, 21), 3) for i in range(40)]
+    assert sum(g.adj.n for g in graphs) > 2 * 100
     spec = ModelSpec(kind="probe4", hidden_dim=8, mlp_dims=(6, 5), k=0.7)
 
-    def divisors(budget):
-        monkeypatch.setattr(graphdata, "CHUNK_NODES", budget)
+    def divisors(entries):
+        monkeypatch.setattr(graphdata, "CHUNK_ENTRIES", entries)
         return reinit(build(spec, 3, 2, Rng(9)), graphs).divisors
 
-    chunked = divisors(graphdata.CHUNK_NODES)
-    for budget in (10 ** 9, 1):
-        assert np.allclose(chunked, divisors(budget), rtol=1e-12, atol=0)
+    whole = divisors(10 ** 9)
+    for entries in (100 * 8, 1):  # chunks of at most 100 nodes at width 8
+        assert np.allclose(whole, divisors(entries), rtol=1e-12, atol=0)

@@ -194,6 +194,25 @@ def test_sweep_rejects_a_non_integer_budget(tmp_path, capsys):
     assert err.startswith("error:") and "'abc'" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_train_rejects_jobs_below_one(tu_dir, tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    assert main(_train_args(tu_dir, out, ["--jobs", jobs])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    assert main(["sweep-epochs", "--config", str(tmp_path / "none.json"),
+                 "--epochs", "1", "--jobs", jobs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err
+    assert not out.exists()
+
+
 def test_plot_command(tu_dir, tmp_path, capsys):
     out = tmp_path / "plotrun"
     args = ["train", "--dataset", "SYNTH", "--data-dir", str(tu_dir),

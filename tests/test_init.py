@@ -7,12 +7,21 @@ import pytest
 
 from gnnlab import (Batch, GcnLayer, Graph, InitScheme, Model, ModelSpec, Rng, SparseAdj,
                     TopKPool, build, init_standard, reinit)
+from gnnlab import graphdata
 from gnnlab.errors import CalibrationError, ConfigError
-from gnnlab.graphdata import CHUNK_NODES, chunks
+from gnnlab.graphdata import chunks
 from gnnlab.init import glorot_bound, kaiming_std
 from gnnlab.numcore import Moments
 
 from conftest import random_graph, synth_dataset
+
+
+@pytest.fixture(autouse=True)
+def _chunks_of_256_nodes(monkeypatch):
+    """The models here are 6 to 8 wide, so the shipped entry budget would put
+    every calibration set in one chunk; a budget of 256 nodes at width 7
+    keeps reinit sweeping several chunks, as a 128-wide model does."""
+    monkeypatch.setattr(graphdata, "CHUNK_ENTRIES", 256 * 7)
 
 
 def test_kaiming_std_value():
@@ -96,10 +105,10 @@ def test_reinit_post_std_equals_a_verification_sweep_after_rescaling():
         model = build(ModelSpec(kind=kind, hidden_dim=7, mlp_dims=(6, 5), k=0.7),
                       3, 2, Rng(12))
         report = reinit(model, graphs)
-        assert sum(g.adj.n for g in graphs) > CHUNK_NODES
+        assert len(list(chunks(graphs, model.width))) > 1
         for stage, post in enumerate(report.post_std):
             mom = Moments()
-            for batch in chunks(graphs):
+            for batch in chunks(graphs, model.width):
                 mom.add(model.run_blocks(batch.state, stage)[-1].x)
             assert mom.std() == post
 
@@ -110,7 +119,7 @@ def _reference_reinit(model, calibration):
     divisors and post-rescale stds."""
     def stds(first, upto):
         moments = [Moments() for _ in range(first, upto + 1)]
-        for batch in chunks(calibration):
+        for batch in chunks(calibration, model.width):
             for mom, out in zip(moments, model.run_blocks(batch.state, upto)[first:]):
                 mom.add(out.x)
         return [mom.std() for mom in moments]
@@ -143,8 +152,8 @@ def test_reinit_stash_matches_the_full_walk_reference(name):
     # every stage must see, bit for bit, the input a walk from the raw chunk
     # gives it, so divisors, post-rescale stds and parameters all agree exactly
     graphs = _calibration(31, count=90)
-    assert len(list(chunks(graphs))) >= 3
     model = build(STASH_SPECS[name], 3, 2, Rng(31))
+    assert len(list(chunks(graphs, model.width))) >= 3
     oracle = build(STASH_SPECS[name], 3, 2, Rng(31))
     report = reinit(model, graphs)
     divisors, post_std = _reference_reinit(oracle, graphs)
@@ -159,8 +168,9 @@ def test_reinit_stash_matches_the_full_walk_reference(name):
 @pytest.mark.parametrize("name", ["gcn_mlp", "jk_sum", "probe4"])
 def test_reinit_runs_two_layer_forwards_per_stage_and_chunk(name, monkeypatch):
     graphs = _calibration(32, count=90)
-    nchunks = len(list(chunks(graphs)))
     model = build(STASH_SPECS[name], 3, 2, Rng(32))
+    nchunks = len(list(chunks(graphs, model.width)))
+    assert nchunks >= 3
     calls = {"forward": 0, "run_blocks": 0}
 
     def counting(cls, attr, key):
