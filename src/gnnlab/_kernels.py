@@ -53,13 +53,14 @@ def gcn_norm(indptr, indices, data, self_weight, symmetric):
     """
     n = indptr.shape[0] - 1
     nnz = indices.shape[0]
-    csum = np.concatenate(([0.0], np.cumsum(data)))
-    dhat = (csum[indptr[1:]] - csum[indptr[:-1]]) + self_weight
     counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n), counts)
+    # each row's degree is summed from its own entries alone, so a graph's
+    # operator is the same bits on its own as inside a block-diagonal chunk
+    dhat = np.bincount(rows, weights=data, minlength=n) + self_weight
     new_indptr = (indptr + np.arange(n + 1)).astype(np.int64)
     new_indices = np.empty(nnz + n, dtype=np.int64)
     new_vals = np.empty(nnz + n, dtype=np.float64)
-    rows = np.repeat(np.arange(n), counts)
     shifted = np.arange(nnz) + rows
     new_indices[shifted] = indices
     new_vals[shifted] = data

@@ -33,42 +33,32 @@ class TraceSink:
     """Append-only event buffer with per-epoch pooling."""
 
     def __init__(self):
-        self._order = []    # first-insertion order of keys
-        self._moments = {}  # (epoch, layer, stat) -> Moments
-        self._scalars = {}  # (epoch, layer, kind) -> [count, sum]
-
-    def _touch(self, key):
-        if key not in self._moments and key not in self._scalars:
-            self._order.append(key)
+        # (epoch, layer, stat or kind) -> Moments of matrix entries, or
+        # [count, sum] of scalars; in first-insertion order of the keys
+        self._acc = {}
 
     def add_entries(self, epoch: int, layer: str, stat: str, x: np.ndarray):
         """Pool matrix entries into the (epoch, layer) accumulator for ``stat``
         ("act" yields act_mean/act_std events, "preact" yields preact_std)."""
-        key = (epoch, layer, stat)
-        self._touch(key)
-        self._moments.setdefault(key, Moments()).add(x)
+        self._acc.setdefault((epoch, layer, stat), Moments()).add(x)
 
     def add_scalar(self, epoch: int, layer: str, kind: str, value: float):
-        key = (epoch, layer, kind)
-        self._touch(key)
-        acc = self._scalars.setdefault(key, [0, 0.0])
+        acc = self._acc.setdefault((epoch, layer, kind), [0, 0.0])
         acc[0] += 1
         acc[1] += float(value)
 
     def events(self) -> list:
         """Materialise events in first-insertion order of their keys."""
         out = []
-        for key in self._order:
-            epoch, layer, tag = key
-            if key in self._moments:
-                mom = self._moments[key]
+        for (epoch, layer, tag), acc in self._acc.items():
+            if isinstance(acc, Moments):
                 if tag == "act":
-                    out.append(TraceEvent(epoch, layer, "act_mean", mom.mean()))
-                    out.append(TraceEvent(epoch, layer, "act_std", mom.std()))
+                    out.append(TraceEvent(epoch, layer, "act_mean", acc.mean()))
+                    out.append(TraceEvent(epoch, layer, "act_std", acc.std()))
                 else:
-                    out.append(TraceEvent(epoch, layer, "preact_std", mom.std()))
+                    out.append(TraceEvent(epoch, layer, "preact_std", acc.std()))
             else:
-                count, total = self._scalars[key]
+                count, total = acc
                 out.append(TraceEvent(epoch, layer, tag, total / count))
         return out
 

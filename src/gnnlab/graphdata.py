@@ -5,7 +5,12 @@ The TU convention is a directory of plain-text files sharing a dataset name
 prefix: an edge list (``*_A.txt``, 1-indexed "i, j" lines), a per-node graph
 indicator, per-graph labels, and optional per-node labels/attributes. Node
 features are built from the first available source in the order
-attributes > node-label one-hots > degree one-hots.
+attributes > node-label one-hots > degree one-hots. Every graph is
+undirected: each edge is stored in both directions.
+
+A batch, of one graph or many, builds its block-diagonal adjacency on first
+read; each convolution derives its propagation operator from that adjacency
+when it runs.
 """
 
 import http.client
@@ -77,9 +82,6 @@ class Batch:
 
     @cached_property
     def adj(self) -> SparseAdj:
-        if len(self.adjs) == 1:
-            # the graph's own adjacency keeps its memoised propagation operator
-            return self.adjs[0]
         return SparseAdj.block_diag(self.adjs)
 
     @property

@@ -9,7 +9,8 @@ activations on that set. The calibration graphs run through the blocks in
 the chunks training uses (:func:`gnnlab.graphdata.chunks`, bounded by
 node count times ``Model.width``),
 and each sweep resumes from the stage states the one before it left in a
-temp-file stash.
+temp-file stash of plain arrays: per chunk, the adjacency's CSR arrays, the
+node rows and the graph sizes.
 Convolution divisors are folded into the weights and bias; pool divisors are
 kept as forward-time scale factors because the pool scores are
 projection-norm invariant, leaving no weight to fold into. Which scheme a
@@ -72,10 +73,10 @@ def init_standard(model, rng: Rng) -> None:
 class _Stash:
     """Block-stack states of successive calibration chunks, written in chunk
     order to an anonymous temp file (no path, mode 0600, in ``$TMPDIR``) and
-    read back in that order. Only the arrays are stored, never a
-    :class:`SparseAdj` with its memoised operators. When the file cannot be
-    created or written (a full disk, say) the stash drops it and stays
-    unusable, so the next sweep walks from the raw chunks instead."""
+    read back in that order: per state, the adjacency's three CSR arrays,
+    the node rows and the graph sizes. When the file cannot be created or
+    written (a full disk, say) the stash drops it and stays unusable, so the
+    next sweep walks from the raw chunks instead."""
 
     def __init__(self):
         self._count = 0
@@ -89,7 +90,7 @@ class _Stash:
             return
         adj, x, sizes = state
         try:
-            pickle.dump((adj.indptr, adj.indices, adj.weights, adj.symmetric, x, sizes),
+            pickle.dump((adj.indptr, adj.indices, adj.weights, x, sizes),
                         self._fh, protocol=pickle.HIGHEST_PROTOCOL)
             self._count += 1
         except OSError:
@@ -109,12 +110,11 @@ class _Stash:
     def read(self):
         for _ in range(self._count):
             try:
-                indptr, indices, weights, symmetric, x, sizes = pickle.load(self._fh)
+                indptr, indices, weights, x, sizes = pickle.load(self._fh)
             except OSError as exc:
                 raise CalibrationError(f"reinit cannot read back its stage stash in "
                                        f"{tempfile.gettempdir()}: {exc}") from exc
-            adj = SparseAdj(indptr.shape[0] - 1, indptr, indices, weights,
-                            symmetric=symmetric, validate=False)
+            adj = SparseAdj(indptr.shape[0] - 1, indptr, indices, weights)
             yield State(adj, x, sizes)
 
     def close(self) -> None:

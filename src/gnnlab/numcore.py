@@ -1,8 +1,8 @@
 """Dense matrices, sparse adjacencies, entry moments and a deterministic RNG.
 
-Matrices are plain 2-D float64 numpy arrays. Adjacencies are immutable CSR
-structures; the propagation operators derived from them are memoised on the
-instance because graphs are revisited every epoch.
+Matrices are plain 2-D float64 numpy arrays. Adjacencies are immutable,
+undirected CSR structures; each propagation operator is built from one when a
+convolution reads it and is not kept.
 """
 
 import math
@@ -40,65 +40,40 @@ class Moments:
 
 
 class SparseAdj:
-    """Weighted sparse adjacency in CSR form. Immutable once constructed."""
+    """Weighted undirected adjacency in CSR form, every edge stored in both
+    directions. Immutable once constructed."""
 
-    __slots__ = ("n", "indptr", "indices", "weights", "symmetric", "_norm_cache")
+    __slots__ = ("n", "indptr", "indices", "weights")
 
-    def __init__(self, n, indptr, indices, weights, symmetric=True, validate=True):
+    def __init__(self, n, indptr, indices, weights):
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.weights = np.ascontiguousarray(weights, dtype=np.float64)
-        self.symmetric = bool(symmetric)
-        self._norm_cache = {}
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        if self.indptr.shape[0] != self.n + 1 or self.indptr[0] != 0:
-            raise ShapeError(f"bad indptr for {self.n} nodes")
-        if self.indices.shape[0] != self.weights.shape[0] or (
-            self.indices.shape[0] and int(self.indptr[-1]) != self.indices.shape[0]
-        ):
-            raise ShapeError("indices/weights length mismatch")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
-            raise ShapeError(f"neighbor index out of range for n={self.n}")
-        seen = set()
-        for i in range(self.n):
-            for e in range(self.indptr[i], self.indptr[i + 1]):
-                key = (i, int(self.indices[e]))
-                if key in seen:
-                    raise ShapeError(f"duplicate entry {key}")
-                seen.add(key)
-        if self.symmetric:
-            entries = {}
-            for i in range(self.n):
-                for e in range(self.indptr[i], self.indptr[i + 1]):
-                    entries[(i, int(self.indices[e]))] = float(self.weights[e])
-            for (i, j), w in entries.items():
-                if entries.get((j, i)) != w:
-                    raise ShapeError(f"asymmetric entry ({i},{j})")
 
     @classmethod
-    def from_edges(cls, n, edges, weights=None, symmetric=True):
-        """Build from (i, j) pairs (an array or any iterable, such as a set);
-        symmetric graphs get both directions stored. A repeated entry keeps
-        the weight of its last occurrence."""
+    def from_edges(cls, n, edges, weights=None):
+        """Build from (i, j) pairs (an array or any iterable, such as a set),
+        storing both directions of each. A repeated entry keeps the weight of
+        its last occurrence. Raises :class:`ShapeError` for an endpoint
+        outside ``[0, n)``."""
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                            dtype=np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ShapeError(f"edge endpoint out of range for n={n}")
         w = (np.ones(pairs.shape[0]) if weights is None
              else np.asarray(weights, dtype=np.float64).reshape(-1))
-        keys = pairs[:, 0] * n + pairs[:, 1]  # row-major entry order
-        if symmetric:  # (i, j) then (j, i) for each pair, in input order
-            keys = np.stack([keys, pairs[:, 1] * n + pairs[:, 0]], axis=1).reshape(-1)
-            w = np.repeat(w, 2)
+        # row-major entry keys, (i, j) then (j, i) for each pair, in input order
+        keys = np.stack([pairs[:, 0] * n + pairs[:, 1],
+                         pairs[:, 1] * n + pairs[:, 0]], axis=1).reshape(-1)
+        w = np.repeat(w, 2)
         order = np.argsort(keys, kind="stable")  # equal keys stay in input order
         keys = keys[order]
         last = np.ones(keys.shape[0], dtype=bool)  # the last of each run of equal keys
         last[:-1] = keys[1:] != keys[:-1]
         keys = keys[last]
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        return cls(n, indptr, keys % n, w[order][last], symmetric=symmetric, validate=False)
+        return cls(n, indptr, keys % n, w[order][last])
 
     @classmethod
     def block_diag(cls, adjs) -> "SparseAdj":
@@ -110,50 +85,23 @@ class SparseAdj:
         indptr = np.concatenate([[0]] + [a.indptr[1:] + e for a, e in zip(adjs, entry_off)])
         indices = np.concatenate([a.indices + o for a, o in zip(adjs, node_off)])
         weights = np.concatenate([a.weights for a in adjs])
-        return cls(int(sizes.sum()), indptr, indices, weights,
-                   symmetric=all(a.symmetric for a in adjs), validate=False)
-
-    @classmethod
-    def empty(cls, n):
-        return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=np.float64), validate=False)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=np.float64)
-        for i in range(self.n):
-            for e in range(self.indptr[i], self.indptr[i + 1]):
-                out[i, self.indices[e]] = self.weights[e]
-        return out
+        return cls(int(sizes.sum()), indptr, indices, weights)
 
     def degrees(self) -> np.ndarray:
         """Unweighted degree (stored-entry count) per node."""
         return np.diff(self.indptr)
 
-    def edge_set(self):
-        """Set of (i, j) stored entries; handy for oracles."""
-        out = set()
-        for i in range(self.n):
-            for e in range(self.indptr[i], self.indptr[i + 1]):
-                out.add((i, int(self.indices[e])))
-        return out
-
     def normalized(self, self_weight=2.0, symmetric_norm=True):
-        """Propagation operator CSR (indptr, indices, w, w_t), memoised."""
-        key = (float(self_weight), bool(symmetric_norm))
-        hit = self._norm_cache.get(key)
-        if hit is None:
-            hit = _kernels.gcn_norm(self.indptr, self.indices, self.weights,
-                                    float(self_weight), bool(symmetric_norm))
-            self._norm_cache[key] = hit
-        return hit
+        """Propagation operator CSR (indptr, indices, w, w_t)."""
+        return _kernels.gcn_norm(self.indptr, self.indices, self.weights,
+                                 float(self_weight), bool(symmetric_norm))
 
     def induced(self, kept) -> "SparseAdj":
         """Subgraph on ``kept`` original node ids (must be ascending)."""
         kept = np.ascontiguousarray(kept, dtype=np.int64)
         indptr, indices, weights = _kernels.induced_subgraph(
             self.indptr, self.indices, self.weights, kept)
-        return SparseAdj(kept.shape[0], indptr, indices, weights,
-                         symmetric=self.symmetric, validate=False)
+        return SparseAdj(kept.shape[0], indptr, indices, weights)
 
 
 class Rng:

@@ -218,7 +218,7 @@ def _run_fold_job(args):
 
 def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = 10,
            fold_seed: int = 12345, jobs: int = 1, trace: bool = False):
-    """Cross-validate over stratified folds; returns (RunReport, fold traces).
+    """Run cross-validation over stratified folds; returns (RunReport, fold traces).
 
     Folds are independent; with ``jobs > 1`` they run in worker processes and
     are reduced in fold order, so results match the sequential run exactly.

@@ -10,6 +10,23 @@ from gnnlab.graphdata import fetch_tu, is_cached, parse_tu
 
 
 # --------------------------------------------------------------------------
+# adjacency oracles
+
+def to_dense(adj: SparseAdj) -> np.ndarray:
+    out = np.zeros((adj.n, adj.n), dtype=np.float64)
+    for i in range(adj.n):
+        for e in range(adj.indptr[i], adj.indptr[i + 1]):
+            out[i, adj.indices[e]] = adj.weights[e]
+    return out
+
+
+def edge_set(adj: SparseAdj) -> set:
+    """Set of (i, j) stored entries."""
+    return {(i, int(adj.indices[e]))
+            for i in range(adj.n) for e in range(adj.indptr[i], adj.indptr[i + 1])}
+
+
+# --------------------------------------------------------------------------
 # random instances
 
 def random_adj(rng: Rng, n: int, edge_prob: float = 0.35) -> SparseAdj:
@@ -18,7 +35,7 @@ def random_adj(rng: Rng, n: int, edge_prob: float = 0.35) -> SparseAdj:
         for j in range(i + 1, n):
             if rng.integers(0, 1000) < edge_prob * 1000:
                 edges.add((i, j))
-    return SparseAdj.from_edges(n, edges) if edges else SparseAdj.empty(n)
+    return SparseAdj.from_edges(n, edges)
 
 
 def random_graph(rng: Rng, n: int, f: int, label: int = 0,
@@ -29,8 +46,8 @@ def random_graph(rng: Rng, n: int, f: int, label: int = 0,
 
 def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
     """Relabel nodes: node i becomes perm[i]."""
-    edges = [(int(perm[i]), int(perm[j])) for (i, j) in g.adj.edge_set() if i < j]
-    adj = SparseAdj.from_edges(g.adj.n, edges) if edges else SparseAdj.empty(g.adj.n)
+    edges = [(int(perm[i]), int(perm[j])) for (i, j) in edge_set(g.adj) if i < j]
+    adj = SparseAdj.from_edges(g.adj.n, edges)
     feats = np.empty_like(g.features)
     feats[perm] = g.features
     return Graph(adj=adj, features=feats, label=g.label, id=g.id)

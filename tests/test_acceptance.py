@@ -21,7 +21,7 @@ from gnnlab.cli import main
 from gnnlab.diagnostics import TraceSink
 from gnnlab.numcore import Moments
 
-from conftest import (fd_max_rel_err, layer_fd_max_rel_err, permute_graph,
+from conftest import (edge_set, fd_max_rel_err, layer_fd_max_rel_err, permute_graph,
                       random_adj, random_graph, randomize_params, synth_dataset,
                       write_tu_files)
 from test_layers import brute_force_topk, make_gcn
@@ -166,9 +166,9 @@ def test_criterion_3_topk_oracle():
             assert kept.shape[0] == max(1, math.ceil(k * n - 1e-9))
             kept_list = kept.tolist()
             expect_edges = {(kept_list.index(i), kept_list.index(j))
-                            for i, j in adj.edge_set()
+                            for i, j in edge_set(adj)
                             if i in expect and j in expect}
-            assert sub.edge_set() == expect_edges
+            assert edge_set(sub) == expect_edges
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from gnnlab import (Batch, Graph, ModelSpec, Rng, SparseAdj, TopKPool, TrainConf
 from gnnlab import graphdata
 from gnnlab.graphdata import chunks
 
-from conftest import random_graph, randomize_params, synth_dataset
+from conftest import random_graph, randomize_params, synth_dataset, to_dense
 
 SPECS = [
     ModelSpec(kind="mlp", hidden_dim=6, mlp_dims=(5, 4)),
@@ -33,7 +33,7 @@ def _graphs(seed, count=5, f=3):
     graphs = [random_graph(rng.derive(i), 1 + rng.integers(0, 10), f, label=i % 2)
               for i in range(count)]
     # an isolated-node graph exercises empty CSR rows inside the union
-    graphs.append(Graph(adj=SparseAdj.empty(3), features=rng.normal(3, f, 1.0),
+    graphs.append(Graph(adj=SparseAdj.from_edges(3, []), features=rng.normal(3, f, 1.0),
                         label=1, id=count))
     return graphs
 
@@ -129,7 +129,7 @@ def test_chunks_cover_graphs_in_order_within_the_node_budget(width):
     sizes = [1 + rng.integers(0, budget // 2) for _ in range(40)]
     sizes[7] = budget + 44  # larger than any chunk may be
     sizes[8] = budget
-    graphs = [Graph(adj=SparseAdj.empty(n), features=np.full((n, 2), float(i)),
+    graphs = [Graph(adj=SparseAdj.from_edges(n, []), features=np.full((n, 2), float(i)),
                     label=i, id=i) for i, n in enumerate(sizes)]
     out = list(chunks(graphs, width))
     assert len(out) >= 4
@@ -163,7 +163,7 @@ def test_chunks_at_width_128_are_the_256_node_chunks():
     # and traces, must not move
     rng = Rng(6)
     sizes = [1 + rng.integers(0, 300) for _ in range(200)] + [1, 255, 256, 257, 1, 600, 2]
-    graphs = [Graph(adj=SparseAdj.empty(n), features=np.zeros((n, 3)), label=0, id=i)
+    graphs = [Graph(adj=SparseAdj.from_edges(n, []), features=np.zeros((n, 3)), label=0, id=i)
               for i, n in enumerate(sizes)]
     assert ([c.sizes.tolist() for c in chunks(graphs, 128)]
             == _greedy_node_runs(sizes, 256))
@@ -178,10 +178,13 @@ def test_batch_adjacency_is_block_diagonal():
     dense = np.zeros((batch.adj.n, batch.adj.n))
     at = 0
     for g in graphs:
-        dense[at:at + g.adj.n, at:at + g.adj.n] = g.adj.to_dense()
+        dense[at:at + g.adj.n, at:at + g.adj.n] = to_dense(g.adj)
         at += g.adj.n
-    assert np.array_equal(batch.adj.to_dense(), dense)
-    assert Batch.of(graphs[:1]).adj is graphs[0].adj
+    assert np.array_equal(to_dense(batch.adj), dense)
+    one = Batch.of(graphs[:1]).adj
+    for got, want in zip((one.indptr, one.indices, one.weights),
+                         (graphs[0].adj.indptr, graphs[0].adj.indices, graphs[0].adj.weights)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "gcn_mlp", "jk_sum"])

@@ -18,7 +18,7 @@ from gnnlab.errors import (ConsistencyError, IngestError, IntegrityError,
                            StratificationError, TransportError, TuParseError)
 from gnnlab.graphdata import fetch_tu
 
-from conftest import random_adj, synth_dataset, write_tu_files
+from conftest import edge_set, random_adj, synth_dataset, write_tu_files
 
 
 def test_parse_two_graph_toy(tmp_path):
@@ -29,7 +29,7 @@ def test_parse_two_graph_toy(tmp_path):
     assert ds.graphs[0].adj.n == 2 and ds.graphs[1].adj.n == 1
     assert ds.num_classes == 2
     assert [g.label for g in ds.graphs] == [0, 1]
-    assert ds.graphs[0].adj.edge_set() == {(0, 1), (1, 0)}
+    assert edge_set(ds.graphs[0].adj) == {(0, 1), (1, 0)}
 
 
 def test_parse_label_onehot(tmp_path):
@@ -103,7 +103,7 @@ def test_parse_drops_self_loops_with_warning(tmp_path, caplog):
     (tmp_path / "TOY_A.txt").write_text("1, 2\n2, 1\n1, 1\n")
     with caplog.at_level(logging.WARNING, logger="gnnlab.graphdata"):
         ds = parse_tu(tmp_path, "TOY")
-    assert ds.graphs[0].adj.edge_set() == {(0, 1), (1, 0)}
+    assert edge_set(ds.graphs[0].adj) == {(0, 1), (1, 0)}
     assert any("self-loop" in rec.message for rec in caplog.records)
 
 
@@ -111,7 +111,7 @@ def test_parse_symmetrises_single_direction(tmp_path):
     write_tu_files(tmp_path, "TOY", [(2, [])], labels=[1])
     (tmp_path / "TOY_A.txt").write_text("1, 2\n")
     ds = parse_tu(tmp_path, "TOY")
-    assert ds.graphs[0].adj.edge_set() == {(0, 1), (1, 0)}
+    assert edge_set(ds.graphs[0].adj) == {(0, 1), (1, 0)}
 
 
 def test_parse_remaps_arbitrary_labels(tmp_path):
@@ -140,7 +140,7 @@ def test_round_trip_write_then_parse(tmp_path, policy_kwargs):
     assert again.feature_policy == ds.feature_policy
     for a, b in zip(ds.graphs, again.graphs):
         assert a.label == b.label
-        assert a.adj.edge_set() == b.adj.edge_set()
+        assert edge_set(a.adj) == edge_set(b.adj)
         assert np.array_equal(a.features, b.features)
 
 
@@ -149,7 +149,7 @@ def test_parsed_graphs_have_no_self_loops_and_are_symmetric(tmp_path):
                    labels=[1])
     ds = parse_tu(tmp_path, "TOY")
     for g in ds.graphs:
-        edges = g.adj.edge_set()
+        edges = edge_set(g.adj)
         assert all(i != j for i, j in edges)
         assert all((j, i) in edges for i, j in edges)
 
@@ -250,7 +250,7 @@ def test_parse_blank_lines_unsorted_gapped_ids_and_repeated_edges(tmp_path):
     assert [g.adj.n for g in ds.graphs] == [2, 3, 1]  # graph ids in sorted order
     assert [g.label for g in ds.graphs] == [1, 0, 1]
     # graph 7 holds file nodes 1, 3 and 6, in that order
-    assert ds.graphs[1].adj.edge_set() == {(0, 1), (1, 0), (0, 2), (2, 0)}
+    assert edge_set(ds.graphs[1].adj) == {(0, 1), (1, 0), (0, 2), (2, 0)}
     assert ds.feature_policy == "label_onehot" and ds.feature_dim == 3
 
 

@@ -348,7 +348,7 @@ def test_reinit_total_rescale_reflects_vanishing_activations():
 
 
 def test_reinit_degenerate_calibration():
-    graphs = [Graph(adj=SparseAdj.empty(3), features=np.zeros((3, 3)),
+    graphs = [Graph(adj=SparseAdj.from_edges(3, []), features=np.zeros((3, 3)),
                     label=0, id=0)]
     model = build(ModelSpec(kind="probe4", hidden_dim=5, mlp_dims=(4, 4)),
                   3, 2, Rng(13))

@@ -4,7 +4,7 @@ import pytest
 from gnnlab import Rng, SparseAdj
 from gnnlab import _kernels
 
-from conftest import random_adj
+from conftest import random_adj, to_dense
 
 
 def spmm_add_at(indptr, indices, data, x):
@@ -33,12 +33,12 @@ def adjacencies():
     """Random graphs (sparse enough to leave isolated nodes), a star, no edges."""
     adjs = [random_adj(Rng(seed), n, p)
             for seed, (n, p) in enumerate([(30, 0.05), (50, 0.2), (12, 0.5), (80, 0.03)])]
-    return adjs + [star(40), SparseAdj.empty(6)]
+    return adjs + [star(40), SparseAdj.from_edges(6, [])]
 
 
 def operators(adj):
     """The raw adjacency plus w and w_t of both normalisations, each with its dense form."""
-    ops = [((adj.indptr, adj.indices, adj.weights), adj.to_dense())]
+    ops = [((adj.indptr, adj.indices, adj.weights), to_dense(adj))]
     for symmetric in (True, False):
         indptr, indices, w, w_t = _kernels.gcn_norm(adj.indptr, adj.indices,
                                                     adj.weights, 2.0, symmetric)
@@ -77,7 +77,7 @@ def test_gcn_norm_matches_dense_normalisation(symmetric):
     for adj in adjacencies():
         indptr, indices, w, w_t = _kernels.gcn_norm(adj.indptr, adj.indices,
                                                     adj.weights, 2.0, symmetric)
-        a_hat = adj.to_dense() + 2.0 * np.eye(adj.n)
+        a_hat = to_dense(adj) + 2.0 * np.eye(adj.n)
         d_hat = a_hat.sum(axis=1)
         if symmetric:
             want = a_hat / np.sqrt(np.outer(d_hat, d_hat))
@@ -89,11 +89,37 @@ def test_gcn_norm_matches_dense_normalisation(symmetric):
         assert np.array_equal(indices[indptr[1:] - 1], np.arange(adj.n))
 
 
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "row"])
+def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(unit, symmetric):
+    # bit for bit: a graph's operator must not depend on where it sits in a chunk
+    for seed in range(40):
+        rng = Rng(seed)
+        adjs = []
+        for _ in range(3):
+            n = 1 + rng.integers(0, 25)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.integers(0, 10) < 3]
+            weights = None if unit else rng.uniform(1, len(edges), 1.0)[0] + 1.1
+            adjs.append(SparseAdj.from_edges(n, edges, weights))
+        chunk = SparseAdj.block_diag(adjs)
+        indptr, indices, w, w_t = _kernels.gcn_norm(chunk.indptr, chunk.indices,
+                                                    chunk.weights, 2.0, symmetric)
+        node = 0
+        for adj in adjs:
+            own = _kernels.gcn_norm(adj.indptr, adj.indices, adj.weights, 2.0, symmetric)
+            lo, hi = indptr[node], indptr[node + adj.n]
+            assert np.array_equal(indptr[node:node + adj.n + 1] - lo, own[0])
+            assert np.array_equal(indices[lo:hi] - node, own[1])
+            assert np.array_equal(bits(w[lo:hi]), bits(own[2]))
+            assert np.array_equal(bits(w_t[lo:hi]), bits(own[3]))
+            node += adj.n
+
+
 def test_induced_subgraph_matches_dense_submatrix():
     for k, adj in enumerate(adjacencies()):
         kept = np.sort(Rng(k).permutation(adj.n)[: adj.n // 2 + 1]).astype(np.int64)
         indptr, indices, data = _kernels.induced_subgraph(adj.indptr, adj.indices,
                                                           adj.weights, kept)
         assert indptr.shape == (kept.shape[0] + 1,) and indptr[-1] == indices.shape[0]
-        want = adj.to_dense()[np.ix_(kept, kept)]
+        want = to_dense(adj)[np.ix_(kept, kept)]
         assert np.array_equal(csr_dense(indptr, indices, data), want)

@@ -59,7 +59,7 @@ def test_mlp_mean_readout_blind_to_node_count():
     spec = ModelSpec(kind="mlp", hidden_dim=8, mlp_dims=(8, 8))
     model = build(spec, 3, 2, Rng(7))
     row = np.array([0.5, -1.25, 2.0])
-    small = Graph(adj=SparseAdj.empty(2), features=np.tile(row, (2, 1)), label=0, id=0)
+    small = Graph(adj=SparseAdj.from_edges(2, []), features=np.tile(row, (2, 1)), label=0, id=0)
     large = Graph(adj=random_adj(Rng(8), 9, 0.4), features=np.tile(row, (9, 1)),
                   label=0, id=1)
     assert np.array_equal(model.forward(Batch.of([small])), model.forward(Batch.of([large])))

@@ -5,7 +5,7 @@ from gnnlab import Rng, SparseAdj, _kernels
 from gnnlab.errors import DomainError, ShapeError
 from gnnlab.numcore import Moments
 
-from conftest import random_adj
+from conftest import edge_set, random_adj, to_dense
 
 
 def test_matmul_identity():
@@ -29,7 +29,7 @@ def test_matmul_associativity():
 
 
 def test_spmm_empty_adjacency_gives_zero():
-    adj = SparseAdj.empty(4)
+    adj = SparseAdj.from_edges(4, [])
     x = Rng(0).normal(4, 3, 1.0)
     assert np.array_equal(_kernels.spmm(adj.indptr, adj.indices, adj.weights, x), np.zeros((4, 3)))
 
@@ -52,19 +52,18 @@ def test_spmm_matches_dense_matmul():
         n = 1 + rng.integers(0, 16)
         adj = random_adj(rng.derive(trial), n, 0.4)
         x = rng.normal(n, 3, 1.0)
-        dense = adj.to_dense() @ x
+        dense = to_dense(adj) @ x
         assert np.max(np.abs(_kernels.spmm(adj.indptr, adj.indices, adj.weights, x) - dense)) < 1e-12
 
 
-def _reference_from_edges(n, edges, weights=None, symmetric=True):
+def _reference_from_edges(n, edges, weights=None):
     """The dict loop ``SparseAdj.from_edges`` replaced: the last occurrence
     of an entry sets its weight; entries come out sorted."""
     pairs = {}
     for k, (i, j) in enumerate(edges):
         w = 1.0 if weights is None else float(weights[k])
         pairs[(int(i), int(j))] = w
-        if symmetric:
-            pairs[(int(j), int(i))] = w
+        pairs[(int(j), int(i))] = w
     indptr = np.zeros(n + 1, dtype=np.int64)
     for i, _ in pairs:
         indptr[i + 1] += 1
@@ -80,37 +79,29 @@ def test_from_edges_matches_the_dict_loop():
         m = rng.integers(0, 30)
         edges = [(rng.integers(0, n), rng.integers(0, n)) for _ in range(m)]
         weights = rng.normal(1, m, 1.0)[0] if trial % 2 else None
-        for symmetric in (True, False):
-            adj = SparseAdj.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
-                                       weights, symmetric=symmetric)
-            want = _reference_from_edges(n, edges, weights, symmetric)
-            for got, ref in zip((adj.indptr, adj.indices, adj.weights), want):
-                assert np.array_equal(got, ref)
-            assert adj.symmetric == symmetric
+        adj = SparseAdj.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2), weights)
+        want = _reference_from_edges(n, edges, weights)
+        for got, ref in zip((adj.indptr, adj.indices, adj.weights), want):
+            assert np.array_equal(got, ref)
 
 
 def test_from_edges_accepts_a_set_and_keeps_the_last_weight():
     from_set = SparseAdj.from_edges(3, {(0, 1), (2, 1)})
-    assert from_set.edge_set() == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    assert edge_set(from_set) == {(0, 1), (1, 0), (1, 2), (2, 1)}
     assert np.array_equal(from_set.indptr, [0, 1, 3, 4])
-    # (1, 0) repeats (0, 1) of a symmetric graph, so its weight wins both ways
+    # (1, 0) repeats (0, 1), so its weight wins both ways
     adj = SparseAdj.from_edges(2, [(0, 1), (1, 0)], weights=[2.0, 5.0])
-    assert np.array_equal(adj.to_dense(), [[0.0, 5.0], [5.0, 0.0]])
-    directed = SparseAdj.from_edges(2, iter([(0, 1), (1, 0), (0, 1)]), weights=[2.0, 5.0, 7.0],
-                                    symmetric=False)
-    assert np.array_equal(directed.to_dense(), [[0.0, 7.0], [5.0, 0.0]])
-    assert SparseAdj.from_edges(2, []).indices.size == 0
+    assert np.array_equal(to_dense(adj), [[0.0, 5.0], [5.0, 0.0]])
+    again = SparseAdj.from_edges(2, iter([(0, 1), (1, 0), (0, 1)]), weights=[2.0, 5.0, 7.0])
+    assert np.array_equal(to_dense(again), [[0.0, 7.0], [7.0, 0.0]])
+    empty = SparseAdj.from_edges(2, [])
+    assert empty.indices.size == 0 and np.array_equal(empty.indptr, [0, 0, 0])
 
 
 def test_sparse_adj_rejects_bad_indices():
-    with pytest.raises(ShapeError):
-        SparseAdj(2, [0, 1, 2], [0, 5], [1.0, 1.0])
-
-
-def test_sparse_adj_rejects_asymmetry():
-    indptr = np.array([0, 1, 1])
-    with pytest.raises(ShapeError):
-        SparseAdj(2, indptr, [1], [1.0], symmetric=True)
+    for edges in ([(0, 5)], [(2, 0)], [(-1, 0)], [(0, 1), (1, -2)]):
+        with pytest.raises(ShapeError):
+            SparseAdj.from_edges(2, edges)
 
 
 def _moments(*mats):
