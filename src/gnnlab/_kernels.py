@@ -3,8 +3,8 @@
 One numpy implementation of each. ``scipy.sparse`` is deliberately not used:
 importing it alone raises a process's peak resident memory from about 27 MB
 (numpy only) to about 49 MB, while these kernels need nothing beyond numpy.
-Callers resolve the kernels through this module at call time
-(``_kernels.spmm(...)``), so the names and signatures here are the interface.
+Callers resolve the kernels here at call time (``_kernels.spmm(...)``), so
+the names, signatures and ``gcn_norm``'s ``(w, w_t, diag)`` are the interface.
 """
 
 import numpy as np
@@ -45,36 +45,25 @@ def spmm(indptr, indices, data, x):
 
 
 def gcn_norm(indptr, indices, data, self_weight, symmetric):
-    """CSR of the propagation operator built from adjacency plus weighted self-loops.
+    """Propagation operator of the adjacency plus weighted self-loops.
 
-    Returns ``(indptr, indices, w, w_t)`` where ``w`` are the entries of the
-    operator and ``w_t`` those of its transpose (identical when symmetric
-    normalisation is used). The self-loop entry sits at the end of each row.
+    Returns ``(w, w_t, diag)``: the entries of the operator and of its
+    transpose at the adjacency's own CSR positions (one array under symmetric
+    normalisation), and each row's self-loop entry, which a caller adds after
+    ``spmm`` so that it comes last in each row's sum.
     """
     n = indptr.shape[0] - 1
-    nnz = indices.shape[0]
-    counts = np.diff(indptr)
-    rows = np.repeat(np.arange(n), counts)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
     # each row's degree is summed from its own entries alone, so a graph's
     # operator is the same bits on its own as inside a block-diagonal chunk
     dhat = np.bincount(rows, weights=data, minlength=n) + self_weight
-    new_indptr = (indptr + np.arange(n + 1)).astype(np.int64)
-    new_indices = np.empty(nnz + n, dtype=np.int64)
-    new_vals = np.empty(nnz + n, dtype=np.float64)
-    shifted = np.arange(nnz) + rows
-    new_indices[shifted] = indices
-    new_vals[shifted] = data
-    self_pos = new_indptr[1:] - 1
-    new_indices[self_pos] = np.arange(n)
-    new_vals[self_pos] = self_weight
-    new_rows = np.repeat(np.arange(n), counts + 1)
     if symmetric:
         inv = 1.0 / np.sqrt(dhat)
-        w = new_vals * inv[new_rows] * inv[new_indices]
-        return new_indptr, new_indices, w, w
-    w = new_vals / dhat[new_rows]
-    w_t = new_vals / dhat[new_indices]
-    return new_indptr, new_indices, w, w_t
+        w = data * inv[rows] * inv[indices]
+        return w, w, self_weight * inv * inv
+    w = data / dhat[rows]
+    w_t = data / dhat[indices]
+    return w, w_t, self_weight / dhat
 
 
 def induced_subgraph(indptr, indices, data, kept):
@@ -85,9 +74,9 @@ def induced_subgraph(indptr, indices, data, kept):
     lookup[kept] = np.arange(m)
     rows = np.repeat(np.arange(n), np.diff(indptr))
     mask = (lookup[rows] >= 0) & (lookup[indices] >= 0)
-    new_rows = lookup[rows[mask]]
-    new_cols = lookup[indices[mask]]
-    new_data = data[mask]
-    counts = np.bincount(new_rows, minlength=m)
-    new_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return new_indptr, new_cols, new_data
+    sub_rows = lookup[rows[mask]]
+    sub_cols = lookup[indices[mask]]
+    sub_data = data[mask]
+    counts = np.bincount(sub_rows, minlength=m)
+    sub_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return sub_indptr, sub_cols, sub_data

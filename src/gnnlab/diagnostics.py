@@ -100,7 +100,11 @@ def write_events_csv(events, path) -> None:
 
 def load_events_csv(path) -> list:
     events = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise RenderError(f"{path}: cannot read trace CSV ({exc.strerror})") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
@@ -108,7 +112,11 @@ def load_events_csv(path) -> list:
         for row in reader:
             if not row:
                 continue
-            events.append(TraceEvent(int(row[0]), row[1], row[2], float(row[3])))
+            try:
+                epoch, layer, kind, value = row
+                events.append(TraceEvent(int(epoch), layer, kind, float(value)))
+            except ValueError:
+                raise RenderError(f"{path}:{reader.line_num}: malformed row {row!r}") from None
     return events
 
 

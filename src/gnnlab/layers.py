@@ -60,13 +60,14 @@ class GcnLayer:
             raise ShapeError(
                 f"gcn expects {self.w.shape[0]} input features, got {x.shape[1]}")
         self._cache = None
-        indptr, indices, w_p, w_pt = adj.normalized(
+        w_p, w_pt, diag = adj.normalized(
             SELF_LOOP_WEIGHT, symmetric_norm=(self.norm == "sym"))
-        m = _kernels.spmm(indptr, indices, w_p, x)
+        m = _kernels.spmm(adj.indptr, adj.indices, w_p, x)
+        m += diag[:, None] * x  # the self-loop term, last in each row's sum
         pre = m @ self.w
         pre += self.b
         out = relu(pre) if self.activation == "relu" else pre
-        self._cache = {"m": m, "pre": pre, "prop_t": (indptr, indices, w_pt)}
+        self._cache = {"m": m, "pre": pre, "prop_t": (adj, w_pt, diag)}
         return out
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
@@ -81,8 +82,9 @@ class GcnLayer:
         grad_x = None
         if input_grad:
             grad_m = grad_pre @ self.w.T
-            indptr, indices, w_pt = c["prop_t"]
-            grad_x = _kernels.spmm(indptr, indices, w_pt, grad_m)
+            adj, w_pt, diag = c["prop_t"]
+            grad_x = _kernels.spmm(adj.indptr, adj.indices, w_pt, grad_m)
+            grad_x += diag[:, None] * grad_m
         return grad_x, {"W": grad_w, "b": grad_b}
 
     @property
@@ -114,14 +116,12 @@ class TopKPool:
     gate, including the gate's dependence on features and on ``p``.
     """
 
-    def __init__(self, p, k=0.8, scale=1.0):
+    def __init__(self, p, k=0.8):
         if not (0 <= k < 1):
             raise ValueError("k must lie in [0, 1)")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
         self.p = np.asarray(p, dtype=np.float64).reshape(-1)
         self.k = float(k)
-        self.scale = float(scale)
+        self.scale = 1.0  # forward divisor, set by the variance re-initialisation
         self._cache = None
 
     def kept_sizes(self, sizes) -> np.ndarray:

@@ -56,13 +56,15 @@ class SparseAdj:
         """Build from (i, j) pairs (an array or any iterable, such as a set),
         storing both directions of each. A repeated entry keeps the weight of
         its last occurrence. Raises :class:`ShapeError` for an endpoint
-        outside ``[0, n)``."""
+        outside ``[0, n)`` or a ``weights`` length other than the pair count."""
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                            dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ShapeError(f"edge endpoint out of range for n={n}")
         w = (np.ones(pairs.shape[0]) if weights is None
              else np.asarray(weights, dtype=np.float64).reshape(-1))
+        if w.shape[0] != pairs.shape[0]:
+            raise ShapeError(f"{w.shape[0]} weights for {pairs.shape[0]} edges")
         # row-major entry keys, (i, j) then (j, i) for each pair, in input order
         keys = np.stack([pairs[:, 0] * n + pairs[:, 1],
                          pairs[:, 1] * n + pairs[:, 0]], axis=1).reshape(-1)
@@ -92,7 +94,7 @@ class SparseAdj:
         return np.diff(self.indptr)
 
     def normalized(self, self_weight=2.0, symmetric_norm=True):
-        """Propagation operator CSR (indptr, indices, w, w_t)."""
+        """Propagation operator ``(w, w_t, diag)``; see ``_kernels.gcn_norm``."""
         return _kernels.gcn_norm(self.indptr, self.indices, self.weights,
                                  float(self_weight), bool(symmetric_norm))
 

@@ -234,6 +234,18 @@ def test_plot_unknown_series_exit_code(tu_dir, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["epoch,layer,kind,value\n2,gcn1,act_std,abc\n", None],
+                         ids=["malformed_row", "missing_file"])
+def test_plot_unreadable_csv_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "trace.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--model", "bogus_kind", "--dataset", "X"])

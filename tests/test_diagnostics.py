@@ -148,6 +148,20 @@ def test_load_csv_rejects_bad_header(tmp_path):
         load_events_csv(path)
 
 
+@pytest.mark.parametrize("row", ["2,gcn1,act_std,abc", "1,gcn1", "x,gcn1,act_std,1.0"],
+                         ids=["bad_value", "short_row", "bad_epoch"])
+def test_load_csv_names_file_and_line_of_a_malformed_row(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text("epoch,layer,kind,value\n1,gcn1,act_std,0.5\n\n" + row + "\n")
+    with pytest.raises(RenderError, match=f"{path}:4: "):
+        load_events_csv(path)
+
+
+def test_load_csv_missing_file(tmp_path):
+    with pytest.raises(RenderError, match="missing.csv"):
+        load_events_csv(tmp_path / "missing.csv")
+
+
 def test_record_loss_and_series():
     sink = TraceSink()
     for ep in (1, 2, 3):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gnnlab import Rng, SparseAdj
+from gnnlab import GcnLayer, Rng, SparseAdj
 from gnnlab import _kernels
+from gnnlab.layers import relu
 
 from conftest import random_adj, to_dense
 
@@ -14,6 +15,33 @@ def spmm_add_at(indptr, indices, data, x):
     rows = np.repeat(np.arange(n), np.diff(indptr))
     np.add.at(out, rows, data[:, None] * x[indices])
     return out
+
+
+def gcn_norm_csr(indptr, indices, data, self_weight, symmetric):
+    """Oracle: the operator as its own CSR, the adjacency's entries with a
+    self-loop entry appended to each row; returns (indptr, indices, w, w_t)."""
+    n = indptr.shape[0] - 1
+    nnz = indices.shape[0]
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n), counts)
+    dhat = np.bincount(rows, weights=data, minlength=n) + self_weight
+    new_indptr = (indptr + np.arange(n + 1)).astype(np.int64)
+    new_indices = np.empty(nnz + n, dtype=np.int64)
+    new_vals = np.empty(nnz + n, dtype=np.float64)
+    shifted = np.arange(nnz) + rows
+    new_indices[shifted] = indices
+    new_vals[shifted] = data
+    self_pos = new_indptr[1:] - 1
+    new_indices[self_pos] = np.arange(n)
+    new_vals[self_pos] = self_weight
+    new_rows = np.repeat(np.arange(n), counts + 1)
+    if symmetric:
+        inv = 1.0 / np.sqrt(dhat)
+        w = new_vals * inv[new_rows] * inv[new_indices]
+        return new_indptr, new_indices, w, w
+    w = new_vals / dhat[new_rows]
+    w_t = new_vals / dhat[new_indices]
+    return new_indptr, new_indices, w, w_t
 
 
 def csr_dense(indptr, indices, vals):
@@ -37,11 +65,12 @@ def adjacencies():
 
 
 def operators(adj):
-    """The raw adjacency plus w and w_t of both normalisations, each with its dense form."""
+    """The raw adjacency plus the oracle operator CSRs (w and w_t of both
+    normalisations), each with its dense form."""
     ops = [((adj.indptr, adj.indices, adj.weights), to_dense(adj))]
     for symmetric in (True, False):
-        indptr, indices, w, w_t = _kernels.gcn_norm(adj.indptr, adj.indices,
-                                                    adj.weights, 2.0, symmetric)
+        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices,
+                                               adj.weights, 2.0, symmetric)
         dense = csr_dense(indptr, indices, w)
         ops += [((indptr, indices, w), dense), ((indptr, indices, w_t), dense.T)]
     return ops
@@ -75,18 +104,19 @@ def test_empty_rows_handled():
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_gcn_norm_matches_dense_normalisation(symmetric):
     for adj in adjacencies():
-        indptr, indices, w, w_t = _kernels.gcn_norm(adj.indptr, adj.indices,
-                                                    adj.weights, 2.0, symmetric)
+        w, w_t, diag = _kernels.gcn_norm(adj.indptr, adj.indices,
+                                         adj.weights, 2.0, symmetric)
         a_hat = to_dense(adj) + 2.0 * np.eye(adj.n)
         d_hat = a_hat.sum(axis=1)
         if symmetric:
             want = a_hat / np.sqrt(np.outer(d_hat, d_hat))
         else:
             want = a_hat / d_hat[:, None]
-        assert np.allclose(csr_dense(indptr, indices, w), want, rtol=1e-12, atol=1e-12)
-        assert np.allclose(csr_dense(indptr, indices, w_t), want.T, rtol=1e-12, atol=1e-12)
-        # the self-loop entry closes every row
-        assert np.array_equal(indices[indptr[1:] - 1], np.arange(adj.n))
+        self_loops = np.diag(diag)
+        assert np.allclose(csr_dense(adj.indptr, adj.indices, w) + self_loops, want,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(csr_dense(adj.indptr, adj.indices, w_t) + self_loops, want.T,
+                           rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
@@ -102,17 +132,45 @@ def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(unit, sy
             weights = None if unit else rng.uniform(1, len(edges), 1.0)[0] + 1.1
             adjs.append(SparseAdj.from_edges(n, edges, weights))
         chunk = SparseAdj.block_diag(adjs)
-        indptr, indices, w, w_t = _kernels.gcn_norm(chunk.indptr, chunk.indices,
-                                                    chunk.weights, 2.0, symmetric)
+        w, w_t, diag = _kernels.gcn_norm(chunk.indptr, chunk.indices,
+                                         chunk.weights, 2.0, symmetric)
         node = 0
         for adj in adjs:
             own = _kernels.gcn_norm(adj.indptr, adj.indices, adj.weights, 2.0, symmetric)
-            lo, hi = indptr[node], indptr[node + adj.n]
-            assert np.array_equal(indptr[node:node + adj.n + 1] - lo, own[0])
-            assert np.array_equal(indices[lo:hi] - node, own[1])
-            assert np.array_equal(bits(w[lo:hi]), bits(own[2]))
-            assert np.array_equal(bits(w_t[lo:hi]), bits(own[3]))
+            lo, hi = chunk.indptr[node], chunk.indptr[node + adj.n]
+            assert np.array_equal(bits(w[lo:hi]), bits(own[0]))
+            assert np.array_equal(bits(w_t[lo:hi]), bits(own[1]))
+            assert np.array_equal(bits(diag[node:node + adj.n]), bits(own[2]))
             node += adj.n
+
+
+def equivalence_adjacencies():
+    """Random graphs (some with isolated nodes), a star, an edgeless graph and
+    one with stored (i, i) entries, each with unit and with non-unit weights."""
+    for adj in adjacencies() + [SparseAdj.from_edges(5, [(0, 1), (2, 2), (1, 3), (4, 4)])]:
+        yield adj
+        rows = np.repeat(np.arange(adj.n), adj.degrees())
+        upper = rows <= adj.indices
+        pairs = np.stack([rows[upper], adj.indices[upper]], axis=1)
+        yield SparseAdj.from_edges(adj.n, pairs,
+                                   1.0 + Rng(adj.n).uniform(1, pairs.shape[0], 0.9)[0])
+
+
+@pytest.mark.parametrize("norm", ["sym", "row"])
+def test_gcn_layer_bit_equal_to_spmm_over_the_oracle_operator_csr(norm):
+    for k, adj in enumerate(equivalence_adjacencies()):
+        rng = Rng(100 + k)
+        layer = GcnLayer(rng.normal(4, 3, 0.7), rng.normal(1, 3, 0.3), norm=norm)
+        x = rng.normal(adj.n, 4, 1.0)
+        grad_out = rng.normal(adj.n, 3, 1.0)
+        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, adj.weights,
+                                               2.0, norm == "sym")
+        pre = _kernels.spmm(indptr, indices, w, x) @ layer.w
+        pre += layer.b
+        grad_x = _kernels.spmm(indptr, indices, w_t, (grad_out * (pre > 0)) @ layer.w.T)
+        assert np.array_equal(bits(layer.forward(adj, x)), bits(relu(pre)))
+        got, _ = layer.backward(grad_out)
+        assert np.array_equal(bits(got), bits(grad_x))
 
 
 def test_induced_subgraph_matches_dense_submatrix():

@@ -104,6 +104,12 @@ def test_sparse_adj_rejects_bad_indices():
             SparseAdj.from_edges(2, edges)
 
 
+@pytest.mark.parametrize("weights", [[1.0, 2.0, 3.0], [1.0]], ids=["long", "short"])
+def test_from_edges_rejects_a_weight_count_other_than_the_pair_count(weights):
+    with pytest.raises(ShapeError, match="weights for 2 edges"):
+        SparseAdj.from_edges(3, [(0, 1), (1, 2)], weights)
+
+
 def _moments(*mats):
     mom = Moments()
     for x in mats:
