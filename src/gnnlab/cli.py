@@ -83,7 +83,6 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _write_report(report, traces, out_dir: Path, diagnostics_on: bool) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
     report_path.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -113,10 +112,11 @@ def cmd_train(args) -> int:
     _check_jobs(args.jobs)
     cfg = _config_from_args(args)
     ds = load_dataset(cfg.dataset)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any fold
     report, traces = run_cv(ds, cfg.model, cfg.train, folds=cfg.folds.count,
                             fold_seed=cfg.folds.seed, jobs=args.jobs,
                             trace=cfg.diagnostics)
-    out_dir = Path(cfg.out_dir)
     report_path = _write_report(report, traces, out_dir, cfg.diagnostics)
     print(f"{ds.name} {cfg.model.kind}: {report.mean:.2f} +/- {report.std:.2f} "
           f"(over {cfg.folds.count} folds) -> {report_path}")
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GnnLabError as exc:
+    except (GnnLabError, OSError) as exc:  # OSError: an unwritable --out, say
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,10 @@ features are built from the first available source in the order
 attributes > node-label one-hots > degree one-hots. Every graph is
 undirected: each edge is stored in both directions.
 
+A dataset, like a batch, is a disjoint union of graphs. Parsing stacks every
+graph's nodes in order and builds one CSR and one feature matrix over that
+stack; each graph's adjacency is a diagonal block of that CSR and its
+features a row slice of that matrix. Writing walks the same stack back out.
 A batch, of one graph or many, builds its block-diagonal adjacency on first
 read; each convolution derives its propagation operator from that adjacency
 when it runs.
@@ -235,8 +239,8 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     sizes = np.bincount(node_graph, minlength=num_graphs)
     starts = np.cumsum(sizes) - sizes
     order = np.argsort(node_graph, kind="stable")  # the stack's rows, as file nodes
-    local = np.empty(num_nodes, dtype=np.int64)  # node index within its graph
-    local[order] = np.arange(num_nodes) - np.repeat(starts, sizes)
+    row = np.empty(num_nodes, dtype=np.int64)  # each file node's row in the stack
+    row[order] = np.arange(num_nodes)
 
     raw_labels = _read_ints(paths["graph_labels"])
     if raw_labels.shape[0] != num_graphs:
@@ -266,10 +270,6 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     if loops.any():
         log.warning("dropped %d raw self-loop(s) while parsing %s", int(loops.sum()), name)
         ends = ends[~loops]
-    # edges grouped by graph, in local node numbers
-    edge_graph = node_graph[ends[:, 0]]
-    pairs = local[ends[np.argsort(edge_graph, kind="stable")]]
-    edge_end = np.cumsum(np.bincount(edge_graph, minlength=num_graphs))
 
     node_labels = None
     if paths["node_labels"].is_file():
@@ -306,8 +306,7 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     if feature_policy == "label_onehot" and node_labels is None:
         raise IngestError(f"{name} has no node labels file")
 
-    adjs = [SparseAdj.from_edges(int(n), e) for n, e in zip(sizes, np.split(pairs, edge_end[:-1]))]
-    # one stacked feature matrix; each graph's features are a row slice of it
+    stack = SparseAdj.from_edges(num_nodes, row[ends])  # no edge crosses graphs
     if feature_policy == "attributes":
         features = attributes[order]
     else:
@@ -316,40 +315,38 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
             width, column = distinct.shape[0], column[order]
         else:
             width = int(degree_cap)
-            column = np.minimum(np.concatenate([a.degrees() for a in adjs]), width - 1)
+            column = np.minimum(stack.degrees(), width - 1)
         features = np.zeros((num_nodes, width), dtype=np.float64)
         features[np.arange(num_nodes), column] = 1.0
-    feature_dim = features.shape[1]
 
-    built = tuple(Graph(adj=adj, features=f, label=int(labels[g]), id=g)
-                  for g, (adj, f) in enumerate(zip(adjs, np.split(features, starts[1:]))))
+    ptr = stack.indptr
+    built = tuple(Graph(adj=SparseAdj(hi - lo, ptr[lo:hi + 1] - ptr[lo],
+                                      stack.indices[ptr[lo]:ptr[hi]] - lo,
+                                      stack.weights[ptr[lo]:ptr[hi]]),
+                        features=features[lo:hi], label=int(labels[g]), id=g)
+                  for g, (lo, hi) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())))
     return Dataset(name=name, graphs=built, num_classes=label_values.shape[0],
-                   feature_dim=feature_dim, feature_policy=feature_policy)
+                   feature_dim=features.shape[1], feature_policy=feature_policy)
 
 
 def write_tu(ds: Dataset, directory) -> Path:
-    """Write a dataset back out in canonical TU form (used for round-trips)."""
+    """Write a dataset back out in canonical TU form (used for round-trips):
+    its graphs as one disjoint union, nodes numbered in stack order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    a_lines, ind_lines, nlab_lines, attr_lines = [], [], [], []
-    offset = 1  # node ids are 1-based
-    for gi, g in enumerate(ds.graphs, start=1):
-        rows = np.repeat(np.arange(g.adj.n), g.adj.degrees()) + offset
-        a_lines += map("{}, {}".format, rows.tolist(), (g.adj.indices + offset).tolist())
-        ind_lines += [str(gi)] * g.adj.n
-        if ds.feature_policy == "label_onehot":
-            nlab_lines += map(str, np.argmax(g.features, axis=1).tolist())
-        elif ds.feature_policy == "attributes":
-            attr_lines += (", ".join(map(repr, row)) for row in g.features.tolist())
-        offset += g.adj.n
-    (directory / f"{ds.name}_A.txt").write_text("\n".join(a_lines) + "\n")
-    (directory / f"{ds.name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")
-    (directory / f"{ds.name}_graph_labels.txt").write_text(
-        "\n".join(str(g.label + 1) for g in ds.graphs) + "\n")
-    if nlab_lines:
-        (directory / f"{ds.name}_node_labels.txt").write_text("\n".join(nlab_lines) + "\n")
-    if attr_lines:
-        (directory / f"{ds.name}_node_attributes.txt").write_text("\n".join(attr_lines) + "\n")
+    batch = Batch.of(ds.graphs)
+
+    def write(kind, lines):
+        (directory / f"{ds.name}_{kind}.txt").write_text("\n".join(lines) + "\n")
+
+    rows = np.repeat(np.arange(1, batch.adj.n + 1), batch.adj.degrees())  # ids are 1-based
+    write("A", map("{}, {}".format, rows.tolist(), (batch.adj.indices + 1).tolist()))
+    write("graph_indicator", map(str, np.repeat(np.arange(1, len(ds) + 1), batch.sizes).tolist()))
+    write("graph_labels", map(str, (batch.labels + 1).tolist()))
+    if ds.feature_policy == "label_onehot":
+        write("node_labels", map(str, np.argmax(batch.features, axis=1).tolist()))
+    elif ds.feature_policy == "attributes":
+        write("node_attributes", (", ".join(map(repr, r)) for r in batch.features.tolist()))
     return directory
 
 
@@ -447,8 +444,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int = DEFAULT_FOLD_SEED) -> Fold
         if members.shape[0] < k:
             raise StratificationError(
                 f"class {cls} has {members.shape[0]} graphs, fewer than k={k}")
-        order = members[rng.permutation(members.shape[0])]
-        for pos, idx in enumerate(order.tolist()):
-            assignments[idx] = (start + pos) % k
-        start = (start + order.shape[0]) % k
+        assignments[members[rng.permutation(members.shape[0])]] = \
+            (start + np.arange(members.shape[0])) % k
+        start = (start + members.shape[0]) % k
     return FoldSplit(fold_count=k, assignments=assignments, seed=seed)

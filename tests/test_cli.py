@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gnnlab import ExperimentConfig, write_tu
+from gnnlab import ExperimentConfig, ModelSpec, cli, write_tu
 from gnnlab.cli import FLAG_KEYS, _config_from_args, build_parser, main
 from gnnlab.config import DatasetConfig, Folds
 from gnnlab.errors import ConfigError
@@ -244,6 +244,42 @@ def test_plot_unreadable_csv_exit_code(tmp_path, capsys, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
     assert not (tmp_path / "x.svg").exists()
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
+def test_plot_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    csv_path = tmp_path / "trace.csv"
+    csv_path.write_text("epoch,layer,kind,value\n1,gcn1,act_std,0.5\n2,gcn1,act_std,0.25\n")
+    out = tmp_path / "missing" / "x.svg"
+    assert main(["plot", str(csv_path), "--out", str(out)]) == 1
+    assert str(out) in _one_error_line(capsys)
+
+
+def test_train_out_on_a_file_fails_before_any_fold(tu_dir, tmp_path, capsys, monkeypatch):
+    folds_run = []
+    monkeypatch.setattr(cli, "run_cv", lambda *a, **k: folds_run.append(a))
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(_train_args(tu_dir, out)) == 1
+    assert str(out) in _one_error_line(capsys)
+    assert folds_run == [] and out.read_text() == "not a directory\n"
+
+
+def test_sweep_out_on_a_file_is_one_error_line(tu_dir, tmp_path, capsys):
+    cfg = ExperimentConfig(dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
+                           model=ModelSpec(kind="mlp"), folds=Folds(count=2))
+    path = tmp_path / "one.json"
+    cfg.save(path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["sweep-epochs", "--config", str(path), "--epochs", "1",
+                 "--out", str(out)]) == 1
+    assert str(out) in _one_error_line(capsys)
 
 
 def test_usage_error_exit_code():

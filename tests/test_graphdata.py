@@ -239,19 +239,35 @@ def test_parse_equals_reference_on_random_corpora(tmp_path, policy):
         assert_parses_like_reference(directory, "RND", degree_cap=5)
 
 
+def write_odd_corpus(directory):
+    """Graphs 7, 3 and 10 with interleaved nodes; blank and whitespace-only
+    lines; an edge given in both directions, another one twice."""
+    (directory / "ODD_graph_indicator.txt").write_text("7\n3\n\n7\n3\n  \n10\n7\n")
+    (directory / "ODD_graph_labels.txt").write_text("\n5\n-2\n5\n")
+    (directory / "ODD_A.txt").write_text("1, 3\n\n3, 1\n1, 6\n1,6\n2, 4\n")
+    (directory / "ODD_node_labels.txt").write_text("4, 0\n9, 1\n4\n\n2, 7, 7\n9\n4\n")
+
+
 def test_parse_blank_lines_unsorted_gapped_ids_and_repeated_edges(tmp_path):
-    # graphs 7, 3 and 10 with interleaved nodes; blank and whitespace-only
-    # lines; an edge given in both directions, another one twice
-    (tmp_path / "ODD_graph_indicator.txt").write_text("7\n3\n\n7\n3\n  \n10\n7\n")
-    (tmp_path / "ODD_graph_labels.txt").write_text("\n5\n-2\n5\n")
-    (tmp_path / "ODD_A.txt").write_text("1, 3\n\n3, 1\n1, 6\n1,6\n2, 4\n")
-    (tmp_path / "ODD_node_labels.txt").write_text("4, 0\n9, 1\n4\n\n2, 7, 7\n9\n4\n")
+    write_odd_corpus(tmp_path)
     ds = assert_parses_like_reference(tmp_path, "ODD")
     assert [g.adj.n for g in ds.graphs] == [2, 3, 1]  # graph ids in sorted order
     assert [g.label for g in ds.graphs] == [1, 0, 1]
     # graph 7 holds file nodes 1, 3 and 6, in that order
     assert edge_set(ds.graphs[1].adj) == {(0, 1), (1, 0), (0, 2), (2, 0)}
     assert ds.feature_policy == "label_onehot" and ds.feature_dim == 3
+
+
+@pytest.mark.parametrize("policy", ["degree_onehot", "label_onehot", "attributes"])
+def test_write_tu_is_a_byte_level_fixed_point(tmp_path, policy):
+    write_odd_corpus(tmp_path)
+    (tmp_path / "ODD_node_attributes.txt").write_text(
+        "0.5, -1.25\n3.0, 1e-3\n\n2.0, 7.75\n-0.0, 4.0\n 1.5,2.5\n0.1, 0.2\n")
+    first = write_tu(parse_tu(tmp_path, "ODD", feature_policy=policy), tmp_path / "first")
+    second = write_tu(parse_tu(first, "ODD", feature_policy=policy), tmp_path / "second")
+    files = sorted(p.name for p in first.iterdir())
+    assert files == sorted(p.name for p in second.iterdir())
+    assert all((first / f).read_bytes() == (second / f).read_bytes() for f in files)
 
 
 def test_parse_empty_edge_file(tmp_path):

@@ -98,6 +98,39 @@ def test_from_edges_accepts_a_set_and_keeps_the_last_weight():
     assert empty.indices.size == 0 and np.array_equal(empty.indptr, [0, 0, 0])
 
 
+def test_from_edges_over_stacked_graphs_is_the_block_diag_of_each_graphs_own():
+    """``parse_tu`` builds one CSR over every graph's nodes, stacked, and cuts
+    it into diagonal blocks: that must equal building each graph on its own,
+    bit for bit, with the graphs' pairs interleaved as in a file and a
+    repeated pair keeping its last weight within its graph."""
+    rng = Rng(41)
+    for trial in range(60):
+        adjs, pairs, weights, offset = [], [], [], 0
+        for _ in range(1 + rng.integers(0, 6)):
+            n = 1 + rng.integers(0, 9)
+            m = 0 if rng.integers(0, 4) == 0 else rng.integers(0, 2 * n)  # some edgeless
+            p = np.array([(rng.integers(0, n), rng.integers(0, n)) for _ in range(m)],
+                         dtype=np.int64).reshape(-1, 2)
+            p = np.concatenate([p, p[: m // 2], p[m // 2:, ::-1]])  # repeats, both ways
+            w = rng.uniform(1, p.shape[0], 4.0)[0]  # distinct, so the last one must win
+            adjs.append(SparseAdj.from_edges(n, p, w))
+            pairs.append(p + offset)
+            weights.append(w)
+            offset += n
+        owner = np.repeat(np.arange(len(adjs)), [p.shape[0] for p in pairs])
+        slots = np.argsort(owner[rng.permutation(owner.shape[0])], kind="stable")
+        stacked = np.empty((owner.shape[0], 2), dtype=np.int64)
+        stacked[slots] = np.concatenate(pairs)  # each graph's pairs keep their order
+        stacked_weights = np.empty(owner.shape[0])
+        stacked_weights[slots] = np.concatenate(weights)
+        got = SparseAdj.from_edges(offset, stacked, stacked_weights)
+        want = SparseAdj.block_diag(adjs)
+        assert got.n == want.n
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.weights, want.weights)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_sparse_adj_rejects_bad_indices():
     for edges in ([(0, 5)], [(2, 0)], [(-1, 0)], [(0, 1), (1, -2)]):
         with pytest.raises(ShapeError):
