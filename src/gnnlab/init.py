@@ -8,9 +8,9 @@ a calibration set and dividing it out, so every block emits unit-variance
 activations on that set. The calibration graphs run through the blocks in
 the chunks training uses (:func:`gnnlab.graphdata.chunks`, bounded by
 node count times ``Model.width``),
-and each sweep resumes from the stage states the one before it left in a
-temp-file stash of plain arrays: per chunk, the adjacency's CSR arrays, the
-node rows and the graph sizes.
+and each sweep resumes from a temp-file stash of raw arrays the one before
+it left: per chunk, a stage's output before its divisor, its output
+adjacency's CSR arrays and the graph sizes.
 Convolution divisors are folded into the weights and bias; pool divisors are
 kept as forward-time scale factors because the pool scores are
 projection-norm invariant, leaving no weight to fold into. Which scheme a
@@ -19,10 +19,11 @@ settings in :mod:`gnnlab.config`.
 """
 
 import math
-import pickle
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import InitScheme  # noqa: F401  (importable from here too)
 from .errors import CalibrationError
@@ -71,12 +72,12 @@ def init_standard(model, rng: Rng) -> None:
 
 
 class _Stash:
-    """Block-stack states of successive calibration chunks, written in chunk
-    order to an anonymous temp file (no path, mode 0600, in ``$TMPDIR``) and
-    read back in that order: per state, the adjacency's three CSR arrays,
-    the node rows and the graph sizes. When the file cannot be created or
-    written (a full disk, say) the stash drops it and stays unusable, so the
-    next sweep walks from the raw chunks instead."""
+    """Stage halves of successive calibration chunks, written in chunk order
+    to an anonymous temp file (no path, mode 0600, in ``$TMPDIR``) and read
+    back in that order: per chunk, four int64s (nodes, adjacency entries,
+    columns, graphs), then the raw output adjacency CSR, half and sizes. When
+    the file cannot be created or written (a full disk, say) the stash drops
+    it and stays unusable, so the next sweep walks from the raw chunks."""
 
     def __init__(self):
         self._count = 0
@@ -85,20 +86,20 @@ class _Stash:
         except OSError:
             self._fh = None
 
-    def write(self, state: State) -> None:
+    def write(self, adj: SparseAdj, half: np.ndarray, sizes: np.ndarray) -> None:
         if self._fh is None:
             return
-        adj, x, sizes = state
+        head = [adj.n, adj.indices.shape[0], half.shape[1], sizes.shape[0]]
         try:
-            pickle.dump((adj.indptr, adj.indices, adj.weights, x, sizes),
-                        self._fh, protocol=pickle.HIGHEST_PROTOCOL)
+            for a in (np.array(head), adj.indptr, adj.indices, adj.weights, half, sizes):
+                self._fh.write(np.ascontiguousarray(a))
             self._count += 1
         except OSError:
             self.close()
 
     def seal(self) -> bool:
         """Flush what is still buffered and rewind for reading; whether every
-        state reached the file."""
+        chunk reached the file."""
         if self._fh is not None:
             try:
                 self._fh.flush()
@@ -109,13 +110,20 @@ class _Stash:
 
     def read(self):
         for _ in range(self._count):
-            try:
-                indptr, indices, weights, x, sizes = pickle.load(self._fh)
-            except OSError as exc:
-                raise CalibrationError(f"reinit cannot read back its stage stash in "
-                                       f"{tempfile.gettempdir()}: {exc}") from exc
-            adj = SparseAdj(indptr.shape[0] - 1, indptr, indices, weights)
-            yield State(adj, x, sizes)
+            n, nnz, cols, graphs = self._fill(4, np.int64).tolist()
+            adj = SparseAdj(n, self._fill(n + 1, np.int64), self._fill(nnz, np.int64),
+                            self._fill(nnz))
+            yield adj, self._fill((n, cols)), self._fill(graphs, np.int64)
+
+    def _fill(self, shape, dtype=np.float64) -> np.ndarray:
+        buf = np.empty(shape, dtype=dtype)
+        try:
+            if self._fh.readinto(buf) != buf.nbytes:
+                raise EOFError("the file ends early")
+        except (OSError, EOFError) as exc:
+            raise CalibrationError(f"reinit cannot read back its stage stash in "
+                                   f"{tempfile.gettempdir()}: {exc}") from exc
+        return buf
 
     def close(self) -> None:
         if self._fh is not None:
@@ -124,23 +132,27 @@ class _Stash:
             self._fh = None
 
 
-def _output_stds(model, calibration, stash, first: int, upto: int, into=None) -> list:
-    """Output stds of flat stages ``first``..``upto`` in one sweep over the
-    calibration chunks, each std pooled over every entry of every chunk. The
-    states entering stage ``first`` are read back from ``stash``, or, without
-    one, each chunk walks from its raw batch at stage 0. Writes each chunk's
-    output state of stage ``first`` to the stash ``into`` when one is given."""
-    if stash is not None:
-        states, start = stash.read(), first
+def _output_stds(model, calibration, stash, idx: int, into=None) -> list:
+    """Output stds of flat stages ``idx - 1`` and ``idx`` (those that exist),
+    each pooled over every entry of every calibration chunk. Stage ``idx -
+    1``'s are its halves in ``stash`` resumed, or, without one, each chunk
+    walks from its raw batch. Writes each chunk's half of stage ``idx``, with
+    its output adjacency and sizes, to the stash ``into`` if given."""
+    stages = model.block_stages()
+    first, last = max(idx - 1, 0), min(idx, len(stages) - 1)
+    if stash is None:
+        runs = (model.run_blocks(b.state, last)[first:] for b in chunks(calibration, model.width))
     else:
-        states, start = (batch.state for batch in chunks(calibration, model.width)), 0
-    moments = [Moments() for _ in range(first, upto + 1)]
-    for state in states:  # lazily: one chunk alive at a time
-        outs = model.run_blocks(state, upto, start)[first - start:]
+        prev = stages[idx - 1][1]
+        runs = ([State(adj, prev.resume(half), sizes)] for adj, half, sizes in stash.read())
+    moments = [Moments() for _ in range(first, last + 1)]
+    for outs in runs:  # lazily: one chunk alive at a time
+        if stash is not None and idx == last:  # run stage idx from stage idx - 1's output
+            outs += model.run_blocks(outs[0], idx, idx)
         for mom, out in zip(moments, outs):
             mom.add(out.x)
         if into is not None:
-            into.write(outs[0])
+            into.write(outs[-1].adj, stages[idx][1].half, outs[-1].sizes)
     return [mom.std() for mom in moments]
 
 
@@ -154,19 +166,19 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     unchanged, so the sweep that measures stage i also verifies stage i - 1;
     one more sweep verifies the last stage: S + 1 sweeps for S stages.
 
-    Each sweep starts where the one before it left off: sweep i >= 1 runs
-    stages i - 1 and i and writes every chunk's output of stage i - 1, final
-    once its divisor is applied, to a temp-file stash (:class:`_Stash`); the
-    next sweep reads those states back instead of re-running the stages
-    before. That is 2S layer forwards per chunk, with every stage seeing the
-    same input as a walk from the raw chunk would give it. At most two stash
-    files are open at once, each about (calibration nodes x hidden width x
-    8 B). A sweep whose stash cannot be created or written leaves none, and
-    the next sweep walks every chunk from its raw batch as a reinit without
-    a stash would. The MLP head is never touched. Raises
-    :class:`CalibrationError` when a stage emits constant output, then when
-    a rescaled std misses one by more than ``tol``, and when a written stash
-    cannot be read back.
+    Each sweep starts where the one before it left off. A divisor touches
+    only a stage's last step (``resume``), so sweep i runs stage i alone and
+    stashes each chunk's unscaled ``half`` of it with its output adjacency
+    and sizes (:class:`_Stash`), and sweep i + 1 resumes those halves under
+    stage i's final divisor: S layer forwards plus S divisor applications
+    per chunk, each stage seeing, bit for bit, the input a walk from the raw
+    chunk gives it. Of the S stash files at most two are open at once, each
+    about calibration nodes x ``Model.width`` x 8 B plus 16 B per adjacency
+    entry. A sweep whose stash cannot be created or written leaves none, and
+    the next sweep walks every chunk from its raw batch. The MLP head is
+    never touched. Raises :class:`CalibrationError` when a stage emits
+    constant output, then when a rescaled std misses one by more than
+    ``tol``, and when a written stash cannot be read back in full.
     """
     if not calibration:
         raise CalibrationError("reinit needs a non-empty calibration set")
@@ -175,10 +187,8 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     read = write = None  # the stashes the current sweep reads and writes
     try:
         for idx, (name, layer) in enumerate(stages):
-            if idx:
-                write = _Stash()
-            first = max(idx - 1, 0)
-            *verified, sigma = _output_stds(model, calibration, read, first, idx, write)
+            write = _Stash()
+            *verified, sigma = _output_stds(model, calibration, read, idx, write)
             if read is not None:
                 read.close()
             read, write = write, None
@@ -195,8 +205,7 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
             report.blocks.append(name)
             report.divisors.append(float(sigma))
         if stages:
-            last = len(stages) - 1
-            report.post_std += _output_stds(model, calibration, read, last, last)
+            report.post_std += _output_stds(model, calibration, read, len(stages))
     finally:
         for stash in (read, write):
             if stash is not None:

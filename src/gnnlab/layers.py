@@ -64,11 +64,17 @@ class GcnLayer:
             SELF_LOOP_WEIGHT, symmetric_norm=(self.norm == "sym"))
         m = _kernels.spmm(adj.indptr, adj.indices, w_p, x)
         m += diag[:, None] * x  # the self-loop term, last in each row's sum
-        pre = m @ self.w
-        pre += self.b
-        out = relu(pre) if self.activation == "relu" else pre
+        pre, out = self._affine(m)
         self._cache = {"m": m, "pre": pre, "prop_t": (adj, w_pt, diag)}
         return out
+
+    def _affine(self, m):
+        pre = m @ self.w + self.b
+        return pre, relu(pre) if self.activation == "relu" else pre
+
+    def resume(self, m: np.ndarray) -> np.ndarray:
+        """What a forward that propagated to ``m`` returns under the current W and b."""
+        return self._affine(m)[1]
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
         """Parameter gradients, and the input gradient (None unless
@@ -92,6 +98,11 @@ class GcnLayer:
         if self._cache is None:
             raise StateError("no cached forward state")
         return self._cache["pre"]
+
+    @property
+    def half(self):
+        """The last forward's ``m = P x``, untouched by W and b, for :meth:`resume`."""
+        return self._cache["m"]
 
 
 def keep_count(k: float, n):
@@ -153,11 +164,20 @@ class TopKPool:
         kept = np.sort(ranked[rank < self.kept_sizes(sizes)[graph]])
         gate = np.tanh(scores[kept])
         x_kept = x[kept]
-        out = (x_kept * gate[:, None]) / self.scale
+        gated = x_kept * gate[:, None]
         sub = adj.induced(kept)
-        self._cache = {"x": x, "kept": kept, "gate": gate, "x_kept": x_kept,
+        self._cache = {"x": x, "kept": kept, "gate": gate, "x_kept": x_kept, "gated": gated,
                        "scores": scores, "norm": nrm, "denom": denom}
-        return sub, out, kept
+        return sub, self.resume(gated), kept
+
+    def resume(self, gated: np.ndarray) -> np.ndarray:
+        """The pooled rows a forward that gated to ``gated`` returns under the current scale."""
+        return gated / self.scale
+
+    @property
+    def half(self):
+        """The last forward's gated rows, untouched by ``scale``, for :meth:`resume`."""
+        return self._cache["gated"]
 
     def backward(self, grad_out: np.ndarray):
         if self._cache is None:

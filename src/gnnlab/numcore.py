@@ -61,21 +61,21 @@ class SparseAdj:
                            dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ShapeError(f"edge endpoint out of range for n={n}")
-        w = (np.ones(pairs.shape[0]) if weights is None
-             else np.asarray(weights, dtype=np.float64).reshape(-1))
-        if w.shape[0] != pairs.shape[0]:
-            raise ShapeError(f"{w.shape[0]} weights for {pairs.shape[0]} edges")
-        # row-major entry keys, (i, j) then (j, i) for each pair, in input order
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+            if weights.shape[0] != pairs.shape[0]:
+                raise ShapeError(f"{weights.shape[0]} weights for {pairs.shape[0]} edges")
+        # row-major entry keys in input order: pair p's (i, j) at 2p, (j, i) at 2p + 1
         keys = np.stack([pairs[:, 0] * n + pairs[:, 1],
                          pairs[:, 1] * n + pairs[:, 0]], axis=1).reshape(-1)
-        w = np.repeat(w, 2)
         order = np.argsort(keys, kind="stable")  # equal keys stay in input order
         keys = keys[order]
         last = np.ones(keys.shape[0], dtype=bool)  # the last of each run of equal keys
         last[:-1] = keys[1:] != keys[:-1]
         keys = keys[last]
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        return cls(n, indptr, keys % n, w[order][last])
+        w = np.ones(keys.shape[0]) if weights is None else weights[order[last] // 2]
+        return cls(n, indptr, keys % n, w)
 
     @classmethod
     def block_diag(cls, adjs) -> "SparseAdj":

@@ -10,10 +10,10 @@ from gnnlab import (Batch, GcnLayer, Graph, InitScheme, Model, ModelSpec, Rng, S
 from gnnlab import graphdata
 from gnnlab.errors import CalibrationError, ConfigError
 from gnnlab.graphdata import chunks
-from gnnlab.init import glorot_bound, kaiming_std
+from gnnlab.init import _Stash, glorot_bound, kaiming_std
 from gnnlab.numcore import Moments
 
-from conftest import random_graph, synth_dataset
+from conftest import random_adj, random_graph, synth_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -144,6 +144,9 @@ STASH_SPECS = {
     "jk_sum_tap_pooled": ModelSpec(kind="jk_sum", hidden_dim=7, mlp_dims=(6, 5), k=0.7,
                                    tap_pooled=True),
     "probe4": ModelSpec(kind="probe4", hidden_dim=7, mlp_dims=(6, 5), k=0.7),
+    "jk_sum_row": ModelSpec(kind="jk_sum", hidden_dim=7, mlp_dims=(6, 5), k=0.7,
+                            gcn_norm="row"),
+    "gcn_r_mlp": ModelSpec(kind="gcn_r_mlp", hidden_dim=7, mlp_dims=(6, 5)),
 }
 
 
@@ -166,29 +169,39 @@ def test_reinit_stash_matches_the_full_walk_reference(name):
 
 
 @pytest.mark.parametrize("name", ["gcn_mlp", "jk_sum", "probe4"])
-def test_reinit_runs_two_layer_forwards_per_stage_and_chunk(name, monkeypatch):
+def test_reinit_runs_one_layer_forward_per_stage_and_chunk(name, monkeypatch):
     graphs = _calibration(32, count=90)
     model = build(STASH_SPECS[name], 3, 2, Rng(32))
     nchunks = len(list(chunks(graphs, model.width)))
     assert nchunks >= 3
-    calls = {"forward": 0, "run_blocks": 0}
+    calls = {"forward": 0, "resume": 0, "run_blocks": 0}
+    forwards_open = [0]  # a resume inside a forward is that forward's last step
 
     def counting(cls, attr, key):
         real = getattr(cls, attr)
 
         def spy(self, *args, **kwargs):
-            calls[key] += 1
-            return real(self, *args, **kwargs)
+            calls[key] += key != "resume" or not forwards_open[0]
+            forwards_open[0] += key == "forward"
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                forwards_open[0] -= key == "forward"
         monkeypatch.setattr(cls, attr, spy)
 
     counting(GcnLayer, "forward", "forward")
     counting(TopKPool, "forward", "forward")
+    counting(GcnLayer, "resume", "resume")
+    counting(TopKPool, "resume", "resume")
     counting(Model, "run_blocks", "run_blocks")
     reinit(model, graphs)
     stages = len(model.block_stages())
-    assert calls["forward"] == 2 * stages * nchunks
-    # one run_blocks call per chunk and sweep, S + 1 sweeps
-    assert calls["run_blocks"] == (stages + 1) * nchunks
+    assert calls["forward"] == stages * nchunks
+    # sweeps 1..S each resume every chunk's stashed half of the stage before
+    # under its final divisor
+    assert calls["resume"] == stages * nchunks
+    # one run_blocks call per chunk in sweeps 0..S-1; the last sweep runs none
+    assert calls["run_blocks"] == stages * nchunks
 
 
 class _FailingDisk:
@@ -233,8 +246,8 @@ def test_reinit_closes_every_stash_file(monkeypatch):
     opened, peak = _spy_stash_files(monkeypatch)
     model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(33))
     reinit(model, _calibration(33, count=90))
-    # sweeps 1..S-1 each write one stash that the next sweep reads
-    assert len(opened) == len(model.block_stages()) - 1
+    # sweeps 0..S-1 each write one stash that the next sweep reads
+    assert len(opened) == len(model.block_stages())
     assert peak[0] == 2
     assert all(fh.closed for fh in opened)
 
@@ -245,7 +258,8 @@ def test_reinit_closes_every_stash_file_on_calibration_error(monkeypatch):
     model.params["gcn2.W"][...] = 0.0  # gcn2 emits constant zeros
     with pytest.raises(CalibrationError, match="gcn2"):
         reinit(model, _calibration(34, count=90))
-    assert len(opened) == 2 and peak[0] == 2
+    # sweeps 0, 1 and 2 (which measures gcn2) each opened one
+    assert len(opened) == 3 and peak[0] == 2
     assert all(fh.closed for fh in opened)
 
 
@@ -266,7 +280,7 @@ def test_reinit_without_a_writable_stash_walks_from_the_raw_chunks(fail, fail_fr
     for key, value in model.params.items():
         assert np.array_equal(value, oracle.params[key])
     assert len(opened) == (fail_from - 1 if fail == "create" else
-                           len(model.block_stages()) - 1)
+                           len(model.block_stages()))
     assert peak[0] <= 2
     assert all(fh.closed for fh in opened)
 
@@ -281,6 +295,66 @@ def test_reinit_stash_read_failure_is_a_calibration_error(monkeypatch):
     assert err.value.__cause__.errno == errno.EIO
     assert len(opened) == 3 and peak[0] == 2
     assert all(fh.closed for fh in opened)
+
+
+def test_reinit_truncated_stash_is_a_calibration_error(monkeypatch):
+    # the first stash loses its last byte once sealed, so the read of the
+    # last chunk comes up short while the second stash is open
+    opened, peak = _spy_stash_files(monkeypatch)
+    real_seal = _Stash.seal
+
+    def seal_then_cut(self):
+        sealed = real_seal(self)
+        if len(opened) == 1:
+            fh = opened[-1]  # the file being sealed is the newest one
+            fh.truncate(fh.seek(0, os.SEEK_END) - 1)
+            fh.seek(0)
+        return sealed
+    monkeypatch.setattr(_Stash, "seal", seal_then_cut)
+    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(38))
+    with pytest.raises(CalibrationError, match="read back its stage stash") as err:
+        reinit(model, _calibration(38, count=90))
+    assert tempfile.gettempdir() in str(err.value)
+    assert "ends early" in str(err.value)
+    assert len(opened) == 2 and peak[0] == 2
+    assert all(fh.closed for fh in opened)
+
+
+def _pooled_state(rng):
+    """A two-graph state after a top-k pool: sizes shrank, rows are gated."""
+    batch = Batch.of([random_graph(rng.derive(i), 6 + i, 4) for i in range(2)])
+    pool = TopKPool(rng.normal(1, 4, 1.0)[0], k=0.5)
+    sub, _, _ = pool.forward(batch.adj, batch.features, batch.sizes)
+    return sub, pool.half, pool.kept_sizes(batch.sizes)
+
+
+def test_stash_round_trips_states_bit_for_bit():
+    rng = Rng(39)
+    wide = rng.normal(5, 6, 1.0)
+    states = [
+        (SparseAdj.from_edges(3, []), rng.normal(3, 4, 1.0), np.array([3])),  # nnz 0
+        (SparseAdj.from_edges(1, [(0, 0)], [2.5]), rng.normal(1, 3, 1.0), np.array([1])),
+        (random_adj(rng.derive(1), 5, 0.5), rng.normal(5, 1, 1.0), np.array([2, 3])),
+        (random_adj(rng.derive(2), 5, 0.5), wide[:, ::2], np.array([5])),  # non-contiguous
+        _pooled_state(rng.derive(3)),
+    ]
+    assert not states[3][1].flags.c_contiguous
+    assert states[4][0].n < 13 and states[4][2].sum() == states[4][0].n
+    stash = _Stash()
+    try:
+        for state in states:
+            stash.write(*state)
+        assert stash.seal()
+        back = list(stash.read())
+    finally:
+        stash.close()
+    assert len(back) == len(states)
+    for (adj, half, sizes), (adj2, half2, sizes2) in zip(states, back):
+        assert adj2.n == adj.n
+        for a, b in ((adj.indptr, adj2.indptr), (adj.indices, adj2.indices),
+                     (adj.weights, adj2.weights), (half, half2), (sizes, sizes2)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 def test_reinit_idempotent_and_fixed_point():

@@ -85,6 +85,23 @@ def test_from_edges_matches_the_dict_loop():
             assert np.array_equal(got, ref)
 
 
+def test_from_edges_without_weights_equals_unit_weights():
+    # the unweighted build skips the weight gathers; its CSR must be the one
+    # a weight of 1.0 per pair gives, repeated pairs (both ways) included
+    rng = Rng(19)
+    for _ in range(40):
+        n = 1 + rng.integers(0, 12)
+        m = rng.integers(0, 30)
+        pairs = np.array([(rng.integers(0, n), rng.integers(0, n)) for _ in range(m)],
+                         dtype=np.int64).reshape(-1, 2)
+        pairs = np.concatenate([pairs, pairs[: m // 2], pairs[m // 2:, ::-1]])
+        got = SparseAdj.from_edges(n, pairs)
+        want = SparseAdj.from_edges(n, pairs, np.ones(pairs.shape[0]))
+        for attr in ("indptr", "indices", "weights"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_from_edges_accepts_a_set_and_keeps_the_last_weight():
     from_set = SparseAdj.from_edges(3, {(0, 1), (2, 1)})
     assert edge_set(from_set) == {(0, 1), (1, 0), (1, 2), (2, 1)}
