@@ -1,0 +1,117 @@
+"""Golden runs: ten seeded ``gnnlab train`` runs whose results must not move.
+
+Each model kind trains with and without ``--reinit`` (3 folds, 2 epochs) on a
+seeded synthetic corpus written in TU form, in one subprocess whose BLAS runs
+on one thread. ``golden.json`` holds, per run, the sha256 of the report
+(without its ``wall_clock_s``) and of each trace CSV, the per-fold training
+losses and accuracies, and the provenance of the record: the numpy version,
+the BLAS build, the SIMD extensions numpy found on the CPU and the BLAS
+thread count. Where the provenance matches the record the hashes must match;
+elsewhere the losses must match to a relative 1e-12 and the accuracies
+exactly. The test never skips.
+
+A change meant to keep every number (a refactor, a speed-up) must pass this
+test unchanged. Re-record only for a stated numeric reason, with::
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = Path(__file__).with_name("golden.json")
+KINDS = ("mlp", "gcn_mlp", "gcn_r_mlp", "jk_sum", "probe4")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _provenance() -> dict:
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+            "simd": config["SIMD Extensions"]["found"],
+            "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
+
+
+def _runs(work: Path) -> dict:
+    """Every golden run, in this process (the subprocess's side)."""
+    from conftest import synth_dataset
+    from gnnlab import cli, write_tu
+
+    ds = synth_dataset(36, seed=11, signal=0.7, n_lo=6, n_hi=16, name="GOLDEN")
+    write_tu(ds, work / "GOLDEN" / "raw")
+    runs = {}
+    for kind in KINDS:
+        for reinit in (False, True):
+            name = f"{kind}_reinit" if reinit else kind
+            out = work / name
+            argv = ["train", "--dataset", "GOLDEN", "--data-dir", str(work), "--model", kind,
+                    "--epochs", "2", "--folds", "3", "--seed", "7", "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--reinit"] * reinit)
+            if code != 0:
+                raise RuntimeError(f"{name}: gnnlab train exited with {code}")
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            del report["wall_clock_s"]
+            canonical = json.dumps(report, indent=2, sort_keys=True).encode()
+            runs[name] = {
+                "report_sha256": _sha256(canonical),
+                "trace_sha256": {p.name: _sha256(p.read_bytes())
+                                 for p in sorted(out.glob("trace_fold*.csv"))},
+                "train_losses": [f["train_losses"] for f in report["folds"]],
+                "accuracies": [f["accuracy"] for f in report["folds"]],
+            }
+    return {"provenance": _provenance(), "runs": runs}
+
+
+def record() -> dict:
+    """Run every golden run in one subprocess with BLAS on one thread."""
+    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run([sys.executable, __file__, "--emit", work], env=env,
+                              capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_golden_runs_match_the_record():
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = record()
+    assert sorted(got["runs"]) == sorted(want["runs"])
+    if got["provenance"] == want["provenance"]:
+        for name, run in want["runs"].items():
+            assert got["runs"][name] == run, name
+        return
+    # another numpy, BLAS or CPU may round differently: compare the numbers
+    for name, run in want["runs"].items():
+        mine = got["runs"][name]
+        assert mine["accuracies"] == run["accuracies"], name
+        for fold, (a, b) in enumerate(zip(mine["train_losses"], run["train_losses"])):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0,
+                                       err_msg=f"{name} fold {fold}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--emit"]:
+        print(json.dumps(_runs(Path(sys.argv[2]))))
+    elif sys.argv[1:] == ["--record"]:
+        GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
+        print(f"wrote {GOLDEN}")
+    else:
+        sys.exit("usage: test_golden.py --record")
