@@ -6,6 +6,17 @@ deterministic 10-fold benchmark harness, all on numpy (sparse kernels
 included).
 """
 
+import multiprocessing
+import os
+import sys
+
+# One BLAS thread unless the environment sets more. BLAS reads these when numpy
+# loads, so a process that loaded numpy first keeps its count; a fold worker
+# sets nothing, as it inherits its parent's environment and so its count.
+if "numpy" not in sys.modules and multiprocessing.parent_process() is None:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 from .config import (DatasetConfig, ExperimentConfig, Folds, InitScheme, ModelSpec,
                      TrainConfig)
 from .graphdata import (Batch, Dataset, FoldSplit, Graph, fetch_tu, parse_tu,

@@ -9,6 +9,8 @@ the names, signatures and ``gcn_norm``'s ``(w, w_t, diag)`` are the interface.
 
 import numpy as np
 
+SELF_LOOP_WEIGHT = 2.0  # improved-GCN self-loop weight
+
 
 def spmm(indptr, indices, data, x):
     """Row i of the result is the data-weighted sum of x rows listed in row i.
@@ -44,39 +46,33 @@ def spmm(indptr, indices, data, x):
     return out[rank]
 
 
-def gcn_norm(indptr, indices, data, self_weight, symmetric):
-    """Propagation operator of the adjacency plus weighted self-loops.
+def gcn_norm(indptr, indices, symmetric):
+    """Propagation operator of the adjacency plus self-loops of weight
+    ``SELF_LOOP_WEIGHT``.
 
     Returns ``(w, w_t, diag)``: the entries of the operator and of its
     transpose at the adjacency's own CSR positions (one array under symmetric
     normalisation), and each row's self-loop entry, which a caller adds after
     ``spmm`` so that it comes last in each row's sum.
     """
-    n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    # each row's degree is summed from its own entries alone, so a graph's
-    # operator is the same bits on its own as inside a block-diagonal chunk
-    dhat = np.bincount(rows, weights=data, minlength=n) + self_weight
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(deg.shape[0]), deg)
+    # row-local degrees: a graph's operator is the same bits alone as in a chunk
+    dhat = deg + SELF_LOOP_WEIGHT
     if symmetric:
         inv = 1.0 / np.sqrt(dhat)
-        w = data * inv[rows] * inv[indices]
-        return w, w, self_weight * inv * inv
-    w = data / dhat[rows]
-    w_t = data / dhat[indices]
-    return w, w_t, self_weight / dhat
+        w = inv[rows] * inv[indices]
+        return w, w, SELF_LOOP_WEIGHT * inv * inv
+    return 1.0 / dhat[rows], 1.0 / dhat[indices], SELF_LOOP_WEIGHT / dhat
 
 
-def induced_subgraph(indptr, indices, data, kept):
-    """CSR of the subgraph on ``kept`` (ascending original node ids)."""
+def induced_subgraph(indptr, indices, kept):
+    """CSR ``(indptr, indices)`` of the subgraph on ``kept`` (ascending node ids)."""
     n = indptr.shape[0] - 1
     m = kept.shape[0]
     lookup = np.full(n, -1, dtype=np.int64)
     lookup[kept] = np.arange(m)
     rows = np.repeat(np.arange(n), np.diff(indptr))
     mask = (lookup[rows] >= 0) & (lookup[indices] >= 0)
-    sub_rows = lookup[rows[mask]]
-    sub_cols = lookup[indices[mask]]
-    sub_data = data[mask]
-    counts = np.bincount(sub_rows, minlength=m)
-    sub_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return sub_indptr, sub_cols, sub_data
+    counts = np.bincount(lookup[rows[mask]], minlength=m)
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64), lookup[indices[mask]]

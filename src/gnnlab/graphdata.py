@@ -321,8 +321,7 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
 
     ptr = stack.indptr
     built = tuple(Graph(adj=SparseAdj(hi - lo, ptr[lo:hi + 1] - ptr[lo],
-                                      stack.indices[ptr[lo]:ptr[hi]] - lo,
-                                      stack.weights[ptr[lo]:ptr[hi]]),
+                                      stack.indices[ptr[lo]:ptr[hi]] - lo),
                         features=features[lo:hi], label=int(labels[g]), id=g)
                   for g, (lo, hi) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())))
     return Dataset(name=name, graphs=built, num_classes=label_values.shape[0],

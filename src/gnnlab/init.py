@@ -91,7 +91,7 @@ class _Stash:
             return
         head = [adj.n, adj.indices.shape[0], half.shape[1], sizes.shape[0]]
         try:
-            for a in (np.array(head), adj.indptr, adj.indices, adj.weights, half, sizes):
+            for a in (np.array(head), adj.indptr, adj.indices, half, sizes):
                 self._fh.write(np.ascontiguousarray(a))
             self._count += 1
         except OSError:
@@ -111,8 +111,7 @@ class _Stash:
     def read(self):
         for _ in range(self._count):
             n, nnz, cols, graphs = self._fill(4, np.int64).tolist()
-            adj = SparseAdj(n, self._fill(n + 1, np.int64), self._fill(nnz, np.int64),
-                            self._fill(nnz))
+            adj = SparseAdj(n, self._fill(n + 1, np.int64), self._fill(nnz, np.int64))
             yield adj, self._fill((n, cols)), self._fill(graphs, np.int64)
 
     def _fill(self, shape, dtype=np.float64) -> np.ndarray:
@@ -173,7 +172,7 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     stage i's final divisor: S layer forwards plus S divisor applications
     per chunk, each stage seeing, bit for bit, the input a walk from the raw
     chunk gives it. Of the S stash files at most two are open at once, each
-    about calibration nodes x ``Model.width`` x 8 B plus 16 B per adjacency
+    about calibration nodes x ``Model.width`` x 8 B plus 8 B per adjacency
     entry. A sweep whose stash cannot be created or written leaves none, and
     the next sweep walks every chunk from its raw batch. The MLP head is
     never touched. Raises :class:`CalibrationError` when a stage emits

@@ -21,7 +21,6 @@ from .errors import DomainError, ShapeError, StateError
 from .numcore import SparseAdj
 
 PNORM_EPS = 1e-12  # guards the projection-vector norm in top-k scoring
-SELF_LOOP_WEIGHT = 2.0  # improved-GCN self-loop weight
 
 
 def relu(x):
@@ -60,8 +59,7 @@ class GcnLayer:
             raise ShapeError(
                 f"gcn expects {self.w.shape[0]} input features, got {x.shape[1]}")
         self._cache = None
-        w_p, w_pt, diag = adj.normalized(
-            SELF_LOOP_WEIGHT, symmetric_norm=(self.norm == "sym"))
+        w_p, w_pt, diag = adj.normalized(symmetric_norm=(self.norm == "sym"))
         m = _kernels.spmm(adj.indptr, adj.indices, w_p, x)
         m += diag[:, None] * x  # the self-loop term, last in each row's sum
         pre, out = self._affine(m)

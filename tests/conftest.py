@@ -16,7 +16,7 @@ def to_dense(adj: SparseAdj) -> np.ndarray:
     out = np.zeros((adj.n, adj.n), dtype=np.float64)
     for i in range(adj.n):
         for e in range(adj.indptr[i], adj.indptr[i + 1]):
-            out[i, adj.indices[e]] = adj.weights[e]
+            out[i, adj.indices[e]] = 1.0
     return out
 
 

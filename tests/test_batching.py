@@ -182,8 +182,8 @@ def test_batch_adjacency_is_block_diagonal():
         at += g.adj.n
     assert np.array_equal(to_dense(batch.adj), dense)
     one = Batch.of(graphs[:1]).adj
-    for got, want in zip((one.indptr, one.indices, one.weights),
-                         (graphs[0].adj.indptr, graphs[0].adj.indices, graphs[0].adj.weights)):
+    for got, want in zip((one.indptr, one.indices),
+                         (graphs[0].adj.indptr, graphs[0].adj.indices)):
         assert np.array_equal(got, want)
 
 

@@ -214,7 +214,6 @@ def assert_parses_like_reference(directory, name, **kwargs):
     for g, (indptr, indices, feats, label, gid) in zip(ds.graphs, graphs):
         assert np.array_equal(g.adj.indptr, indptr)
         assert np.array_equal(g.adj.indices, indices)
-        assert np.array_equal(g.adj.weights, np.ones(indices.shape[0]))
         assert g.features.shape == feats.shape and np.array_equal(g.features, feats)
         assert (g.label, g.id) == (label, gid)
     return ds

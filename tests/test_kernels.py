@@ -17,11 +17,13 @@ def spmm_add_at(indptr, indices, data, x):
     return out
 
 
-def gcn_norm_csr(indptr, indices, data, self_weight, symmetric):
-    """Oracle: the operator as its own CSR, the adjacency's entries with a
-    self-loop entry appended to each row; returns (indptr, indices, w, w_t)."""
+def gcn_norm_csr(indptr, indices, symmetric):
+    """Oracle: the operator as its own CSR, the adjacency's entries (each 1)
+    with a self-loop entry of 2 appended to each row; returns (indptr,
+    indices, w, w_t)."""
     n = indptr.shape[0] - 1
     nnz = indices.shape[0]
+    data, self_weight = np.ones(nnz), 2.0
     counts = np.diff(indptr)
     rows = np.repeat(np.arange(n), counts)
     dhat = np.bincount(rows, weights=data, minlength=n) + self_weight
@@ -67,10 +69,9 @@ def adjacencies():
 def operators(adj):
     """The raw adjacency plus the oracle operator CSRs (w and w_t of both
     normalisations), each with its dense form."""
-    ops = [((adj.indptr, adj.indices, adj.weights), to_dense(adj))]
+    ops = [((adj.indptr, adj.indices, np.ones(adj.indices.shape[0])), to_dense(adj))]
     for symmetric in (True, False):
-        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices,
-                                               adj.weights, 2.0, symmetric)
+        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, symmetric)
         dense = csr_dense(indptr, indices, w)
         ops += [((indptr, indices, w), dense), ((indptr, indices, w_t), dense.T)]
     return ops
@@ -104,8 +105,7 @@ def test_empty_rows_handled():
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_gcn_norm_matches_dense_normalisation(symmetric):
     for adj in adjacencies():
-        w, w_t, diag = _kernels.gcn_norm(adj.indptr, adj.indices,
-                                         adj.weights, 2.0, symmetric)
+        w, w_t, diag = _kernels.gcn_norm(adj.indptr, adj.indices, symmetric)
         a_hat = to_dense(adj) + 2.0 * np.eye(adj.n)
         d_hat = a_hat.sum(axis=1)
         if symmetric:
@@ -119,9 +119,8 @@ def test_gcn_norm_matches_dense_normalisation(symmetric):
                            rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
 @pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "row"])
-def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(unit, symmetric):
+def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(symmetric):
     # bit for bit: a graph's operator must not depend on where it sits in a chunk
     for seed in range(40):
         rng = Rng(seed)
@@ -129,14 +128,12 @@ def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(unit, sy
         for _ in range(3):
             n = 1 + rng.integers(0, 25)
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.integers(0, 10) < 3]
-            weights = None if unit else rng.uniform(1, len(edges), 1.0)[0] + 1.1
-            adjs.append(SparseAdj.from_edges(n, edges, weights))
+            adjs.append(SparseAdj.from_edges(n, edges))
         chunk = SparseAdj.block_diag(adjs)
-        w, w_t, diag = _kernels.gcn_norm(chunk.indptr, chunk.indices,
-                                         chunk.weights, 2.0, symmetric)
+        w, w_t, diag = _kernels.gcn_norm(chunk.indptr, chunk.indices, symmetric)
         node = 0
         for adj in adjs:
-            own = _kernels.gcn_norm(adj.indptr, adj.indices, adj.weights, 2.0, symmetric)
+            own = _kernels.gcn_norm(adj.indptr, adj.indices, symmetric)
             lo, hi = chunk.indptr[node], chunk.indptr[node + adj.n]
             assert np.array_equal(bits(w[lo:hi]), bits(own[0]))
             assert np.array_equal(bits(w_t[lo:hi]), bits(own[1]))
@@ -146,14 +143,8 @@ def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(unit, sy
 
 def equivalence_adjacencies():
     """Random graphs (some with isolated nodes), a star, an edgeless graph and
-    one with stored (i, i) entries, each with unit and with non-unit weights."""
-    for adj in adjacencies() + [SparseAdj.from_edges(5, [(0, 1), (2, 2), (1, 3), (4, 4)])]:
-        yield adj
-        rows = np.repeat(np.arange(adj.n), adj.degrees())
-        upper = rows <= adj.indices
-        pairs = np.stack([rows[upper], adj.indices[upper]], axis=1)
-        yield SparseAdj.from_edges(adj.n, pairs,
-                                   1.0 + Rng(adj.n).uniform(1, pairs.shape[0], 0.9)[0])
+    one with stored (i, i) entries."""
+    return adjacencies() + [SparseAdj.from_edges(5, [(0, 1), (2, 2), (1, 3), (4, 4)])]
 
 
 @pytest.mark.parametrize("norm", ["sym", "row"])
@@ -163,8 +154,7 @@ def test_gcn_layer_bit_equal_to_spmm_over_the_oracle_operator_csr(norm):
         layer = GcnLayer(rng.normal(4, 3, 0.7), rng.normal(1, 3, 0.3), norm=norm)
         x = rng.normal(adj.n, 4, 1.0)
         grad_out = rng.normal(adj.n, 3, 1.0)
-        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, adj.weights,
-                                               2.0, norm == "sym")
+        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, norm == "sym")
         pre = _kernels.spmm(indptr, indices, w, x) @ layer.w
         pre += layer.b
         grad_x = _kernels.spmm(indptr, indices, w_t, (grad_out * (pre > 0)) @ layer.w.T)
@@ -176,8 +166,7 @@ def test_gcn_layer_bit_equal_to_spmm_over_the_oracle_operator_csr(norm):
 def test_induced_subgraph_matches_dense_submatrix():
     for k, adj in enumerate(adjacencies()):
         kept = np.sort(Rng(k).permutation(adj.n)[: adj.n // 2 + 1]).astype(np.int64)
-        indptr, indices, data = _kernels.induced_subgraph(adj.indptr, adj.indices,
-                                                          adj.weights, kept)
+        indptr, indices = _kernels.induced_subgraph(adj.indptr, adj.indices, kept)
         assert indptr.shape == (kept.shape[0] + 1,) and indptr[-1] == indices.shape[0]
         want = to_dense(adj)[np.ix_(kept, kept)]
-        assert np.array_equal(csr_dense(indptr, indices, data), want)
+        assert np.array_equal(csr_dense(indptr, indices, np.ones(indices.shape[0])), want)

@@ -28,22 +28,27 @@ def test_matmul_associativity():
     assert np.max(np.abs(left - right)) < 1e-9
 
 
+def unit_spmm(adj, x):
+    """The adjacency itself (every entry 1) times ``x``."""
+    return _kernels.spmm(adj.indptr, adj.indices, np.ones(adj.indices.shape[0]), x)
+
+
 def test_spmm_empty_adjacency_gives_zero():
     adj = SparseAdj.from_edges(4, [])
     x = Rng(0).normal(4, 3, 1.0)
-    assert np.array_equal(_kernels.spmm(adj.indptr, adj.indices, adj.weights, x), np.zeros((4, 3)))
+    assert np.array_equal(unit_spmm(adj, x), np.zeros((4, 3)))
 
 
 def test_spmm_identity_self_loops():
     adj = SparseAdj.from_edges(3, [(i, i) for i in range(3)])
     x = Rng(1).normal(3, 2, 1.0)
-    assert np.allclose(_kernels.spmm(adj.indptr, adj.indices, adj.weights, x), x)
+    assert np.allclose(unit_spmm(adj, x), x)
 
 
 def test_spmm_path_graph():
     adj = SparseAdj.from_edges(3, [(0, 1), (1, 2)])
     x = np.array([[1.0], [2.0], [3.0]])
-    assert np.array_equal(_kernels.spmm(adj.indptr, adj.indices, adj.weights, x), [[2.0], [4.0], [2.0]])
+    assert np.array_equal(unit_spmm(adj, x), [[2.0], [4.0], [2.0]])
 
 
 def test_spmm_matches_dense_matmul():
@@ -53,111 +58,84 @@ def test_spmm_matches_dense_matmul():
         adj = random_adj(rng.derive(trial), n, 0.4)
         x = rng.normal(n, 3, 1.0)
         dense = to_dense(adj) @ x
-        assert np.max(np.abs(_kernels.spmm(adj.indptr, adj.indices, adj.weights, x) - dense)) < 1e-12
+        assert np.max(np.abs(unit_spmm(adj, x) - dense)) < 1e-12
 
 
-def _reference_from_edges(n, edges, weights=None):
-    """The dict loop ``SparseAdj.from_edges`` replaced: the last occurrence
-    of an entry sets its weight; entries come out sorted."""
-    pairs = {}
-    for k, (i, j) in enumerate(edges):
-        w = 1.0 if weights is None else float(weights[k])
-        pairs[(int(i), int(j))] = w
-        pairs[(int(j), int(i))] = w
+def _reference_from_edges(n, edges):
+    """The dict loop ``SparseAdj.from_edges`` replaced: each entry once, both
+    directions of every pair, entries sorted."""
+    pairs = set()
+    for i, j in edges:
+        pairs |= {(int(i), int(j)), (int(j), int(i))}
     indptr = np.zeros(n + 1, dtype=np.int64)
     for i, _ in pairs:
         indptr[i + 1] += 1
-    keys = sorted(pairs)
-    return (np.cumsum(indptr), np.array([j for _, j in keys], dtype=np.int64),
-            np.array([pairs[k] for k in keys], dtype=np.float64))
+    return np.cumsum(indptr), np.array([j for _, j in sorted(pairs)], dtype=np.int64)
+
+
+def _assert_csr_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_from_edges_matches_the_dict_loop():
     rng = Rng(17)
-    for trial in range(60):
+    for _ in range(60):
         n = 1 + rng.integers(0, 12)
         m = rng.integers(0, 30)
         edges = [(rng.integers(0, n), rng.integers(0, n)) for _ in range(m)]
-        weights = rng.normal(1, m, 1.0)[0] if trial % 2 else None
-        adj = SparseAdj.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2), weights)
-        want = _reference_from_edges(n, edges, weights)
-        for got, ref in zip((adj.indptr, adj.indices, adj.weights), want):
-            assert np.array_equal(got, ref)
+        adj = SparseAdj.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        _assert_csr_equal((adj.indptr, adj.indices), _reference_from_edges(n, edges))
 
 
-def test_from_edges_without_weights_equals_unit_weights():
-    # the unweighted build skips the weight gathers; its CSR must be the one
-    # a weight of 1.0 per pair gives, repeated pairs (both ways) included
-    rng = Rng(19)
-    for _ in range(40):
-        n = 1 + rng.integers(0, 12)
-        m = rng.integers(0, 30)
-        pairs = np.array([(rng.integers(0, n), rng.integers(0, n)) for _ in range(m)],
-                         dtype=np.int64).reshape(-1, 2)
-        pairs = np.concatenate([pairs, pairs[: m // 2], pairs[m // 2:, ::-1]])
-        got = SparseAdj.from_edges(n, pairs)
-        want = SparseAdj.from_edges(n, pairs, np.ones(pairs.shape[0]))
-        for attr in ("indptr", "indices", "weights"):
-            a, b = getattr(got, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_from_edges_accepts_a_set_and_keeps_the_last_weight():
-    from_set = SparseAdj.from_edges(3, {(0, 1), (2, 1)})
-    assert edge_set(from_set) == {(0, 1), (1, 0), (1, 2), (2, 1)}
-    assert np.array_equal(from_set.indptr, [0, 1, 3, 4])
-    # (1, 0) repeats (0, 1), so its weight wins both ways
-    adj = SparseAdj.from_edges(2, [(0, 1), (1, 0)], weights=[2.0, 5.0])
-    assert np.array_equal(to_dense(adj), [[0.0, 5.0], [5.0, 0.0]])
-    again = SparseAdj.from_edges(2, iter([(0, 1), (1, 0), (0, 1)]), weights=[2.0, 5.0, 7.0])
-    assert np.array_equal(to_dense(again), [[0.0, 7.0], [7.0, 0.0]])
+def test_from_edges_stores_each_direction_once():
+    # a repeated pair, a pair given both ways and a self-loop given twice
+    edges = [(0, 1), (2, 3), (0, 1), (3, 2), (1, 1), (1, 1)]
+    for given in (edges, set(edges), iter(edges), np.array(edges)):
+        adj = SparseAdj.from_edges(4, given)
+        _assert_csr_equal((adj.indptr, adj.indices), _reference_from_edges(4, edges))
+        assert edge_set(adj) == {(0, 1), (1, 0), (1, 1), (2, 3), (3, 2)}
+        assert np.array_equal(adj.indptr, [0, 1, 3, 4, 5])
     empty = SparseAdj.from_edges(2, [])
     assert empty.indices.size == 0 and np.array_equal(empty.indptr, [0, 0, 0])
+
+
+def test_sparse_adj_is_an_unweighted_pattern():
+    adj = SparseAdj.from_edges(3, [(0, 1), (1, 2)])
+    assert SparseAdj.__slots__ == ("n", "indptr", "indices")
+    assert np.array_equal(adj.weights, np.ones(4)) and adj.weights.dtype == np.float64
+    with pytest.raises(AttributeError):
+        adj.weights = np.zeros(4)
 
 
 def test_from_edges_over_stacked_graphs_is_the_block_diag_of_each_graphs_own():
     """``parse_tu`` builds one CSR over every graph's nodes, stacked, and cuts
     it into diagonal blocks: that must equal building each graph on its own,
-    bit for bit, with the graphs' pairs interleaved as in a file and a
-    repeated pair keeping its last weight within its graph."""
+    bit for bit, with the graphs' pairs interleaved as in a file, repeated
+    and given both ways."""
     rng = Rng(41)
-    for trial in range(60):
-        adjs, pairs, weights, offset = [], [], [], 0
+    for _ in range(60):
+        adjs, pairs, offset = [], [], 0
         for _ in range(1 + rng.integers(0, 6)):
             n = 1 + rng.integers(0, 9)
             m = 0 if rng.integers(0, 4) == 0 else rng.integers(0, 2 * n)  # some edgeless
             p = np.array([(rng.integers(0, n), rng.integers(0, n)) for _ in range(m)],
                          dtype=np.int64).reshape(-1, 2)
             p = np.concatenate([p, p[: m // 2], p[m // 2:, ::-1]])  # repeats, both ways
-            w = rng.uniform(1, p.shape[0], 4.0)[0]  # distinct, so the last one must win
-            adjs.append(SparseAdj.from_edges(n, p, w))
+            adjs.append(SparseAdj.from_edges(n, p))
             pairs.append(p + offset)
-            weights.append(w)
             offset += n
-        owner = np.repeat(np.arange(len(adjs)), [p.shape[0] for p in pairs])
-        slots = np.argsort(owner[rng.permutation(owner.shape[0])], kind="stable")
-        stacked = np.empty((owner.shape[0], 2), dtype=np.int64)
-        stacked[slots] = np.concatenate(pairs)  # each graph's pairs keep their order
-        stacked_weights = np.empty(owner.shape[0])
-        stacked_weights[slots] = np.concatenate(weights)
-        got = SparseAdj.from_edges(offset, stacked, stacked_weights)
+        stacked = np.concatenate(pairs)[rng.permutation(sum(p.shape[0] for p in pairs))]
+        got = SparseAdj.from_edges(offset, stacked)
         want = SparseAdj.block_diag(adjs)
         assert got.n == want.n
-        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                     (got.weights, want.weights)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _assert_csr_equal((got.indptr, got.indices), (want.indptr, want.indices))
 
 
 def test_sparse_adj_rejects_bad_indices():
     for edges in ([(0, 5)], [(2, 0)], [(-1, 0)], [(0, 1), (1, -2)]):
         with pytest.raises(ShapeError):
             SparseAdj.from_edges(2, edges)
-
-
-@pytest.mark.parametrize("weights", [[1.0, 2.0, 3.0], [1.0]], ids=["long", "short"])
-def test_from_edges_rejects_a_weight_count_other_than_the_pair_count(weights):
-    with pytest.raises(ShapeError, match="weights for 2 edges"):
-        SparseAdj.from_edges(3, [(0, 1), (1, 2)], weights)
 
 
 def _moments(*mats):
@@ -227,6 +205,6 @@ def test_seeded_pipeline_bit_identical():
         rng = Rng(seed)
         adj = random_adj(rng.derive(0), 9, 0.3)
         x = rng.derive(1).normal(9, 4, 1.0)
-        return _kernels.spmm(adj.indptr, adj.indices, adj.weights, x) @ rng.derive(2).normal(4, 4, 1.0)
+        return unit_spmm(adj, x) @ rng.derive(2).normal(4, 4, 1.0)
 
     assert np.array_equal(pipeline(123), pipeline(123))

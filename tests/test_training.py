@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +244,37 @@ def test_run_cv_parallel_matches_sequential():
     par, par_traces = run_cv(ds, spec, cfg, folds=2, fold_seed=0, jobs=2, trace=True)
     assert [f.to_dict() for f in seq.folds] == [f.to_dict() for f in par.folds]
     assert seq_traces == par_traces
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# a process that imports gnnlab (after numpy or not), then asks a spawned
+# worker that imports gnnlab too, as a fold worker does, what it sees
+SPAWN_PROBE = """
+import multiprocessing as mp, os
+{first}
+import gnnlab
+with mp.get_context("spawn").Pool(1) as pool:
+    pool.apply(exec, ("import gnnlab",))
+    print(*(pool.apply(os.getenv, (var,)) for var in {vars!r}))
+"""
+
+
+@pytest.mark.parametrize("given, first, seen", [
+    (None, "", ["1", "1", "1"]),
+    ("2", "", ["2", "1", "1"]),
+    # too late to pin this process, so its workers must run as it does,
+    # or --jobs 1 and --jobs N would round differently
+    (None, "import numpy", ["None", "None", "None"]),
+], ids=["unset", "set", "numpy_first"])
+def test_importing_gnnlab_pins_blas_threads_for_spawned_workers(given, first, seen):
+    # What a worker's environment says, not OpenBLAS's own thread count:
+    # reading that needs threadpoolctl, which is not a dependency.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    probe = SPAWN_PROBE.format(first=first, vars=BLAS_VARS)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == seen
