@@ -1,8 +1,9 @@
-"""Golden runs: ten seeded ``gnnlab train`` runs whose results must not move.
+"""Golden runs: fourteen seeded ``gnnlab train`` runs whose results must not move.
 
-Each model kind trains with and without ``--reinit`` (3 folds, 2 epochs) on a
-seeded synthetic corpus written in TU form, in one subprocess whose BLAS runs
-on one thread. ``golden.json`` holds, per run, the sha256 of the report
+Each model kind, and ``jk_sum`` with summed taps and with taps after the
+pools, trains with and without ``--reinit`` (3 folds, 2 epochs) on a seeded
+synthetic corpus written in TU form, in one subprocess whose BLAS runs on one
+thread. ``golden.json`` holds, per run, the sha256 of the report
 (without its ``wall_clock_s``) and of each trace CSV, the per-fold training
 losses and accuracies, and the provenance of the record: the numpy version,
 the BLAS build, the SIMD extensions numpy found on the CPU and the BLAS
@@ -30,6 +31,12 @@ import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden.json")
 KINDS = ("mlp", "gcn_mlp", "gcn_r_mlp", "jk_sum", "probe4")
+# (run name, model kind, extra flags, --config file contents or None); the two
+# jk_sum variants read the stage states through other taps than plain jk_sum
+VARIANTS = tuple((kind, kind, [], None) for kind in KINDS) + (
+    ("jk_sum_agg_sum", "jk_sum", ["--jk-agg", "sum"], None),
+    ("jk_sum_tap_pooled", "jk_sum", [], {"model": {"tap_pooled": True}}),
+)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -53,12 +60,15 @@ def _runs(work: Path) -> dict:
     ds = synth_dataset(36, seed=11, signal=0.7, n_lo=6, n_hi=16, name="GOLDEN")
     write_tu(ds, work / "GOLDEN" / "raw")
     runs = {}
-    for kind in KINDS:
+    for variant, kind, flags, config in VARIANTS:
+        if config is not None:
+            flags = flags + ["--config", str(work / f"{variant}.json")]
+            (work / f"{variant}.json").write_text(json.dumps(config), encoding="utf-8")
         for reinit in (False, True):
-            name = f"{kind}_reinit" if reinit else kind
+            name = f"{variant}_reinit" if reinit else variant
             out = work / name
             argv = ["train", "--dataset", "GOLDEN", "--data-dir", str(work), "--model", kind,
-                    "--epochs", "2", "--folds", "3", "--seed", "7", "--out", str(out)]
+                    "--epochs", "2", "--folds", "3", "--seed", "7", "--out", str(out)] + flags
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv + ["--reinit"] * reinit)
             if code != 0:
