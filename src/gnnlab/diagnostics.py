@@ -33,8 +33,8 @@ class TraceSink:
     """Append-only event buffer with per-epoch pooling."""
 
     def __init__(self):
-        # (epoch, layer, stat or kind) -> Moments of matrix entries, or
-        # [count, sum] of scalars; in first-insertion order of the keys
+        # (epoch, layer, stat or kind) -> Moments of the matrix entries or
+        # scalars pooled under it, in first-insertion order of the keys
         self._acc = {}
 
     def add_entries(self, epoch: int, layer: str, stat: str, x: np.ndarray):
@@ -43,23 +43,20 @@ class TraceSink:
         self._acc.setdefault((epoch, layer, stat), Moments()).add(x)
 
     def add_scalar(self, epoch: int, layer: str, kind: str, value: float):
-        acc = self._acc.setdefault((epoch, layer, kind), [0, 0.0])
-        acc[0] += 1
-        acc[1] += float(value)
+        """Pool one scalar; its ``kind`` event is the mean of those pooled."""
+        self._acc.setdefault((epoch, layer, kind), Moments()).add(np.float64(value))
 
     def events(self) -> list:
         """Materialise events in first-insertion order of their keys."""
         out = []
         for (epoch, layer, tag), acc in self._acc.items():
-            if isinstance(acc, Moments):
-                if tag == "act":
-                    out.append(TraceEvent(epoch, layer, "act_mean", acc.mean()))
-                    out.append(TraceEvent(epoch, layer, "act_std", acc.std()))
-                else:
-                    out.append(TraceEvent(epoch, layer, "preact_std", acc.std()))
+            if tag == "act":
+                out.append(TraceEvent(epoch, layer, "act_mean", acc.mean()))
+                out.append(TraceEvent(epoch, layer, "act_std", acc.std()))
+            elif tag == "preact":
+                out.append(TraceEvent(epoch, layer, "preact_std", acc.std()))
             else:
-                count, total = acc
-                out.append(TraceEvent(epoch, layer, tag, total / count))
+                out.append(TraceEvent(epoch, layer, tag, acc.mean()))
         return out
 
 

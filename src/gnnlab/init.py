@@ -6,16 +6,15 @@ biases start at zero. The rescaling pass ("reinit") then walks the block
 stack in order, measuring the standard deviation of each block's output over
 a calibration set and dividing it out, so every block emits unit-variance
 activations on that set. The calibration graphs run through the blocks in
-the chunks training uses (:func:`gnnlab.graphdata.chunks`, bounded by
-node count times ``Model.width``),
-and each sweep resumes from a temp-file stash of raw arrays the one before
-it left: per chunk, a stage's output before its divisor, its output
-adjacency's CSR arrays and the graph sizes.
-Convolution divisors are folded into the weights and bias; pool divisors are
-kept as forward-time scale factors because the pool scores are
-projection-norm invariant, leaving no weight to fold into. Which scheme a
-run uses is its :class:`~gnnlab.config.InitScheme`, declared with the other
-settings in :mod:`gnnlab.config`.
+the chunks training uses (:func:`gnnlab.graphdata.chunks`, bounded by node
+count times ``Model.width``), and each sweep resumes from a temp-file stash
+of raw arrays the one before it left: per chunk, a stage's output before its
+divisor, its output adjacency's CSR arrays and the graph sizes. Each stage
+applies its divisor itself (``rescale``): a convolution folds it into its
+weights and bias; a pool, whose scores ignore the norm of its projection,
+keeps it as a forward-time scale. Which scheme a run uses is its
+:class:`~gnnlab.config.InitScheme`, declared with the other settings in
+:mod:`gnnlab.config`.
 """
 
 import math
@@ -28,7 +27,6 @@ import numpy as np
 from .config import InitScheme  # noqa: F401  (importable from here too)
 from .errors import CalibrationError
 from .graphdata import State, chunks
-from .layers import GcnLayer, TopKPool
 from .numcore import Moments, Rng, SparseAdj
 
 REINIT_TOL = 1e-6
@@ -196,11 +194,7 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
             report.post_std += verified
             if sigma < 1e-300:
                 raise CalibrationError(f"block {name} produced constant output during reinit")
-            if isinstance(layer, GcnLayer):
-                layer.w /= sigma
-                layer.b /= sigma
-            elif isinstance(layer, TopKPool):
-                layer.scale *= sigma
+            layer.rescale(sigma)
             report.blocks.append(name)
             report.divisors.append(float(sigma))
         if stages:

@@ -12,13 +12,19 @@ node rows of consecutive graphs are stacked, and ``sizes`` gives each graph's
 node count. Convolutions and dense layers need nothing more (a block-diagonal
 adjacency keeps the graphs apart); top-k pools select within each graph and
 readouts return one row per graph.
+
+The stages of a block stack, :class:`GcnLayer` and :class:`TopKPool`, share
+one contract: ``forward`` maps a :class:`~gnnlab.graphdata.State` to the next
+State; ``backward(grad, input_grad)`` returns (input gradient or None,
+{name: gradient}); ``rescale(sigma)`` divides every later output by sigma;
+and ``last_preactivation`` is what tracing reads (None for a pool).
 """
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ShapeError, StateError
-from .numcore import SparseAdj
+from .graphdata import State
 
 PNORM_EPS = 1e-12  # guards the projection-vector norm in top-k scoring
 
@@ -31,8 +37,8 @@ class GcnLayer:
     """Graph convolution with weighted self-loops and degree normalisation.
 
     Propagates features with P built from the adjacency plus self-loops of
-    weight 2, then applies an affine map and optional ReLU. The variance
-    re-initialisation pass folds its divisor into W and b.
+    weight 2, then applies an affine map and optional ReLU. A divisor from
+    :meth:`rescale` is folded into W and b.
     """
 
     def __init__(self, w, b, activation="relu", norm="sym"):
@@ -54,7 +60,8 @@ class GcnLayer:
     def fan_out(self):
         return self.w.shape[1]
 
-    def forward(self, adj: SparseAdj, x: np.ndarray) -> np.ndarray:
+    def forward(self, state: State) -> State:
+        adj, x, sizes = state
         if x.shape[1] != self.w.shape[0]:
             raise ShapeError(
                 f"gcn expects {self.w.shape[0]} input features, got {x.shape[1]}")
@@ -64,15 +71,20 @@ class GcnLayer:
         m += diag[:, None] * x  # the self-loop term, last in each row's sum
         pre, out = self._affine(m)
         self._cache = {"m": m, "pre": pre, "prop_t": (adj, w_pt, diag)}
-        return out
+        return State(adj, out, sizes)
 
     def _affine(self, m):
         pre = m @ self.w + self.b
         return pre, relu(pre) if self.activation == "relu" else pre
 
     def resume(self, m: np.ndarray) -> np.ndarray:
-        """What a forward that propagated to ``m`` returns under the current W and b."""
+        """The rows a forward that propagated to ``m`` returns under the current W and b."""
         return self._affine(m)[1]
+
+    def rescale(self, sigma: float) -> None:
+        """Divide every later output by ``sigma`` > 0, folded into W and b."""
+        self.w /= sigma
+        self.b /= sigma
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
         """Parameter gradients, and the input gradient (None unless
@@ -125,26 +137,24 @@ class TopKPool:
     gate, including the gate's dependence on features and on ``p``.
     """
 
+    last_preactivation = None  # a pool has no preactivation to trace
+
     def __init__(self, p, k=0.8):
         if not (0 <= k < 1):
             raise ValueError("k must lie in [0, 1)")
         self.p = np.asarray(p, dtype=np.float64).reshape(-1)
         self.k = float(k)
-        self.scale = 1.0  # forward divisor, set by the variance re-initialisation
+        self.scale = 1.0  # forward divisor, see rescale
         self._cache = None
 
-    def kept_sizes(self, sizes) -> np.ndarray:
-        """Rows each graph keeps, from its row counts ``sizes``."""
-        return keep_count(self.k, sizes)
-
-    def forward(self, adj: SparseAdj, x: np.ndarray, sizes=None):
-        """Pool every graph of the stack (one graph when ``sizes`` is None);
-        returns (subgraph, pooled features, kept row ids, ascending)."""
+    def forward(self, state: State) -> State:
+        """Pool every graph of the stack: the induced subgraph on the kept
+        rows, the pooled rows and each graph's kept row count."""
+        adj, x, sizes = state
         if x.shape[1] != self.p.shape[0]:
             raise ShapeError(
                 f"pool projection has {self.p.shape[0]} entries, features have {x.shape[1]}")
         self._cache = None
-        sizes = np.array([x.shape[0]]) if sizes is None else np.asarray(sizes)
         nrm = float(np.linalg.norm(self.p))
         denom = max(nrm, PNORM_EPS)
         # One product per graph: BLAS rounds a row of one matrix-vector
@@ -159,25 +169,30 @@ class TopKPool:
         # graph[i], so i - starts[graph[i]] is the rank within that graph.
         ranked = np.lexsort((-scores, graph))
         rank = np.arange(x.shape[0]) - starts[graph]
-        kept = np.sort(ranked[rank < self.kept_sizes(sizes)[graph]])
+        kept_sizes = keep_count(self.k, sizes)
+        kept = np.sort(ranked[rank < kept_sizes[graph]])  # row ids, ascending
         gate = np.tanh(scores[kept])
         x_kept = x[kept]
         gated = x_kept * gate[:, None]
-        sub = adj.induced(kept)
         self._cache = {"x": x, "kept": kept, "gate": gate, "x_kept": x_kept, "gated": gated,
                        "scores": scores, "norm": nrm, "denom": denom}
-        return sub, self.resume(gated), kept
+        return State(adj.induced(kept), self.resume(gated), kept_sizes)
 
     def resume(self, gated: np.ndarray) -> np.ndarray:
         """The pooled rows a forward that gated to ``gated`` returns under the current scale."""
         return gated / self.scale
+
+    def rescale(self, sigma: float) -> None:
+        """Divide every later output by ``sigma``, kept as ``scale`` (no weight can absorb it)."""
+        self.scale *= sigma
 
     @property
     def half(self):
         """The last forward's gated rows, untouched by ``scale``, for :meth:`resume`."""
         return self._cache["gated"]
 
-    def backward(self, grad_out: np.ndarray):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):
+        """Gradient on ``p``, and the input gradient (None unless ``input_grad``)."""
         if self._cache is None:
             raise StateError("top-k backward called before forward")
         c, self._cache = self._cache, None
@@ -187,8 +202,10 @@ class TopKPool:
         # d out / d gate, chained through tanh
         g_dot_x = np.einsum("ij,ij->i", grad_out, x_kept) / self.scale
         d_score = g_dot_x * (1.0 - gate * gate)
-        grad_in = np.zeros_like(c["x"])
-        grad_in[kept] = grad_out * gate[:, None] / self.scale + np.outer(d_score, phat)
+        grad_in = None
+        if input_grad:
+            grad_in = np.zeros_like(c["x"])
+            grad_in[kept] = grad_out * gate[:, None] / self.scale + np.outer(d_score, phat)
         if c["norm"] >= PNORM_EPS:
             # quotient rule: d score_i / d p = (x_i - score_i * phat) / |p|
             grad_p = (x_kept.T @ d_score - float(d_score @ c["scores"][kept]) * phat) / denom

@@ -19,10 +19,11 @@ A model runs on a :class:`~gnnlab.graphdata.Batch`, the disjoint union of
 one or more graphs, and emits one row of class scores per graph. One stage
 walk over the flat convolution/pool stack serves forward, reinit
 (:meth:`Model.run_blocks`, which can start at any stage from a given state)
-and tracing. Each tap reads one state of that walk, and forward stops at the
-last state a tap reads: with convolution taps, ``jk_sum`` never runs its
-third pool. The batch's adjacency is built only when a stage runs, so
-``mlp`` never builds one.
+and tracing. Every stage maps a :class:`~gnnlab.graphdata.State` to a State
+(:mod:`gnnlab.layers`), so the walk is a fold that never asks a stage's kind.
+Each tap reads one state of that walk, and forward stops at the last state a
+tap reads: with convolution taps, ``jk_sum`` never runs its third pool. The
+batch's adjacency is built only when a stage runs, so ``mlp`` never builds one.
 """
 
 import numpy as np
@@ -87,15 +88,9 @@ class Model:
         """``state``, the state entering flat stage ``first`` of the block
         stack, followed by the state after each stage from ``first`` up to,
         not including, ``upto``."""
-        adj, x, sizes = state
         states = [state]
         for _, layer in self._stages[first:upto]:
-            if isinstance(layer, TopKPool):
-                adj, x, _ = layer.forward(adj, x, sizes)
-                sizes = layer.kept_sizes(sizes)
-            else:
-                x = layer.forward(adj, x)
-            states.append(State(adj, x, sizes))
+            states.append(layer.forward(states[-1]))
         return states
 
     # ---------------------------------------------------------------- forward
@@ -106,10 +101,9 @@ class Model:
             raise ShapeError(f"model expects {self.num_features} features, "
                              f"graphs have {batch.features.shape[1]}")
         self._cache = None  # let the previous batch's outputs go first
-        if self._live:
-            states = self._walk(batch.state, self._live)
-        else:  # no stage runs, so the batch's adjacency is never built
-            states = [State(None, batch.features, batch.sizes)]
+        # with no stage to run, the batch's adjacency is never built
+        states = self._walk(State(batch.adj if self._live else None, batch.features,
+                                  batch.sizes), self._live)
         tap_mats = [ro.forward(states[t].x, states[t].sizes)
                     for t, (_, ro) in zip(self._tap_index, self.taps)]
         if self.spec.jk_agg == "sum":
@@ -152,10 +146,7 @@ class Model:
                 state_grads[t] = _add(state_grads[t], mat)
         for s in range(self._live, 0, -1):
             name, layer = self._stages[s - 1]
-            if isinstance(layer, TopKPool):
-                x_grad, layer_grads = layer.backward(state_grads[s])
-            else:
-                x_grad, layer_grads = layer.backward(state_grads[s], input_grad=s > 1)
+            x_grad, layer_grads = layer.backward(state_grads[s], input_grad=s > 1)
             grads.update({f"{name}.{k}": g for k, g in layer_grads.items()})
             state_grads[s - 1] = _add(state_grads[s - 1], x_grad)
         self.last_grads = {name: grads[name] if name in grads and name not in self.frozen
@@ -186,7 +177,7 @@ class Model:
         recent forward ran."""
         if self._cache is None:
             raise StateError("no cached forward state to trace")
-        return [(name, st.x, layer.last_preactivation if isinstance(layer, GcnLayer) else None)
+        return [(name, st.x, layer.last_preactivation)
                 for (name, layer), st in zip(self._stages, self._cache[1:])]
 
 

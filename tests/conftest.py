@@ -1,12 +1,23 @@
 """Shared fixtures and oracles for the suite."""
 
+import os
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from gnnlab import Dataset, Graph, Rng, SparseAdj
-from gnnlab.graphdata import fetch_tu, is_cached, parse_tu
+# One BLAS thread, as ``gnnlab train`` runs, unless the environment sets more.
+# BLAS reads these when numpy loads, and numpy loads just below, before
+# importing gnnlab could set them; a pytest plugin that loaded numpy earlier
+# would void the pin.
+BLAS_PINNED_BEFORE_NUMPY = "numpy" not in sys.modules
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from gnnlab import Dataset, Graph, Rng, SparseAdj  # noqa: E402
+from gnnlab.graphdata import State, fetch_tu, is_cached, parse_tu  # noqa: E402
 
 
 # --------------------------------------------------------------------------
@@ -24,6 +35,30 @@ def edge_set(adj: SparseAdj) -> set:
     """Set of (i, j) stored entries."""
     return {(i, int(adj.indices[e]))
             for i in range(adj.n) for e in range(adj.indptr[i], adj.indptr[i + 1])}
+
+
+# --------------------------------------------------------------------------
+# stage states
+
+def one_graph(adj: SparseAdj, x: np.ndarray) -> State:
+    """The state of a one-graph stack with adjacency ``adj`` and node rows ``x``."""
+    return State(adj, x, np.array([x.shape[0]]))
+
+
+@pytest.fixture
+def kept_rows(monkeypatch):
+    """The row ids each top-k pool keeps (ascending), one array per pool
+    forward in call order, recorded where the pool hands them to
+    ``SparseAdj.induced``."""
+    log = []
+    induced = SparseAdj.induced
+
+    def spy(self, kept):
+        log.append(kept)
+        return induced(self, kept)
+
+    monkeypatch.setattr(SparseAdj, "induced", spy)
+    return log
 
 
 # --------------------------------------------------------------------------

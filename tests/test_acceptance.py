@@ -21,9 +21,9 @@ from gnnlab.cli import main
 from gnnlab.diagnostics import TraceSink
 from gnnlab.numcore import Moments
 
-from conftest import (edge_set, fd_max_rel_err, layer_fd_max_rel_err, permute_graph,
-                      random_adj, random_graph, randomize_params, synth_dataset,
-                      write_tu_files)
+from conftest import (edge_set, fd_max_rel_err, layer_fd_max_rel_err, one_graph,
+                      permute_graph, random_adj, random_graph, randomize_params,
+                      synth_dataset, write_tu_files)
 from test_layers import brute_force_topk, make_gcn
 
 
@@ -41,7 +41,7 @@ def criterion(num, desc):
 # --------------------------------------------------------------------------
 # 1. gradient exactness
 
-def test_criterion_1_gradient_exactness():
+def test_criterion_1_gradient_exactness(kept_rows):
     with criterion(1, "analytic gradients match finite differences < 1e-6"):
         worst = 0.0
         for trial in range(50):  # convolution layers
@@ -55,7 +55,7 @@ def test_criterion_1_gradient_exactness():
             direction = rng.normal(n, 5, 1.0)
 
             def run():
-                return float((layer.forward(adj, x) * direction).sum())
+                return float((layer.forward(one_graph(adj, x)).x * direction).sum())
 
             run()
             grad_x, grads = layer.backward(direction)
@@ -69,12 +69,12 @@ def test_criterion_1_gradient_exactness():
             adj = random_adj(rng.derive(0), n, 0.4)
             x = rng.normal(n, 4, 1.0)
             pool = TopKPool(rng.normal(1, 4, 1.0)[0], k=(0.5, 0.9)[trial % 2])
-            _, out, kept = pool.forward(adj, x)
+            pool.forward(one_graph(adj, x))
+            kept = kept_rows[-1]
             direction = rng.normal(kept.shape[0], 4, 1.0)
 
             def run():
-                _, o, _ = pool.forward(adj, x)
-                return float((o * direction).sum())
+                return float((pool.forward(one_graph(adj, x)).x * direction).sum())
 
             run()
             grad_in, grads = pool.backward(direction)
@@ -150,7 +150,7 @@ def test_criterion_2_reinit_postcondition():
 # --------------------------------------------------------------------------
 # 3. top-k oracle equivalence
 
-def test_criterion_3_topk_oracle():
+def test_criterion_3_topk_oracle(kept_rows):
     with criterion(3, "top-k kept set and subgraph equal the brute-force oracle"):
         for trial in range(200):
             rng = Rng(70_000 + trial)
@@ -160,7 +160,8 @@ def test_criterion_3_topk_oracle():
             x = rng.normal(n, f, 1.0)
             p = rng.normal(1, f, 1.0)[0]
             k = (0.0, 0.3, 0.5, 0.8, 0.95)[trial % 5]
-            sub, _, kept = TopKPool(p, k=k).forward(adj, x)
+            sub, _, _ = TopKPool(p, k=k).forward(one_graph(adj, x))
+            kept = kept_rows[-1]
             expect = brute_force_topk(x, p, k)
             assert kept.tolist() == expect
             assert kept.shape[0] == max(1, math.ceil(k * n - 1e-9))

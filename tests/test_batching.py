@@ -80,7 +80,7 @@ def _degree_onehot_graph(rng, n, mean_degree=2.3, cap=16):
     return Graph(adj=adj, features=features, label=0, id=0)
 
 
-def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch):
+def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch, kept_rows):
     # Degree one-hots make many nodes identical, so scores tie exactly at the
     # keep cut; a tie must resolve as it does for the graph on its own.
     rng = Rng(4242)
@@ -90,19 +90,19 @@ def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch):
     log = []
     forward = TopKPool.forward
 
-    def spy(self, adj, x, sizes=None):
-        out = forward(self, adj, x, sizes)
-        log.append((out[2], x @ self.p, sizes))
-        return out
+    def spy(self, state):
+        log.append((state.x @ self.p, state.sizes))
+        return forward(self, state)
 
     monkeypatch.setattr(TopKPool, "forward", spy)
     single = []
     ties = 0
     for g in graphs:
         log.clear()
+        kept_rows.clear()
         model.forward(Batch.of([g]))
-        single.append([kept for kept, _, _ in log])
-        for kept, scores, _ in log:
+        single.append(list(kept_rows))
+        for kept, (scores, _) in zip(kept_rows, log):
             m, ranked = kept.shape[0], np.sort(scores)[::-1]
             ties += m < ranked.shape[0] and ranked[m - 1] == ranked[m]
     assert ties > 0, "the corpus has no score tie at a keep cut"
@@ -110,8 +110,9 @@ def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch):
     start = 0
     for chunk in chunks(graphs, model.width):
         log.clear()
+        kept_rows.clear()
         model.forward(chunk)
-        for stage, (kept, _, sizes) in enumerate(log):
+        for stage, (kept, (_, sizes)) in enumerate(zip(kept_rows, log)):
             sizes = np.asarray(sizes)
             offsets = np.cumsum(sizes) - sizes
             bounds = np.searchsorted(kept, offsets.tolist() + [offsets[-1] + sizes[-1]])

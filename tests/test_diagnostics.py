@@ -171,6 +171,17 @@ def test_record_loss_and_series():
     assert all(e.layer == "model" and e.kind == "train_loss" for e in events)
 
 
+def test_scalar_event_is_the_running_sum_over_the_count():
+    # pooled in the order added, so a trace CSV keeps every bit
+    values = [0.1, 0.2, 0.7, 1e-17, 3.3]
+    sink = TraceSink()
+    total = 0.0
+    for v in values:
+        sink.add_scalar(4, "mlp1.W", "grad_norm", v)
+        total += v
+    assert sink.events() == [TraceEvent(4, "mlp1.W", "grad_norm", total / len(values))]
+
+
 def test_render_svg_polyline_count(tmp_path):
     # three epochs of a toy run: one polyline per (layer, kind) series
     model, g = _traced_model(8, kind="gcn_mlp")

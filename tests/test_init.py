@@ -129,11 +129,7 @@ def _reference_reinit(model, calibration):
     for idx, (_, layer) in enumerate(stages):
         *verified, sigma = stds(max(idx - 1, 0), idx)
         post_std += verified
-        if isinstance(layer, GcnLayer):
-            layer.w /= sigma
-            layer.b /= sigma
-        else:
-            layer.scale *= sigma
+        layer.rescale(sigma)
         divisors.append(sigma)
     return divisors, post_std + stds(len(stages) - 1, len(stages) - 1)
 
@@ -324,8 +320,8 @@ def _pooled_state(rng):
     """A two-graph state after a top-k pool: sizes shrank, rows are gated."""
     batch = Batch.of([random_graph(rng.derive(i), 6 + i, 4) for i in range(2)])
     pool = TopKPool(rng.normal(1, 4, 1.0)[0], k=0.5)
-    sub, _, _ = pool.forward(batch.adj, batch.features, batch.sizes)
-    return sub, pool.half, pool.kept_sizes(batch.sizes)
+    out = pool.forward(batch.state)
+    return out.adj, pool.half, out.sizes
 
 
 def test_stash_round_trips_states_bit_for_bit():

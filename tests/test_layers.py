@@ -5,9 +5,10 @@ import pytest
 
 from gnnlab import DenseLayer, GcnLayer, Readout, Rng, SparseAdj, TopKPool
 from gnnlab.errors import DomainError, ShapeError, StateError
+from gnnlab.graphdata import State
 from gnnlab.layers import keep_count
 
-from conftest import edge_set, layer_fd_max_rel_err, random_adj
+from conftest import edge_set, layer_fd_max_rel_err, one_graph, random_adj
 
 
 def make_gcn(rng, fan_in, fan_out, activation="none", norm="sym"):
@@ -24,7 +25,7 @@ def test_gcn_isolated_node_degenerate_normalisation():
     rng = Rng(0)
     layer = make_gcn(rng, 3, 4)
     x = rng.normal(1, 3, 1.0)
-    out = layer.forward(SparseAdj.from_edges(1, []), x)
+    out = layer.forward(one_graph(SparseAdj.from_edges(1, []), x)).x
     assert np.allclose(out, x @ layer.w + layer.b, atol=1e-12)
 
 
@@ -33,7 +34,7 @@ def test_gcn_two_node_hand_computation():
     adj = SparseAdj.from_edges(2, [(0, 1)])
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     layer = GcnLayer(np.eye(2), np.zeros(2), activation="none")
-    out = layer.forward(adj, x)
+    out = layer.forward(one_graph(adj, x)).x
     assert np.allclose(out, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, atol=1e-12)
 
 
@@ -41,14 +42,14 @@ def test_gcn_identity_propagation_no_edges():
     rng = Rng(1)
     x = rng.normal(5, 3, 1.0)
     layer = GcnLayer(np.eye(3), np.zeros(3), activation="none")
-    out = layer.forward(SparseAdj.from_edges(5, []), x)
+    out = layer.forward(one_graph(SparseAdj.from_edges(5, []), x)).x
     assert np.allclose(out, x, atol=1e-12)
 
 
 def test_gcn_feature_dim_mismatch():
     layer = make_gcn(Rng(2), 3, 4)
     with pytest.raises(ShapeError):
-        layer.forward(SparseAdj.from_edges(2, []), np.zeros((2, 5)))
+        layer.forward(one_graph(SparseAdj.from_edges(2, []), np.zeros((2, 5))))
 
 
 def test_gcn_permutation_equivariance():
@@ -58,13 +59,13 @@ def test_gcn_permutation_equivariance():
         adj = random_adj(rng.derive(trial), n, 0.4)
         x = rng.normal(n, 3, 1.0)
         layer = make_gcn(rng.derive(100 + trial), 3, 5, activation="relu")
-        out = layer.forward(adj, x)
+        out = layer.forward(one_graph(adj, x)).x
         perm = Rng(trial).permutation(n)
         edges = [(int(perm[i]), int(perm[j])) for i, j in edge_set(adj) if i < j]
         padj = SparseAdj.from_edges(n, edges)
         px = np.empty_like(x)
         px[perm] = x
-        pout = layer.forward(padj, px)
+        pout = layer.forward(one_graph(padj, px)).x
         expect = np.empty_like(out)
         expect[perm] = out
         assert np.max(np.abs(pout - expect)) < 1e-9
@@ -82,7 +83,7 @@ def test_gcn_zero_grad_out():
     rng = Rng(6)
     layer = make_gcn(rng, 3, 4, activation="relu")
     adj = random_adj(rng, 5, 0.4)
-    layer.forward(adj, rng.normal(5, 3, 1.0))
+    layer.forward(one_graph(adj, rng.normal(5, 3, 1.0)))
     grad_x, grads = layer.backward(np.zeros((5, 4)))
     assert not grad_x.any() and not grads["W"].any() and not grads["b"].any()
 
@@ -91,7 +92,7 @@ def test_gcn_single_node_grad_w():
     rng = Rng(7)
     layer = make_gcn(rng, 3, 2, activation="none")
     x = rng.normal(1, 3, 1.0)
-    layer.forward(SparseAdj.from_edges(1, []), x)
+    layer.forward(one_graph(SparseAdj.from_edges(1, []), x))
     g = rng.normal(1, 2, 1.0)
     _, grads = layer.backward(g)
     assert np.allclose(grads["W"], x.T @ g, atol=1e-12)
@@ -110,7 +111,7 @@ def test_gcn_backward_matches_finite_differences(activation, norm):
         direction = rng.normal(n, 4, 1.0)
 
         def run():
-            return float((layer.forward(adj, x) * direction).sum())
+            return float((layer.forward(one_graph(adj, x)).x * direction).sum())
 
         run()
         grad_x, grads = layer.backward(direction)
@@ -123,16 +124,18 @@ def test_gcn_backward_matches_finite_differences(activation, norm):
 # --------------------------------------------------------------------------
 # top-k pooling
 
-def test_topk_keep_counts_match_paper_rule():
+def test_topk_keep_counts_match_paper_rule(kept_rows):
     pool = TopKPool(np.ones(1), k=0.8)
     adj = random_adj(Rng(8), 10, 0.4)
-    _, out, kept = pool.forward(adj, Rng(9).normal(10, 1, 1.0))
+    _, out, _ = pool.forward(one_graph(adj, Rng(9).normal(10, 1, 1.0)))
+    kept = kept_rows[-1]
     assert kept.shape[0] == 8 and out.shape[0] == 8
 
 
-def test_topk_single_node_always_kept():
+def test_topk_single_node_always_kept(kept_rows):
     pool = TopKPool(np.ones(2), k=0.5)
-    _, out, kept = pool.forward(SparseAdj.from_edges(1, []), np.array([[-5.0, -7.0]]))
+    pool.forward(one_graph(SparseAdj.from_edges(1, []), np.array([[-5.0, -7.0]])))
+    kept = kept_rows[-1]
     assert kept.tolist() == [0]
 
 
@@ -145,24 +148,27 @@ def test_keep_count_rule():
             assert keep_count(k, n) == expect, (k, n)
 
 
-def test_topk_hand_example():
+def test_topk_hand_example(kept_rows):
     pool = TopKPool(np.array([1.0]), k=0.5)
     x = np.array([[1.0], [3.0], [2.0]])
-    sub, out, kept = pool.forward(SparseAdj.from_edges(3, []), x)
+    _, out, _ = pool.forward(one_graph(SparseAdj.from_edges(3, []), x))
+    kept = kept_rows[-1]
     assert kept.tolist() == [1, 2]
     assert np.allclose(out, [[3 * math.tanh(3.0)], [2 * math.tanh(2.0)]], atol=1e-12)
 
 
-def test_topk_tie_break_lower_index():
+def test_topk_tie_break_lower_index(kept_rows):
     pool = TopKPool(np.array([1.0]), k=0.5)
     x = np.array([[2.0], [2.0], [2.0], [1.0]])
-    _, _, kept = pool.forward(SparseAdj.from_edges(4, []), x)
+    pool.forward(one_graph(SparseAdj.from_edges(4, []), x))
+    kept = kept_rows[-1]
     assert kept.tolist() == [0, 1]
 
 
-def test_topk_zero_projection_guarded():
+def test_topk_zero_projection_guarded(kept_rows):
     pool = TopKPool(np.zeros(3), k=0.5)
-    _, out, kept = pool.forward(SparseAdj.from_edges(4, []), Rng(10).normal(4, 3, 1.0))
+    _, out, _ = pool.forward(one_graph(SparseAdj.from_edges(4, []), Rng(10).normal(4, 3, 1.0)))
+    kept = kept_rows[-1]
     assert np.all(np.isfinite(out))
     assert kept.shape[0] == 2
 
@@ -175,7 +181,7 @@ def brute_force_topk(x, p, k):
     return sorted(order[:m])
 
 
-def test_topk_matches_brute_force_oracle():
+def test_topk_matches_brute_force_oracle(kept_rows):
     for trial in range(200):
         rng = Rng(2000 + trial)
         n = 1 + rng.integers(0, 10)
@@ -185,7 +191,8 @@ def test_topk_matches_brute_force_oracle():
         p = rng.normal(1, f, 1.0)[0]
         k = [0.0, 0.3, 0.5, 0.8, 0.95][trial % 5]
         pool = TopKPool(p, k=k)
-        sub, out, kept = pool.forward(adj, x)
+        sub, out, _ = pool.forward(one_graph(adj, x))
+        kept = kept_rows[-1]
         expect = brute_force_topk(x, p, k)
         assert kept.tolist() == expect
         assert kept.shape[0] == max(1, math.ceil(k * n - 1e-9))
@@ -197,7 +204,7 @@ def test_topk_matches_brute_force_oracle():
         assert edge_set(sub) == expect_edges
 
 
-def test_topk_permutation_consistency():
+def test_topk_permutation_consistency(kept_rows):
     rng = Rng(11)
     for trial in range(20):
         n = 4 + rng.integers(0, 6)
@@ -205,13 +212,15 @@ def test_topk_permutation_consistency():
         p = rng.normal(1, 3, 1.0)[0]
         adj = random_adj(rng.derive(trial), n, 0.4)
         pool = TopKPool(p, k=0.6)
-        _, _, kept = pool.forward(adj, x)
+        pool.forward(one_graph(adj, x))
+        kept = kept_rows[-1]
         perm = Rng(50 + trial).permutation(n)
         px = np.empty_like(x)
         px[perm] = x
         edges = [(int(perm[i]), int(perm[j])) for i, j in edge_set(adj) if i < j]
         padj = SparseAdj.from_edges(n, edges)
-        _, _, pkept = pool.forward(padj, px)
+        pool.forward(one_graph(padj, px))
+        pkept = kept_rows[-1]
         # same original-node identities survive
         assert sorted(perm[kept].tolist()) == sorted(pkept.tolist())
 
@@ -219,7 +228,7 @@ def test_topk_permutation_consistency():
 def test_topk_backward_zero_grad():
     rng = Rng(12)
     pool = TopKPool(rng.normal(1, 3, 1.0)[0], k=0.5)
-    pool.forward(random_adj(rng, 6, 0.4), rng.normal(6, 3, 1.0))
+    pool.forward(one_graph(random_adj(rng, 6, 0.4), rng.normal(6, 3, 1.0)))
     grad_in, grads = pool.backward(np.zeros((3, 3)))
     assert not grad_in.any() and not grads["p"].any()
 
@@ -230,7 +239,7 @@ def test_topk_backward_before_forward():
 
 
 @pytest.mark.parametrize("k,expect_drop", [(0.99, False), (0.5, True)])
-def test_topk_backward_matches_finite_differences(k, expect_drop):
+def test_topk_backward_matches_finite_differences(k, expect_drop, kept_rows):
     worst = 0.0
     for trial in range(15):
         rng = Rng(3000 + trial)
@@ -238,14 +247,14 @@ def test_topk_backward_matches_finite_differences(k, expect_drop):
         adj = random_adj(rng.derive(0), n, 0.4)
         x = rng.normal(n, 3, 1.0)
         pool = TopKPool(rng.normal(1, 3, 1.0)[0], k=k)
-        sub, out, kept = pool.forward(adj, x)
+        pool.forward(one_graph(adj, x))
+        kept = kept_rows[-1]
         dropped = sorted(set(range(n)) - set(kept.tolist()))
         assert bool(dropped) == expect_drop
         direction = rng.normal(kept.shape[0], 3, 1.0)
 
         def run():
-            _, o, _ = pool.forward(adj, x)
-            return float((o * direction).sum())
+            return float((pool.forward(one_graph(adj, x)).x * direction).sum())
 
         run()
         grad_in, grads = pool.backward(direction)
@@ -253,6 +262,50 @@ def test_topk_backward_matches_finite_differences(k, expect_drop):
         params = {"p": (pool.p, grads["p"]), "x": (x, grad_in)}
         worst = max(worst, layer_fd_max_rel_err(params, run))
     assert worst < 1e-6
+
+
+# --------------------------------------------------------------------------
+# the stage contract shared by convolutions and pools
+
+def make_stage(kind, rng):
+    if kind == "gcn":
+        return make_gcn(rng, 3, 4, activation="relu")
+    return TopKPool(rng.normal(1, 3, 1.0)[0], k=0.5)
+
+
+def test_pool_state_carries_each_graphs_kept_count(kept_rows):
+    rng = Rng(16)
+    sizes = np.array([5, 1, 8])
+    adj = SparseAdj.block_diag([random_adj(rng.derive(i), int(n), 0.4)
+                                for i, n in enumerate(sizes)])
+    out = TopKPool(rng.normal(1, 3, 1.0)[0], k=0.6).forward(
+        State(adj, rng.normal(14, 3, 1.0), sizes))
+    assert out.sizes.tolist() == keep_count(0.6, sizes).tolist() == [3, 1, 5]
+    assert out.adj.n == out.x.shape[0] == kept_rows[-1].shape[0] == 9
+
+
+@pytest.mark.parametrize("kind", ["gcn", "pool"])
+def test_rescale_divides_every_later_output(kind):
+    rng = Rng(17)
+    layer = make_stage(kind, rng)
+    state = one_graph(random_adj(rng, 6, 0.4), rng.normal(6, 3, 1.0))
+    before = layer.forward(state).x
+    layer.rescale(2.5)
+    assert np.allclose(layer.forward(state).x, before / 2.5, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "pool"])
+def test_backward_without_input_gradient_keeps_parameter_gradients(kind):
+    rng = Rng(18)
+    layer = make_stage(kind, rng)
+    state = one_graph(random_adj(rng, 6, 0.4), rng.normal(6, 3, 1.0))
+    grad = rng.normal(*layer.forward(state).x.shape, 1.0)
+    grad_in, full = layer.backward(grad)
+    layer.forward(state)
+    none, grads = layer.backward(grad, input_grad=False)
+    assert grad_in.shape == state.x.shape and none is None
+    assert grads.keys() == full.keys()
+    assert all(np.array_equal(grads[k], full[k]) for k in grads)
 
 
 # --------------------------------------------------------------------------

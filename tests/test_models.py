@@ -228,9 +228,9 @@ def test_forward_runs_only_the_pools_a_tap_reads(name, monkeypatch):
     calls = []
     forward = TopKPool.forward
 
-    def spy(self, adj, x, sizes=None):
+    def spy(self, state):
         calls.append(self)
-        return forward(self, adj, x, sizes)
+        return forward(self, state)
 
     monkeypatch.setattr(TopKPool, "forward", spy)
     batch = Batch.of([random_graph(Rng(61 + i), 6 + i, 3) for i in range(3)])

@@ -12,7 +12,7 @@ from gnnlab import (Adam, InitScheme, ModelSpec, Rng, TrainConfig, build,
                     train_model)
 from gnnlab.errors import ConfigError, HarnessError, ShapeError
 
-from conftest import constant_feature_dataset, synth_dataset
+from conftest import BLAS_PINNED_BEFORE_NUMPY, constant_feature_dataset, synth_dataset
 
 
 def test_cross_entropy_uniform_scores():
@@ -278,3 +278,11 @@ def test_importing_gnnlab_pins_blas_threads_for_spawned_workers(given, first, se
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == seen
+
+
+def test_the_suite_itself_runs_with_the_blas_pin():
+    # conftest sets these before numpy loads, so the in-process runs (the cli
+    # tests, criterion 5, the --jobs comparisons) use the thread count that
+    # `gnnlab train` uses
+    assert BLAS_PINNED_BEFORE_NUMPY
+    assert all(os.environ.get(var) for var in BLAS_VARS)
