@@ -1,8 +1,9 @@
-"""Golden runs: fourteen seeded ``gnnlab train`` runs whose results must not move.
+"""Golden runs: sixteen seeded ``gnnlab train`` runs whose results must not move.
 
-Each model kind, and ``jk_sum`` with summed taps and with taps after the
-pools, trains with and without ``--reinit`` (3 folds, 2 epochs) on a seeded
-synthetic corpus written in TU form, in one subprocess whose BLAS runs on one
+Each model kind, and ``jk_sum`` with summed taps, with taps after the pools
+and on degree one-hots instead of node-label one-hots, trains with and
+without ``--reinit`` (3 folds, 2 epochs) on a seeded synthetic corpus
+written in TU form, in one subprocess whose BLAS runs on one
 thread. ``golden.json`` holds, per run, the sha256 of the report
 (without its ``wall_clock_s``) and of each trace CSV, the per-fold training
 losses and accuracies, and the provenance of the record: the numpy version,
@@ -31,11 +32,13 @@ import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden.json")
 KINDS = ("mlp", "gcn_mlp", "gcn_r_mlp", "jk_sum", "probe4")
-# (run name, model kind, extra flags, --config file contents or None); the two
-# jk_sum variants read the stage states through other taps than plain jk_sum
+# (run name, model kind, extra flags, --config file contents or None); two
+# jk_sum variants read the stage states through other taps than plain jk_sum,
+# the third parses the corpus under the other one-hot feature policy
 VARIANTS = tuple((kind, kind, [], None) for kind in KINDS) + (
     ("jk_sum_agg_sum", "jk_sum", ["--jk-agg", "sum"], None),
     ("jk_sum_tap_pooled", "jk_sum", [], {"model": {"tap_pooled": True}}),
+    ("jk_sum_degree_onehot", "jk_sum", ["--feature-policy", "degree_onehot"], None),
 )
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
