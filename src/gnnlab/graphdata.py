@@ -9,24 +9,22 @@ attributes > node-label one-hots > degree one-hots. Every graph is
 undirected: each edge is stored in both directions.
 
 A dataset, like a batch, is a disjoint union of graphs. Parsing stacks every
-graph's nodes in order and builds one CSR and one feature matrix over that
-stack; each graph's adjacency is a diagonal block of that CSR and its
-features a row slice of that matrix. Writing walks the same stack back out.
-A batch, of one graph or many, builds its block-diagonal adjacency on first
-read; each convolution derives its propagation operator from that adjacency
-when it runs.
+graph's nodes in order and builds one CSR over that stack; each graph's
+adjacency is a diagonal block of that CSR. Features are one row id per node
+into a float64 row table that the whole dataset shares: the identity under a
+one-hot policy, so no node holds a dense one-hot row, and the attribute
+matrix under ``attributes``. Writing walks the same stack back out. A batch,
+of one graph or many, gathers its dense feature rows from the table in one
+``np.take`` and builds its block-diagonal adjacency on first read; each
+convolution derives its propagation operator from that adjacency when it
+runs.
 """
 
-import http.client
-import io
 import logging
 import os
 import shutil
 import tempfile
-import urllib.error
-import urllib.request
 import warnings
-import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConsistencyError, IngestError, IntegrityError,
+from .errors import (ConsistencyError, IngestError, IntegrityError, ShapeError,
                      StratificationError, TransportError, TuParseError)
 from .numcore import Rng, SparseAdj
 
@@ -49,11 +47,21 @@ FEATURE_POLICIES = ("attributes", "label_onehot", "degree_onehot")
 
 @dataclass(frozen=True)
 class Graph:
-    """One classification instance: adjacency, node features, class label."""
+    """One classification instance: adjacency, node features, class label.
+
+    Node ``v``'s features are row ``rows[v]`` of ``table``, a float64 row
+    table that all graphs of a dataset share: the identity under a one-hot
+    policy, the attribute matrix under ``attributes``."""
     adj: SparseAdj
-    features: np.ndarray
+    table: np.ndarray
+    rows: np.ndarray
     label: int
     id: int
+
+    @property
+    def features(self) -> np.ndarray:
+        """The dense node-feature matrix, one row per node (a copy)."""
+        return np.take(self.table, self.rows, axis=0)
 
 
 # Entry budget of one chunk: its node count times the widest node row the
@@ -95,12 +103,16 @@ class Batch:
 
     @classmethod
     def of(cls, graphs) -> "Batch":
+        """The batch of ``graphs``, whose dense feature rows are gathered here
+        from the row table they share."""
         graphs = list(graphs)
+        table = graphs[0].table
+        if any(g.table is not table for g in graphs):
+            raise ShapeError("the graphs of a batch must share one feature table")
         labels = np.array([g.label for g in graphs], dtype=np.int64)
         sizes = np.array([g.adj.n for g in graphs], dtype=np.int64)
-        features = (graphs[0].features if len(graphs) == 1 else
-                    np.concatenate([g.features for g in graphs]))
-        return cls(tuple(g.adj for g in graphs), features, labels, sizes)
+        rows = np.concatenate([g.rows for g in graphs])
+        return cls(tuple(g.adj for g in graphs), np.take(table, rows, axis=0), labels, sizes)
 
 
 def chunks(graphs, width: int):
@@ -307,25 +319,22 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
         raise IngestError(f"{name} has no node labels file")
 
     stack = SparseAdj.from_edges(num_nodes, row[ends])  # no edge crosses graphs
+    # one row id per stacked node into a shared table; no N x width matrix
     if feature_policy == "attributes":
-        features = attributes[order]
+        table, ids = attributes, order
+    elif feature_policy == "label_onehot":
+        distinct, column = np.unique(node_labels, return_inverse=True)
+        table, ids = np.eye(distinct.shape[0]), column[order]
     else:
-        if feature_policy == "label_onehot":
-            distinct, column = np.unique(node_labels, return_inverse=True)
-            width, column = distinct.shape[0], column[order]
-        else:
-            width = int(degree_cap)
-            column = np.minimum(stack.degrees(), width - 1)
-        features = np.zeros((num_nodes, width), dtype=np.float64)
-        features[np.arange(num_nodes), column] = 1.0
+        table, ids = np.eye(int(degree_cap)), np.minimum(stack.degrees(), int(degree_cap) - 1)
 
     ptr = stack.indptr
     built = tuple(Graph(adj=SparseAdj(hi - lo, ptr[lo:hi + 1] - ptr[lo],
                                       stack.indices[ptr[lo]:ptr[hi]] - lo),
-                        features=features[lo:hi], label=int(labels[g]), id=g)
+                        table=table, rows=ids[lo:hi], label=int(labels[g]), id=g)
                   for g, (lo, hi) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())))
     return Dataset(name=name, graphs=built, num_classes=label_values.shape[0],
-                   feature_dim=features.shape[1], feature_policy=feature_policy)
+                   feature_dim=table.shape[1], feature_policy=feature_policy)
 
 
 def write_tu(ds: Dataset, directory) -> Path:
@@ -333,19 +342,21 @@ def write_tu(ds: Dataset, directory) -> Path:
     its graphs as one disjoint union, nodes numbered in stack order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    batch = Batch.of(ds.graphs)
+    adj = SparseAdj.block_diag([g.adj for g in ds.graphs])  # no dense one-hot rows
+    sizes = [g.adj.n for g in ds.graphs]
 
     def write(kind, lines):
         (directory / f"{ds.name}_{kind}.txt").write_text("\n".join(lines) + "\n")
 
-    rows = np.repeat(np.arange(1, batch.adj.n + 1), batch.adj.degrees())  # ids are 1-based
-    write("A", map("{}, {}".format, rows.tolist(), (batch.adj.indices + 1).tolist()))
-    write("graph_indicator", map(str, np.repeat(np.arange(1, len(ds) + 1), batch.sizes).tolist()))
-    write("graph_labels", map(str, (batch.labels + 1).tolist()))
-    if ds.feature_policy == "label_onehot":
-        write("node_labels", map(str, np.argmax(batch.features, axis=1).tolist()))
+    rows = np.repeat(np.arange(1, adj.n + 1), adj.degrees())  # ids are 1-based
+    write("A", map("{}, {}".format, rows.tolist(), (adj.indices + 1).tolist()))
+    write("graph_indicator", map(str, np.repeat(np.arange(1, len(ds) + 1), sizes).tolist()))
+    write("graph_labels", map(str, (ds.labels() + 1).tolist()))
+    if ds.feature_policy == "label_onehot":  # a row id is the label's one-hot column
+        write("node_labels", map(str, np.concatenate([g.rows for g in ds.graphs]).tolist()))
     elif ds.feature_policy == "attributes":
-        write("node_attributes", (", ".join(map(repr, r)) for r in batch.features.tolist()))
+        features = Batch.of(ds.graphs).features
+        write("node_attributes", (", ".join(map(repr, r)) for r in features.tolist()))
     return directory
 
 
@@ -374,8 +385,15 @@ def fetch_tu(name: str, url_base: str = DEFAULT_TU_URL, cache_dir=None) -> Path:
     so ``raw/`` is either absent or complete, also when the unpacking is
     interrupted or several fetches of one name race (the first rename wins;
     the others return its directory). Returns the directory containing the
-    raw ``*.txt`` files.
+    raw ``*.txt`` files. The network and archive modules load on the first
+    fetch, so ``import gnnlab`` does not pay for them.
     """
+    import http.client
+    import io
+    import urllib.error
+    import urllib.request
+    import zipfile
+
     cache = Path(cache_dir) if cache_dir else default_cache_dir()
     raw = cache / name / "raw"
     if _raw_files_present(raw, name):

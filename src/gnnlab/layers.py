@@ -268,9 +268,9 @@ class Readout:
     def width(self, feature_dim: int) -> int:
         return 2 * feature_dim if self.kind == "max_and_sum" else feature_dim
 
-    def forward(self, x: np.ndarray, sizes=None) -> np.ndarray:
-        """One row per graph of the stack (one graph when ``sizes`` is None)."""
-        sizes = np.array([x.shape[0]]) if sizes is None else np.asarray(sizes)
+    def forward(self, x: np.ndarray, sizes) -> np.ndarray:
+        """One row per graph of the stack, whose graphs have ``sizes`` rows."""
+        sizes = np.asarray(sizes)
         if x.shape[0] < 1 or sizes.min() < 1:
             raise DomainError("readout of an empty matrix")
         starts = _starts(sizes)

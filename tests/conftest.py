@@ -1,5 +1,6 @@
 """Shared fixtures and oracles for the suite."""
 
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -73,10 +74,23 @@ def random_adj(rng: Rng, n: int, edge_prob: float = 0.35) -> SparseAdj:
     return SparseAdj.from_edges(n, edges)
 
 
+def dense_graph(adj: SparseAdj, features: np.ndarray, label: int = 0, id: int = 0) -> Graph:
+    """A graph whose row table is its own dense feature matrix."""
+    return Graph(adj=adj, table=features, rows=np.arange(features.shape[0]), label=label, id=id)
+
+
+def share_table(graphs) -> list:
+    """``graphs`` over one row table that stacks their feature matrices, as a
+    batch of them needs."""
+    table = np.concatenate([g.features for g in graphs])
+    ends = np.cumsum([g.adj.n for g in graphs]).tolist()
+    return [dataclasses.replace(g, table=table, rows=np.arange(end - g.adj.n, end))
+            for g, end in zip(graphs, ends)]
+
+
 def random_graph(rng: Rng, n: int, f: int, label: int = 0,
                  edge_prob: float = 0.35) -> Graph:
-    return Graph(adj=random_adj(rng, n, edge_prob),
-                 features=rng.normal(n, f, 1.0), label=label, id=0)
+    return dense_graph(random_adj(rng, n, edge_prob), rng.normal(n, f, 1.0), label)
 
 
 def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
@@ -85,7 +99,7 @@ def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
     adj = SparseAdj.from_edges(g.adj.n, edges)
     feats = np.empty_like(g.features)
     feats[perm] = g.features
-    return Graph(adj=adj, features=feats, label=g.label, id=g.id)
+    return dense_graph(adj, feats, g.label, g.id)
 
 
 def randomize_params(model, rng: Rng, bound: float = 0.7) -> None:
@@ -112,18 +126,14 @@ def synth_dataset(num_graphs: int, seed: int, feat_dim: int = 3,
     class; 0 gives an unlearnable corpus, 1 a trivially separable one.
     """
     rng = Rng(seed)
+    onehots = np.eye(feat_dim)
     graphs = []
     for gi in range(num_graphs):
         label = gi % num_classes
         n = n_lo + rng.integers(0, n_hi - n_lo + 1)
-        rows = np.zeros((n, feat_dim))
-        for v in range(n):
-            if rng.integers(0, 1000) < signal * 1000:
-                col = label % feat_dim
-            else:
-                col = rng.integers(0, feat_dim)
-            rows[v, col] = 1.0
-        graphs.append(Graph(adj=random_adj(rng, n, edge_prob), features=rows,
+        rows = np.array([label % feat_dim if rng.integers(0, 1000) < signal * 1000
+                         else rng.integers(0, feat_dim) for _ in range(n)], dtype=np.int64)
+        graphs.append(Graph(adj=random_adj(rng, n, edge_prob), table=onehots, rows=rows,
                             label=label, id=gi))
     return Dataset(name=name, graphs=tuple(graphs), num_classes=num_classes,
                    feature_dim=feat_dim, feature_policy="label_onehot")
@@ -135,11 +145,12 @@ def constant_feature_dataset(num_graphs: int, majority: float = 0.6,
     rng = Rng(seed)
     graphs = []
     cut = int(round(num_graphs * majority))
+    ones = np.ones((1, 1))
     for gi in range(num_graphs):
         label = 0 if gi < cut else 1
         n = 4
-        graphs.append(Graph(adj=random_adj(rng, n, 0.5),
-                            features=np.ones((n, 1)), label=label, id=gi))
+        graphs.append(Graph(adj=random_adj(rng, n, 0.5), table=ones,
+                            rows=np.zeros(n, dtype=np.int64), label=label, id=gi))
     return Dataset(name="CONST", graphs=tuple(graphs), num_classes=2,
                    feature_dim=1, feature_policy="attributes")
 

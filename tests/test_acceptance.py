@@ -22,7 +22,7 @@ from gnnlab.diagnostics import TraceSink
 from gnnlab.numcore import Moments
 
 from conftest import (edge_set, fd_max_rel_err, layer_fd_max_rel_err, one_graph,
-                      permute_graph, random_adj, random_graph, randomize_params,
+                      permute_graph, random_adj, random_graph, randomize_params, share_table,
                       synth_dataset, write_tu_files)
 from test_layers import brute_force_topk, make_gcn
 
@@ -104,7 +104,7 @@ def test_criterion_1_gradient_exactness(kept_rows):
             direction = rng.normal(1, ro.width(4), 1.0)[0]
 
             def run():
-                return float(ro.forward(x)[0] @ direction)
+                return float(ro.forward(x, [x.shape[0]])[0] @ direction)
 
             run()
             worst = max(worst, layer_fd_max_rel_err(
@@ -132,8 +132,8 @@ def test_criterion_2_reinit_postcondition():
             rng = Rng(60_000 + trial)
             kind = ("gcn_mlp", "jk_sum", "probe4")[trial % 3]
             hidden = 4 + rng.integers(0, 8)
-            graphs = [random_graph(rng.derive(i), 4 + rng.integers(0, 10), 3)
-                      for i in range(10)]
+            graphs = share_table([random_graph(rng.derive(i), 4 + rng.integers(0, 10), 3)
+                                  for i in range(10)])
             model = build(ModelSpec(kind=kind, hidden_dim=hidden,
                                     mlp_dims=(5, 4), k=0.7), 3, 2, rng.derive(99))
             report = reinit(model, graphs)

@@ -13,7 +13,8 @@ from gnnlab import (Batch, Graph, ModelSpec, Rng, SparseAdj, TopKPool, TrainConf
 from gnnlab import graphdata
 from gnnlab.graphdata import chunks
 
-from conftest import random_graph, randomize_params, synth_dataset, to_dense
+from conftest import (dense_graph, random_graph, randomize_params, share_table, synth_dataset,
+                      to_dense)
 
 SPECS = [
     ModelSpec(kind="mlp", hidden_dim=6, mlp_dims=(5, 4)),
@@ -33,9 +34,8 @@ def _graphs(seed, count=5, f=3):
     graphs = [random_graph(rng.derive(i), 1 + rng.integers(0, 10), f, label=i % 2)
               for i in range(count)]
     # an isolated-node graph exercises empty CSR rows inside the union
-    graphs.append(Graph(adj=SparseAdj.from_edges(3, []), features=rng.normal(3, f, 1.0),
-                        label=1, id=count))
-    return graphs
+    graphs.append(dense_graph(SparseAdj.from_edges(3, []), rng.normal(3, f, 1.0), 1, count))
+    return share_table(graphs)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.readout_kind}-{s.jk_agg}")
@@ -67,7 +67,9 @@ def test_batch_matches_mean_of_single_graph_batches(spec):
             assert np.max(np.abs(union - stacked)) < 1e-10
 
 
-def _degree_onehot_graph(rng, n, mean_degree=2.3, cap=16):
+def _degree_onehot_graph(rng, n, onehots, mean_degree=2.3):
+    """A graph on ``n`` nodes whose features are degree one-hots, row ids
+    into the identity ``onehots`` (its last column for every higher degree)."""
     target = int(round(mean_degree * n / 2))
     edges = set()
     while len(edges) < target:
@@ -75,16 +77,16 @@ def _degree_onehot_graph(rng, n, mean_degree=2.3, cap=16):
         if i != j:
             edges.add((min(i, j), max(i, j)))
     adj = SparseAdj.from_edges(n, edges)
-    features = np.zeros((n, cap + 1))
-    features[np.arange(n), np.minimum(adj.degrees(), cap)] = 1.0
-    return Graph(adj=adj, features=features, label=0, id=0)
+    rows = np.minimum(adj.degrees(), onehots.shape[0] - 1)
+    return Graph(adj=adj, table=onehots, rows=rows, label=0, id=0)
 
 
 def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch, kept_rows):
     # Degree one-hots make many nodes identical, so scores tie exactly at the
     # keep cut; a tie must resolve as it does for the graph on its own.
     rng = Rng(4242)
-    graphs = [_degree_onehot_graph(rng.derive(i), 25 + rng.integers(0, 31))
+    onehots = np.eye(17)
+    graphs = [_degree_onehot_graph(rng.derive(i), 25 + rng.integers(0, 31), onehots)
               for i in range(64)]
     model = build(ModelSpec(kind="jk_sum"), graphs[0].features.shape[1], 2, Rng(7))
     log = []
@@ -130,8 +132,8 @@ def test_chunks_cover_graphs_in_order_within_the_node_budget(width):
     sizes = [1 + rng.integers(0, budget // 2) for _ in range(40)]
     sizes[7] = budget + 44  # larger than any chunk may be
     sizes[8] = budget
-    graphs = [Graph(adj=SparseAdj.from_edges(n, []), features=np.full((n, 2), float(i)),
-                    label=i, id=i) for i, n in enumerate(sizes)]
+    graphs = share_table([dense_graph(SparseAdj.from_edges(n, []), np.full((n, 2), float(i)),
+                                      i, i) for i, n in enumerate(sizes)])
     out = list(chunks(graphs, width))
     assert len(out) >= 4
     assert np.concatenate([c.labels for c in out]).tolist() == list(range(len(graphs)))
@@ -164,8 +166,8 @@ def test_chunks_at_width_128_are_the_256_node_chunks():
     # and traces, must not move
     rng = Rng(6)
     sizes = [1 + rng.integers(0, 300) for _ in range(200)] + [1, 255, 256, 257, 1, 600, 2]
-    graphs = [Graph(adj=SparseAdj.from_edges(n, []), features=np.zeros((n, 3)), label=0, id=i)
-              for i, n in enumerate(sizes)]
+    graphs = share_table([dense_graph(SparseAdj.from_edges(n, []), np.zeros((n, 3)), 0, i)
+                          for i, n in enumerate(sizes)])
     assert ([c.sizes.tolist() for c in chunks(graphs, 128)]
             == _greedy_node_runs(sizes, 256))
     for kind in ("gcn_mlp", "jk_sum", "probe4"):
@@ -240,7 +242,8 @@ def test_reinit_divisors_independent_of_chunking(monkeypatch):
     # continuous features: no near-ties a last-digit change of a divisor
     # could flip, so the divisors of later stages stay comparable too
     rng = Rng(8)
-    graphs = [random_graph(rng.derive(i), 10 + rng.integers(0, 21), 3) for i in range(40)]
+    graphs = share_table([random_graph(rng.derive(i), 10 + rng.integers(0, 21), 3)
+                          for i in range(40)])
     assert sum(g.adj.n for g in graphs) > 2 * 100
     spec = ModelSpec(kind="probe4", hidden_dim=8, mlp_dims=(6, 5), k=0.7)
 

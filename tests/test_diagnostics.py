@@ -7,7 +7,7 @@ from gnnlab.diagnostics import (TraceEvent, TraceSink, load_events_csv,
                                 record_loss, render_svg, write_events_csv)
 from gnnlab.errors import RenderError, StateError
 
-from conftest import random_graph, synth_dataset
+from conftest import random_graph, share_table, synth_dataset
 
 
 def _traced_model(seed=0, kind="probe4"):
@@ -78,8 +78,8 @@ def test_record_forward_after_reinit_reports_unit_std():
     from gnnlab import reinit
 
     rng = Rng(21)
-    graphs = [random_graph(rng.derive(i), 5 + rng.integers(0, 8), 3)
-              for i in range(10)]
+    graphs = share_table([random_graph(rng.derive(i), 5 + rng.integers(0, 8), 3)
+                          for i in range(10)])
     model = build(ModelSpec(kind="probe4", hidden_dim=6, mlp_dims=(5, 4), k=0.7),
                   3, 2, rng.derive(99))
     reinit(model, graphs)

@@ -1,8 +1,12 @@
+import ast
 import gc
 import http.server
 import io
 import logging
+import os
+import pickle
 import re
+import subprocess
 import sys
 import threading
 import urllib.request
@@ -13,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnnlab import Dataset, Graph, Rng, parse_tu, stratified_folds, write_tu
+import gnnlab
+from gnnlab import Batch, Dataset, Graph, Rng, parse_tu, stratified_folds, write_tu
 from gnnlab.errors import (ConsistencyError, IngestError, IntegrityError,
                            StratificationError, TransportError, TuParseError)
 from gnnlab.graphdata import fetch_tu
 
-from conftest import edge_set, random_adj, synth_dataset, write_tu_files
+from conftest import edge_set, random_adj, share_table, synth_dataset, write_tu_files
 
 
 def test_parse_two_graph_toy(tmp_path):
@@ -221,17 +226,20 @@ def assert_parses_like_reference(directory, name, **kwargs):
 
 @pytest.mark.parametrize("policy", ["degree_onehot", "label_onehot", "attributes"])
 def test_parse_equals_reference_on_random_corpora(tmp_path, policy):
+    onehots = np.eye(4)
     for trial in range(4):
         rng = Rng(900 + trial)
         graphs = []
         for gi in range(3 + rng.integers(0, 12)):
             n = 1 + rng.integers(0, 14)
             if policy == "attributes":
-                feats = rng.normal(n, 3, 10.0)
-            else:
-                feats = np.eye(4)[[rng.integers(0, 4) for _ in range(n)]]
-            graphs.append(Graph(adj=random_adj(rng.derive(gi), n, 0.3), features=feats,
-                                label=rng.integers(0, 3), id=gi))
+                table, rows = rng.normal(n, 3, 10.0), np.arange(n)
+            else:  # one-hots: row ids into the identity, as parse_tu stores them
+                table, rows = onehots, np.array([rng.integers(0, 4) for _ in range(n)])
+            graphs.append(Graph(adj=random_adj(rng.derive(gi), n, 0.3), table=table,
+                                rows=rows, label=rng.integers(0, 3), id=gi))
+        if policy == "attributes":
+            graphs = share_table(graphs)
         ds = Dataset(name="RND", graphs=tuple(graphs), num_classes=3, feature_dim=4,
                      feature_policy=policy)
         directory = write_tu(ds, tmp_path / f"{policy}{trial}")
@@ -267,6 +275,68 @@ def test_write_tu_is_a_byte_level_fixed_point(tmp_path, policy):
     files = sorted(p.name for p in first.iterdir())
     assert files == sorted(p.name for p in second.iterdir())
     assert all((first / f).read_bytes() == (second / f).read_bytes() for f in files)
+
+
+def write_random_corpus(directory, rng: Rng, graphs: int = 12):
+    """TU files of ``graphs`` random graphs (1 to 12 nodes, some of degree
+    above 3) with node labels and 2-column node attributes."""
+    shapes = []
+    for gi in range(graphs):
+        adj = random_adj(rng.derive(gi), 1 + rng.integers(0, 12), 0.4)
+        shapes.append((adj.n, [(i + 1, j + 1) for i, j in edge_set(adj) if i < j]))
+    nodes = sum(n for n, _ in shapes)
+    write_tu_files(directory, "RND", shapes, labels=[gi % 3 for gi in range(graphs)],
+                   node_labels=[rng.integers(0, 5) * 7 for _ in range(nodes)],
+                   node_attributes=rng.normal(nodes, 2, 3.0).tolist())
+
+
+@pytest.mark.parametrize("policy", ["degree_onehot", "label_onehot", "attributes"])
+def test_batch_features_are_the_dense_build_bit_for_bit(tmp_path, policy):
+    # the rows a batch gathers from the shared table are the bytes that
+    # zeros-then-scatter (one-hots, the last column for every degree of 3 or
+    # more) or the attribute rows give, graph by graph and in shuffled chunks
+    rng = Rng(77)
+    write_random_corpus(tmp_path, rng)
+    ds = parse_tu(tmp_path, "RND", feature_policy=policy, degree_cap=4)
+    dense = [feats for _, _, feats, _, _ in
+             reference_parse(tmp_path, "RND", feature_policy=policy, degree_cap=4)[3]]
+    assert policy != "degree_onehot" or any(f[:, 3].any() for f in dense)
+    for g, feats in zip(ds.graphs, dense):
+        got = Batch.of([g]).features
+        assert got.dtype == feats.dtype and got.shape == feats.shape
+        assert got.tobytes() == feats.tobytes()
+    for trial in range(4):
+        order = rng.permutation(len(ds.graphs)).tolist()
+        cuts = sorted(rng.permutation(len(order) - 1)[:3] + 1)
+        for part in np.split(np.array(order), cuts):
+            got = Batch.of([ds.graphs[i] for i in part]).features
+            want = np.concatenate([dense[i] for i in part])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_parsed_degree_onehot_dataset_stores_no_dense_rows(tmp_path):
+    # one row id per node instead of N x width float64 entries; the pickle is
+    # what `--jobs` ships to every fold job
+    write_tu_files(tmp_path, "DEG", [(30 + gi, [(i, i + 1) for i in range(1, 30 + gi)])
+                                     for gi in range(40)], labels=[gi % 2 for gi in range(40)])
+    ds = parse_tu(tmp_path, "DEG", feature_policy="degree_onehot")
+    nodes = sum(g.adj.n for g in ds.graphs)
+    assert ds.feature_dim == 64 and nodes == 40 * 30 + 39 * 40 // 2
+    assert len(pickle.dumps(ds)) < nodes * ds.feature_dim * 8 / 4
+
+
+def test_import_does_not_load_the_network_stack():
+    # fetch_tu imports them when it runs; an interpreter's site hooks may have
+    # loaded some before gnnlab, so only the modules `import gnnlab` adds count
+    code = ("import sys; before = set(sys.modules); import gnnlab; "
+            "print(sorted(set(sys.modules) - before))")
+    src = str(Path(gnnlab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.strip()))
+    assert "gnnlab" in loaded
+    assert not loaded & {"http.client", "ssl", "urllib.request", "zipfile"}
 
 
 def test_parse_empty_edge_file(tmp_path):
@@ -331,7 +401,7 @@ def test_stratified_folds_proportions():
     rng_labels = [0] * 30 + [1] * 70
     base = synth_dataset(100, seed=3)
     graphs = tuple(
-        type(g)(adj=g.adj, features=g.features, label=rng_labels[i], id=i)
+        type(g)(adj=g.adj, table=g.table, rows=g.rows, label=rng_labels[i], id=i)
         for i, g in enumerate(base.graphs))
     ds = Dataset(name="SKEW", graphs=graphs, num_classes=2,
                  feature_dim=base.feature_dim, feature_policy=base.feature_policy)

@@ -5,7 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from gnnlab import (Batch, GcnLayer, Graph, InitScheme, Model, ModelSpec, Rng, SparseAdj,
+from gnnlab import (Batch, GcnLayer, InitScheme, Model, ModelSpec, Rng, SparseAdj,
                     TopKPool, build, init_standard, reinit)
 from gnnlab import graphdata
 from gnnlab.errors import CalibrationError, ConfigError
@@ -13,7 +13,7 @@ from gnnlab.graphdata import chunks
 from gnnlab.init import _Stash, glorot_bound, kaiming_std
 from gnnlab.numcore import Moments
 
-from conftest import random_adj, random_graph, synth_dataset
+from conftest import dense_graph, random_adj, random_graph, share_table, synth_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -69,7 +69,8 @@ def test_pool_projection_within_glorot_bound():
 
 def _calibration(seed, count=12, f=3):
     rng = Rng(seed)
-    return [random_graph(rng.derive(i), 5 + rng.integers(0, 8), f) for i in range(count)]
+    return share_table([random_graph(rng.derive(i), 5 + rng.integers(0, 8), f)
+                        for i in range(count)])
 
 
 def _independent_block_stds(model, graphs):
@@ -318,7 +319,7 @@ def test_reinit_truncated_stash_is_a_calibration_error(monkeypatch):
 
 def _pooled_state(rng):
     """A two-graph state after a top-k pool: sizes shrank, rows are gated."""
-    batch = Batch.of([random_graph(rng.derive(i), 6 + i, 4) for i in range(2)])
+    batch = Batch.of(share_table([random_graph(rng.derive(i), 6 + i, 4) for i in range(2)]))
     pool = TopKPool(rng.normal(1, 4, 1.0)[0], k=0.5)
     out = pool.forward(batch.state)
     return out.adj, pool.half, out.sizes
@@ -422,8 +423,7 @@ def test_reinit_total_rescale_reflects_vanishing_activations():
 
 
 def test_reinit_degenerate_calibration():
-    graphs = [Graph(adj=SparseAdj.from_edges(3, []), features=np.zeros((3, 3)),
-                    label=0, id=0)]
+    graphs = [dense_graph(SparseAdj.from_edges(3, []), np.zeros((3, 3)))]
     model = build(ModelSpec(kind="probe4", hidden_dim=5, mlp_dims=(4, 4)),
                   3, 2, Rng(13))
     with pytest.raises(CalibrationError, match="gcn1"):

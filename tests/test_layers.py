@@ -352,23 +352,25 @@ def test_dense_backward_matches_finite_differences(activation):
 def test_readout_single_row():
     x = np.array([[1.0, -2.0, 3.0]])
     for kind in ("mean", "sum", "max"):
-        assert np.array_equal(Readout(kind).forward(x)[0], x[0])
-    assert np.array_equal(Readout("max_and_sum").forward(x)[0], np.concatenate([x[0], x[0]]))
+        assert np.array_equal(Readout(kind).forward(x, [x.shape[0]])[0], x[0])
+    assert np.array_equal(Readout("max_and_sum").forward(x, [x.shape[0]])[0],
+                          np.concatenate([x[0], x[0]]))
 
 
 def test_readout_max_and_sum_hand_case():
     x = np.array([[1.0, 4.0], [3.0, 2.0]])
-    assert np.array_equal(Readout("max_and_sum").forward(x)[0], [3.0, 4.0, 4.0, 6.0])
+    assert np.array_equal(Readout("max_and_sum").forward(x, [x.shape[0]])[0],
+                          [3.0, 4.0, 4.0, 6.0])
 
 
 def test_readout_empty_matrix():
     with pytest.raises(DomainError):
-        Readout("mean").forward(np.zeros((0, 3)))
+        Readout("mean").forward(np.zeros((0, 3)), [0])
 
 
 def test_readout_mean_backward_uniform():
     ro = Readout("mean")
-    ro.forward(Rng(14).normal(5, 3, 1.0))
+    ro.forward(Rng(14).normal(5, 3, 1.0), [5])
     g = np.array([1.0, 2.0, 3.0])
     back = ro.backward(g[None])
     assert np.allclose(back, np.tile(g / 5.0, (5, 1)), atol=1e-15)
@@ -377,7 +379,7 @@ def test_readout_mean_backward_uniform():
 def test_readout_max_backward_ties_to_lowest_index():
     ro = Readout("max")
     x = np.array([[1.0, 5.0], [1.0, 2.0]])
-    ro.forward(x)
+    ro.forward(x, [x.shape[0]])
     back = ro.backward(np.array([[1.0, 1.0]]))
     assert np.array_equal(back, [[1.0, 1.0], [0.0, 0.0]])
 
@@ -392,7 +394,7 @@ def test_readout_backward_matches_finite_differences(kind):
         direction = rng.normal(1, ro.width(3), 1.0)[0]
 
         def run():
-            return float(ro.forward(x)[0] @ direction)
+            return float(ro.forward(x, [x.shape[0]])[0] @ direction)
 
         run()
         grad_x = ro.backward(direction[None])
@@ -405,5 +407,6 @@ def test_readout_permutation_invariance():
     x = rng.normal(7, 4, 1.0)
     perm = rng.permutation(7)
     for kind in ("mean", "sum", "max", "max_and_sum"):
-        assert np.allclose(Readout(kind).forward(x)[0], Readout(kind).forward(x[perm])[0],
-                           atol=1e-12)
+        sizes = [x.shape[0]]
+        assert np.allclose(Readout(kind).forward(x, sizes)[0],
+                           Readout(kind).forward(x[perm], sizes)[0], atol=1e-12)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from gnnlab import Adam, Batch, Graph, ModelSpec, Rng, SparseAdj, build, cross_entropy
+from gnnlab import Adam, Batch, ModelSpec, Rng, SparseAdj, build, cross_entropy
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
 from gnnlab.layers import READOUT_KINDS, TopKPool
 from gnnlab.config import MODEL_KINDS
 
-from conftest import (fd_max_rel_err, permute_graph, random_adj, random_graph,
-                      randomize_params)
+from conftest import (dense_graph, fd_max_rel_err, permute_graph, random_adj, random_graph,
+                      randomize_params, share_table)
 
 
 def test_mlp_width_accounting_and_structure_blind_by_construction():
@@ -49,8 +49,8 @@ def test_mlp_ignores_rewiring_bit_exact():
     model = build(spec, 3, 2, Rng(5))
     rng = Rng(6)
     x = rng.normal(7, 3, 1.0)
-    g1 = Graph(adj=random_adj(rng.derive(0), 7, 0.3), features=x, label=0, id=0)
-    g2 = Graph(adj=random_adj(rng.derive(1), 7, 0.7), features=x, label=0, id=1)
+    g1 = dense_graph(random_adj(rng.derive(0), 7, 0.3), x, 0, 0)
+    g2 = dense_graph(random_adj(rng.derive(1), 7, 0.7), x, 0, 1)
     assert np.array_equal(model.forward(Batch.of([g1])), model.forward(Batch.of([g2])))
 
 
@@ -59,9 +59,8 @@ def test_mlp_mean_readout_blind_to_node_count():
     spec = ModelSpec(kind="mlp", hidden_dim=8, mlp_dims=(8, 8))
     model = build(spec, 3, 2, Rng(7))
     row = np.array([0.5, -1.25, 2.0])
-    small = Graph(adj=SparseAdj.from_edges(2, []), features=np.tile(row, (2, 1)), label=0, id=0)
-    large = Graph(adj=random_adj(Rng(8), 9, 0.4), features=np.tile(row, (9, 1)),
-                  label=0, id=1)
+    small = dense_graph(SparseAdj.from_edges(2, []), np.tile(row, (2, 1)), 0, 0)
+    large = dense_graph(random_adj(Rng(8), 9, 0.4), np.tile(row, (9, 1)), 0, 1)
     assert np.array_equal(model.forward(Batch.of([small])), model.forward(Batch.of([large])))
 
 
@@ -131,7 +130,8 @@ def test_three_graph_batch_gradients_match_finite_differences(kind):
     worst = 0.0
     for trial in range(3):
         rng = Rng(230 + trial)
-        graphs = [random_graph(rng.derive(i), 4 + rng.integers(0, 6), 3) for i in range(3)]
+        graphs = share_table([random_graph(rng.derive(i), 4 + rng.integers(0, 6), 3)
+                              for i in range(3)])
         spec = ModelSpec(kind=kind, hidden_dim=5, mlp_dims=(4, 4), k=0.6)
         model = build(spec, 3, 2, rng.derive(10))
         randomize_params(model, rng.derive(11))
@@ -184,7 +184,7 @@ def test_every_readout_sizes_the_mlp_input(kind, readout_kind):
                             readout_kind=readout_kind), 3, 2, Rng(40))
     wide = 2 if readout_kind == "max_and_sum" else 1
     assert model.params["mlp1.W"].shape[0] == wide * (3 if kind == "mlp" else 3 + 5)
-    batch = Batch.of([random_graph(Rng(41 + i), 4 + i, 3) for i in range(3)])
+    batch = Batch.of(share_table([random_graph(Rng(41 + i), 4 + i, 3) for i in range(3)]))
     assert model.forward(batch).shape == (3, 2)
     grads = model.backward(np.ones((3, 2)))
     assert all(grads[name].shape == p.shape for name, p in model.params.items())
@@ -194,7 +194,7 @@ def test_max_and_sum_readout_model_gradients_match_finite_differences():
     model = build(ModelSpec(kind="gcn_mlp", hidden_dim=4, mlp_dims=(4, 3),
                             readout_kind="max_and_sum"), 3, 2, Rng(44))
     randomize_params(model, Rng(45))
-    graphs = [random_graph(Rng(46 + i), 5 + i, 3) for i in range(2)]
+    graphs = share_table([random_graph(Rng(46 + i), 5 + i, 3) for i in range(2)])
     assert fd_max_rel_err(model, Batch.of(graphs), Rng(48).normal(2, 2, 1.0)) < 1e-6
 
 
@@ -206,7 +206,7 @@ def test_jk_agg_sum_needs_taps_of_equal_width():
                             jk_agg="sum"), 3, 2, Rng(49))
     assert model.params["mlp1.W"].shape == (3, 4)
     randomize_params(model, Rng(50))
-    graphs = [random_graph(Rng(51 + i), 5 + i, 3) for i in range(2)]
+    graphs = share_table([random_graph(Rng(51 + i), 5 + i, 3) for i in range(2)])
     assert fd_max_rel_err(model, Batch.of(graphs), Rng(53).normal(2, 2, 1.0)) < 1e-6
 
 
@@ -233,7 +233,7 @@ def test_forward_runs_only_the_pools_a_tap_reads(name, monkeypatch):
         return forward(self, state)
 
     monkeypatch.setattr(TopKPool, "forward", spy)
-    batch = Batch.of([random_graph(Rng(61 + i), 6 + i, 3) for i in range(3)])
+    batch = Batch.of(share_table([random_graph(Rng(61 + i), 6 + i, 3) for i in range(3)]))
     model.forward(batch)
     assert calls == [pool for _, pool in model.blocks[:pools_run]]
 
@@ -242,7 +242,7 @@ def test_unread_pool_gets_an_exactly_zero_gradient():
     model = build(ModelSpec(kind="jk_sum", hidden_dim=5, mlp_dims=(4, 4), k=0.6),
                   3, 2, Rng(62))
     randomize_params(model, Rng(63))
-    batch = Batch.of([random_graph(Rng(64 + i), 6 + i, 3) for i in range(3)])
+    batch = Batch.of(share_table([random_graph(Rng(64 + i), 6 + i, 3) for i in range(3)]))
     model.forward(batch)
     grads = model.backward(Rng(67).normal(3, 2, 1.0))
     assert grads["pool3.p"].shape == model.params["pool3.p"].shape
@@ -255,7 +255,7 @@ def test_run_blocks_equals_the_traced_forward_states(name):
     spec, _ = WALK_SPECS[name]
     model = build(spec, 3, 2, Rng(70))
     randomize_params(model, Rng(71))
-    batch = Batch.of([random_graph(Rng(72 + i), 6 + i, 3) for i in range(3)])
+    batch = Batch.of(share_table([random_graph(Rng(72 + i), 6 + i, 3) for i in range(3)]))
     model.forward(batch)
     traced = model.trace_states()
     stages = model.block_stages()
