@@ -4,7 +4,8 @@ One numpy implementation of each. ``scipy.sparse`` is deliberately not used:
 importing it alone raises a process's peak resident memory from about 27 MB
 (numpy only) to about 49 MB, while these kernels need nothing beyond numpy.
 Callers resolve the kernels here at call time (``_kernels.spmm(...)``), so
-the names, signatures and ``gcn_norm``'s ``(w, w_t, diag)`` are the interface.
+the names, signatures and ``gcn_norm``'s ``(w, w_t, diag)`` are the interface;
+one ``spmm_layout(indptr)`` serves every ``spmm`` over that ``indptr``.
 """
 
 import numpy as np
@@ -12,20 +13,11 @@ import numpy as np
 SELF_LOOP_WEIGHT = 2.0  # improved-GCN self-loop weight
 
 
-def spmm(indptr, indices, data, x):
-    """Row i of the result is the data-weighted sum of x rows listed in row i.
-
-    Rows are visited in descending degree order and the CSR entries are laid
-    out k-major (entry k of every row with more than k entries, rows in that
-    order), so step k adds one contiguous block into a prefix of the output.
-    Each row is still summed as ``0 + a0 + a1 + ...`` in CSR order, the order
-    of ``np.add.at``, so the result is bit-identical to that formula.
-    """
+def spmm_layout(indptr):
+    """``(slot, rank, blocks)``: row i is ``rank[i]``-th by descending degree,
+    CSR entry e moves to ``slot[e]``, and block k, ``(start, count)``, holds
+    entry k of every row with more than k entries, rows in that order."""
     n = indptr.shape[0] - 1
-    nnz = indices.shape[0]
-    out = np.zeros((n, x.shape[1]), dtype=np.float64)
-    if nnz == 0:
-        return out
     deg = np.diff(indptr)
     order = np.argsort(-deg, kind="stable")
     rank = np.empty_like(order)
@@ -34,14 +26,26 @@ def spmm(indptr, indices, data, x):
     # entry k of the row ranked r goes to slot start[k] + r
     count = n - np.cumsum(np.bincount(deg))[:-1]
     start = np.cumsum(count) - count
-    slot = start[np.arange(nnz) - np.repeat(indptr[:-1], deg)] + np.repeat(rank, deg)
+    slot = start[np.arange(indptr[-1]) - np.repeat(indptr[:-1], deg)] + np.repeat(rank, deg)
+    return slot, rank, list(zip(start.tolist(), count.tolist()))
+
+
+def spmm(layout, indices, data, x):
+    """Row i of the result is the data-weighted sum of x rows listed in row i.
+
+    Block k of ``layout`` adds into a prefix of the output, yet each row is
+    still summed as ``0 + a0 + a1 + ...`` in CSR order, the order of
+    ``np.add.at``, so the result is bit-identical to that formula.
+    """
+    slot, rank, blocks = layout
+    out = np.zeros((rank.shape[0], x.shape[1]), dtype=np.float64)
     idx = np.empty_like(indices)
     idx[slot] = indices
-    w = np.empty(nnz, dtype=np.float64)
+    w = np.empty(slot.shape[0], dtype=np.float64)
     w[slot] = data
     prod = np.asarray(x, dtype=np.float64)[idx]
     prod *= w[:, None]
-    for s, c in zip(start.tolist(), count.tolist()):
+    for s, c in blocks:
         out[:c] += prod[s:s + c]
     return out[rank]
 

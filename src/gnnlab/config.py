@@ -190,10 +190,6 @@ class ExperimentConfig(Settings):
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_json(path))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
-
 
 def read_json(path) -> dict:
     """The JSON object in the file at ``path``."""

@@ -17,7 +17,9 @@ The stages of a block stack, :class:`GcnLayer` and :class:`TopKPool`, share
 one contract: ``forward`` maps a :class:`~gnnlab.graphdata.State` to the next
 State; ``backward(grad, input_grad)`` returns (input gradient or None,
 {name: gradient}); ``rescale(sigma)`` divides every later output by sigma;
-and ``last_preactivation`` is what tracing reads (None for a pool).
+and ``last_preactivation`` is what tracing reads (None for a pool). A
+convolution is a :class:`DenseLayer` whose input is propagated first: the
+two share one affine map and one gradient formula.
 """
 
 import numpy as np
@@ -33,23 +35,15 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-class GcnLayer:
-    """Graph convolution with weighted self-loops and degree normalisation.
+class DenseLayer:
+    """Affine map plus optional ReLU."""
 
-    Propagates features with P built from the adjacency plus self-loops of
-    weight 2, then applies an affine map and optional ReLU. A divisor from
-    :meth:`rescale` is folded into W and b.
-    """
-
-    def __init__(self, w, b, activation="relu", norm="sym"):
+    def __init__(self, w, b, activation="relu"):
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
-        if norm not in ("sym", "row"):
-            raise ValueError(f"unknown normalisation {norm!r}")
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64).reshape(-1)
         self.activation = activation
-        self.norm = norm
         self._cache = None
 
     @property
@@ -60,22 +54,67 @@ class GcnLayer:
     def fan_out(self):
         return self.w.shape[1]
 
-    def forward(self, state: State) -> State:
-        adj, x, sizes = state
+    def _affine(self, x):
+        """(preactivation, output) of the map on ``x``."""
         if x.shape[1] != self.w.shape[0]:
             raise ShapeError(
-                f"gcn expects {self.w.shape[0]} input features, got {x.shape[1]}")
+                f"{type(self).__name__} expects {self.w.shape[0]} input features, "
+                f"got {x.shape[1]}")
+        pre = x @ self.w + self.b
+        return pre, relu(pre) if self.activation == "relu" else pre
+
+    def _gradients(self, grad_out, x, pre, input_grad=True):
+        """Gradient on ``x`` (None unless ``input_grad``) and on W and b, for
+        the map that took ``x`` to ``pre``."""
+        grad_pre = grad_out * (pre > 0) if self.activation == "relu" else grad_out
+        grad_x = grad_pre @ self.w.T if input_grad else None
+        return grad_x, {"W": x.T @ grad_pre, "b": grad_pre.sum(axis=0)}
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        pre, out = self._affine(x)
+        self._cache = {"x": x, "pre": pre}
+        return out
+
+    def backward(self, grad_out: np.ndarray):
+        if self._cache is None:
+            raise StateError("dense backward called before forward")
+        c, self._cache = self._cache, None
+        return self._gradients(grad_out, c["x"], c["pre"])
+
+
+def _propagate(layout, indices, w, diag, x):
+    """``spmm`` over an operator's entries ``w``, then its self-loop term, last
+    in each row's sum."""
+    out = _kernels.spmm(layout, indices, w, x)
+    out += diag[:, None] * x
+    return out
+
+
+class GcnLayer(DenseLayer):
+    """Graph convolution with weighted self-loops and degree normalisation.
+
+    Propagates features with P built from the adjacency plus self-loops of
+    weight 2, then applies the dense layer's affine map and optional ReLU. A
+    divisor from :meth:`rescale` is folded into W and b. Forward lays the
+    adjacency out for ``spmm`` once; backward propagates through P's
+    transpose on the same layout.
+    """
+
+    def __init__(self, w, b, activation="relu", norm="sym"):
+        super().__init__(w, b, activation)
+        if norm not in ("sym", "row"):
+            raise ValueError(f"unknown normalisation {norm!r}")
+        self.norm = norm
+
+    def forward(self, state: State) -> State:
+        adj, x, sizes = state
         self._cache = None
         w_p, w_pt, diag = adj.normalized(symmetric_norm=(self.norm == "sym"))
-        m = _kernels.spmm(adj.indptr, adj.indices, w_p, x)
-        m += diag[:, None] * x  # the self-loop term, last in each row's sum
+        layout = _kernels.spmm_layout(adj.indptr)
+        m = _propagate(layout, adj.indices, w_p, diag, x)
         pre, out = self._affine(m)
-        self._cache = {"m": m, "pre": pre, "prop_t": (adj, w_pt, diag)}
+        self._cache = {"m": m, "pre": pre, "prop_t": (layout, adj.indices, w_pt, diag)}
         return State(adj, out, sizes)
-
-    def _affine(self, m):
-        pre = m @ self.w + self.b
-        return pre, relu(pre) if self.activation == "relu" else pre
 
     def resume(self, m: np.ndarray) -> np.ndarray:
         """The rows a forward that propagated to ``m`` returns under the current W and b."""
@@ -87,21 +126,13 @@ class GcnLayer:
         self.b /= sigma
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
-        """Parameter gradients, and the input gradient (None unless
-        ``input_grad``: a network's first convolution has no use for it)."""
+        """Input gradient (None unless ``input_grad``: a network's first
+        convolution has no use for it) and parameter gradients."""
         if self._cache is None:
             raise StateError("gcn backward called before forward")
         c, self._cache = self._cache, None
-        grad_pre = grad_out * (c["pre"] > 0) if self.activation == "relu" else grad_out
-        grad_b = grad_pre.sum(axis=0)
-        grad_w = c["m"].T @ grad_pre
-        grad_x = None
-        if input_grad:
-            grad_m = grad_pre @ self.w.T
-            adj, w_pt, diag = c["prop_t"]
-            grad_x = _kernels.spmm(adj.indptr, adj.indices, w_pt, grad_m)
-            grad_x += diag[:, None] * grad_m
-        return grad_x, {"W": grad_w, "b": grad_b}
+        grad_m, grads = self._gradients(grad_out, c["m"], c["pre"], input_grad)
+        return None if grad_m is None else _propagate(*c["prop_t"], grad_m), grads
 
     @property
     def last_preactivation(self):
@@ -212,45 +243,6 @@ class TopKPool:
         else:
             grad_p = (x_kept.T @ d_score) / denom
         return grad_in, {"p": grad_p}
-
-
-class DenseLayer:
-    """Affine map plus optional ReLU."""
-
-    def __init__(self, w, b, activation="relu"):
-        if activation not in ("relu", "none"):
-            raise ValueError(f"unknown activation {activation!r}")
-        self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64).reshape(-1)
-        self.activation = activation
-        self._cache = None
-
-    @property
-    def fan_in(self):
-        return self.w.shape[0]
-
-    @property
-    def fan_out(self):
-        return self.w.shape[1]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.w.shape[0]:
-            raise ShapeError(
-                f"dense expects {self.w.shape[0]} inputs, got {x.shape[1]}")
-        pre = x @ self.w + self.b
-        out = relu(pre) if self.activation == "relu" else pre
-        self._cache = {"x": x, "pre": pre}
-        return out
-
-    def backward(self, grad_out: np.ndarray):
-        if self._cache is None:
-            raise StateError("dense backward called before forward")
-        c, self._cache = self._cache, None
-        grad_pre = grad_out * (c["pre"] > 0) if self.activation == "relu" else grad_out
-        grad_b = grad_pre.sum(axis=0)
-        grad_w = c["x"].T @ grad_pre
-        grad_x = grad_pre @ self.w.T
-        return grad_x, {"W": grad_w, "b": grad_b}
 
 
 READOUT_KINDS = ("mean", "sum", "max", "max_and_sum")

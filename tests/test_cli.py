@@ -96,7 +96,7 @@ def test_train_from_config_file(tu_dir, tmp_path):
                                              mlp_dims=(8, 8)),
         folds=Folds(count=2), out_dir=str(tmp_path / "cfgrun"))
     cfg_path = tmp_path / "exp.json"
-    cfg.save(cfg_path)
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
     loaded = ExperimentConfig.load(cfg_path)
     assert loaded == cfg
     assert loaded.to_dict() == cfg.to_dict()
@@ -159,7 +159,7 @@ def test_sweep_epochs(tu_dir, tmp_path, capsys):
                                                  mlp_dims=(8, 8)),
             folds=Folds(count=2))
         path = tmp_path / f"{kind}.json"
-        cfg.save(path)
+        path.write_text(json.dumps(cfg.to_dict()))
         cfgs.append(str(path))
     out = tmp_path / "sweep"
     assert main(["sweep-epochs", "--config", *cfgs, "--epochs", "2,1",
@@ -178,7 +178,7 @@ def test_sweep_single_budget(tu_dir, tmp_path):
                                              mlp_dims=(8, 8)),
         folds=Folds(count=2))
     path = tmp_path / "one.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "sweep1"
     assert main(["sweep-epochs", "--config", str(path), "--epochs", "2",
                  "--out", str(out)]) == 0
@@ -274,7 +274,7 @@ def test_sweep_out_on_a_file_is_one_error_line(tu_dir, tmp_path, capsys):
     cfg = ExperimentConfig(dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
                            model=ModelSpec(kind="mlp"), folds=Folds(count=2))
     path = tmp_path / "one.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "taken"
     out.write_text("")
     assert main(["sweep-epochs", "--config", str(path), "--epochs", "1",

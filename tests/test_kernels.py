@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from gnnlab import GcnLayer, Rng, SparseAdj
+from gnnlab import Batch, GcnLayer, ModelSpec, Rng, SparseAdj, build
 from gnnlab import _kernels
 from gnnlab.layers import relu
+from gnnlab.training import cross_entropy
 
-from conftest import one_graph, random_adj, to_dense
+from conftest import one_graph, random_adj, random_graph, share_table, to_dense
 
 
 def spmm_add_at(indptr, indices, data, x):
@@ -15,6 +16,11 @@ def spmm_add_at(indptr, indices, data, x):
     rows = np.repeat(np.arange(n), np.diff(indptr))
     np.add.at(out, rows, data[:, None] * x[indices])
     return out
+
+
+def spmm_csr(indptr, indices, data, x):
+    """``spmm`` on a layout of its own."""
+    return _kernels.spmm(_kernels.spmm_layout(indptr), indices, data, x)
 
 
 def gcn_norm_csr(indptr, indices, symmetric):
@@ -60,17 +66,23 @@ def star(n):
 
 
 def adjacencies():
-    """Random graphs (sparse enough to leave isolated nodes), a star, no edges."""
+    """Random graphs (sparse enough to leave isolated nodes), one whose first,
+    middle and last rows are empty, a star, no edges."""
     adjs = [random_adj(Rng(seed), n, p)
             for seed, (n, p) in enumerate([(30, 0.05), (50, 0.2), (12, 0.5), (80, 0.03)])]
-    return adjs + [star(40), SparseAdj.from_edges(6, [])]
+    return adjs + [SparseAdj.from_edges(7, [(1, 2), (2, 4), (4, 5)]), star(40),
+                   SparseAdj.from_edges(6, [])]
 
 
 def operators(adj):
-    """The raw adjacency plus the oracle operator CSRs (w and w_t of both
-    normalisations), each with its dense form."""
+    """The raw adjacency, ``gcn_norm``'s weights on it (empty rows stay empty)
+    and the oracle operator CSRs (w and w_t of both normalisations), each with
+    its dense form."""
     ops = [((adj.indptr, adj.indices, np.ones(adj.indices.shape[0])), to_dense(adj))]
     for symmetric in (True, False):
+        w, w_t, _ = _kernels.gcn_norm(adj.indptr, adj.indices, symmetric)
+        ops += [((adj.indptr, adj.indices, v), csr_dense(adj.indptr, adj.indices, v))
+                for v in (w, w_t)]
         indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, symmetric)
         dense = csr_dense(indptr, indices, w)
         ops += [((indptr, indices, w), dense), ((indptr, indices, w_t), dense.T)]
@@ -84,22 +96,60 @@ def bits(a):
 @pytest.mark.parametrize("f", [1, 3, 128])
 def test_spmm_bit_equal_to_add_at_and_close_to_dense(f):
     for k, adj in enumerate(adjacencies()):
-        x = Rng(k).normal(adj.n, f, 1.0)
         for csr, dense in operators(adj):
-            got = _kernels.spmm(*csr, x)
-            assert got.shape == (adj.n, f)
-            assert np.array_equal(bits(got), bits(spmm_add_at(*csr, x)))
-            assert np.allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
+            layout = _kernels.spmm_layout(csr[0])
+            for x in (Rng(k).normal(adj.n, f, 1.0), Rng(100 + k).normal(adj.n, f, 1.0)):
+                # a layout serves every spmm over its indptr
+                got = _kernels.spmm(layout, *csr[1:], x)
+                assert got.shape == (adj.n, f)
+                assert np.array_equal(bits(got), bits(spmm_add_at(*csr, x)))
+                assert np.allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
 
 
 def test_empty_rows_handled():
-    # node 2 has no neighbors; reduction helpers must not smear entries into it
-    indptr = np.array([0, 1, 2, 2], dtype=np.int64)
-    indices = np.array([1, 0], dtype=np.int64)
-    data = np.array([1.0, 1.0])
-    x = np.array([[1.0], [2.0], [3.0]])
-    out = _kernels.spmm(indptr, indices, data, x)
-    assert np.array_equal(out, [[2.0], [1.0], [0.0]])
+    # empty rows (and every row of an edgeless CSR) must stay zero: reduction
+    # helpers must not smear entries into them
+    x = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
+    for indptr, indices, want in [([0, 1, 2, 2], [1, 0], [2.0, 1.0, 0.0]),
+                                  ([0, 0, 2, 2, 3, 3], [0, 3, 1], [0.0, 5.0, 0.0, 2.0, 0.0]),
+                                  ([0, 0, 0, 0, 0], [], [0.0] * 4)]:
+        indices = np.array(indices, dtype=np.int64)
+        out = spmm_csr(np.array(indptr, dtype=np.int64), indices,
+                       np.ones(indices.shape[0]), x[:len(want)])
+        assert np.array_equal(out, np.array(want)[:, None])
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls into the list returned."""
+    calls, real = [0], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_layout_per_convolution_and_none_in_backward(monkeypatch):
+    layouts = counting(monkeypatch, _kernels, "spmm_layout")
+    spmms = counting(monkeypatch, _kernels, "spmm")
+    layer = GcnLayer(Rng(1).normal(4, 3, 0.7), np.zeros(3))
+    adj = random_adj(Rng(2), 20, 0.2)
+    layer.forward(one_graph(adj, Rng(3).normal(20, 4, 1.0)))
+    assert layouts == [1] and spmms == [1]
+    layer.backward(Rng(4).normal(20, 3, 1.0))
+    assert layouts == [1] and spmms == [2]
+
+    convolutions = counting(monkeypatch, GcnLayer, "forward")
+    model = build(ModelSpec(kind="jk_sum", hidden_dim=6, mlp_dims=(5, 4)), 3, 2, Rng(5))
+    batch = Batch.of(share_table([random_graph(Rng(6 + k), 8 + k, 3, label=k % 2)
+                                  for k in range(3)]))
+    layouts[0] = spmms[0] = 0
+    _, grad = cross_entropy(model.forward(batch), batch.labels)
+    assert convolutions == [len(model.blocks)] and layouts == convolutions == spmms
+    model.backward(grad)
+    # the first convolution computes no input gradient
+    assert layouts == convolutions and spmms == [2 * convolutions[0] - 1]
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -155,9 +205,9 @@ def test_gcn_layer_bit_equal_to_spmm_over_the_oracle_operator_csr(norm):
         x = rng.normal(adj.n, 4, 1.0)
         grad_out = rng.normal(adj.n, 3, 1.0)
         indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, norm == "sym")
-        pre = _kernels.spmm(indptr, indices, w, x) @ layer.w
+        pre = spmm_csr(indptr, indices, w, x) @ layer.w
         pre += layer.b
-        grad_x = _kernels.spmm(indptr, indices, w_t, (grad_out * (pre > 0)) @ layer.w.T)
+        grad_x = spmm_csr(indptr, indices, w_t, (grad_out * (pre > 0)) @ layer.w.T)
         assert np.array_equal(bits(layer.forward(one_graph(adj, x)).x), bits(relu(pre)))
         got, _ = layer.backward(grad_out)
         assert np.array_equal(bits(got), bits(grad_x))

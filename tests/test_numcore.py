@@ -30,7 +30,8 @@ def test_matmul_associativity():
 
 def unit_spmm(adj, x):
     """The adjacency itself (every entry 1) times ``x``."""
-    return _kernels.spmm(adj.indptr, adj.indices, np.ones(adj.indices.shape[0]), x)
+    return _kernels.spmm(_kernels.spmm_layout(adj.indptr), adj.indices,
+                         np.ones(adj.indices.shape[0]), x)
 
 
 def test_spmm_empty_adjacency_gives_zero():
