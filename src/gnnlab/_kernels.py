@@ -4,7 +4,7 @@ One numpy implementation of each. ``scipy.sparse`` is deliberately not used:
 importing it alone raises a process's peak resident memory from about 27 MB
 (numpy only) to about 49 MB, while these kernels need nothing beyond numpy.
 Callers resolve the kernels here at call time (``_kernels.spmm(...)``), so
-the names, signatures and ``gcn_norm``'s ``(w, w_t, diag)`` are the interface;
+the names, signatures and ``gcn_norm``'s ``(w, diag)`` are the interface;
 one ``spmm_layout(indptr)`` serves every ``spmm`` over that ``indptr``.
 """
 
@@ -50,24 +50,20 @@ def spmm(layout, indices, data, x):
     return out[rank]
 
 
-def gcn_norm(indptr, indices, symmetric):
-    """Propagation operator of the adjacency plus self-loops of weight
-    ``SELF_LOOP_WEIGHT``.
+def gcn_norm(indptr, indices):
+    """Propagation operator D^-1/2 (A + ``SELF_LOOP_WEIGHT`` I) D^-1/2 of the
+    adjacency A, D holding the row sums of A + ``SELF_LOOP_WEIGHT`` I; the
+    operator is its own transpose.
 
-    Returns ``(w, w_t, diag)``: the entries of the operator and of its
-    transpose at the adjacency's own CSR positions (one array under symmetric
-    normalisation), and each row's self-loop entry, which a caller adds after
+    Returns ``(w, diag)``: the operator's entries at the adjacency's own CSR
+    positions, and each row's self-loop entry, which a caller adds after
     ``spmm`` so that it comes last in each row's sum.
     """
     deg = np.diff(indptr)
     rows = np.repeat(np.arange(deg.shape[0]), deg)
     # row-local degrees: a graph's operator is the same bits alone as in a chunk
-    dhat = deg + SELF_LOOP_WEIGHT
-    if symmetric:
-        inv = 1.0 / np.sqrt(dhat)
-        w = inv[rows] * inv[indices]
-        return w, w, SELF_LOOP_WEIGHT * inv * inv
-    return 1.0 / dhat[rows], 1.0 / dhat[indices], SELF_LOOP_WEIGHT / dhat
+    inv = 1.0 / np.sqrt(deg + SELF_LOOP_WEIGHT)
+    return inv[rows] * inv[indices], SELF_LOOP_WEIGHT * inv * inv
 
 
 def induced_subgraph(indptr, indices, kept):

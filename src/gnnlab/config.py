@@ -102,7 +102,6 @@ class ModelSpec(Settings):
     readout_kind: str = "mean"
     jk_agg: str = "concat"
     tap_pooled: bool = False  # tap block outputs after the pool instead of the GCN
-    gcn_norm: str = "sym"     # "sym" or "row" degree normalisation
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -119,8 +118,6 @@ class ModelSpec(Settings):
             raise SpecError(f"unknown jk aggregation {self.jk_agg!r}")
         if not (0 <= self.k < 1):
             raise SpecError("pool keep fraction must lie in [0, 1)")
-        if self.gcn_norm not in ("sym", "row"):
-            raise SpecError(f"unknown gcn normalisation {self.gcn_norm!r}")
 
 
 @dataclass(frozen=True)

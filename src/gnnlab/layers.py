@@ -91,29 +91,23 @@ def _propagate(layout, indices, w, diag, x):
 
 
 class GcnLayer(DenseLayer):
-    """Graph convolution with weighted self-loops and degree normalisation.
+    """Graph convolution with weighted self-loops and symmetric degree normalisation.
 
-    Propagates features with P built from the adjacency plus self-loops of
-    weight 2, then applies the dense layer's affine map and optional ReLU. A
-    divisor from :meth:`rescale` is folded into W and b. Forward lays the
-    adjacency out for ``spmm`` once; backward propagates through P's
-    transpose on the same layout.
+    Propagates features with P = D^-1/2 (A + 2I) D^-1/2, D holding the row
+    sums of A + 2I, then applies the dense layer's affine map and optional
+    ReLU. A divisor from :meth:`rescale` is folded into W and b. Forward
+    lays the adjacency out for ``spmm`` once; P is its own transpose, so
+    backward propagates the gradient through the same cached operator.
     """
-
-    def __init__(self, w, b, activation="relu", norm="sym"):
-        super().__init__(w, b, activation)
-        if norm not in ("sym", "row"):
-            raise ValueError(f"unknown normalisation {norm!r}")
-        self.norm = norm
 
     def forward(self, state: State) -> State:
         adj, x, sizes = state
         self._cache = None
-        w_p, w_pt, diag = adj.normalized(symmetric_norm=(self.norm == "sym"))
-        layout = _kernels.spmm_layout(adj.indptr)
-        m = _propagate(layout, adj.indices, w_p, diag, x)
+        w_p, diag = adj.normalized()
+        prop = (_kernels.spmm_layout(adj.indptr), adj.indices, w_p, diag)
+        m = _propagate(*prop, x)
         pre, out = self._affine(m)
-        self._cache = {"m": m, "pre": pre, "prop_t": (layout, adj.indices, w_pt, diag)}
+        self._cache = {"m": m, "pre": pre, "prop": prop}
         return State(adj, out, sizes)
 
     def resume(self, m: np.ndarray) -> np.ndarray:
@@ -132,7 +126,7 @@ class GcnLayer(DenseLayer):
             raise StateError("gcn backward called before forward")
         c, self._cache = self._cache, None
         grad_m, grads = self._gradients(grad_out, c["m"], c["pre"], input_grad)
-        return None if grad_m is None else _propagate(*c["prop_t"], grad_m), grads
+        return None if grad_m is None else _propagate(*c["prop"], grad_m), grads
 
     @property
     def last_preactivation(self):

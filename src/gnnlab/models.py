@@ -202,8 +202,7 @@ def build(spec: ModelSpec, num_features: int, num_classes: int, rng: Rng) -> Mod
     blocks = []
     for i in range(nblocks):
         fan_in = num_features if i == 0 else hidden
-        gcn = GcnLayer(np.zeros((fan_in, hidden)), np.zeros(hidden),
-                       activation="relu", norm=spec.gcn_norm)
+        gcn = GcnLayer(np.zeros((fan_in, hidden)), np.zeros(hidden), activation="relu")
         pool = None
         if spec.kind in ("jk_sum", "probe4"):
             pool = TopKPool(np.zeros(hidden), k=spec.k)

@@ -87,9 +87,9 @@ class SparseAdj:
         """Degree (stored-entry count) per node."""
         return np.diff(self.indptr)
 
-    def normalized(self, symmetric_norm=True):
-        """Propagation operator ``(w, w_t, diag)``; see ``_kernels.gcn_norm``."""
-        return _kernels.gcn_norm(self.indptr, self.indices, bool(symmetric_norm))
+    def normalized(self):
+        """Propagation operator ``(w, diag)``; see ``_kernels.gcn_norm``."""
+        return _kernels.gcn_norm(self.indptr, self.indices)
 
     def induced(self, kept) -> "SparseAdj":
         """Subgraph on ``kept`` original node ids (must be ascending)."""

@@ -21,7 +21,7 @@ SPECS = [
     ModelSpec(kind="mlp", hidden_dim=6, mlp_dims=(5, 4), readout_kind="max"),
     ModelSpec(kind="gcn_r_mlp", hidden_dim=6, mlp_dims=(5, 4)),
     ModelSpec(kind="gcn_mlp", hidden_dim=6, mlp_dims=(5, 4), readout_kind="max"),
-    ModelSpec(kind="gcn_mlp", hidden_dim=6, mlp_dims=(5, 4), gcn_norm="row"),
+    ModelSpec(kind="gcn_mlp", hidden_dim=6, mlp_dims=(5, 4)),
     ModelSpec(kind="jk_sum", hidden_dim=6, mlp_dims=(5, 4), k=0.6),
     ModelSpec(kind="jk_sum", hidden_dim=6, mlp_dims=(5, 4), k=0.6, jk_agg="sum",
               tap_pooled=True),

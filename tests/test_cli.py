@@ -122,6 +122,18 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
                                     "model": {"kind": "mlp"}})
 
 
+def test_config_with_a_gcn_norm_key_is_rejected(tu_dir, tmp_path, capsys):
+    # every convolution normalises symmetrically; no key selects another operator
+    with pytest.raises(ConfigError, match="gcn_norm"):
+        ModelSpec.from_dict({"kind": "gcn_mlp", "gcn_norm": "sym"})
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"dataset": {"name": "SYNTH", "path": str(tu_dir)},
+                                "model": {"kind": "gcn_mlp", "gcn_norm": "sym"}}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "gcn_norm" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_round_trip_is_lossless():
     cfg = ExperimentConfig(
         dataset=DatasetConfig(name="DD", feature_policy="label_onehot"),

@@ -13,7 +13,9 @@ elsewhere the losses must match to a relative 1e-12 and the accuracies
 exactly. The test never skips.
 
 A change meant to keep every number (a refactor, a speed-up) must pass this
-test unchanged. Re-record only for a stated numeric reason, with::
+test unchanged. Re-record only for a stated numeric reason, or when a report
+key is removed; in the latter case the re-recorded file may differ from the
+old one only in ``report_sha256`` values. Re-record with::
 
     PYTHONPATH=src python tests/test_golden.py --record
 """

@@ -141,8 +141,6 @@ STASH_SPECS = {
     "jk_sum_tap_pooled": ModelSpec(kind="jk_sum", hidden_dim=7, mlp_dims=(6, 5), k=0.7,
                                    tap_pooled=True),
     "probe4": ModelSpec(kind="probe4", hidden_dim=7, mlp_dims=(6, 5), k=0.7),
-    "jk_sum_row": ModelSpec(kind="jk_sum", hidden_dim=7, mlp_dims=(6, 5), k=0.7,
-                            gcn_norm="row"),
     "gcn_r_mlp": ModelSpec(kind="gcn_r_mlp", hidden_dim=7, mlp_dims=(6, 5)),
 }
 

@@ -23,10 +23,10 @@ def spmm_csr(indptr, indices, data, x):
     return _kernels.spmm(_kernels.spmm_layout(indptr), indices, data, x)
 
 
-def gcn_norm_csr(indptr, indices, symmetric):
+def gcn_norm_csr(indptr, indices):
     """Oracle: the operator as its own CSR, the adjacency's entries (each 1)
     with a self-loop entry of 2 appended to each row; returns (indptr,
-    indices, w, w_t)."""
+    indices, w)."""
     n = indptr.shape[0] - 1
     nnz = indices.shape[0]
     data, self_weight = np.ones(nnz), 2.0
@@ -43,13 +43,8 @@ def gcn_norm_csr(indptr, indices, symmetric):
     new_indices[self_pos] = np.arange(n)
     new_vals[self_pos] = self_weight
     new_rows = np.repeat(np.arange(n), counts + 1)
-    if symmetric:
-        inv = 1.0 / np.sqrt(dhat)
-        w = new_vals * inv[new_rows] * inv[new_indices]
-        return new_indptr, new_indices, w, w
-    w = new_vals / dhat[new_rows]
-    w_t = new_vals / dhat[new_indices]
-    return new_indptr, new_indices, w, w_t
+    inv = 1.0 / np.sqrt(dhat)
+    return new_indptr, new_indices, new_vals * inv[new_rows] * inv[new_indices]
 
 
 def csr_dense(indptr, indices, vals):
@@ -76,17 +71,12 @@ def adjacencies():
 
 def operators(adj):
     """The raw adjacency, ``gcn_norm``'s weights on it (empty rows stay empty)
-    and the oracle operator CSRs (w and w_t of both normalisations), each with
-    its dense form."""
-    ops = [((adj.indptr, adj.indices, np.ones(adj.indices.shape[0])), to_dense(adj))]
-    for symmetric in (True, False):
-        w, w_t, _ = _kernels.gcn_norm(adj.indptr, adj.indices, symmetric)
-        ops += [((adj.indptr, adj.indices, v), csr_dense(adj.indptr, adj.indices, v))
-                for v in (w, w_t)]
-        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, symmetric)
-        dense = csr_dense(indptr, indices, w)
-        ops += [((indptr, indices, w), dense), ((indptr, indices, w_t), dense.T)]
-    return ops
+    and the oracle operator CSR, each with its dense form."""
+    w, _ = _kernels.gcn_norm(adj.indptr, adj.indices)
+    indptr, indices, w_csr = gcn_norm_csr(adj.indptr, adj.indices)
+    return [((adj.indptr, adj.indices, np.ones(adj.indices.shape[0])), to_dense(adj)),
+            ((adj.indptr, adj.indices, w), csr_dense(adj.indptr, adj.indices, w)),
+            ((indptr, indices, w_csr), csr_dense(indptr, indices, w_csr))]
 
 
 def bits(a):
@@ -152,25 +142,17 @@ def test_one_layout_per_convolution_and_none_in_backward(monkeypatch):
     assert layouts == convolutions and spmms == [2 * convolutions[0] - 1]
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_gcn_norm_matches_dense_normalisation(symmetric):
+def test_gcn_norm_matches_dense_normalisation():
     for adj in adjacencies():
-        w, w_t, diag = _kernels.gcn_norm(adj.indptr, adj.indices, symmetric)
+        w, diag = _kernels.gcn_norm(adj.indptr, adj.indices)
         a_hat = to_dense(adj) + 2.0 * np.eye(adj.n)
         d_hat = a_hat.sum(axis=1)
-        if symmetric:
-            want = a_hat / np.sqrt(np.outer(d_hat, d_hat))
-        else:
-            want = a_hat / d_hat[:, None]
-        self_loops = np.diag(diag)
-        assert np.allclose(csr_dense(adj.indptr, adj.indices, w) + self_loops, want,
-                           rtol=1e-12, atol=1e-12)
-        assert np.allclose(csr_dense(adj.indptr, adj.indices, w_t) + self_loops, want.T,
+        want = a_hat / np.sqrt(np.outer(d_hat, d_hat))
+        assert np.allclose(csr_dense(adj.indptr, adj.indices, w) + np.diag(diag), want,
                            rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "row"])
-def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(symmetric):
+def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own():
     # bit for bit: a graph's operator must not depend on where it sits in a chunk
     for seed in range(40):
         rng = Rng(seed)
@@ -180,14 +162,13 @@ def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own(symmetri
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.integers(0, 10) < 3]
             adjs.append(SparseAdj.from_edges(n, edges))
         chunk = SparseAdj.block_diag(adjs)
-        w, w_t, diag = _kernels.gcn_norm(chunk.indptr, chunk.indices, symmetric)
+        w, diag = _kernels.gcn_norm(chunk.indptr, chunk.indices)
         node = 0
         for adj in adjs:
-            own = _kernels.gcn_norm(adj.indptr, adj.indices, symmetric)
+            own = _kernels.gcn_norm(adj.indptr, adj.indices)
             lo, hi = chunk.indptr[node], chunk.indptr[node + adj.n]
             assert np.array_equal(bits(w[lo:hi]), bits(own[0]))
-            assert np.array_equal(bits(w_t[lo:hi]), bits(own[1]))
-            assert np.array_equal(bits(diag[node:node + adj.n]), bits(own[2]))
+            assert np.array_equal(bits(diag[node:node + adj.n]), bits(own[1]))
             node += adj.n
 
 
@@ -197,17 +178,24 @@ def equivalence_adjacencies():
     return adjacencies() + [SparseAdj.from_edges(5, [(0, 1), (2, 2), (1, 3), (4, 4)])]
 
 
-@pytest.mark.parametrize("norm", ["sym", "row"])
-def test_gcn_layer_bit_equal_to_spmm_over_the_oracle_operator_csr(norm):
+def test_gcn_norm_operator_is_its_own_transpose_bit_for_bit():
+    # a convolution's backward propagates through the forward's operator
+    for adj in equivalence_adjacencies():
+        w, diag = _kernels.gcn_norm(adj.indptr, adj.indices)
+        op = csr_dense(adj.indptr, adj.indices, w) + np.diag(diag)
+        assert np.array_equal(bits(op), bits(op.T))
+
+
+def test_gcn_layer_bit_equal_to_spmm_over_the_oracle_operator_csr():
     for k, adj in enumerate(equivalence_adjacencies()):
         rng = Rng(100 + k)
-        layer = GcnLayer(rng.normal(4, 3, 0.7), rng.normal(1, 3, 0.3), norm=norm)
+        layer = GcnLayer(rng.normal(4, 3, 0.7), rng.normal(1, 3, 0.3))
         x = rng.normal(adj.n, 4, 1.0)
         grad_out = rng.normal(adj.n, 3, 1.0)
-        indptr, indices, w, w_t = gcn_norm_csr(adj.indptr, adj.indices, norm == "sym")
-        pre = spmm_csr(indptr, indices, w, x) @ layer.w
+        oracle = gcn_norm_csr(adj.indptr, adj.indices)
+        pre = spmm_csr(*oracle, x) @ layer.w
         pre += layer.b
-        grad_x = spmm_csr(indptr, indices, w_t, (grad_out * (pre > 0)) @ layer.w.T)
+        grad_x = spmm_csr(*oracle, (grad_out * (pre > 0)) @ layer.w.T)
         assert np.array_equal(bits(layer.forward(one_graph(adj, x)).x), bits(relu(pre)))
         got, _ = layer.backward(grad_out)
         assert np.array_equal(bits(got), bits(grad_x))

@@ -169,14 +169,6 @@ def test_jk_agg_sum_gradients():
     assert fd_max_rel_err(model, Batch.of([g]), Rng(21).normal(1, 2, 1.0)) < 1e-6
 
 
-def test_row_normalisation_gradients():
-    model = build(ModelSpec(kind="gcn_mlp", hidden_dim=5, mlp_dims=(4, 4),
-                            gcn_norm="row"), 3, 2, Rng(22))
-    randomize_params(model, Rng(23))
-    g = random_graph(Rng(24), 7, 3)
-    assert fd_max_rel_err(model, Batch.of([g]), Rng(25).normal(1, 2, 1.0)) < 1e-6
-
-
 @pytest.mark.parametrize("readout_kind", READOUT_KINDS)
 @pytest.mark.parametrize("kind", ["mlp", "gcn_mlp", "gcn_r_mlp"])
 def test_every_readout_sizes_the_mlp_input(kind, readout_kind):
