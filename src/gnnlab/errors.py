@@ -61,5 +61,19 @@ class CalibrationError(GnnLabError):
     """Variance re-initialisation hit a degenerate (constant-output) block."""
 
 
+class NonFiniteError(GnnLabError):
+    """A gradient reached the optimiser with a NaN or infinite entry; names the
+    first such parameter, and the epoch and fold once the harness adds them."""
+
+    def __init__(self, param, epoch=None, fold=None):
+        where = "".join(f"{key} {val}, " for key, val in (("fold", fold), ("epoch", epoch))
+                        if val is not None)
+        super().__init__(f"{where}non-finite gradient for {param}")
+        self.param, self.epoch, self.fold = param, epoch, fold
+
+    def __reduce__(self):  # a fold worker sends it back pickled
+        return type(self), (self.param, self.epoch, self.fold)
+
+
 class RenderError(GnnLabError):
     """A chart cannot be rendered from the given CSV/series selection."""

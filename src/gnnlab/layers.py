@@ -2,10 +2,14 @@
 
 Every layer caches what its backward pass needs during forward, and the
 backward pass releases it; a layer instance is therefore single-owner within
-a training step, and each forward allows one backward. Layers whose state
-grows with the node count drop the previous state before computing, so a
-forward-only sweep never holds two chunks' state at once. Gradients are
-exact (checked against central finite differences in the test suite).
+a training step, and each forward allows one backward. Dense layers,
+readouts and stages take ``input_grad``: with False, backward computes no
+gradient on its input (a dense layer skips ``grad @ W.T``; a readout only
+releases its cache), for an input whose gradient reaches no trained
+parameter. Layers whose state grows with the node count drop the previous
+state before computing, so a forward-only sweep never holds two chunks'
+state at once. Gradients are exact (checked against central finite
+differences in the test suite).
 
 The layers run on the disjoint union of several graphs as well as on one:
 node rows of consecutive graphs are stacked, and ``sizes`` gives each graph's
@@ -75,11 +79,12 @@ class DenseLayer:
         self._cache = {"x": x, "pre": pre}
         return out
 
-    def backward(self, grad_out: np.ndarray):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True):
+        """Input gradient (None unless ``input_grad``) and parameter gradients."""
         if self._cache is None:
             raise StateError("dense backward called before forward")
         c, self._cache = self._cache, None
-        return self._gradients(grad_out, c["x"], c["pre"])
+        return self._gradients(grad_out, c["x"], c["pre"], input_grad)
 
 
 def _propagate(layout, indices, w, diag, x):
@@ -120,8 +125,7 @@ class GcnLayer(DenseLayer):
         self.b /= sigma
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True):
-        """Input gradient (None unless ``input_grad``: a network's first
-        convolution has no use for it) and parameter gradients."""
+        """Input gradient (None unless ``input_grad``) and parameter gradients."""
         if self._cache is None:
             raise StateError("gcn backward called before forward")
         c, self._cache = self._cache, None
@@ -276,11 +280,14 @@ class Readout:
                 out = np.concatenate([out, np.add.reduceat(x, starts, axis=0)], axis=1)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Gradient on the node rows, from one gradient row per graph."""
+    def backward(self, grad: np.ndarray, input_grad: bool = True):
+        """Gradient on the node rows, from one gradient row per graph; None,
+        and nothing computed, unless ``input_grad``."""
         if self._cache is None:
             raise StateError("readout backward called before forward")
         cache, self._cache = self._cache, None
+        if not input_grad:
+            return None
         sizes = cache["sizes"]
         graph = np.repeat(np.arange(sizes.shape[0]), sizes)
         if self.kind == "mean":

@@ -78,6 +78,13 @@ class Model:
                            names.index(f"{source[0]}{source[1] + 1}") + 1
                            for source, _ in taps]
         self._live = max(self._tap_index)  # stages a forward runs
+        # whether the gradient on state i reaches a trained parameter: some
+        # stage before state i has one
+        self._grad_into = [False]
+        for name, _ in self._stages:
+            trained = any(p.startswith(f"{name}.") and p not in frozen for p in self.params)
+            self._grad_into.append(self._grad_into[-1] or trained)
+        self._head_grad = any(self._grad_into[t] for t in self._tap_index)
         # entries of the widest node row a forward holds: the input's, and
         # the hidden rows of any stage; chunks are budgeted by it
         self.width = max(num_features, spec.hidden_dim) if blocks else num_features
@@ -118,35 +125,40 @@ class Model:
     def backward(self, grad_scores: np.ndarray) -> dict:
         """Gradients for every registered parameter from the gradient of the
         scores of the last forward, summed over its graphs; frozen entries,
-        and those of stages the forward did not run, are zero. Gradients on
-        the raw input are never used."""
+        and those of stages the forward did not run, are zero. Only gradients
+        that reach a trained parameter are computed: none on the raw input,
+        and none through a frozen stage with nothing trained before it,
+        which is not run backward."""
         if self._cache is None:
             raise StateError("model backward called before forward")
         self._cache = None
         grads = {}
         z_grad = np.asarray(grad_scores, dtype=np.float64)
         for j in range(len(self.mlp), 0, -1):
-            z_grad, layer_grads = self.mlp[j - 1].backward(z_grad)
+            z_grad, layer_grads = self.mlp[j - 1].backward(
+                z_grad, input_grad=j > 1 or self._head_grad)
             grads.update({f"mlp{j}.{k}": g for k, g in layer_grads.items()})
-        if self.spec.jk_agg == "sum":
+        if self.spec.jk_agg == "sum" or z_grad is None:
             tap_grads = [z_grad] * len(self.taps)
         else:
             widths = _tap_widths(self.taps, self.num_features, self.spec.hidden_dim)
             offsets = np.concatenate(([0], np.cumsum(widths)))
             tap_grads = [z_grad[:, offsets[i]:offsets[i + 1]] for i in range(len(self.taps))]
         # gradient on each state's node matrix; None where nothing reads it
+        # or it reaches no trained parameter
         state_grads = [None] * (self._live + 1)
         for t, (_, ro), gmat in zip(self._tap_index, self.taps, tap_grads):
-            mat = ro.backward(gmat)
-            # nothing upstream of the raw input (state 0) has parameters, so
-            # its gradient is dropped; the readout backward still runs because
-            # perfbench expects layers.readout.bwd on every workload, and the
-            # mlp model has no other readout (ROADMAP item 1)
-            if t:
-                state_grads[t] = _add(state_grads[t], mat)
+            # every readout the forward ran gets its one backward, which
+            # releases its cache, also where it computes nothing
+            mat = ro.backward(gmat, input_grad=self._grad_into[t])
+            state_grads[t] = _add(state_grads[t], mat)
         for s in range(self._live, 0, -1):
             name, layer = self._stages[s - 1]
-            x_grad, layer_grads = layer.backward(state_grads[s], input_grad=s > 1)
+            if not self._grad_into[s]:
+                layer._cache = None  # frozen, nothing trained before it: no backward
+                continue
+            x_grad, layer_grads = layer.backward(state_grads[s],
+                                                 input_grad=self._grad_into[s - 1])
             grads.update({f"{name}.{k}": g for k, g in layer_grads.items()})
             state_grads[s - 1] = _add(state_grads[s - 1], x_grad)
         self.last_grads = {name: grads[name] if name in grads and name not in self.frozen

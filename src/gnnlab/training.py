@@ -14,12 +14,13 @@ are declared with the other settings in :mod:`gnnlab.config`.
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import diagnostics
 from .config import ModelSpec, TrainConfig
-from .errors import HarnessError, ShapeError
+from .errors import HarnessError, NonFiniteError, ShapeError
 from .graphdata import Dataset, FoldSplit, chunks, stratified_folds
 from .init import ReinitReport, reinit
 from .models import Model, build
@@ -82,7 +83,14 @@ def cross_entropy(scores: np.ndarray, labels: np.ndarray):
 
 
 class Adam:
-    """Adam with classic coupled L2 decay (grad += wd * param before moments)."""
+    """Adam with classic coupled L2 decay (grad += wd * param before moments).
+
+    The moments ``m`` and ``v`` are flat vectors over the trained (not frozen)
+    parameters, in registry order. A step gathers every gradient into one
+    flat vector and updates the moments in place, with the same operations in
+    the same order on each entry as a per-parameter update, so the bits are
+    those of one; each parameter then subtracts its slice of the update.
+    """
 
     def __init__(self, params: dict, frozen=frozenset(), lr=5e-4,
                  betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
@@ -93,8 +101,16 @@ class Adam:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._trained = [(k, p) for k, p in params.items() if k not in self.frozen]
+        if not self._trained:
+            raise HarnessError("no trained parameter to optimise")
+        size = sum(p.size for _, p in self._trained)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._g, self._a = np.empty(size), np.empty(size)  # gradient, scratch
+        # each trained parameter's update: its slice of the scratch vector
+        ends = accumulate(p.size for _, p in self._trained)
+        self._updates = [self._a[end - p.size:end].reshape(p.shape)
+                         for (_, p), end in zip(self._trained, ends)]
 
     @classmethod
     def from_config(cls, model: Model, cfg: TrainConfig) -> "Adam":
@@ -102,25 +118,42 @@ class Adam:
                    eps=cfg.eps, weight_decay=cfg.weight_decay)
 
     def step(self, grads: dict) -> None:
+        """One update from ``grads`` (by name; frozen names may be absent).
+        Raises before any state changes on a missing or misshapen gradient,
+        or on a non-finite entry (:class:`NonFiniteError`)."""
+        for name, param in self._trained:
+            if name not in grads:
+                raise HarnessError(f"no gradient for {name}")
+            if grads[name].shape != param.shape:
+                raise ShapeError(f"gradient for {name} has shape {grads[name].shape}, "
+                                 f"parameter has {param.shape}")
+        g, a, m, v = self._g, self._a, self.m, self.v
+        np.concatenate([grads[name] for name, _ in self._trained], axis=None, out=g)
+        if not np.isfinite(g).all():
+            raise NonFiniteError(next(name for name, _ in self._trained
+                                      if not np.isfinite(grads[name]).all()))
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, param in self.params.items():
-            if name in self.frozen:
-                continue
-            g = grads[name]
-            if g.shape != param.shape:
-                raise ShapeError(f"gradient for {name} has shape {g.shape}, "
-                                 f"parameter has {param.shape}")
-            if self.weight_decay:
-                g = g + self.weight_decay * param
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            param -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.weight_decay:
+            np.concatenate([param for _, param in self._trained], axis=None, out=a)
+            a *= self.weight_decay
+            g += a
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.square(g, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        a /= g
+        for (_, param), update in zip(self._trained, self._updates):
+            param -= update
 
 
 def _batches(order: np.ndarray, batch_size: int):
@@ -163,7 +196,10 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
             model.last_grads = accum
             if sink is not None:
                 diagnostics.record_backward(sink, epoch, model)
-            opt.step(accum)
+            try:
+                opt.step(accum)
+            except NonFiniteError as exc:
+                raise NonFiniteError(exc.param, epoch=epoch) from None
         losses.append(total / len(graphs))
         if sink is not None:
             diagnostics.record_loss(sink, epoch, losses[-1])
@@ -203,7 +239,10 @@ def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
         raise HarnessError(f"training fold {fold} is empty")
     model, reinit_report = prepare_fold_model(ds, train_graphs, spec, cfg, fold)
     shuffle_rng = Rng(cfg.seed ^ fold).derive(1)
-    losses = train_model(model, train_graphs, cfg, shuffle_rng, sink=sink)
+    try:
+        losses = train_model(model, train_graphs, cfg, shuffle_rng, sink=sink)
+    except NonFiniteError as exc:
+        raise NonFiniteError(exc.param, exc.epoch, fold) from None
     acc = evaluate(model, test_graphs)
     return FoldResult(fold=fold, accuracy=acc, train_losses=losses,
                       best_epoch=int(np.argmin(losses)) + 1, reinit_report=reinit_report)

@@ -2,14 +2,15 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gnnlab import ExperimentConfig, ModelSpec, cli, write_tu
+from gnnlab import ExperimentConfig, ModelSpec, cli, parse_tu, stratified_folds, write_tu
 from gnnlab.cli import FLAG_KEYS, _config_from_args, build_parser, main
 from gnnlab.config import DatasetConfig, Folds
 from gnnlab.errors import ConfigError
 
-from conftest import synth_dataset
+from conftest import synth_dataset, write_tu_files
 from test_graphdata import tu_server  # fixture: local TU archive server
 
 
@@ -45,6 +46,24 @@ def test_train_rejects_single_fold(tu_dir, tmp_path, capsys):
     code = main(_train_args(tu_dir, tmp_path / "x", extra=["--folds", "1"]))
     assert code == 2
     assert "fold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_train_stops_on_a_non_finite_gradient(tmp_path, capsys, jobs):
+    # eight two-node graphs with one attribute each; graph 0's first node is inf
+    attributes = [[float(i % 3)] for i in range(16)]
+    attributes[0] = [float("inf")]
+    write_tu_files(tmp_path / "INF" / "raw", "INF", [(2, [(1, 2)])] * 8,
+                   [1, 2] * 4, node_attributes=attributes)
+    split = stratified_folds(parse_tu(tmp_path / "INF" / "raw", "INF"), 2, seed=0)
+    fold = next(f for f in range(2) if 0 in split.train_indices(f))
+    args = ["train", "--dataset", "INF", "--data-dir", str(tmp_path), "--model", "mlp",
+            "--feature-policy", "attributes", "--epochs", "2", "--folds", "2",
+            "--fold-seed", "0", "--out", str(tmp_path / "o"), "--jobs", jobs]
+    with np.errstate(all="ignore"):  # the forward meets the inf first, on purpose
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: fold {fold}, epoch 1, non-finite gradient for mlp1.W\n"
 
 
 def test_train_missing_dataset_args(capsys):

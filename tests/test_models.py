@@ -3,7 +3,7 @@ import pytest
 
 from gnnlab import Adam, Batch, ModelSpec, Rng, SparseAdj, build, cross_entropy
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
-from gnnlab.layers import READOUT_KINDS, TopKPool
+from gnnlab.layers import READOUT_KINDS, DenseLayer, GcnLayer, Readout, TopKPool
 from gnnlab.config import MODEL_KINDS
 
 from conftest import (dense_graph, fd_max_rel_err, permute_graph, random_adj, random_graph,
@@ -240,6 +240,60 @@ def test_unread_pool_gets_an_exactly_zero_gradient():
     assert grads["pool3.p"].shape == model.params["pool3.p"].shape
     assert not grads["pool3.p"].any()
     assert grads["pool2.p"].any() and grads["gcn3.W"].any()
+
+
+# every backward call of one model backward, in order: (layer, input_grad,
+# whether an input gradient came back); readouts are named after their tap
+BACKWARD_CALLS = {
+    "mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False),
+            ("input", False, False)],
+    "gcn_r_mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False),
+                  ("input", False, False), ("gcn1-tap", False, False)],
+    "gcn_mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
+                ("input", False, False), ("gcn1-tap", True, True), ("gcn1", False, False)],
+    "jk_sum": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
+               ("gcn1-tap", True, True), ("gcn2-tap", True, True), ("gcn3-tap", True, True),
+               ("gcn3", True, True), ("pool2", True, True), ("gcn2", True, True),
+               ("pool1", True, True), ("gcn1", False, False)],
+    "probe4": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
+               ("final-tap", True, True), ("pool4", True, True), ("gcn4", True, True),
+               ("pool3", True, True), ("gcn3", True, True), ("pool2", True, True),
+               ("gcn2", True, True), ("pool1", True, True), ("gcn1", False, False)],
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_backward_computes_only_gradients_a_trained_parameter_reads(kind, monkeypatch):
+    model = build(ModelSpec(kind=kind, hidden_dim=5, mlp_dims=(4, 4), k=0.6), 3, 2, Rng(80))
+    randomize_params(model, Rng(81))
+    names = {id(layer): name for name, layer in model.block_stages()}
+    names.update({id(layer): f"mlp{j}" for j, layer in enumerate(model.mlp, start=1)})
+    names.update({id(ro): "input" if src == "input" else
+                  "final-tap" if src == "final" else f"gcn{src[1] + 1}-tap"
+                  for src, ro in model.taps})
+    calls = []
+
+    def spy(cls):
+        backward = cls.backward
+
+        def call(self, grad, **kwargs):
+            out = backward(self, grad, **kwargs)
+            x_grad = out if cls is Readout else out[0]
+            calls.append((names[id(self)], kwargs.get("input_grad", True), x_grad is not None))
+            return out
+        monkeypatch.setattr(cls, "backward", call)
+
+    for cls in (DenseLayer, GcnLayer, TopKPool, Readout):
+        spy(cls)
+    batch = Batch.of(share_table([random_graph(Rng(82 + i), 6 + i, 3) for i in range(3)]))
+    model.forward(batch)
+    grads = model.backward(Rng(85).normal(3, 2, 1.0))
+    assert calls == BACKWARD_CALLS[kind]
+    for name in model.frozen:
+        assert not grads[name].any()
+    if model.frozen:  # the frozen convolution was not run backward, yet its cache is gone
+        with pytest.raises(StateError):
+            model.blocks[0][0].backward(np.zeros((batch.features.shape[0], 5)))
 
 
 @pytest.mark.parametrize("name", WALK_SPECS)

@@ -10,7 +10,7 @@ import pytest
 from gnnlab import (Adam, InitScheme, ModelSpec, Rng, TrainConfig, build,
                     cross_entropy, evaluate, run_cv, stratified_folds, train_fold,
                     train_model)
-from gnnlab.errors import ConfigError, HarnessError, ShapeError
+from gnnlab.errors import ConfigError, HarnessError, NonFiniteError, ShapeError
 
 from conftest import BLAS_PINNED_BEFORE_NUMPY, constant_feature_dataset, synth_dataset
 
@@ -121,6 +121,74 @@ def test_adam_skips_frozen():
     opt = Adam({"w": w, "f": f}, frozen={"f"}, lr=0.1, weight_decay=0.1)
     opt.step({"w": np.array([1.0]), "f": np.array([1.0])})
     assert f[0] == 1.0 and w[0] != 1.0
+
+
+def _per_parameter_adam_step(params, frozen, m, v, grads, t, lr, betas, eps, weight_decay):
+    """Adam's update one parameter at a time: the oracle for the flat update."""
+    bc1 = 1.0 - betas[0] ** t
+    bc2 = 1.0 - betas[1] ** t
+    for name, param in params.items():
+        if name in frozen:
+            continue
+        g = grads[name]
+        if weight_decay:
+            g = g + weight_decay * param
+        m[name] *= betas[0]
+        m[name] += (1.0 - betas[0]) * g
+        v[name] *= betas[1]
+        v[name] += (1.0 - betas[1]) * np.square(g)
+        param -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+@pytest.mark.parametrize("lr, weight_decay", [(3e-2, 0.0), (3e-2, 0.1), (0.0, 0.1)])
+def test_adam_matches_the_per_parameter_update_bit_for_bit(lr, weight_decay):
+    rng = np.random.default_rng(17)
+    shapes = {f"p{i}": tuple(rng.integers(1, 6, size=rng.integers(1, 3))) for i in range(6)}
+    frozen = {"p2"}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    ref = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    betas, eps = (0.9, 0.999), 1e-8
+    opt = Adam(params, frozen, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+    for t in range(1, 26):
+        # a zero gradient now and then, and scales far apart
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) * (t % 7 != 0)
+                 for name, shape in shapes.items()}
+        opt.step(grads)
+        _per_parameter_adam_step(ref, frozen, m, v, grads, t, lr, betas, eps, weight_decay)
+        for name in shapes:
+            assert np.array_equal(params[name], ref[name]), (t, name)
+        trained = [name for name in shapes if name not in frozen]
+        assert np.array_equal(opt.m, np.concatenate([m[name].ravel() for name in trained]))
+        assert np.array_equal(opt.v, np.concatenate([v[name].ravel() for name in trained]))
+
+
+def test_adam_without_a_trained_parameter_or_a_gradient_raises_a_typed_error():
+    with pytest.raises(HarnessError, match="no trained parameter"):
+        Adam({"f": np.zeros(1)}, frozen={"f"})
+    opt = Adam({"w": np.zeros(2), "u": np.zeros(3), "f": np.zeros(1)}, frozen={"f"})
+    opt.step({"w": np.ones(2), "u": np.ones(3)})  # a frozen name may be absent
+    with pytest.raises(HarnessError, match="no gradient for u"):
+        opt.step({"w": np.ones(2)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_non_finite_gradient_names_the_parameter_and_changes_nothing(bad):
+    params = {"a": np.ones((2, 2)), "f": np.ones(2), "b": np.ones(3), "c": np.ones(1)}
+    opt = Adam(params, frozen={"f"}, lr=0.1, weight_decay=0.1)
+    opt.step({name: np.full_like(p, 0.5) for name, p in params.items()})
+    before = ({name: p.copy() for name, p in params.items()}, opt.m.copy(), opt.v.copy(), opt.t)
+    grads = {name: np.full_like(p, 0.5) for name, p in params.items()}
+    grads["f"][0] = bad  # frozen: never read
+    grads["b"][1] = bad
+    grads["c"][0] = bad
+    with pytest.raises(NonFiniteError, match="non-finite gradient for b$") as err:
+        opt.step(grads)
+    assert err.value.param == "b" and err.value.epoch is None and err.value.fold is None
+    assert all(np.array_equal(params[name], p) for name, p in before[0].items())
+    assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
+    assert opt.t == before[3]
 
 
 def test_train_config_validation():
