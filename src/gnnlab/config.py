@@ -112,6 +112,7 @@ class ModelSpec(Settings):
                                           for d in self.mlp_dims):
             raise SpecError("the MLP head has exactly three layers; give two hidden "
                             f"widths of at least 1, got {list(self.mlp_dims)}")
+        object.__setattr__(self, "mlp_dims", tuple(self.mlp_dims))  # hashable: keys a cache
         if self.readout_kind not in READOUT_KINDS:
             raise SpecError(f"unknown readout {self.readout_kind!r}")
         if self.jk_agg not in JK_AGGS:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RenderError, StateError
+from .errors import RenderError
 from .numcore import Moments
 
 KINDS = ("act_mean", "act_std", "preact_std", "grad_norm", "train_loss")
@@ -70,11 +70,8 @@ def record_forward(sink: TraceSink, epoch: int, model) -> None:
 
 def record_backward(sink: TraceSink, epoch: int, model) -> None:
     """Record the L2 norm of each named parameter's current step gradient."""
-    grads = model.last_grads
-    if grads is None:
-        raise StateError("no gradients recorded yet")
-    for name in model.params:
-        sink.add_scalar(epoch, name, "grad_norm", float(np.linalg.norm(grads[name])))
+    for name, grad in model.last_grads.items():
+        sink.add_scalar(epoch, name, "grad_norm", float(np.linalg.norm(grad)))
 
 
 def record_loss(sink: TraceSink, epoch: int, value: float) -> None:

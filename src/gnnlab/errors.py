@@ -62,13 +62,15 @@ class CalibrationError(GnnLabError):
 
 
 class NonFiniteError(GnnLabError):
-    """A gradient reached the optimiser with a NaN or infinite entry; names the
-    first such parameter, and the epoch and fold once the harness adds them."""
+    """A training loss, or a gradient that reached the optimiser, is NaN or
+    infinite; names the first such parameter (None: the loss), and the epoch
+    and fold once the harness adds them."""
 
     def __init__(self, param, epoch=None, fold=None):
         where = "".join(f"{key} {val}, " for key, val in (("fold", fold), ("epoch", epoch))
                         if val is not None)
-        super().__init__(f"{where}non-finite gradient for {param}")
+        what = "loss" if param is None else f"gradient for {param}"
+        super().__init__(f"{where}non-finite {what}")
         self.param, self.epoch, self.fold = param, epoch, fold
 
     def __reduce__(self):  # a fold worker sends it back pickled

@@ -46,7 +46,7 @@ class DenseLayer:
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
         self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64).reshape(-1)
+        self.b = np.asarray(b, dtype=np.float64)
         self.activation = activation
         self._cache = None
 
@@ -171,7 +171,7 @@ class TopKPool:
     def __init__(self, p, k=0.8):
         if not (0 <= k < 1):
             raise ValueError("k must lie in [0, 1)")
-        self.p = np.asarray(p, dtype=np.float64).reshape(-1)
+        self.p = np.asarray(p, dtype=np.float64)
         self.k = float(k)
         self.scale = 1.0  # forward divisor, see rescale
         self._cache = None

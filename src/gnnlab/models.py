@@ -26,6 +26,9 @@ tap reads: with convolution taps, ``jk_sum`` never runs its third pool. The
 batch's adjacency is built only when a stage runs, so ``mlp`` never builds one.
 """
 
+import copy
+import functools
+
 import numpy as np
 
 from .config import ModelSpec
@@ -36,12 +39,56 @@ from .layers import DenseLayer, GcnLayer, Readout, TopKPool
 from .numcore import Rng
 
 
-def _num_blocks(kind: str) -> int:
-    return {"mlp": 0, "gcn_mlp": 1, "gcn_r_mlp": 1, "jk_sum": 3, "probe4": 4}[kind]
+_BLOCKS = {"mlp": 0, "gcn_mlp": 1, "gcn_r_mlp": 1, "jk_sum": 3, "probe4": 4}
+
+
+@functools.cache
+def _layout(spec: ModelSpec, num_features: int, num_classes: int) -> tuple:
+    """A model of the spec as far as the arguments fix it, worked out once
+    for each, off every build's cost: tap sources, readout kind and MLP-input
+    columns; each parameter's (name, shape, span of ``theta``) in registry
+    order, trained spans first; the frozen names; trained and total sizes."""
+    if num_features < 1 or num_classes < 1:
+        raise SpecError("need at least one feature and one class")
+    nblocks, hidden = _BLOCKS[spec.kind], spec.hidden_dim
+    sources = {"mlp": ("input",), "gcn_mlp": ("input", ("gcn", 0)),
+               "gcn_r_mlp": ("input", ("gcn", 0)), "probe4": ("final",),
+               "jk_sum": tuple(("pool" if spec.tap_pooled else "gcn", i) for i in range(nblocks))
+               }[spec.kind]
+    readout = {"jk_sum": "max_and_sum", "probe4": "mean"}.get(spec.kind, spec.readout_kind)
+    widths = [Readout(readout).width(num_features if source == "input" else hidden)
+              for source in sources]
+    # summed taps add elementwise; concatenated ones side by side
+    if spec.jk_agg == "sum" and len(set(widths)) > 1:
+        raise SpecError(f"jk_agg 'sum' needs taps of equal width, {spec.kind} has {widths}")
+    tap_cols = tuple(slice(e - w, e) for w, e in zip(widths, np.cumsum(widths).tolist()))
+    shapes = {}
+    for i in range(1, nblocks + 1):
+        shapes[f"gcn{i}.W"] = (num_features if i == 1 else hidden, hidden)
+        shapes[f"gcn{i}.b"] = (hidden,)
+        if spec.kind in ("jk_sum", "probe4"):
+            shapes[f"pool{i}.p"] = (hidden,)
+    dims = [widths[0] if spec.jk_agg == "sum" else sum(widths), *spec.mlp_dims, num_classes]
+    for j in range(1, 4):
+        shapes[f"mlp{j}.W"] = (dims[j - 1], dims[j])
+        shapes[f"mlp{j}.b"] = (dims[j],)
+    # the fixed-weight baseline keeps its convolution at its initial values
+    frozen = frozenset(n for n in shapes if spec.kind == "gcn_r_mlp" and n.startswith("gcn"))
+    spans, end = {}, 0
+    for name in sorted(shapes, key=frozen.__contains__):  # stable: trained first
+        spans[name] = slice(end, end + int(np.prod(shapes[name])))
+        end = spans[name].stop
+    return (sources, readout, tap_cols,
+            tuple((name, shape, spans[name]) for name, shape in shapes.items()), frozen,
+            sum(int(np.prod(shape)) for name, shape in shapes.items() if name not in frozen), end)
 
 
 class Model:
     """An instantiated layer stack with a named-parameter registry.
+
+    Every parameter is a view into ``theta``, held by its layer, and its
+    gradient one into ``grad``; both start with the ``n_trained`` trained
+    entries. ``params`` and ``last_grads`` name the views in registry order.
 
     ``taps`` lists (source, Readout) pairs feeding the MLP head; a source is
     ``"input"``, ``"final"``, ``("gcn", i)`` or ``("pool", i)``. Each source
@@ -52,44 +99,62 @@ class Model:
     is single-owner during a step.
     """
 
-    def __init__(self, spec, num_features, num_classes, blocks, taps, mlp, frozen):
-        self.spec = spec
-        self.num_features = num_features
-        self.num_classes = num_classes
-        self.blocks = blocks  # list of (GcnLayer, TopKPool | None)
-        self.taps = taps
-        self.mlp = mlp
-        self.frozen = frozen
-        self.params = {}
-        self._stages = []
-        for i, (gcn, pool) in enumerate(blocks, start=1):
-            self.params[f"gcn{i}.W"] = gcn.w
-            self.params[f"gcn{i}.b"] = gcn.b
-            self._stages.append((f"gcn{i}", gcn))
-            if pool is not None:
-                self.params[f"pool{i}.p"] = pool.p
-                self._stages.append((f"pool{i}", pool))
-        for j, layer in enumerate(mlp, start=1):
-            self.params[f"mlp{j}.W"] = layer.w
-            self.params[f"mlp{j}.b"] = layer.b
+    def __init__(self, spec: ModelSpec, num_features: int, num_classes: int):
+        """The layer stack for the spec; :func:`build` draws its parameters."""
+        sources, readout, self._tap_cols, self._registry, self.frozen, self.n_trained, size = (
+            _layout(spec, num_features, num_classes))
+        self.spec, self.num_features, self.num_classes = spec, num_features, num_classes
+        nblocks = _BLOCKS[spec.kind]
+        self.taps = [(source, Readout(readout)) for source in sources]
+        self.theta = np.zeros(size)
+        self.params = p = self._views(self.theta)
+        self.blocks = [(GcnLayer(p[f"gcn{i}.W"], p[f"gcn{i}.b"]),
+                        TopKPool(p[f"pool{i}.p"], k=spec.k) if f"pool{i}.p" in p else None)
+                       for i in range(1, nblocks + 1)]
+        self.mlp = [DenseLayer(p[f"mlp{j}.W"], p[f"mlp{j}.b"],
+                               activation="relu" if j < 3 else "none") for j in range(1, 4)]
+        self._stages = [(f"{kind}{i}", layer) for i, block in enumerate(self.blocks, start=1)
+                        for kind, layer in zip(("gcn", "pool"), block) if layer is not None]
         names = [name for name, _ in self._stages]
         self._tap_index = [0 if source == "input" else
                            len(names) if source == "final" else
                            names.index(f"{source[0]}{source[1] + 1}") + 1
-                           for source, _ in taps]
+                           for source in sources]
         self._live = max(self._tap_index)  # stages a forward runs
         # whether the gradient on state i reaches a trained parameter: some
         # stage before state i has one
         self._grad_into = [False]
         for name, _ in self._stages:
-            trained = any(p.startswith(f"{name}.") and p not in frozen for p in self.params)
+            trained = any(key.startswith(f"{name}.") and key not in self.frozen for key in p)
             self._grad_into.append(self._grad_into[-1] or trained)
         self._head_grad = any(self._grad_into[t] for t in self._tap_index)
         # entries of the widest node row a forward holds: the input's, and
         # the hidden rows of any stage; chunks are budgeted by it
-        self.width = max(num_features, spec.hidden_dim) if blocks else num_features
+        self.width = max(num_features, spec.hidden_dim) if nblocks else num_features
         self._cache = None
-        self.last_grads = None
+
+    def _views(self, flat) -> dict:
+        """Each parameter's view of ``flat``, laid out as ``theta``, in registry order."""
+        return {name: flat[span].reshape(shape) for name, shape, span in self._registry}
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        """The gradient vector, laid out as ``theta``; made on first use, off a build's cost."""
+        return np.zeros_like(self.theta)
+
+    @functools.cached_property
+    def last_grads(self) -> dict:
+        """Each parameter's gradient, its view of ``grad``, in registry order."""
+        return self._views(self.grad)
+
+    def __deepcopy__(self, memo):
+        """A deep copy whose parameters and gradients stay views of its own vectors."""
+        for flat, views in ((self.theta, self.params), (self.grad, self.last_grads)):
+            memo[id(flat)] = twin = flat.copy()
+            memo.update(zip(map(id, views.values()), self._views(twin).values()))
+        memo[id(self)] = copied = object.__new__(Model)
+        copied.__dict__.update(copy.deepcopy(vars(self), memo))
+        return copied
 
     def _walk(self, state: State, upto: int, first: int = 0) -> list:
         """``state``, the state entering flat stage ``first`` of the block
@@ -123,27 +188,26 @@ class Model:
         return a
 
     def backward(self, grad_scores: np.ndarray) -> dict:
-        """Gradients for every registered parameter from the gradient of the
-        scores of the last forward, summed over its graphs; frozen entries,
-        and those of stages the forward did not run, are zero. Only gradients
-        that reach a trained parameter are computed: none on the raw input,
-        and none through a frozen stage with nothing trained before it,
-        which is not run backward."""
+        """Add the gradients of the scores of the last forward, summed over
+        its graphs, into ``last_grads`` and return it. Nothing here clears
+        them, so successive backwards sum. Only gradients that reach a
+        trained parameter are computed: none on the raw input, and none
+        through a frozen stage with nothing trained before it, which is not
+        run backward; a frozen parameter's gradient thus stays zero."""
         if self._cache is None:
             raise StateError("model backward called before forward")
         self._cache = None
-        grads = {}
+        grads = self.last_grads
         z_grad = np.asarray(grad_scores, dtype=np.float64)
         for j in range(len(self.mlp), 0, -1):
             z_grad, layer_grads = self.mlp[j - 1].backward(
                 z_grad, input_grad=j > 1 or self._head_grad)
-            grads.update({f"mlp{j}.{k}": g for k, g in layer_grads.items()})
+            for k, g in layer_grads.items():
+                grads[f"mlp{j}.{k}"] += g
         if self.spec.jk_agg == "sum" or z_grad is None:
             tap_grads = [z_grad] * len(self.taps)
         else:
-            widths = _tap_widths(self.taps, self.num_features, self.spec.hidden_dim)
-            offsets = np.concatenate(([0], np.cumsum(widths)))
-            tap_grads = [z_grad[:, offsets[i]:offsets[i + 1]] for i in range(len(self.taps))]
+            tap_grads = [z_grad[:, cols] for cols in self._tap_cols]
         # gradient on each state's node matrix; None where nothing reads it
         # or it reaches no trained parameter
         state_grads = [None] * (self._live + 1)
@@ -159,11 +223,10 @@ class Model:
                 continue
             x_grad, layer_grads = layer.backward(state_grads[s],
                                                  input_grad=self._grad_into[s - 1])
-            grads.update({f"{name}.{k}": g for k, g in layer_grads.items()})
+            for k, g in layer_grads.items():
+                grads[f"{name}.{k}"] += g
             state_grads[s - 1] = _add(state_grads[s - 1], x_grad)
-        self.last_grads = {name: grads[name] if name in grads and name not in self.frozen
-                           else np.zeros_like(p) for name, p in self.params.items()}
-        return self.last_grads
+        return grads
 
     def predict(self, batch: Batch) -> np.ndarray:
         """Predicted class per graph; ties resolve to the lowest class index."""
@@ -193,11 +256,6 @@ class Model:
                 for (name, layer), st in zip(self._stages, self._cache[1:])]
 
 
-def _tap_widths(taps, num_features: int, hidden: int) -> list:
-    """Columns each tap's readout contributes to the MLP input."""
-    return [ro.width(num_features if source == "input" else hidden) for source, ro in taps]
-
-
 def _add(a, b):
     """Sum of two gradients, either of which may be None (no gradient)."""
     if a is None:
@@ -207,48 +265,6 @@ def _add(a, b):
 
 def build(spec: ModelSpec, num_features: int, num_classes: int, rng: Rng) -> Model:
     """Allocate a model for the spec and apply the standard initialisation."""
-    if num_features < 1 or num_classes < 1:
-        raise SpecError("need at least one feature and one class")
-    nblocks = _num_blocks(spec.kind)
-    hidden = spec.hidden_dim
-    blocks = []
-    for i in range(nblocks):
-        fan_in = num_features if i == 0 else hidden
-        gcn = GcnLayer(np.zeros((fan_in, hidden)), np.zeros(hidden), activation="relu")
-        pool = None
-        if spec.kind in ("jk_sum", "probe4"):
-            pool = TopKPool(np.zeros(hidden), k=spec.k)
-        blocks.append((gcn, pool))
-
-    taps = []
-    if spec.kind == "mlp":
-        taps.append(("input", Readout(spec.readout_kind)))
-    elif spec.kind in ("gcn_mlp", "gcn_r_mlp"):
-        taps.append(("input", Readout(spec.readout_kind)))
-        taps.append((("gcn", 0), Readout(spec.readout_kind)))
-    elif spec.kind == "jk_sum":
-        source_kind = "pool" if spec.tap_pooled else "gcn"
-        for i in range(nblocks):
-            taps.append(((source_kind, i), Readout("max_and_sum")))
-    else:  # probe4
-        taps.append(("final", Readout("mean")))
-    widths = _tap_widths(taps, num_features, hidden)
-    # summed taps add elementwise; concatenated ones side by side
-    if spec.jk_agg == "sum" and len(set(widths)) > 1:
-        raise SpecError(f"jk_agg 'sum' needs taps of equal width, {spec.kind} has {widths}")
-    mlp_in = widths[0] if spec.jk_agg == "sum" else sum(widths)
-
-    dims = [mlp_in, spec.mlp_dims[0], spec.mlp_dims[1], num_classes]
-    mlp = [DenseLayer(np.zeros((dims[j], dims[j + 1])), np.zeros(dims[j + 1]),
-                      activation="relu" if j < 2 else "none")
-           for j in range(3)]
-
-    frozen = set()
-    if spec.kind == "gcn_r_mlp":
-        for i in range(1, nblocks + 1):
-            frozen.add(f"gcn{i}.W")
-            frozen.add(f"gcn{i}.b")
-
-    model = Model(spec, num_features, num_classes, blocks, taps, mlp, frozen)
+    model = Model(spec, num_features, num_classes)
     init_standard(model, rng)
     return model

@@ -12,9 +12,9 @@ keyed by seeds, so a fold run is bit-reproducible. The run's settings,
 are declared with the other settings in :mod:`gnnlab.config`.
 """
 
+import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -85,60 +85,45 @@ def cross_entropy(scores: np.ndarray, labels: np.ndarray):
 class Adam:
     """Adam with classic coupled L2 decay (grad += wd * param before moments).
 
-    The moments ``m`` and ``v`` are flat vectors over the trained (not frozen)
-    parameters, in registry order. A step gathers every gradient into one
-    flat vector and updates the moments in place, with the same operations in
-    the same order on each entry as a per-parameter update, so the bits are
-    those of one; each parameter then subtracts its slice of the update.
+    Steps the trained prefix of ``model.theta`` in place from that of
+    ``model.grad``, which it only reads; ``m`` and ``v`` are flat over it.
+    Each entry sees a per-parameter update's operations in its order, so the
+    bits are those of one.
     """
 
-    def __init__(self, params: dict, frozen=frozenset(), lr=5e-4,
-                 betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.params = params
-        self.frozen = set(frozen)
+    def __init__(self, model: Model, lr=5e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.model = model
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self._trained = [(k, p) for k, p in params.items() if k not in self.frozen]
-        if not self._trained:
-            raise HarnessError("no trained parameter to optimise")
-        size = sum(p.size for _, p in self._trained)
-        self.m, self.v = np.zeros(size), np.zeros(size)
-        self._g, self._a = np.empty(size), np.empty(size)  # gradient, scratch
-        # each trained parameter's update: its slice of the scratch vector
-        ends = accumulate(p.size for _, p in self._trained)
-        self._updates = [self._a[end - p.size:end].reshape(p.shape)
-                         for (_, p), end in zip(self._trained, ends)]
+        # the moments, then two scratch vectors
+        self.m, self.v, self._a, self._b = (np.zeros(model.n_trained) for _ in range(4))
 
     @classmethod
     def from_config(cls, model: Model, cfg: TrainConfig) -> "Adam":
-        return cls(model.params, model.frozen, lr=cfg.lr, betas=cfg.betas,
-                   eps=cfg.eps, weight_decay=cfg.weight_decay)
+        return cls(model, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps, weight_decay=cfg.weight_decay)
 
-    def step(self, grads: dict) -> None:
-        """One update from ``grads`` (by name; frozen names may be absent).
-        Raises before any state changes on a missing or misshapen gradient,
-        or on a non-finite entry (:class:`NonFiniteError`)."""
-        for name, param in self._trained:
-            if name not in grads:
-                raise HarnessError(f"no gradient for {name}")
-            if grads[name].shape != param.shape:
-                raise ShapeError(f"gradient for {name} has shape {grads[name].shape}, "
-                                 f"parameter has {param.shape}")
-        g, a, m, v = self._g, self._a, self.m, self.v
-        np.concatenate([grads[name] for name, _ in self._trained], axis=None, out=g)
-        if not np.isfinite(g).all():
-            raise NonFiniteError(next(name for name, _ in self._trained
-                                      if not np.isfinite(grads[name]).all()))
+    def check(self) -> None:
+        """Raise NonFiniteError naming the first trained parameter with a non-finite gradient."""
+        if not np.isfinite(self.model.grad[:self.model.n_trained]).all():
+            raise NonFiniteError(next(
+                name for name, grad in self.model.last_grads.items()
+                if name not in self.model.frozen and not np.isfinite(grad).all()))
+
+    def step(self) -> None:
+        """One update from the model's gradient, after :meth:`check`."""
+        self.check()
+        n, a, b, m, v = self.model.n_trained, self._a, self._b, self.m, self.v
+        theta, g = self.model.theta[:n], self.model.grad[:n]
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         if self.weight_decay:
-            np.concatenate([param for _, param in self._trained], axis=None, out=a)
-            a *= self.weight_decay
-            g += a
+            np.multiply(theta, self.weight_decay, out=b)
+            b += g
+            g = b
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=a)
         m += a
@@ -148,12 +133,11 @@ class Adam:
         v += a
         np.divide(m, bc1, out=a)
         a *= self.lr
-        np.divide(v, bc2, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        a /= g
-        for (_, param), update in zip(self._trained, self._updates):
-            param -= update
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        theta -= a
 
 
 def _batches(order: np.ndarray, batch_size: int):
@@ -165,10 +149,11 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
                 sink=None, opt: Adam | None = None) -> list:
     """Run the epoch loop on ``graphs``; returns per-epoch mean train losses.
 
-    Optimiser steps use the mean gradient over each batch, summed from one
-    backward pass per chunk of the batch. When a trace sink is given,
-    per-epoch activation/gradient statistics and the train loss are recorded
-    through it; tracing never perturbs the trajectory.
+    Optimiser steps use the mean gradient over each batch, which one backward
+    pass per chunk adds into the cleared ``model.grad``. When a trace sink is
+    given, per-epoch activation/gradient statistics and the train loss are
+    recorded through it; tracing never perturbs the trajectory. A non-finite
+    loss or gradient raises :class:`NonFiniteError` before the step.
     """
     if not graphs:
         raise HarnessError("cannot train on an empty graph list")
@@ -179,7 +164,7 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
         order = shuffle_rng.permutation(len(graphs))
         total = 0.0
         for picks in _batches(order, cfg.batch_size):
-            accum = None
+            model.grad.fill(0.0)
             inv = 1.0 / picks.shape[0]
             for chunk in chunks((graphs[int(gi)] for gi in picks), model.width):
                 scores = model.forward(chunk)
@@ -187,17 +172,14 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
                     diagnostics.record_forward(sink, epoch, model)
                 chunk_losses, grad_scores = cross_entropy(scores, chunk.labels)
                 total += float(chunk_losses.sum())
-                grads = model.backward(inv * grad_scores)
-                if accum is None:
-                    accum = grads
-                else:
-                    for name in accum:
-                        accum[name] += grads[name]
-            model.last_grads = accum
+                model.backward(inv * grad_scores)
             if sink is not None:
                 diagnostics.record_backward(sink, epoch, model)
             try:
-                opt.step(accum)
+                if not math.isfinite(total):  # finite while every chunk's loss is
+                    opt.check()  # a non-finite gradient, which names a parameter, first
+                    raise NonFiniteError(None)
+                opt.step()
             except NonFiniteError as exc:
                 raise NonFiniteError(exc.param, epoch=epoch) from None
         losses.append(total / len(graphs))

@@ -195,6 +195,7 @@ def fd_max_rel_err(model, batch, direction, h: float = 1e-6, skip=frozenset()) -
         return float((model.forward(batch) * direction).sum())
 
     scalar()
+    model.grad.fill(0.0)
     analytic = model.backward(direction)
     worst = 0.0
     for name, p in model.params.items():

@@ -50,7 +50,7 @@ def test_batch_matches_mean_of_single_graph_batches(spec):
         states = [out for _, out, _ in model.trace_states()]
         grads = {k: v.copy() for k, v in model.backward(direction / len(graphs)).items()}
 
-        mean = {k: np.zeros_like(v) for k, v in grads.items()}
+        model.grad.fill(0.0)
         single_states = None
         for i, g in enumerate(graphs):
             one = model.forward(Batch.of([g]))
@@ -58,10 +58,9 @@ def test_batch_matches_mean_of_single_graph_batches(spec):
             traced = [out for _, out, _ in model.trace_states()]
             single_states = traced if single_states is None else [
                 np.concatenate([a, b]) for a, b in zip(single_states, traced)]
-            for name, grad in model.backward(direction[i:i + 1]).items():
-                mean[name] += grad / len(graphs)
-        for name in grads:
-            assert np.max(np.abs(grads[name] - mean[name])) < 1e-10, name
+            model.backward(direction[i:i + 1] / len(graphs))  # backwards sum into last_grads
+        for name, grad in grads.items():
+            assert np.max(np.abs(grad - model.last_grads[name])) < 1e-10, name
         for union, stacked in zip(states, single_states):
             assert union.shape == stacked.shape
             assert np.max(np.abs(union - stacked)) < 1e-10

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnnlab import ExperimentConfig, ModelSpec, cli, parse_tu, stratified_folds, write_tu
+from gnnlab import (ExperimentConfig, ModelSpec, Rng, build, cli, parse_tu, stratified_folds,
+                    write_tu)
 from gnnlab.cli import FLAG_KEYS, _config_from_args, build_parser, main
 from gnnlab.config import DatasetConfig, Folds
 from gnnlab.errors import ConfigError
@@ -64,6 +65,50 @@ def test_train_stops_on_a_non_finite_gradient(tmp_path, capsys, jobs):
         assert main(args) == 1
     err = capsys.readouterr().err
     assert err == f"error: fold {fold}, epoch 1, non-finite gradient for mlp1.W\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_train_stops_on_a_non_finite_loss(tmp_path, capsys, jobs):
+    # eight two-node graphs with one attribute each. Under a max readout and
+    # a one-unit MLP head with zero biases, graph 0's class scores are its
+    # attribute times fixed weights, so one large attribute gives finite
+    # scores whose gap overflows: an infinite loss with finite gradients.
+    raw = tmp_path / "BIG" / "raw"
+
+    def write(first: float) -> None:
+        write_tu_files(raw, "BIG", [(2, [(1, 2)])] * 8, [1, 2] * 4,
+                       node_attributes=[[first]] * 2 + [[float(i % 3)] for i in range(2, 16)])
+
+    write(0.0)
+    split = stratified_folds(parse_tu(raw, "BIG"), 2, seed=0)
+    fold = next(f for f in range(2) if 0 in split.train_indices(f))
+    spec = ModelSpec(kind="mlp", mlp_dims=(1, 1), readout_kind="max")
+    big = np.finfo(np.float64).max
+    for seed in range(100):
+        params = build(spec, 1, 2, Rng(seed ^ fold)).params
+        w1, w2, (a, b) = params["mlp1.W"][0, 0], params["mlp2.W"][0, 0], params["mlp3.W"][0]
+        if not (w2 > 0 and a < 0 < b):  # graph 0, of class 0, must score lowest
+            continue
+        # the head output h = x * w1 * w2 for attribute x; every forward value
+        # and gradient (the batch holds 4 graphs) stays within 0.9 of the
+        # float range, while the score gap h * (b - a) passes 1.1 of it
+        h = 0.9 * big * min(w2 * abs(w1), w2, 1 / max(-a, b),
+                            4 * w2 / (b - a), 4 * abs(w1) / (b - a))
+        if h / big * (b - a) > 1.1:
+            break
+    else:
+        pytest.fail("no init seed in range gives such a head")
+    write(h / w2 / w1)
+    config = tmp_path / "head.json"
+    config.write_text(json.dumps({"model": spec.to_dict()}))
+    args = ["train", "--config", str(config), "--dataset", "BIG", "--data-dir", str(tmp_path),
+            "--feature-policy", "attributes", "--epochs", "2", "--folds", "2",
+            "--fold-seed", "0", "--seed", str(seed), "--no-diagnostics",
+            "--out", str(tmp_path / "o"), "--jobs", jobs]
+    with np.errstate(over="ignore"):  # the score gap overflows, on purpose
+        assert main(args) == 1
+    assert capsys.readouterr().err == f"error: fold {fold}, epoch 1, non-finite loss\n"
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_train_missing_dataset_args(capsys):

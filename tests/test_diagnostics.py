@@ -105,13 +105,6 @@ def test_record_backward_frozen_weights_zero_norm():
             assert e.value == 0.0
 
 
-def test_record_backward_without_gradients():
-    model, _ = _traced_model(6)
-    model.last_grads = None
-    with pytest.raises(StateError):
-        record_backward(TraceSink(), 1, model)
-
-
 def test_perfect_scores_give_vanishing_grad_norms():
     model, g = _traced_model(7, kind="mlp")
     # a near-one-hot gradient source: softmax(scores) ~ onehot when confident

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
-from gnnlab import Adam, Batch, ModelSpec, Rng, SparseAdj, build, cross_entropy
+from gnnlab import (Adam, Batch, ModelSpec, Rng, SparseAdj, TrainConfig, build, cross_entropy,
+                    reinit, train_model)
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
 from gnnlab.layers import READOUT_KINDS, DenseLayer, GcnLayer, Readout, TopKPool
 from gnnlab.config import MODEL_KINDS
@@ -96,12 +99,14 @@ def test_frozen_params_survive_optimiser_steps():
     model = build(ModelSpec(kind="gcn_r_mlp", hidden_dim=6, mlp_dims=(5, 4)),
                   3, 2, Rng(11))
     frozen_before = model.params["gcn1.W"].copy()
-    opt = Adam(model.params, model.frozen, lr=0.05, weight_decay=1e-2)
+    opt = Adam(model, lr=0.05, weight_decay=1e-2)
     batch = Batch.of([random_graph(Rng(12), 6, 3)])
     for _ in range(5):
+        model.grad.fill(0.0)
         scores = model.forward(batch)
         _, grad = cross_entropy(scores, batch.labels)
-        opt.step(model.backward(grad))
+        model.backward(grad)
+        opt.step()
     assert np.array_equal(model.params["gcn1.W"], frozen_before)
     assert not np.array_equal(model.params["mlp1.W"],
                               build(ModelSpec(kind="gcn_r_mlp", hidden_dim=6,
@@ -363,3 +368,93 @@ def test_registry_covers_every_parameter_once():
     expected |= {f"pool{i}.p" for i in (1, 2, 3)}
     expected |= {f"mlp{j}.{s}" for j in (1, 2, 3) for s in ("W", "b")}
     assert set(names) == expected
+
+
+def _layer_arrays(model) -> dict:
+    """Each layer's parameter array under its registry name, in registry
+    order: blocks first, then the MLP head."""
+    out = {}
+    for i, (gcn, pool) in enumerate(model.blocks, start=1):
+        out[f"gcn{i}.W"], out[f"gcn{i}.b"] = gcn.w, gcn.b
+        if pool is not None:
+            out[f"pool{i}.p"] = pool.p
+    for j, layer in enumerate(model.mlp, start=1):
+        out[f"mlp{j}.W"], out[f"mlp{j}.b"] = layer.w, layer.b
+    return out
+
+
+def _offset(view, flat) -> int:
+    return (view.ctypes.data - flat.ctypes.data) // flat.itemsize
+
+
+def assert_layer_views(model):
+    """Every layer's parameter is its registered view of ``theta``, with its
+    gradient the matching view of ``grad``; ``params`` and ``last_grads``
+    keep registry order, and the views tile both vectors, trained first."""
+    arrays = _layer_arrays(model)
+    assert list(model.params) == list(model.last_grads) == list(arrays)
+    trained = [name for name in arrays if name not in model.frozen]
+    layout = trained + [name for name in arrays if name in model.frozen]
+    start = 0
+    for name in layout:
+        p, g = model.params[name], model.last_grads[name]
+        assert arrays[name] is p and p.shape == g.shape, name
+        assert np.shares_memory(p, model.theta) and np.shares_memory(g, model.grad), name
+        assert _offset(p, model.theta) == _offset(g, model.grad) == start, name
+        start += p.size
+    assert start == model.theta.size == model.grad.size
+    assert model.n_trained == sum(model.params[name].size for name in trained)
+
+
+@pytest.mark.parametrize("kind", ["gcn_r_mlp", "jk_sum"])
+def test_layer_parameters_stay_views_of_theta_through_reinit_and_training(kind):
+    rng = Rng(90)
+    graphs = share_table([random_graph(rng.derive(i), 5 + rng.integers(0, 6), 3, label=i % 2)
+                          for i in range(12)])
+    model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4), k=0.6), 3, 2, Rng(91))
+    assert_layer_views(model)
+    built = model.theta.copy()
+    reinit(model, graphs)
+    assert_layer_views(model)
+    rescaled = model.theta.copy()
+    assert not np.array_equal(rescaled, built)  # reinit wrote through the views
+    twin = copy.deepcopy(model)
+    assert_layer_views(twin)
+    assert not np.shares_memory(twin.theta, model.theta)
+    cfg = TrainConfig(lr=1e-2, epochs=1, batch_size=5, seed=0)
+    train_model(model, graphs, cfg, Rng(92))
+    assert_layer_views(model)
+    train_model(twin, graphs, cfg, Rng(92))  # a copy trains as its original did
+    assert_layer_views(twin)
+    assert np.array_equal(twin.theta, model.theta)
+    trained = slice(0, model.n_trained)
+    assert not np.array_equal(model.theta[trained], rescaled[trained])  # so did the steps
+    frozen = slice(model.n_trained, None)
+    assert np.array_equal(model.theta[frozen], rescaled[frozen])
+
+
+def test_two_backwards_without_a_clear_give_the_sum_of_both():
+    model = build(ModelSpec(kind="jk_sum", hidden_dim=5, mlp_dims=(4, 4), k=0.6), 3, 2, Rng(93))
+    randomize_params(model, Rng(94))
+    batches = [Batch.of(share_table([random_graph(Rng(95 + 2 * b + i), 6 + i, 3)
+                                     for i in range(2)])) for b in range(2)]
+    directions = [Rng(99 + b).normal(2, 2, 1.0) for b in range(2)]
+    alone = []
+    for batch, direction in zip(batches, directions):
+        model.grad.fill(0.0)
+        model.forward(batch)
+        alone.append({name: g.copy() for name, g in model.backward(direction).items()})
+    model.grad.fill(0.0)
+    for batch, direction in zip(batches, directions):
+        model.forward(batch)
+        grads = model.backward(direction)
+    assert grads is model.last_grads
+    for name, g in grads.items():
+        assert np.array_equal(g, alone[0][name] + alone[1][name]), name
+
+
+def test_a_spec_given_list_widths_is_hashable_and_builds():
+    spec = ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=[5, 3])
+    assert spec.mlp_dims == (5, 3)
+    assert hash(spec) == hash(ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(5, 3)))
+    assert build(spec, 3, 2, Rng(0)).params["mlp2.W"].shape == (5, 3)

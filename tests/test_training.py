@@ -74,53 +74,66 @@ def test_cross_entropy_label_out_of_range():
         cross_entropy(np.zeros((2, 3)), [0, 3])
 
 
+def _model(kind="mlp", seed=0):
+    """A small model whose gradient vector the Adam tests fill by hand."""
+    return build(ModelSpec(kind=kind, hidden_dim=4, mlp_dims=(5, 3)), 3, 2, Rng(seed))
+
+
 def test_adam_zero_grad_no_decay_is_noop():
-    w = np.array([1.0, -2.0])
-    opt = Adam({"w": w}, lr=0.1)
+    model = _model()
+    before = model.theta.copy()
+    opt = Adam(model, lr=0.1)
     for _ in range(3):
-        opt.step({"w": np.zeros(2)})
-    assert np.array_equal(w, [1.0, -2.0])
+        opt.step()  # a built model's gradient is zero
+    assert np.array_equal(model.theta, before)
 
 
 def test_adam_first_step_is_lr_sized():
-    w = np.array([0.5])
-    opt = Adam({"w": w}, lr=1e-3)
-    opt.step({"w": np.array([1.0])})
-    # bias-corrected first step is -lr * 1 / (1 + eps)
-    assert w[0] == pytest.approx(0.5 - 1e-3, rel=1e-6)
+    model = _model()
+    before = model.theta.copy()
+    model.grad[:] = np.random.default_rng(3).normal(size=model.grad.size)
+    opt = Adam(model, lr=1e-3)
+    opt.step()
+    # bias-corrected first step is -lr * g / (|g| + eps)
+    assert np.allclose(before - model.theta, 1e-3 * np.sign(model.grad), rtol=1e-6, atol=0)
 
 
 def test_adam_decay_shrinks_param_monotonically():
-    w = np.array([1.0])
-    opt = Adam({"w": w}, lr=1e-2, weight_decay=0.1)
-    prev = w[0]
+    model = _model()
+    rng = np.random.default_rng(4)
+    # at least 1 in size: 50 steps of about lr each never cross zero
+    model.theta[:] = rng.uniform(1.0, 2.0, model.theta.size) * rng.choice([-1.0, 1.0],
+                                                                          model.theta.size)
+    start = model.theta.copy()
+    opt = Adam(model, lr=1e-2, weight_decay=0.1)
+    prev = start.copy()
     for _ in range(50):
-        opt.step({"w": np.zeros(1)})
-        assert abs(w[0]) < abs(prev) or w[0] == prev
-        prev = w[0]
-    assert w[0] < 1.0
+        opt.step()  # a zero gradient: the decay alone moves the parameters
+        assert np.all(np.abs(model.theta) < np.abs(prev))
+        prev = model.theta.copy()
+    assert np.all(np.abs(model.theta) < np.abs(start))
 
 
 def test_adam_lr_zero_is_fixed_point():
-    w = np.array([0.7, -0.3])
-    opt = Adam({"w": w}, lr=0.0)
+    model = _model()
+    before = model.theta.copy()
+    model.grad[:] = np.random.default_rng(5).normal(size=model.grad.size)
+    opt = Adam(model, lr=0.0)
     for _ in range(10):
-        opt.step({"w": np.array([1.0, -5.0])})
-    assert np.max(np.abs(w - [0.7, -0.3])) < 1e-15
-
-
-def test_adam_shape_mismatch():
-    opt = Adam({"w": np.zeros(3)})
-    with pytest.raises(ShapeError):
-        opt.step({"w": np.zeros(4)})
+        opt.step()
+    assert np.max(np.abs(model.theta - before)) < 1e-15
 
 
 def test_adam_skips_frozen():
-    w = np.array([1.0])
-    f = np.array([1.0])
-    opt = Adam({"w": w, "f": f}, frozen={"f"}, lr=0.1, weight_decay=0.1)
-    opt.step({"w": np.array([1.0]), "f": np.array([1.0])})
-    assert f[0] == 1.0 and w[0] != 1.0
+    model = _model("gcn_r_mlp")
+    assert model.frozen and model.n_trained < model.theta.size
+    frozen = {name: model.params[name].copy() for name in model.frozen}
+    trained = model.theta[:model.n_trained].copy()
+    model.grad[:] = 1.0  # the frozen tail too
+    opt = Adam(model, lr=0.1, weight_decay=0.1)
+    opt.step()
+    assert all(np.array_equal(model.params[name], p) for name, p in frozen.items())
+    assert np.all(model.theta[:model.n_trained] != trained)
 
 
 def _per_parameter_adam_step(params, frozen, m, v, grads, t, lr, betas, eps, weight_decay):
@@ -143,52 +156,68 @@ def _per_parameter_adam_step(params, frozen, m, v, grads, t, lr, betas, eps, wei
 @pytest.mark.parametrize("lr, weight_decay", [(3e-2, 0.0), (3e-2, 0.1), (0.0, 0.1)])
 def test_adam_matches_the_per_parameter_update_bit_for_bit(lr, weight_decay):
     rng = np.random.default_rng(17)
-    shapes = {f"p{i}": tuple(rng.integers(1, 6, size=rng.integers(1, 3))) for i in range(6)}
-    frozen = {"p2"}
-    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    ref = {name: p.copy() for name, p in params.items()}
-    m = {name: np.zeros(shape) for name, shape in shapes.items()}
-    v = {name: np.zeros(shape) for name, shape in shapes.items()}
     betas, eps = (0.9, 0.999), 1e-8
-    opt = Adam(params, frozen, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
-    for t in range(1, 26):
-        # a zero gradient now and then, and scales far apart
-        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) * (t % 7 != 0)
-                 for name, shape in shapes.items()}
-        opt.step(grads)
-        _per_parameter_adam_step(ref, frozen, m, v, grads, t, lr, betas, eps, weight_decay)
-        for name in shapes:
-            assert np.array_equal(params[name], ref[name]), (t, name)
-        trained = [name for name in shapes if name not in frozen]
-        assert np.array_equal(opt.m, np.concatenate([m[name].ravel() for name in trained]))
-        assert np.array_equal(opt.v, np.concatenate([v[name].ravel() for name in trained]))
-
-
-def test_adam_without_a_trained_parameter_or_a_gradient_raises_a_typed_error():
-    with pytest.raises(HarnessError, match="no trained parameter"):
-        Adam({"f": np.zeros(1)}, frozen={"f"})
-    opt = Adam({"w": np.zeros(2), "u": np.zeros(3), "f": np.zeros(1)}, frozen={"f"})
-    opt.step({"w": np.ones(2), "u": np.ones(3)})  # a frozen name may be absent
-    with pytest.raises(HarnessError, match="no gradient for u"):
-        opt.step({"w": np.ones(2)})
+    for kind in ("gcn_r_mlp", "jk_sum"):  # with a frozen tail, and without
+        hidden, d1, d2, features = (int(d) for d in rng.integers(1, 6, size=4))
+        model = build(ModelSpec(kind=kind, hidden_dim=hidden, mlp_dims=(d1, d2), k=0.5),
+                      features, 2, Rng(int(rng.integers(100))))
+        params, frozen = model.params, model.frozen
+        assert bool(frozen) == (kind == "gcn_r_mlp")
+        ref = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(p) for name, p in params.items()}
+        v = {name: np.zeros_like(p) for name, p in params.items()}
+        opt = Adam(model, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        trained = [name for name in params if name not in frozen]
+        for t in range(1, 26):
+            # a zero gradient now and then, and scales far apart; the frozen
+            # tail gets one too, which the step must not read
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) * (t % 7 != 0)
+                     for name, p in params.items()}
+            for name, g in grads.items():
+                model.last_grads[name][...] = g
+            opt.step()
+            _per_parameter_adam_step(ref, frozen, m, v, grads, t, lr, betas, eps, weight_decay)
+            for name in params:
+                assert np.array_equal(params[name], ref[name]), (kind, t, name)
+                assert np.array_equal(model.last_grads[name], grads[name]), (kind, t, name)
+            assert np.array_equal(opt.m, np.concatenate([m[name].ravel() for name in trained]))
+            assert np.array_equal(opt.v, np.concatenate([v[name].ravel() for name in trained]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adam_non_finite_gradient_names_the_parameter_and_changes_nothing(bad):
-    params = {"a": np.ones((2, 2)), "f": np.ones(2), "b": np.ones(3), "c": np.ones(1)}
-    opt = Adam(params, frozen={"f"}, lr=0.1, weight_decay=0.1)
-    opt.step({name: np.full_like(p, 0.5) for name, p in params.items()})
-    before = ({name: p.copy() for name, p in params.items()}, opt.m.copy(), opt.v.copy(), opt.t)
-    grads = {name: np.full_like(p, 0.5) for name, p in params.items()}
-    grads["f"][0] = bad  # frozen: never read
-    grads["b"][1] = bad
-    grads["c"][0] = bad
-    with pytest.raises(NonFiniteError, match="non-finite gradient for b$") as err:
-        opt.step(grads)
-    assert err.value.param == "b" and err.value.epoch is None and err.value.fold is None
-    assert all(np.array_equal(params[name], p) for name, p in before[0].items())
+    model = _model("gcn_r_mlp")
+    opt = Adam(model, lr=0.1, weight_decay=0.1)
+    model.grad[:] = 0.5
+    opt.step()
+    before = (model.theta.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+    model.last_grads["gcn1.W"][0, 0] = bad  # frozen, first in registry order: never read
+    model.last_grads["mlp2.W"][1, 0] = bad
+    model.last_grads["mlp3.b"][0] = bad
+    with pytest.raises(NonFiniteError, match="non-finite gradient for mlp2.W$") as err:
+        opt.step()
+    assert err.value.param == "mlp2.W" and err.value.epoch is None and err.value.fold is None
+    assert np.array_equal(model.theta, before[0])
     assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
     assert opt.t == before[3]
+
+
+def test_train_model_stops_on_a_non_finite_loss_before_the_step():
+    ds = synth_dataset(12, seed=6)
+    model = build(ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(5, 3)),
+                  ds.feature_dim, ds.num_classes, Rng(0))
+    # class scores near +-1e308: their gap, and class 1's loss, overflow to
+    # inf, while softmax and every gradient stay finite
+    model.params["mlp3.b"][...] = [1e308, -1e308]
+    cfg = TrainConfig(epochs=1, batch_size=12, seed=0)
+    opt = Adam.from_config(model, cfg)
+    before = model.theta.copy()
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+        train_model(model, list(ds.graphs), cfg, Rng(0), opt=opt)
+    assert str(err.value) == "epoch 1, non-finite loss" and err.value.param is None
+    assert np.isfinite(model.grad).all()
+    assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+    assert np.array_equal(model.theta, before)
 
 
 def test_train_config_validation():
