@@ -18,8 +18,6 @@ import numpy as np
 from .errors import RenderError
 from .numcore import Moments
 
-KINDS = ("act_mean", "act_std", "preact_std", "grad_norm", "train_loss")
-
 
 @dataclass(frozen=True)
 class TraceEvent:

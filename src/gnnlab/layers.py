@@ -47,6 +47,9 @@ class DenseLayer:
             raise ValueError(f"unknown activation {activation!r}")
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
+        if self.w.ndim != 2 or self.b.shape != self.w.shape[1:]:
+            raise ShapeError(f"{type(self).__name__} needs a 2-D weight and one bias "
+                             f"per output, got {self.w.shape} and {self.b.shape}")
         self.activation = activation
         self._cache = None
 
@@ -172,6 +175,8 @@ class TopKPool:
         if not (0 <= k < 1):
             raise ValueError("k must lie in [0, 1)")
         self.p = np.asarray(p, dtype=np.float64)
+        if self.p.ndim != 1:
+            raise ShapeError(f"pool projection must be 1-D, got shape {self.p.shape}")
         self.k = float(k)
         self.scale = 1.0  # forward divisor, see rescale
         self._cache = None

@@ -26,7 +26,6 @@ tap reads: with convolution taps, ``jk_sum`` never runs its third pool. The
 batch's adjacency is built only when a stage runs, so ``mlp`` never builds one.
 """
 
-import copy
 import functools
 
 import numpy as np
@@ -147,14 +146,12 @@ class Model:
         """Each parameter's gradient, its view of ``grad``, in registry order."""
         return self._views(self.grad)
 
-    def __deepcopy__(self, memo):
-        """A deep copy whose parameters and gradients stay views of its own vectors."""
-        for flat, views in ((self.theta, self.params), (self.grad, self.last_grads)):
-            memo[id(flat)] = twin = flat.copy()
-            memo.update(zip(map(id, views.values()), self._views(twin).values()))
-        memo[id(self)] = copied = object.__new__(Model)
-        copied.__dict__.update(copy.deepcopy(vars(self), memo))
-        return copied
+    def __reduce__(self):
+        """Pickle and deep copy alike rebuild the layer stack, whose parameters
+        are views of its own ``theta``, and restore ``theta`` and the pool
+        divisors: everything a build and its initialisation set."""
+        return _restore, (self.spec, self.num_features, self.num_classes, self.theta,
+                          [pool.scale for _, pool in self.blocks if pool is not None])
 
     def _walk(self, state: State, upto: int, first: int = 0) -> list:
         """``state``, the state entering flat stage ``first`` of the block
@@ -261,6 +258,15 @@ def _add(a, b):
     if a is None:
         return b
     return a if b is None else a + b
+
+
+def _restore(spec, num_features, num_classes, theta, scales) -> Model:
+    """The model :meth:`Model.__reduce__` describes."""
+    model = Model(spec, num_features, num_classes)
+    model.theta[...] = theta
+    for pool, scale in zip((pool for _, pool in model.blocks if pool is not None), scales):
+        pool.scale = scale
+    return model
 
 
 def build(spec: ModelSpec, num_features: int, num_classes: int, rng: Rng) -> Model:

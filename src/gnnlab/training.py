@@ -14,7 +14,7 @@ are declared with the other settings in :mod:`gnnlab.config`.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +30,14 @@ from .numcore import Rng
 @dataclass
 class FoldResult:
     fold: int
-    accuracy: float            # percentage on the held-out fold
+    accuracies: list           # percentage on the held-out fold after each budget
     train_losses: list         # one mean loss per epoch
     best_epoch: int            # 1-based epoch with the lowest train loss
     reinit_report: ReinitReport | None = None  # set when the rescaling init ran
+
+    @property
+    def accuracy(self) -> float:  # at the final epoch
+        return self.accuracies[-1]
 
     def to_dict(self) -> dict:
         return {"fold": self.fold, "accuracy": self.accuracy,
@@ -146,8 +150,8 @@ def _batches(order: np.ndarray, batch_size: int):
 
 
 def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
-                sink=None, opt: Adam | None = None) -> list:
-    """Run the epoch loop on ``graphs``; returns per-epoch mean train losses.
+                sink=None, opt: Adam | None = None, done: int = 0) -> list:
+    """Run epochs ``done + 1``..``cfg.epochs`` on ``graphs``; returns their mean train losses.
 
     Optimiser steps use the mean gradient over each batch, which one backward
     pass per chunk adds into the cleared ``model.grad``. When a trace sink is
@@ -160,7 +164,7 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
     if opt is None:
         opt = Adam.from_config(model, cfg)
     losses = []
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(done + 1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(graphs))
         total = 0.0
         for picks in _batches(order, cfg.batch_size):
@@ -211,8 +215,12 @@ def prepare_fold_model(ds: Dataset, train_graphs, spec: ModelSpec,
 
 
 def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
-               cfg: TrainConfig, sink=None) -> FoldResult:
-    """Train on every fold but ``fold`` and test on ``fold`` at the final epoch."""
+               cfg: TrainConfig, sink=None, budgets=None) -> FoldResult:
+    """Train on every fold but ``fold`` to ``cfg.epochs``, testing on ``fold`` after
+    each of ``budgets``: epoch counts ascending to ``cfg.epochs``, by default that alone."""
+    budgets = list(budgets or [cfg.epochs])
+    if budgets != sorted(set(budgets)) or budgets[0] < 1 or budgets[-1] != cfg.epochs:
+        raise HarnessError(f"epoch budgets {budgets} must ascend from 1 to {cfg.epochs}")
     if fold >= split.fold_count:
         raise HarnessError(f"fold {fold} out of range for {split.fold_count}-fold split")
     train_graphs = [ds.graphs[i] for i in split.train_indices(fold)]
@@ -220,33 +228,38 @@ def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
     if not train_graphs:
         raise HarnessError(f"training fold {fold} is empty")
     model, reinit_report = prepare_fold_model(ds, train_graphs, spec, cfg, fold)
-    shuffle_rng = Rng(cfg.seed ^ fold).derive(1)
+    shuffle_rng, opt = Rng(cfg.seed ^ fold).derive(1), Adam.from_config(model, cfg)
+    losses, accuracies = [], []
     try:
-        losses = train_model(model, train_graphs, cfg, shuffle_rng, sink=sink)
+        for budget in budgets:
+            losses += train_model(model, train_graphs, replace(cfg, epochs=budget),
+                                  shuffle_rng, sink=sink, opt=opt, done=len(losses))
+            accuracies.append(evaluate(model, test_graphs))
     except NonFiniteError as exc:
         raise NonFiniteError(exc.param, exc.epoch, fold) from None
-    acc = evaluate(model, test_graphs)
-    return FoldResult(fold=fold, accuracy=acc, train_losses=losses,
+    return FoldResult(fold=fold, accuracies=accuracies, train_losses=losses,
                       best_epoch=int(np.argmin(losses)) + 1, reinit_report=reinit_report)
 
 
 def _run_fold_job(args):
-    ds, split, fold, spec, cfg, trace = args
+    ds, split, fold, spec, cfg, trace, budgets = args
     sink = diagnostics.TraceSink() if trace else None
-    result = train_fold(ds, split, fold, spec, cfg, sink=sink)
+    result = train_fold(ds, split, fold, spec, cfg, sink=sink, budgets=budgets)
     return result, sink.events() if sink is not None else None
 
 
 def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = 10,
-           fold_seed: int = 12345, jobs: int = 1, trace: bool = False):
+           fold_seed: int = 12345, jobs: int = 1, trace: bool = False, budgets=None):
     """Run cross-validation over stratified folds; returns (RunReport, fold traces).
 
-    Folds are independent; with ``jobs > 1`` they run in worker processes and
-    are reduced in fold order, so results match the sequential run exactly.
+    Each fold is tested after each of ``budgets`` (see :func:`train_fold`), the
+    mean and std at the last. Folds are independent; with ``jobs > 1`` they run
+    in worker processes and are reduced in fold order, so results match the
+    sequential run exactly.
     """
     split = stratified_folds(ds, folds, seed=fold_seed)
     started = time.perf_counter()
-    jobs_args = [(ds, split, fold, spec, cfg, trace) for fold in range(folds)]
+    jobs_args = [(ds, split, fold, spec, cfg, trace, budgets) for fold in range(folds)]
     if jobs > 1:
         import multiprocessing as mp
         with mp.get_context("spawn").Pool(min(jobs, folds)) as pool:

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnnlab import (ExperimentConfig, ModelSpec, Rng, build, cli, parse_tu, stratified_folds,
-                    write_tu)
+from gnnlab import (ExperimentConfig, InitScheme, ModelSpec, Rng, TrainConfig, build, cli,
+                    parse_tu, run_cv, stratified_folds, training, write_tu)
 from gnnlab.cli import FLAG_KEYS, _config_from_args, build_parser, main
 from gnnlab.config import DatasetConfig, Folds
 from gnnlab.errors import ConfigError
@@ -260,6 +261,73 @@ def test_sweep_single_budget(tu_dir, tmp_path):
                  "--out", str(out)]) == 0
     rows = (out / "accuracy_vs_epochs.csv").read_text().strip().split("\n")
     assert len(rows) == 2
+
+
+def _sweep_configs(tu_dir, tmp_path):
+    """Two sweep variants over SYNTH, ``jk_sum`` with the rescaling init and
+    ``mlp``; returns (variant, config, path) triples."""
+    out = []
+    for variant, kind, init in (("jk_reinit", "jk_sum", "standard_then_reinit"),
+                                ("mlp", "mlp", "standard")):
+        cfg = ExperimentConfig(
+            dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
+            model=ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(8, 8)),
+            train=TrainConfig(lr=1e-2, batch_size=8, seed=3, init=InitScheme(kind=init)),
+            folds=Folds(count=3, seed=1))
+        path = tmp_path / f"{variant}.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        out.append((variant, cfg, str(path)))
+    return out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_rows_equal_a_separate_run_per_budget(tu_dir, tmp_path, jobs):
+    # oracle: one cross-validation per budget; budgets unsorted, one repeated
+    variants = _sweep_configs(tu_dir, tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep-epochs", "--config", *(path for _, _, path in variants),
+                 "--epochs", "3,1,2,3", "--jobs", jobs, "--out", str(out)]) == 0
+    ds = cli.load_dataset(variants[0][1].dataset)
+    want = ["epochs,mean_acc,std_acc,variant"]
+    for budget in (1, 2, 3):
+        for variant, cfg, _ in variants:
+            report, _ = run_cv(ds, cfg.model, dataclasses.replace(cfg.train, epochs=budget),
+                               folds=cfg.folds.count, fold_seed=cfg.folds.seed)
+            want.append(f"{budget},{report.mean!r},{report.std!r},{variant}")
+    assert (out / "accuracy_vs_epochs.csv").read_text().splitlines() == want
+
+
+def test_sweep_trains_each_fold_once_to_the_largest_budget(tu_dir, tmp_path, monkeypatch):
+    counts = {"steps": 0, "reinit": 0, "run_cv": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(training.Adam, "step", counting("steps", training.Adam.step))
+    monkeypatch.setattr(training, "reinit", counting("reinit", training.reinit))
+    monkeypatch.setattr(cli, "run_cv", counting("run_cv", cli.run_cv))
+    variants = _sweep_configs(tu_dir, tmp_path)
+    assert main(["sweep-epochs", "--config", *(path for _, _, path in variants),
+                 "--epochs", "2,5,1", "--out", str(tmp_path / "sweep")]) == 0
+    cfg = variants[0][1]
+    split = stratified_folds(cli.load_dataset(cfg.dataset), cfg.folds.count, seed=cfg.folds.seed)
+    steps_per_epoch = sum(math.ceil(len(split.train_indices(f)) / cfg.train.batch_size)
+                          for f in range(cfg.folds.count))
+    # five epochs per (variant, fold), not 1 + 2 + 5; one rescaling pass per
+    # fold of the reinit variant; one cross-validation (one pool) per variant
+    assert counts == {"steps": 2 * 5 * steps_per_epoch, "reinit": cfg.folds.count,
+                      "run_cv": 2}
+
+
+@pytest.mark.parametrize("epochs", ["0,2", "-1"])
+def test_sweep_rejects_a_budget_below_one(tmp_path, capsys, epochs):
+    assert main(["sweep-epochs", "--config", str(tmp_path / "none.json"),
+                 "--epochs", epochs, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "positive" in err
 
 
 def test_sweep_rejects_a_non_integer_budget(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Golden runs: sixteen seeded ``gnnlab train`` runs whose results must not move.
+"""Golden runs: sixteen seeded ``gnnlab train`` runs and one ``gnnlab
+sweep-epochs`` run whose results must not move.
 
 Each model kind, and ``jk_sum`` with summed taps, with taps after the pools
 and on degree one-hots instead of node-label one-hots, trains with and
@@ -8,14 +9,20 @@ thread. ``golden.json`` holds, per run, the sha256 of the report
 (without its ``wall_clock_s``) and of each trace CSV, the per-fold training
 losses and accuracies, and the provenance of the record: the numpy version,
 the BLAS build, the SIMD extensions numpy found on the CPU and the BLAS
-thread count. Where the provenance matches the record the hashes must match;
-elsewhere the losses must match to a relative 1e-12 and the accuracies
-exactly. The test never skips.
+thread count. The sweep (``jk_sum`` with the rescaling init and ``mlp``,
+budgets 2,1,3, on the same corpus and folds) adds the sha256 of its
+``accuracy_vs_epochs.csv`` and its rows. Where the provenance matches the
+record the hashes must match; elsewhere the losses and the sweep's means and
+stds must match to a relative 1e-12, and the accuracies, budgets and
+variants exactly. The test never skips.
 
 A change meant to keep every number (a refactor, a speed-up) must pass this
 test unchanged. Re-record only for a stated numeric reason, or when a report
 key is removed; in the latter case the re-recorded file may differ from the
-old one only in ``report_sha256`` values. Re-record with::
+old one only in ``report_sha256`` values. The sweep's CSV was recorded when
+every budget ran a cross-validation of its own, and a sweep is bound to give
+each budget that run's numbers: its entry changes only with those of the
+train runs, for a stated numeric reason. Re-record with::
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -42,6 +49,9 @@ VARIANTS = tuple((kind, kind, [], None) for kind in KINDS) + (
     ("jk_sum_tap_pooled", "jk_sum", [], {"model": {"tap_pooled": True}}),
     ("jk_sum_degree_onehot", "jk_sum", ["--feature-policy", "degree_onehot"], None),
 )
+# (variant, model kind, init kind) of the golden sweep
+SWEEP = (("sweep_jk_sum_reinit", "jk_sum", "standard_then_reinit"),
+         ("sweep_mlp", "mlp", "standard"))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -88,7 +98,29 @@ def _runs(work: Path) -> dict:
                 "train_losses": [f["train_losses"] for f in report["folds"]],
                 "accuracies": [f["accuracy"] for f in report["folds"]],
             }
-    return {"provenance": _provenance(), "runs": runs}
+    return {"provenance": _provenance(), "runs": runs, "sweep": _sweep(work)}
+
+
+def _sweep(work: Path) -> dict:
+    """The golden sweep over the corpus ``_runs`` wrote."""
+    from gnnlab import cli
+
+    paths = []
+    for variant, kind, init in SWEEP:
+        config = {"dataset": {"name": "GOLDEN", "path": str(work)}, "model": {"kind": kind},
+                  "train": {"seed": 7, "init": {"kind": init}}, "folds": {"count": 3}}
+        paths.append(work / f"{variant}.json")
+        paths[-1].write_text(json.dumps(config), encoding="utf-8")
+    out = work / "sweep"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["sweep-epochs", "--config", *map(str, paths), "--epochs", "2,1,3",
+                         "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"gnnlab sweep-epochs exited with {code}")
+    data = (out / "accuracy_vs_epochs.csv").read_bytes()
+    rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+    return {"csv_sha256": _sha256(data),
+            "rows": [[int(e), float(mean), float(std), v] for e, mean, std, v in rows]}
 
 
 def record() -> dict:
@@ -111,6 +143,7 @@ def test_golden_runs_match_the_record():
     if got["provenance"] == want["provenance"]:
         for name, run in want["runs"].items():
             assert got["runs"][name] == run, name
+        assert got["sweep"] == want["sweep"]
         return
     # another numpy, BLAS or CPU may round differently: compare the numbers
     for name, run in want["runs"].items():
@@ -119,6 +152,10 @@ def test_golden_runs_match_the_record():
         for fold, (a, b) in enumerate(zip(mine["train_losses"], run["train_losses"])):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0,
                                        err_msg=f"{name} fold {fold}")
+    mine, theirs = got["sweep"]["rows"], want["sweep"]["rows"]
+    assert [(r[0], r[3]) for r in mine] == [(r[0], r[3]) for r in theirs]
+    np.testing.assert_allclose([r[1:3] for r in mine], [r[1:3] for r in theirs],
+                               rtol=1e-12, atol=0, err_msg="sweep")
 
 
 if __name__ == "__main__":

@@ -189,7 +189,7 @@ def test_gcn_norm_operator_is_its_own_transpose_bit_for_bit():
 def test_gcn_layer_bit_equal_to_spmm_over_the_oracle_operator_csr():
     for k, adj in enumerate(equivalence_adjacencies()):
         rng = Rng(100 + k)
-        layer = GcnLayer(rng.normal(4, 3, 0.7), rng.normal(1, 3, 0.3))
+        layer = GcnLayer(rng.normal(4, 3, 0.7), rng.normal(1, 3, 0.3)[0])
         x = rng.normal(adj.n, 4, 1.0)
         grad_out = rng.normal(adj.n, 3, 1.0)
         oracle = gcn_norm_csr(adj.indptr, adj.indices)

@@ -324,6 +324,26 @@ def test_dense_relu_dead_unit():
     assert grad_x[0, 0] == 0.0 and grads["W"][0, 0] == 0.0 and grads["b"][0] == 0.0
 
 
+@pytest.mark.parametrize("cls", [DenseLayer, GcnLayer])
+@pytest.mark.parametrize("w, b", [
+    (np.ones((4, 3)), np.ones((1, 3))),  # 2-D bias: would broadcast, its gradient is 1-D
+    (np.ones((4, 3)), np.ones(5)),       # a bias per output and two more
+    (np.ones((4, 3)), np.float64(0.0)),  # a scalar bias
+    (np.ones(3), np.ones(3)),            # 1-D weight
+    (np.ones((2, 4, 3)), np.ones(3)),    # 3-D weight
+], ids=["bias_2d", "bias_long", "bias_scalar", "weight_1d", "weight_3d"])
+def test_dense_rejects_a_mis_shaped_weight_or_bias_at_construction(cls, w, b):
+    with pytest.raises(ShapeError, match=cls.__name__):
+        cls(w, b)
+
+
+@pytest.mark.parametrize("p", [np.ones((1, 3)), np.ones((3, 1)), np.float64(1.0)],
+                         ids=["row", "column", "scalar"])
+def test_pool_rejects_a_projection_that_is_not_1d_at_construction(p):
+    with pytest.raises(ShapeError, match="1-D"):
+        TopKPool(p, k=0.5)
+
+
 @pytest.mark.parametrize("activation", ["none", "relu"])
 def test_dense_backward_matches_finite_differences(activation):
     worst = 0.0

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -418,15 +419,20 @@ def test_layer_parameters_stay_views_of_theta_through_reinit_and_training(kind):
     assert_layer_views(model)
     rescaled = model.theta.copy()
     assert not np.array_equal(rescaled, built)  # reinit wrote through the views
-    twin = copy.deepcopy(model)
-    assert_layer_views(twin)
-    assert not np.shares_memory(twin.theta, model.theta)
+    twins = [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]
+    for twin in twins:
+        assert_layer_views(twin)
+        assert not np.shares_memory(twin.theta, model.theta)
+        assert np.array_equal(twin.theta, rescaled)
+        assert ([pool.scale for _, pool in twin.blocks if pool is not None]
+                == [pool.scale for _, pool in model.blocks if pool is not None])
     cfg = TrainConfig(lr=1e-2, epochs=1, batch_size=5, seed=0)
     train_model(model, graphs, cfg, Rng(92))
     assert_layer_views(model)
-    train_model(twin, graphs, cfg, Rng(92))  # a copy trains as its original did
-    assert_layer_views(twin)
-    assert np.array_equal(twin.theta, model.theta)
+    for twin in twins:  # a copy trains as its original did
+        train_model(twin, graphs, cfg, Rng(92))
+        assert_layer_views(twin)
+        assert np.array_equal(twin.theta, model.theta)
     trained = slice(0, model.n_trained)
     assert not np.array_equal(model.theta[trained], rescaled[trained])  # so did the steps
     frozen = slice(model.n_trained, None)

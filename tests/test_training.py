@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from gnnlab import (Adam, InitScheme, ModelSpec, Rng, TrainConfig, build,
-                    cross_entropy, evaluate, run_cv, stratified_folds, train_fold,
-                    train_model)
+                    cross_entropy, diagnostics, evaluate, run_cv, stratified_folds,
+                    train_fold, train_model, training)
 from gnnlab.errors import ConfigError, HarnessError, NonFiniteError, ShapeError
 
 from conftest import BLAS_PINNED_BEFORE_NUMPY, constant_feature_dataset, synth_dataset
@@ -270,6 +271,55 @@ def test_train_fold_deterministic():
     assert a.accuracy == b.accuracy
     assert a.train_losses == b.train_losses
     assert a.best_epoch == b.best_epoch
+
+
+def test_train_fold_tests_after_each_budget_of_one_traced_run():
+    ds = synth_dataset(30, seed=3)
+    split = stratified_folds(ds, 3, seed=1)
+    cfg = TrainConfig(lr=1e-2, epochs=5, batch_size=8, seed=11,
+                      init=InitScheme(kind="standard_then_reinit"))
+    spec = ModelSpec(kind="jk_sum", hidden_dim=8, mlp_dims=(8, 8))
+    sink = diagnostics.TraceSink()
+    swept = train_fold(ds, split, 1, spec, cfg, sink=sink, budgets=(2, 5))
+    events = sink.events()
+    # each epoch is traced once, under its number in the whole run
+    assert [e.epoch for e in events if e.kind == "train_loss"] == [1, 2, 3, 4, 5]
+    keys = [(e.epoch, e.layer, e.kind) for e in events]
+    assert len(keys) == len(set(keys))
+    alone = diagnostics.TraceSink()
+    whole = train_fold(ds, split, 1, spec, cfg, sink=alone)
+    assert events == alone.events()
+    assert swept.to_dict() == whole.to_dict() and swept.accuracy == swept.accuracies[-1]
+    short = train_fold(ds, split, 1, spec, dataclasses.replace(cfg, epochs=2))
+    assert swept.accuracies == [short.accuracy, whole.accuracy]
+
+
+def test_a_non_finite_loss_after_the_first_budget_names_the_absolute_epoch(monkeypatch):
+    ds = synth_dataset(12, seed=6)
+    split = stratified_folds(ds, 2, seed=0)
+    real = training.evaluate
+
+    def evaluate_then_overflow(model, graphs):
+        # class scores near +-1e308 from here on: the next epoch's loss overflows
+        acc = real(model, graphs)
+        model.params["mlp3.b"][...] = [1e308, -1e308]
+        return acc
+
+    monkeypatch.setattr(training, "evaluate", evaluate_then_overflow)
+    cfg = TrainConfig(epochs=4, batch_size=4, seed=0)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+        train_fold(ds, split, 1, ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(5, 3)), cfg,
+                   budgets=[3, 4])
+    assert str(err.value) == "fold 1, epoch 4, non-finite loss"
+    assert (err.value.fold, err.value.epoch) == (1, 4)
+
+
+@pytest.mark.parametrize("budgets", [[2, 1, 3], [1, 1, 3], [0, 3], [1, 2], [2, 4]])
+def test_train_fold_rejects_budgets_that_do_not_ascend_to_the_epochs(budgets):
+    ds = synth_dataset(12, seed=4)
+    split = stratified_folds(ds, 2, seed=0)
+    with pytest.raises(HarnessError, match="budgets"):
+        train_fold(ds, split, 0, ModelSpec(kind="mlp"), TrainConfig(epochs=3), budgets=budgets)
 
 
 def test_train_fold_errors():
