@@ -19,8 +19,8 @@ if "numpy" not in sys.modules and multiprocessing.parent_process() is None:
 
 from .config import (DatasetConfig, ExperimentConfig, Folds, InitScheme, ModelSpec,
                      TrainConfig)
-from .graphdata import (Batch, Dataset, FoldSplit, Graph, fetch_tu, parse_tu,
-                        stratified_folds, write_tu)
+from .graphdata import (Batch, Dataset, FoldSplit, fetch_tu, parse_tu, stratified_folds,
+                        write_tu)
 from .init import ReinitReport, init_standard, reinit
 from .layers import DenseLayer, GcnLayer, Readout, TopKPool
 from .models import Model, build
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DatasetConfig", "ExperimentConfig", "Folds", "Batch", "Dataset", "FoldSplit",
-    "Graph", "fetch_tu", "parse_tu", "stratified_folds", "write_tu",
+    "fetch_tu", "parse_tu", "stratified_folds", "write_tu",
     "InitScheme", "ReinitReport", "init_standard", "reinit", "DenseLayer",
     "GcnLayer", "Readout", "TopKPool", "Model", "ModelSpec", "build",
     "Rng", "SparseAdj", "Adam", "FoldResult", "RunReport", "TrainConfig",

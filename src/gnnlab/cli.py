@@ -141,11 +141,10 @@ def cmd_sweep_epochs(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     datasets, reports = {}, []
     for variant, cfg in configs:
-        key = (cfg.dataset.name, cfg.dataset.path, cfg.dataset.feature_policy)
-        if key not in datasets:
-            datasets[key] = load_dataset(cfg.dataset)
+        if cfg.dataset not in datasets:  # every setting of a dataset config shapes its parse
+            datasets[cfg.dataset] = load_dataset(cfg.dataset)
         train = TrainConfig.from_dict({**cfg.train.to_dict(), "epochs": budgets[-1]})
-        reports.append(run_cv(datasets[key], cfg.model, train, folds=cfg.folds.count,
+        reports.append(run_cv(datasets[cfg.dataset], cfg.model, train, folds=cfg.folds.count,
                               fold_seed=cfg.folds.seed, jobs=args.jobs, trace=False,
                               budgets=budgets)[0])
     csv_path = out_dir / "accuracy_vs_epochs.csv"

@@ -147,6 +147,7 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 def render_svg(csv_path, series_spec: str | None, out_path, title: str | None = None) -> None:
     """Render the selected (layer, kind) series of a trace CSV as an SVG chart."""
+    from html import escape  # here, off the import of gnnlab
     events = load_events_csv(csv_path)
     filt = parse_series_spec(series_spec)
     series = {}
@@ -178,7 +179,7 @@ def render_svg(csv_path, series_spec: str | None, out_path, title: str | None = 
     def sy(y):
         return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    name = title or f"{Path(csv_path).stem}"
+    name = escape(title or Path(csv_path).stem)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -206,6 +207,6 @@ def render_svg(csv_path, series_spec: str | None, out_path, title: str | None = 
         lx = MARGIN_L + plot_w + 12
         parts.append(f'<rect x="{lx}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{lx + 14}" y="{ly}" font-size="11" '
-                     f'font-family="sans-serif">{layer}:{kind}</text>')
+                     f'font-family="sans-serif">{escape(f"{layer}:{kind}")}</text>')
     parts.append("</svg>")
     Path(out_path).write_text("\n".join(parts) + "\n", encoding="utf-8")

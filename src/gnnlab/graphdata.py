@@ -8,16 +8,16 @@ features are built from the first available source in the order
 attributes > node-label one-hots > degree one-hots. Every graph is
 undirected: each edge is stored in both directions.
 
-A dataset, like a batch, is a disjoint union of graphs. Parsing stacks every
-graph's nodes in order and builds one CSR over that stack; each graph's
-adjacency is a diagonal block of that CSR. Features are one row id per node
-into a float64 row table that the whole dataset shares: the identity under a
-one-hot policy, so no node holds a dense one-hot row, and the attribute
-matrix under ``attributes``. Writing walks the same stack back out. A batch,
-of one graph or many, gathers its dense feature rows from the table in one
-``np.take`` and builds its block-diagonal adjacency on first read; each
-convolution derives its propagation operator from that adjacency when it
-runs.
+A dataset is the stack parsing builds: every graph's nodes in order, one
+CSR over them (each graph's adjacency a diagonal block of it), and one row
+id per node into a float64 row table that the whole dataset shares: the
+identity under a one-hot policy, so no node holds a dense one-hot row, and
+the attribute matrix under ``attributes``. Writing walks the same stack
+back out. A batch is a list of graph ids into that stack, and a graph is a
+batch of one. On each read a batch gathers its dense feature rows from the
+table in one ``np.take`` and its block-diagonal adjacency from the stack's
+CSR, and keeps neither; each convolution derives its propagation operator
+from that adjacency when it runs.
 """
 
 import logging
@@ -45,25 +45,6 @@ DEFAULT_FOLD_SEED = 12345
 FEATURE_POLICIES = ("attributes", "label_onehot", "degree_onehot")
 
 
-@dataclass(frozen=True)
-class Graph:
-    """One classification instance: adjacency, node features, class label.
-
-    Node ``v``'s features are row ``rows[v]`` of ``table``, a float64 row
-    table that all graphs of a dataset share: the identity under a one-hot
-    policy, the attribute matrix under ``attributes``."""
-    adj: SparseAdj
-    table: np.ndarray
-    rows: np.ndarray
-    label: int
-    id: int
-
-    @property
-    def features(self) -> np.ndarray:
-        """The dense node-feature matrix, one row per node (a copy)."""
-        return np.take(self.table, self.rows, axis=0)
-
-
 # Entry budget of one chunk: its node count times the widest node row the
 # model holds (see ``Model.width``). A chunk's activations, pooled subgraphs
 # and products all grow with its node count and row width, so chunks of a
@@ -82,19 +63,82 @@ class State(NamedTuple):
     sizes: np.ndarray
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Disjoint union of graphs: the features of every graph stacked in order,
-    one label and one node count per graph, and the block-diagonal adjacency
-    of the graphs' ``adjs``, built on first read."""
-    adjs: tuple
-    features: np.ndarray
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Every graph of a corpus stacked in order: the CSR ``adj`` over all nodes,
+    node ``v``'s features as row ``rows[v]`` of the float64 row ``table``, and
+    each graph's class and node count in ``labels`` and ``sizes``."""
+    name: str
+    adj: SparseAdj
+    table: np.ndarray
+    rows: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray
+    num_classes: int
+    feature_policy: str
+
+    def __len__(self):
+        return self.sizes.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.table.shape[1]
 
     @cached_property
+    def graphs(self) -> tuple:
+        """Graph ``i`` as the batch of it alone, for each ``i``."""
+        return tuple(Batch(self, ids) for ids in np.arange(len(self)).reshape(-1, 1))
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Graphs ``ids`` of ``dataset`` as one disjoint union, in that order; its
+    node features and block-diagonal adjacency are gathered from the
+    dataset's stack on each read and kept by no batch."""
+    dataset: Dataset
+    ids: np.ndarray
+
+    def __len__(self):
+        return self.ids.shape[0]
+
+    def __getitem__(self, key) -> "Batch":  # the graphs ids[key], a slice or an id array
+        return Batch(self.dataset, self.ids[key])
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.dataset.labels[self.ids]
+
+    @property
+    def label(self) -> int:
+        """The class of a one-graph batch."""
+        if len(self) != 1:
+            raise ShapeError(f"a batch of {len(self)} graphs has no single label")
+        return int(self.dataset.labels[self.ids[0]])
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return self.dataset.sizes[self.ids]
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The stack's id of each of the batch's nodes, graph by graph."""
+        shift = np.cumsum(self.dataset.sizes)[self.ids] - np.cumsum(self.sizes)
+        return np.arange(int(self.sizes.sum())) + np.repeat(shift, self.sizes)
+
+    @property
+    def features(self) -> np.ndarray:
+        """The dense node-feature rows, one per node."""
+        return np.take(self.dataset.table, self.dataset.rows[self.nodes], axis=0)
+
+    @property
     def adj(self) -> SparseAdj:
-        return SparseAdj.block_diag(self.adjs)
+        """The block-diagonal adjacency: the batch's rows of the stack's CSR, renumbered."""
+        stack, nodes = self.dataset.adj, self.nodes
+        degrees = stack.indptr[nodes + 1] - stack.indptr[nodes]
+        indptr = np.concatenate([[0], np.cumsum(degrees)])
+        entries = np.arange(indptr[-1]) + np.repeat(stack.indptr[nodes] - indptr[:-1], degrees)
+        shift = np.repeat(nodes - np.arange(nodes.shape[0]), degrees)
+        return SparseAdj(nodes.shape[0], indptr, stack.indices[entries] - shift)
 
     @property
     def state(self) -> State:
@@ -102,48 +146,26 @@ class Batch:
         return State(self.adj, self.features, self.sizes)
 
     @classmethod
-    def of(cls, graphs) -> "Batch":
-        """The batch of ``graphs``, whose dense feature rows are gathered here
-        from the row table they share."""
-        graphs = list(graphs)
-        table = graphs[0].table
-        if any(g.table is not table for g in graphs):
-            raise ShapeError("the graphs of a batch must share one feature table")
-        labels = np.array([g.label for g in graphs], dtype=np.int64)
-        sizes = np.array([g.adj.n for g in graphs], dtype=np.int64)
-        rows = np.concatenate([g.rows for g in graphs])
-        return cls(tuple(g.adj for g in graphs), np.take(table, rows, axis=0), labels, sizes)
+    def of(cls, batches) -> "Batch":
+        """The graphs of ``batches``, all of one dataset, as one batch in order."""
+        batches = list(batches)
+        if any(b.dataset is not batches[0].dataset for b in batches):
+            raise ShapeError("the graphs of a batch must come from one dataset")
+        return cls(batches[0].dataset, np.concatenate([b.ids for b in batches]))
 
 
-def chunks(graphs, width: int):
-    """Consecutive runs of ``graphs`` as batches of at most ``CHUNK_ENTRIES //
-    width`` nodes, for a model whose widest node row has ``width`` entries; a
-    graph larger than that forms a batch on its own. Built lazily."""
+def chunks(batch: Batch, width: int):
+    """Consecutive runs of ``batch``'s graphs as batches of at most
+    ``CHUNK_ENTRIES // width`` nodes (a larger graph alone), for a model whose
+    widest node row has ``width`` entries; built lazily."""
     limit = CHUNK_ENTRIES // width
-    run, nodes = [], 0
-    for g in graphs:
-        if run and nodes + g.adj.n > limit:
-            yield Batch.of(run)
-            run, nodes = [], 0
-        run.append(g)
-        nodes += g.adj.n
-    if run:
-        yield Batch.of(run)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    name: str
-    graphs: tuple
-    num_classes: int
-    feature_dim: int
-    feature_policy: str
-
-    def __len__(self):
-        return len(self.graphs)
-
-    def labels(self) -> np.ndarray:
-        return np.array([g.label for g in self.graphs], dtype=np.int64)
+    first, nodes = 0, 0
+    for i, n in enumerate(batch.sizes.tolist()):
+        if i > first and nodes + n > limit:
+            yield batch[first:i]
+            first, nodes = i, 0
+        nodes += n
+    yield batch[first:]
 
 
 @dataclass(frozen=True)
@@ -249,7 +271,6 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     graph_ids, node_graph = np.unique(indicator, return_inverse=True)
     num_graphs = graph_ids.shape[0]
     sizes = np.bincount(node_graph, minlength=num_graphs)
-    starts = np.cumsum(sizes) - sizes
     order = np.argsort(node_graph, kind="stable")  # the stack's rows, as file nodes
     row = np.empty(num_nodes, dtype=np.int64)  # each file node's row in the stack
     row[order] = np.arange(num_nodes)
@@ -318,7 +339,7 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     if feature_policy == "label_onehot" and node_labels is None:
         raise IngestError(f"{name} has no node labels file")
 
-    stack = SparseAdj.from_edges(num_nodes, row[ends])  # no edge crosses graphs
+    adj = SparseAdj.from_edges(num_nodes, row[ends])  # no edge crosses graphs
     # one row id per stacked node into a shared table; no N x width matrix
     if feature_policy == "attributes":
         table, ids = attributes, order
@@ -326,37 +347,28 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
         distinct, column = np.unique(node_labels, return_inverse=True)
         table, ids = np.eye(distinct.shape[0]), column[order]
     else:
-        table, ids = np.eye(int(degree_cap)), np.minimum(stack.degrees(), int(degree_cap) - 1)
-
-    ptr = stack.indptr
-    built = tuple(Graph(adj=SparseAdj(hi - lo, ptr[lo:hi + 1] - ptr[lo],
-                                      stack.indices[ptr[lo]:ptr[hi]] - lo),
-                        table=table, rows=ids[lo:hi], label=int(labels[g]), id=g)
-                  for g, (lo, hi) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())))
-    return Dataset(name=name, graphs=built, num_classes=label_values.shape[0],
-                   feature_dim=table.shape[1], feature_policy=feature_policy)
+        table, ids = np.eye(int(degree_cap)), np.minimum(adj.degrees(), int(degree_cap) - 1)
+    return Dataset(name=name, adj=adj, table=table, rows=ids, labels=labels, sizes=sizes,
+                   num_classes=label_values.shape[0], feature_policy=feature_policy)
 
 
 def write_tu(ds: Dataset, directory) -> Path:
     """Write a dataset back out in canonical TU form (used for round-trips):
-    its graphs as one disjoint union, nodes numbered in stack order."""
+    its stack as one disjoint union, nodes numbered in stack order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    adj = SparseAdj.block_diag([g.adj for g in ds.graphs])  # no dense one-hot rows
-    sizes = [g.adj.n for g in ds.graphs]
 
     def write(kind, lines):
         (directory / f"{ds.name}_{kind}.txt").write_text("\n".join(lines) + "\n")
 
-    rows = np.repeat(np.arange(1, adj.n + 1), adj.degrees())  # ids are 1-based
-    write("A", map("{}, {}".format, rows.tolist(), (adj.indices + 1).tolist()))
-    write("graph_indicator", map(str, np.repeat(np.arange(1, len(ds) + 1), sizes).tolist()))
-    write("graph_labels", map(str, (ds.labels() + 1).tolist()))
+    rows = np.repeat(np.arange(1, ds.adj.n + 1), ds.adj.degrees())  # ids are 1-based
+    write("A", map("{}, {}".format, rows.tolist(), (ds.adj.indices + 1).tolist()))
+    write("graph_indicator", map(str, np.repeat(np.arange(1, len(ds) + 1), ds.sizes).tolist()))
+    write("graph_labels", map(str, (ds.labels + 1).tolist()))
     if ds.feature_policy == "label_onehot":  # a row id is the label's one-hot column
-        write("node_labels", map(str, np.concatenate([g.rows for g in ds.graphs]).tolist()))
+        write("node_labels", map(str, ds.rows.tolist()))
     elif ds.feature_policy == "attributes":
-        features = Batch.of(ds.graphs).features
-        write("node_attributes", (", ".join(map(repr, r)) for r in features.tolist()))
+        write("node_attributes", (", ".join(map(repr, r)) for r in ds.table[ds.rows].tolist()))
     return directory
 
 
@@ -452,8 +464,8 @@ def stratified_folds(ds: Dataset, k: int, seed: int = DEFAULT_FOLD_SEED) -> Fold
     """
     if k < 2:
         raise StratificationError(f"fold count must be at least 2, got {k}")
-    labels = ds.labels()
-    assignments = np.full(len(ds.graphs), -1, dtype=np.int64)
+    labels = ds.labels
+    assignments = np.full(len(ds), -1, dtype=np.int64)
     rng = Rng(seed)
     start = 0
     for cls in sorted(set(labels.tolist())):

@@ -5,14 +5,14 @@ distribution and projection/dense weights from a fan-sum-scaled uniform one;
 biases start at zero. The rescaling pass ("reinit") then walks the block
 stack in order, measuring the standard deviation of each block's output over
 a calibration set and dividing it out, so every block emits unit-variance
-activations on that set. The calibration graphs run through the blocks in
-the chunks training uses (:func:`gnnlab.graphdata.chunks`, bounded by node
-count times ``Model.width``), and each sweep resumes from a temp-file stash
-of raw arrays the one before it left: per chunk, a stage's output before its
-divisor, its output adjacency's CSR arrays and the graph sizes. Each stage
-applies its divisor itself (``rescale``): a convolution folds it into its
-weights and bias; a pool, whose scores ignore the norm of its projection,
-keeps it as a forward-time scale. Which scheme a run uses is its
+activations on that set. The calibration graphs, merged once, run through
+the blocks in the chunks training uses (:func:`gnnlab.graphdata.chunks`),
+and each sweep resumes from a temp-file stash of raw arrays the one before
+it left: per chunk, a stage's output before its divisor, its output
+adjacency's CSR arrays and the graph sizes. Each stage applies its divisor
+itself (``rescale``): a convolution folds it into its weights and bias; a
+pool, whose scores ignore the norm of its projection, keeps it as a
+forward-time scale. Which scheme a run uses is its
 :class:`~gnnlab.config.InitScheme`, declared with the other settings in
 :mod:`gnnlab.config`.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import InitScheme  # noqa: F401  (importable from here too)
 from .errors import CalibrationError
-from .graphdata import State, chunks
+from .graphdata import Batch, State, chunks
 from .numcore import Moments, Rng, SparseAdj
 
 REINIT_TOL = 1e-6
@@ -179,6 +179,7 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     """
     if not calibration:
         raise CalibrationError("reinit needs a non-empty calibration set")
+    calibration = Batch.of(calibration)
     stages = model.block_stages()
     report = ReinitReport()
     read = write = None  # the stashes the current sweep reads and writes

@@ -23,7 +23,7 @@ and tracing. Every stage maps a :class:`~gnnlab.graphdata.State` to a State
 (:mod:`gnnlab.layers`), so the walk is a fold that never asks a stage's kind.
 Each tap reads one state of that walk, and forward stops at the last state a
 tap reads: with convolution taps, ``jk_sum`` never runs its third pool. The
-batch's adjacency is built only when a stage runs, so ``mlp`` never builds one.
+batch's adjacency is gathered only when a stage runs: never for ``mlp``.
 """
 
 import functools
@@ -166,13 +166,12 @@ class Model:
 
     def forward(self, batch: Batch) -> np.ndarray:
         """Class scores, one row per graph of the batch."""
-        if batch.features.shape[1] != self.num_features:
-            raise ShapeError(f"model expects {self.num_features} features, "
-                             f"graphs have {batch.features.shape[1]}")
+        x = batch.features
+        if x.shape[1] != self.num_features:
+            raise ShapeError(f"model expects {self.num_features} features, got {x.shape[1]}")
         self._cache = None  # let the previous batch's outputs go first
-        # with no stage to run, the batch's adjacency is never built
-        states = self._walk(State(batch.adj if self._live else None, batch.features,
-                                  batch.sizes), self._live)
+        # with no stage to run, the batch's adjacency is never gathered
+        states = self._walk(State(batch.adj if self._live else None, x, batch.sizes), self._live)
         tap_mats = [ro.forward(states[t].x, states[t].sizes)
                     for t, (_, ro) in zip(self._tap_index, self.taps)]
         if self.spec.jk_agg == "sum":

@@ -67,17 +67,6 @@ class SparseAdj:
         keys = keys[first]
         return cls(n, np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
 
-    @classmethod
-    def block_diag(cls, adjs) -> "SparseAdj":
-        """Disjoint union: ``adjs`` as diagonal blocks, nodes numbered in order."""
-        sizes = np.array([a.n for a in adjs], dtype=np.int64)
-        nnz = np.array([a.indices.shape[0] for a in adjs], dtype=np.int64)
-        node_off = np.cumsum(sizes) - sizes
-        entry_off = np.cumsum(nnz) - nnz
-        indptr = np.concatenate([[0]] + [a.indptr[1:] + e for a, e in zip(adjs, entry_off)])
-        indices = np.concatenate([a.indices + o for a, o in zip(adjs, node_off)])
-        return cls(int(sizes.sum()), indptr, indices)
-
     @property
     def weights(self) -> np.ndarray:
         """Every stored entry's weight: all ones (read-only)."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics
 from .config import ModelSpec, TrainConfig
 from .errors import HarnessError, NonFiniteError, ShapeError
-from .graphdata import Dataset, FoldSplit, chunks, stratified_folds
+from .graphdata import Batch, Dataset, FoldSplit, chunks, stratified_folds
 from .init import ReinitReport, reinit
 from .models import Model, build
 from .numcore import Rng
@@ -144,33 +144,30 @@ class Adam:
         theta -= a
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, order.shape[0], batch_size):
-        yield order[start:start + batch_size]
-
-
 def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
                 sink=None, opt: Adam | None = None, done: int = 0) -> list:
     """Run epochs ``done + 1``..``cfg.epochs`` on ``graphs``; returns their mean train losses.
 
-    Optimiser steps use the mean gradient over each batch, which one backward
-    pass per chunk adds into the cleared ``model.grad``. When a trace sink is
-    given, per-epoch activation/gradient statistics and the train loss are
-    recorded through it; tracing never perturbs the trajectory. A non-finite
-    loss or gradient raises :class:`NonFiniteError` before the step.
+    The graphs are merged once; each mini-batch, a run of their shuffled ids,
+    steps the optimiser with its mean gradient, which one backward pass per
+    chunk adds into the cleared ``model.grad``. When a trace sink is given,
+    per-epoch activation/gradient statistics and the train loss are recorded
+    through it; tracing never perturbs the trajectory. A non-finite loss or
+    gradient raises :class:`NonFiniteError` before the step.
     """
     if not graphs:
         raise HarnessError("cannot train on an empty graph list")
     if opt is None:
         opt = Adam.from_config(model, cfg)
-    losses = []
+    data, losses = Batch.of(graphs), []
     for epoch in range(done + 1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(graphs))
+        order = shuffle_rng.permutation(len(data))
         total = 0.0
-        for picks in _batches(order, cfg.batch_size):
+        for start in range(0, len(data), cfg.batch_size):
+            picks = data[order[start:start + cfg.batch_size]]
             model.grad.fill(0.0)
-            inv = 1.0 / picks.shape[0]
-            for chunk in chunks((graphs[int(gi)] for gi in picks), model.width):
+            inv = 1.0 / len(picks)
+            for chunk in chunks(picks, model.width):
                 scores = model.forward(chunk)
                 if sink is not None:
                     diagnostics.record_forward(sink, epoch, model)
@@ -186,7 +183,7 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
                 opt.step()
             except NonFiniteError as exc:
                 raise NonFiniteError(exc.param, epoch=epoch) from None
-        losses.append(total / len(graphs))
+        losses.append(total / len(data))
         if sink is not None:
             diagnostics.record_loss(sink, epoch, losses[-1])
     return losses
@@ -196,9 +193,10 @@ def evaluate(model: Model, graphs) -> float:
     """Accuracy percentage of argmax predictions."""
     if not graphs:
         raise HarnessError("cannot evaluate on an empty graph list")
+    data = Batch.of(graphs)
     correct = sum(int(np.count_nonzero(model.predict(chunk) == chunk.labels))
-                  for chunk in chunks(graphs, model.width))
-    return 100.0 * correct / len(graphs)
+                  for chunk in chunks(data, model.width))
+    return 100.0 * correct / len(data)
 
 
 def prepare_fold_model(ds: Dataset, train_graphs, spec: ModelSpec,

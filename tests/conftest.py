@@ -1,6 +1,5 @@
 """Shared fixtures and oracles for the suite."""
 
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from gnnlab import Dataset, Graph, Rng, SparseAdj  # noqa: E402
+from gnnlab import Dataset, Rng, SparseAdj  # noqa: E402
 from gnnlab.graphdata import State, fetch_tu, is_cached, parse_tu  # noqa: E402
 
 
@@ -36,6 +35,17 @@ def edge_set(adj: SparseAdj) -> set:
     """Set of (i, j) stored entries."""
     return {(i, int(adj.indices[e]))
             for i in range(adj.n) for e in range(adj.indptr[i], adj.indptr[i + 1])}
+
+
+def block_diag(adjs) -> SparseAdj:
+    """Disjoint union: ``adjs`` as diagonal blocks, nodes numbered in order."""
+    sizes = np.array([a.n for a in adjs], dtype=np.int64)
+    nnz = np.array([a.indices.shape[0] for a in adjs], dtype=np.int64)
+    node_off = np.cumsum(sizes) - sizes
+    entry_off = np.cumsum(nnz) - nnz
+    indptr = np.concatenate([[0]] + [a.indptr[1:] + e for a, e in zip(adjs, entry_off)])
+    indices = np.concatenate([a.indices + o for a, o in zip(adjs, node_off)])
+    return SparseAdj(int(sizes.sum()), indptr, indices)
 
 
 # --------------------------------------------------------------------------
@@ -74,32 +84,46 @@ def random_adj(rng: Rng, n: int, edge_prob: float = 0.35) -> SparseAdj:
     return SparseAdj.from_edges(n, edges)
 
 
-def dense_graph(adj: SparseAdj, features: np.ndarray, label: int = 0, id: int = 0) -> Graph:
-    """A graph whose row table is its own dense feature matrix."""
-    return Graph(adj=adj, table=features, rows=np.arange(features.shape[0]), label=label, id=id)
+def stack(parts, table: np.ndarray, name: str = "STACK", num_classes: int | None = None,
+          feature_policy: str = "attributes") -> Dataset:
+    """The dataset of ``parts``, (adjacency, row ids into ``table``, label)
+    triples, stacked in order; by default its classes are 0 up to the
+    largest label."""
+    adjs, rows, labels = zip(*parts)
+    labels = np.array(labels, dtype=np.int64)
+    return Dataset(name=name, adj=block_diag(adjs), table=table,
+                   rows=np.concatenate(rows).astype(np.int64), labels=labels,
+                   sizes=np.array([a.n for a in adjs], dtype=np.int64),
+                   num_classes=num_classes or int(labels.max()) + 1,
+                   feature_policy=feature_policy)
+
+
+def dense_graph(adj: SparseAdj, features: np.ndarray, label: int = 0):
+    """A one-graph batch whose row table is its own dense feature matrix."""
+    return stack([(adj, np.arange(adj.n), label)], features).graphs[0]
 
 
 def share_table(graphs) -> list:
-    """``graphs`` over one row table that stacks their feature matrices, as a
-    batch of them needs."""
-    table = np.concatenate([g.features for g in graphs])
+    """``graphs`` restacked into one dataset whose row table stacks their
+    feature matrices, as a batch of them needs; its one-graph batches."""
+    graphs = list(graphs)
     ends = np.cumsum([g.adj.n for g in graphs]).tolist()
-    return [dataclasses.replace(g, table=table, rows=np.arange(end - g.adj.n, end))
-            for g, end in zip(graphs, ends)]
+    return list(stack([(g.adj, np.arange(end - g.adj.n, end), g.label)
+                       for g, end in zip(graphs, ends)],
+                      np.concatenate([g.features for g in graphs])).graphs)
 
 
-def random_graph(rng: Rng, n: int, f: int, label: int = 0,
-                 edge_prob: float = 0.35) -> Graph:
+def random_graph(rng: Rng, n: int, f: int, label: int = 0, edge_prob: float = 0.35):
     return dense_graph(random_adj(rng, n, edge_prob), rng.normal(n, f, 1.0), label)
 
 
-def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
+def permute_graph(g, perm: np.ndarray):
     """Relabel nodes: node i becomes perm[i]."""
     edges = [(int(perm[i]), int(perm[j])) for (i, j) in edge_set(g.adj) if i < j]
     adj = SparseAdj.from_edges(g.adj.n, edges)
     feats = np.empty_like(g.features)
     feats[perm] = g.features
-    return dense_graph(adj, feats, g.label, g.id)
+    return dense_graph(adj, feats, g.label)
 
 
 def randomize_params(model, rng: Rng, bound: float = 0.7) -> None:
@@ -126,33 +150,24 @@ def synth_dataset(num_graphs: int, seed: int, feat_dim: int = 3,
     class; 0 gives an unlearnable corpus, 1 a trivially separable one.
     """
     rng = Rng(seed)
-    onehots = np.eye(feat_dim)
-    graphs = []
+    parts = []
     for gi in range(num_graphs):
         label = gi % num_classes
         n = n_lo + rng.integers(0, n_hi - n_lo + 1)
         rows = np.array([label % feat_dim if rng.integers(0, 1000) < signal * 1000
                          else rng.integers(0, feat_dim) for _ in range(n)], dtype=np.int64)
-        graphs.append(Graph(adj=random_adj(rng, n, edge_prob), table=onehots, rows=rows,
-                            label=label, id=gi))
-    return Dataset(name=name, graphs=tuple(graphs), num_classes=num_classes,
-                   feature_dim=feat_dim, feature_policy="label_onehot")
+        parts.append((random_adj(rng, n, edge_prob), rows, label))
+    return stack(parts, np.eye(feat_dim), name=name, num_classes=num_classes,
+                 feature_policy="label_onehot")
 
 
 def constant_feature_dataset(num_graphs: int, majority: float = 0.6,
                              seed: int = 0) -> Dataset:
     """Every graph looks identical; only the label distribution carries signal."""
     rng = Rng(seed)
-    graphs = []
     cut = int(round(num_graphs * majority))
-    ones = np.ones((1, 1))
-    for gi in range(num_graphs):
-        label = 0 if gi < cut else 1
-        n = 4
-        graphs.append(Graph(adj=random_adj(rng, n, 0.5), table=ones,
-                            rows=np.zeros(n, dtype=np.int64), label=label, id=gi))
-    return Dataset(name="CONST", graphs=tuple(graphs), num_classes=2,
-                   feature_dim=1, feature_policy="attributes")
+    return stack([(random_adj(rng, 4, 0.5), np.zeros(4, dtype=np.int64), 0 if gi < cut else 1)
+                  for gi in range(num_graphs)], np.ones((1, 1)), name="CONST", num_classes=2)
 
 
 def write_tu_files(directory: Path, name: str, graphs_edges, labels,

@@ -5,16 +5,19 @@ and reinit divisors of its graphs run one by one; chunking only regroups the
 same sums, so the tolerances are a few rounding steps of float64.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from gnnlab import (Batch, Graph, ModelSpec, Rng, SparseAdj, TopKPool, TrainConfig,
-                    build, evaluate, reinit, train_model)
+from gnnlab import (Batch, ModelSpec, Rng, SparseAdj, TopKPool, TrainConfig, build, evaluate,
+                    reinit, train_model)
 from gnnlab import graphdata
+from gnnlab.errors import ShapeError
 from gnnlab.graphdata import chunks
 
-from conftest import (dense_graph, random_graph, randomize_params, share_table, synth_dataset,
-                      to_dense)
+from conftest import (block_diag, dense_graph, random_adj, random_graph, randomize_params,
+                      share_table, stack, synth_dataset, to_dense)
 
 SPECS = [
     ModelSpec(kind="mlp", hidden_dim=6, mlp_dims=(5, 4)),
@@ -34,7 +37,7 @@ def _graphs(seed, count=5, f=3):
     graphs = [random_graph(rng.derive(i), 1 + rng.integers(0, 10), f, label=i % 2)
               for i in range(count)]
     # an isolated-node graph exercises empty CSR rows inside the union
-    graphs.append(dense_graph(SparseAdj.from_edges(3, []), rng.normal(3, f, 1.0), 1, count))
+    graphs.append(dense_graph(SparseAdj.from_edges(3, []), rng.normal(3, f, 1.0), 1))
     return share_table(graphs)
 
 
@@ -66,9 +69,10 @@ def test_batch_matches_mean_of_single_graph_batches(spec):
             assert np.max(np.abs(union - stacked)) < 1e-10
 
 
-def _degree_onehot_graph(rng, n, onehots, mean_degree=2.3):
-    """A graph on ``n`` nodes whose features are degree one-hots, row ids
-    into the identity ``onehots`` (its last column for every higher degree)."""
+def _degree_onehot_part(rng, n, width, mean_degree=2.3):
+    """The (adjacency, rows, label) of a graph on ``n`` nodes whose features
+    are degree one-hots, row ids into the identity of ``width`` columns (its
+    last column for every higher degree)."""
     target = int(round(mean_degree * n / 2))
     edges = set()
     while len(edges) < target:
@@ -76,17 +80,15 @@ def _degree_onehot_graph(rng, n, onehots, mean_degree=2.3):
         if i != j:
             edges.add((min(i, j), max(i, j)))
     adj = SparseAdj.from_edges(n, edges)
-    rows = np.minimum(adj.degrees(), onehots.shape[0] - 1)
-    return Graph(adj=adj, table=onehots, rows=rows, label=0, id=0)
+    return adj, np.minimum(adj.degrees(), width - 1), 0
 
 
 def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch, kept_rows):
     # Degree one-hots make many nodes identical, so scores tie exactly at the
     # keep cut; a tie must resolve as it does for the graph on its own.
     rng = Rng(4242)
-    onehots = np.eye(17)
-    graphs = [_degree_onehot_graph(rng.derive(i), 25 + rng.integers(0, 31), onehots)
-              for i in range(64)]
+    graphs = stack([_degree_onehot_part(rng.derive(i), 25 + rng.integers(0, 31), 17)
+                    for i in range(64)], np.eye(17)).graphs
     model = build(ModelSpec(kind="jk_sum"), graphs[0].features.shape[1], 2, Rng(7))
     log = []
     forward = TopKPool.forward
@@ -109,7 +111,7 @@ def test_pools_keep_the_same_nodes_despite_exact_score_ties(monkeypatch, kept_ro
     assert ties > 0, "the corpus has no score tie at a keep cut"
 
     start = 0
-    for chunk in chunks(graphs, model.width):
+    for chunk in chunks(Batch.of(graphs), model.width):
         log.clear()
         kept_rows.clear()
         model.forward(chunk)
@@ -131,9 +133,9 @@ def test_chunks_cover_graphs_in_order_within_the_node_budget(width):
     sizes = [1 + rng.integers(0, budget // 2) for _ in range(40)]
     sizes[7] = budget + 44  # larger than any chunk may be
     sizes[8] = budget
-    graphs = share_table([dense_graph(SparseAdj.from_edges(n, []), np.full((n, 2), float(i)),
-                                      i, i) for i, n in enumerate(sizes)])
-    out = list(chunks(graphs, width))
+    graphs = share_table([dense_graph(SparseAdj.from_edges(n, []), np.full((n, 2), float(i)), i)
+                          for i, n in enumerate(sizes)])
+    out = list(chunks(Batch.of(graphs), width))
     assert len(out) >= 4
     assert np.concatenate([c.labels for c in out]).tolist() == list(range(len(graphs)))
     assert np.concatenate([c.sizes for c in out]).tolist() == sizes
@@ -165,9 +167,9 @@ def test_chunks_at_width_128_are_the_256_node_chunks():
     # and traces, must not move
     rng = Rng(6)
     sizes = [1 + rng.integers(0, 300) for _ in range(200)] + [1, 255, 256, 257, 1, 600, 2]
-    graphs = share_table([dense_graph(SparseAdj.from_edges(n, []), np.zeros((n, 3)), 0, i)
-                          for i, n in enumerate(sizes)])
-    assert ([c.sizes.tolist() for c in chunks(graphs, 128)]
+    graphs = share_table([dense_graph(SparseAdj.from_edges(n, []), np.zeros((n, 3)))
+                          for n in sizes])
+    assert ([c.sizes.tolist() for c in chunks(Batch.of(graphs), 128)]
             == _greedy_node_runs(sizes, 256))
     for kind in ("gcn_mlp", "jk_sum", "probe4"):
         assert build(ModelSpec(kind=kind), 3, 2, Rng(0)).width == 128
@@ -220,13 +222,13 @@ def test_mlp_never_builds_a_batch_adjacency(monkeypatch):
     graphs = list(ds.graphs)
     cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
     calls = []
-    block_diag = SparseAdj.block_diag.__func__
+    gather = Batch.adj.fget
 
-    def spy(cls, adjs):
-        calls.append(len(adjs))
-        return block_diag(cls, adjs)
+    def spy(batch):
+        calls.append(len(batch))
+        return gather(batch)
 
-    monkeypatch.setattr(SparseAdj, "block_diag", classmethod(spy))
+    monkeypatch.setattr(Batch, "adj", property(spy))
     for kind in ("mlp", "gcn_mlp"):
         calls.clear()
         model = build(ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(6, 5)),
@@ -235,6 +237,20 @@ def test_mlp_never_builds_a_batch_adjacency(monkeypatch):
         evaluate(model, graphs)
         # the spy sees the graph models' multi-graph chunks, and none of mlp's
         assert (calls == []) == (kind == "mlp"), kind
+
+
+def test_training_merges_its_graphs_once_and_slices_them_per_step(monkeypatch):
+    # a step makes its mini-batch and chunks as slices of one merged batch,
+    # never a batch per graph
+    ds = synth_dataset(40, seed=4, n_lo=10, n_hi=30)
+    graphs, merges, made = list(ds.graphs), [], []
+    of, init = Batch.of.__func__, Batch.__init__
+    monkeypatch.setattr(Batch, "of", classmethod(lambda cls, b: merges.append(1) or of(cls, b)))
+    monkeypatch.setattr(Batch, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    model = build(ModelSpec(kind="mlp"), ds.feature_dim, ds.num_classes, Rng(1))
+    train_model(model, graphs, TrainConfig(epochs=2, batch_size=16, seed=0), Rng(2))
+    steps = 2 * 3  # 40 graphs in mini-batches of 16, one chunk each at mlp's width
+    assert len(merges) == 1 and len(made) == 1 + 2 * steps
 
 
 def test_reinit_divisors_independent_of_chunking(monkeypatch):
@@ -253,3 +269,72 @@ def test_reinit_divisors_independent_of_chunking(monkeypatch):
     whole = divisors(10 ** 9)
     for entries in (100 * 8, 1):  # chunks of at most 100 nodes at width 8
         assert np.allclose(whole, divisors(entries), rtol=1e-12, atol=0)
+
+
+def _corpus(rng, count):
+    """(adjacency, rows, label) parts of ``count`` random graphs over a
+    5-column identity: one-node, edgeless and isolated-node graphs among them."""
+    parts = []
+    for i in range(count):
+        n = [1, 4, 1 + rng.integers(0, 12)][i % 3]
+        adj = SparseAdj.from_edges(n, []) if i % 3 < 2 else random_adj(rng.derive(i), n, 0.3)
+        parts.append((adj, np.array([rng.integers(0, 5) for _ in range(n)]), i % 2))
+    return parts
+
+
+def test_batch_gathers_the_block_diagonal_union_of_its_graphs():
+    for trial in range(20):
+        rng = Rng(700 + trial)
+        parts = _corpus(rng, 2 + rng.integers(0, 10))
+        ds = stack(parts, np.eye(5))
+        # any order, one graph twice
+        order = rng.permutation(len(parts)).tolist()
+        order.insert(rng.integers(0, len(order) + 1), order[0])
+        batch = Batch.of(ds.graphs[i] for i in order)
+        want = block_diag([parts[i][0] for i in order])
+        assert (batch.adj.n, batch.ids.tolist()) == (want.n, order)
+        assert batch.adj.indptr.tobytes() == want.indptr.tobytes()
+        assert batch.adj.indices.tobytes() == want.indices.tobytes()
+        rows = np.concatenate([parts[i][1] for i in order])
+        assert batch.features.tobytes() == np.eye(5)[rows].tobytes()
+        assert batch.sizes.tolist() == [parts[i][0].n for i in order]
+        assert batch.labels.tolist() == [parts[i][2] for i in order]
+
+
+def test_a_batch_comes_from_one_dataset_and_only_a_graph_has_a_label():
+    rng = Rng(3)
+    first, second = (stack(_corpus(rng, 4), np.eye(5)) for _ in range(2))
+    with pytest.raises(ShapeError, match="one dataset"):
+        Batch.of([first.graphs[0], second.graphs[1]])
+    assert [g.label for g in first.graphs] == [0, 1, 0, 1]
+    with pytest.raises(ShapeError, match="2 graphs"):
+        Batch.of(first.graphs[:2]).label
+
+
+def test_no_batch_holds_a_float_array_after_every_graph_is_read():
+    # the gathered rows and adjacency are a batch's largest arrays; a batch
+    # that kept them would hold a second copy of the corpus
+    ds = synth_dataset(12, seed=2)
+    for g in ds.graphs:
+        assert g.features.shape == (g.adj.n, ds.feature_dim)
+    merged = Batch.of(ds.graphs)
+    assert merged.adj.n == merged.features.shape[0] == ds.adj.n
+    for batch in ds.graphs + (merged,):
+        held = [v for v in vars(batch).values() if isinstance(v, (np.ndarray, SparseAdj))]
+        assert held and all(isinstance(v, np.ndarray) and v.dtype.kind == "i" for v in held)
+
+
+def test_pickled_dataset_graphs_batch_together():
+    # what `--jobs` ships to a fold job; test_training's
+    # test_run_cv_parallel_matches_sequential runs such jobs on a dataset
+    # whose graphs its sequential run has built
+    ds = synth_dataset(20, seed=5, n_lo=4, n_hi=8)
+    fresh = pickle.loads(pickle.dumps(ds))
+    want = Batch.of(ds.graphs[i] for i in (3, 1, 3))
+    built = pickle.loads(pickle.dumps(ds))  # carries the batches ds.graphs built
+    assert "graphs" not in vars(fresh) and "graphs" in vars(built)
+    for again in (fresh, built):
+        batch = Batch.of(again.graphs[i] for i in (3, 1, 3))
+        assert batch.dataset is again and all(g.dataset is again for g in again.graphs)
+        assert batch.adj.indices.tobytes() == want.adj.indices.tobytes()
+        assert batch.features.tobytes() == want.features.tobytes()

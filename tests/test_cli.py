@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -322,6 +323,26 @@ def test_sweep_trains_each_fold_once_to_the_largest_budget(tu_dir, tmp_path, mon
                       "run_cv": 2}
 
 
+def test_sweep_parses_each_distinct_dataset_config(tu_dir, tmp_path, monkeypatch):
+    # two configs on one corpus that differ only in the degree cap must not
+    # share the first one's parse
+    parses, widths = [], []
+    monkeypatch.setattr(cli, "parse_tu", lambda *a, **k: parses.append(k) or parse_tu(*a, **k))
+    monkeypatch.setattr(cli, "run_cv", lambda ds, *a, **k: widths.append(ds.feature_dim)
+                        or run_cv(ds, *a, **k))
+    paths = []
+    for cap in (64, 8):
+        cfg = ExperimentConfig(
+            dataset=DatasetConfig(name="SYNTH", path=str(tu_dir), degree_cap=cap,
+                                  feature_policy="degree_onehot"),
+            model=ModelSpec(kind="mlp", hidden_dim=8, mlp_dims=(8, 8)), folds=Folds(count=2))
+        paths.append(tmp_path / f"cap{cap}.json")
+        paths[-1].write_text(json.dumps(cfg.to_dict()))
+    assert main(["sweep-epochs", "--config", *map(str, paths), "--epochs", "1",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert [k["degree_cap"] for k in parses] == widths == [64, 8]
+
+
 @pytest.mark.parametrize("epochs", ["0,2", "-1"])
 def test_sweep_rejects_a_budget_below_one(tmp_path, capsys, epochs):
     assert main(["sweep-epochs", "--config", str(tmp_path / "none.json"),
@@ -367,6 +388,19 @@ def test_plot_command(tu_dir, tmp_path, capsys):
     assert main(["plot", str(out / "trace_fold0.csv"),
                  "--series", "kind=train_loss", "--out", str(svg)]) == 0
     assert svg.read_text().count("<polyline") == 1
+
+
+def test_plot_escapes_every_text_node(tmp_path):
+    csv_path = tmp_path / "a&b.csv"
+    csv_path.write_text("epoch,layer,kind,value\n1,<gcn1>,act_std,0.5\n2,<gcn1>,act_std,0.25\n")
+    title = "gcn1 & pool1 <decay>"
+    for args, name in (([], "a&b"), (["--title", title], title)):
+        svg = tmp_path / "chart.svg"
+        assert main(["plot", str(csv_path), "--out", str(svg), *args]) == 0
+        root = ElementTree.parse(svg).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert root.find("{http://www.w3.org/2000/svg}title").text == name == texts[0]
+        assert "<gcn1>:act_std" in texts
 
 
 def test_plot_unknown_series_exit_code(tu_dir, tmp_path, capsys):

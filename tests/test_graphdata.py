@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import http.server
 import io
@@ -18,12 +19,12 @@ import numpy as np
 import pytest
 
 import gnnlab
-from gnnlab import Batch, Dataset, Graph, Rng, parse_tu, stratified_folds, write_tu
+from gnnlab import Batch, Rng, SparseAdj, parse_tu, stratified_folds, write_tu
 from gnnlab.errors import (ConsistencyError, IngestError, IntegrityError,
                            StratificationError, TransportError, TuParseError)
 from gnnlab.graphdata import fetch_tu
 
-from conftest import edge_set, random_adj, share_table, synth_dataset, write_tu_files
+from conftest import edge_set, random_adj, stack, synth_dataset, write_tu_files
 
 
 def test_parse_two_graph_toy(tmp_path):
@@ -220,28 +221,26 @@ def assert_parses_like_reference(directory, name, **kwargs):
         assert np.array_equal(g.adj.indptr, indptr)
         assert np.array_equal(g.adj.indices, indices)
         assert g.features.shape == feats.shape and np.array_equal(g.features, feats)
-        assert (g.label, g.id) == (label, gid)
+        assert (g.label, g.ids.tolist()) == (label, [gid])
     return ds
 
 
 @pytest.mark.parametrize("policy", ["degree_onehot", "label_onehot", "attributes"])
 def test_parse_equals_reference_on_random_corpora(tmp_path, policy):
-    onehots = np.eye(4)
     for trial in range(4):
         rng = Rng(900 + trial)
-        graphs = []
+        parts, attributes, nodes = [], [], 0
         for gi in range(3 + rng.integers(0, 12)):
             n = 1 + rng.integers(0, 14)
-            if policy == "attributes":
-                table, rows = rng.normal(n, 3, 10.0), np.arange(n)
+            if policy == "attributes":  # each graph's own rows, stacked in one table
+                attributes.append(rng.normal(n, 3, 10.0))
+                rows = nodes + np.arange(n)
             else:  # one-hots: row ids into the identity, as parse_tu stores them
-                table, rows = onehots, np.array([rng.integers(0, 4) for _ in range(n)])
-            graphs.append(Graph(adj=random_adj(rng.derive(gi), n, 0.3), table=table,
-                                rows=rows, label=rng.integers(0, 3), id=gi))
-        if policy == "attributes":
-            graphs = share_table(graphs)
-        ds = Dataset(name="RND", graphs=tuple(graphs), num_classes=3, feature_dim=4,
-                     feature_policy=policy)
+                rows = np.array([rng.integers(0, 4) for _ in range(n)])
+            parts.append((random_adj(rng.derive(gi), n, 0.3), rows, rng.integers(0, 3)))
+            nodes += n
+        table = np.concatenate(attributes) if attributes else np.eye(4)
+        ds = stack(parts, table, name="RND", num_classes=3, feature_policy=policy)
         directory = write_tu(ds, tmp_path / f"{policy}{trial}")
         assert_parses_like_reference(directory, "RND", degree_cap=5)
 
@@ -314,6 +313,19 @@ def test_batch_features_are_the_dense_build_bit_for_bit(tmp_path, policy):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_parse_builds_one_adjacency_for_the_whole_stack(tmp_path, monkeypatch):
+    write_random_corpus(tmp_path, Rng(78))
+    built, init = [], SparseAdj.__init__
+
+    def spy(self, n, indptr, indices):
+        built.append(n)
+        init(self, n, indptr, indices)
+
+    monkeypatch.setattr(SparseAdj, "__init__", spy)
+    ds = parse_tu(tmp_path, "RND")
+    assert built == [ds.adj.n] and len(ds) == 12
+
+
 def test_parsed_degree_onehot_dataset_stores_no_dense_rows(tmp_path):
     # one row id per node instead of N x width float64 entries; the pickle is
     # what `--jobs` ships to every fold job
@@ -382,7 +394,7 @@ def test_parse_reports_the_first_bad_line_in_file_order(tmp_path):
 def test_stratified_folds_balanced():
     ds = synth_dataset(10, seed=1, num_classes=2)
     split = stratified_folds(ds, 2, seed=0)
-    labels = ds.labels()
+    labels = ds.labels
     for fold in range(2):
         members = labels[split.assignments == fold]
         assert members.shape[0] == 5
@@ -399,14 +411,10 @@ def test_stratified_folds_deterministic():
 def test_stratified_folds_proportions():
     # 30/70 split over 100 graphs into 10 folds: 3 +/- 1 minority per fold
     rng_labels = [0] * 30 + [1] * 70
-    base = synth_dataset(100, seed=3)
-    graphs = tuple(
-        type(g)(adj=g.adj, table=g.table, rows=g.rows, label=rng_labels[i], id=i)
-        for i, g in enumerate(base.graphs))
-    ds = Dataset(name="SKEW", graphs=graphs, num_classes=2,
-                 feature_dim=base.feature_dim, feature_policy=base.feature_policy)
+    ds = dataclasses.replace(synth_dataset(100, seed=3), name="SKEW",
+                             labels=np.array(rng_labels))
     split = stratified_folds(ds, 10, seed=4)
-    labels = ds.labels()
+    labels = ds.labels
     for fold in range(10):
         members = labels[split.assignments == fold]
         assert abs((members == 0).sum() - 3) <= 1

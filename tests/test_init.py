@@ -106,10 +106,10 @@ def test_reinit_post_std_equals_a_verification_sweep_after_rescaling():
         model = build(ModelSpec(kind=kind, hidden_dim=7, mlp_dims=(6, 5), k=0.7),
                       3, 2, Rng(12))
         report = reinit(model, graphs)
-        assert len(list(chunks(graphs, model.width))) > 1
+        assert len(list(chunks(Batch.of(graphs), model.width))) > 1
         for stage, post in enumerate(report.post_std):
             mom = Moments()
-            for batch in chunks(graphs, model.width):
+            for batch in chunks(Batch.of(graphs), model.width):
                 mom.add(model.run_blocks(batch.state, stage)[-1].x)
             assert mom.std() == post
 
@@ -120,7 +120,7 @@ def _reference_reinit(model, calibration):
     divisors and post-rescale stds."""
     def stds(first, upto):
         moments = [Moments() for _ in range(first, upto + 1)]
-        for batch in chunks(calibration, model.width):
+        for batch in chunks(Batch.of(calibration), model.width):
             for mom, out in zip(moments, model.run_blocks(batch.state, upto)[first:]):
                 mom.add(out.x)
         return [mom.std() for mom in moments]
@@ -151,7 +151,7 @@ def test_reinit_stash_matches_the_full_walk_reference(name):
     # gives it, so divisors, post-rescale stds and parameters all agree exactly
     graphs = _calibration(31, count=90)
     model = build(STASH_SPECS[name], 3, 2, Rng(31))
-    assert len(list(chunks(graphs, model.width))) >= 3
+    assert len(list(chunks(Batch.of(graphs), model.width))) >= 3
     oracle = build(STASH_SPECS[name], 3, 2, Rng(31))
     report = reinit(model, graphs)
     divisors, post_std = _reference_reinit(oracle, graphs)
@@ -167,7 +167,7 @@ def test_reinit_stash_matches_the_full_walk_reference(name):
 def test_reinit_runs_one_layer_forward_per_stage_and_chunk(name, monkeypatch):
     graphs = _calibration(32, count=90)
     model = build(STASH_SPECS[name], 3, 2, Rng(32))
-    nchunks = len(list(chunks(graphs, model.width)))
+    nchunks = len(list(chunks(Batch.of(graphs), model.width)))
     assert nchunks >= 3
     calls = {"forward": 0, "resume": 0, "run_blocks": 0}
     forwards_open = [0]  # a resume inside a forward is that forward's last step

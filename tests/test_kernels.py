@@ -6,7 +6,7 @@ from gnnlab import _kernels
 from gnnlab.layers import relu
 from gnnlab.training import cross_entropy
 
-from conftest import one_graph, random_adj, random_graph, share_table, to_dense
+from conftest import block_diag, one_graph, random_adj, random_graph, share_table, to_dense
 
 
 def spmm_add_at(indptr, indices, data, x):
@@ -161,7 +161,7 @@ def test_gcn_norm_of_a_chunk_cut_at_graph_boundaries_is_each_graphs_own():
             n = 1 + rng.integers(0, 25)
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.integers(0, 10) < 3]
             adjs.append(SparseAdj.from_edges(n, edges))
-        chunk = SparseAdj.block_diag(adjs)
+        chunk = block_diag(adjs)
         w, diag = _kernels.gcn_norm(chunk.indptr, chunk.indices)
         node = 0
         for adj in adjs:

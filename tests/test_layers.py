@@ -8,7 +8,7 @@ from gnnlab.errors import DomainError, ShapeError, StateError
 from gnnlab.graphdata import State
 from gnnlab.layers import keep_count
 
-from conftest import edge_set, layer_fd_max_rel_err, one_graph, random_adj
+from conftest import block_diag, edge_set, layer_fd_max_rel_err, one_graph, random_adj
 
 
 def make_gcn(rng, fan_in, fan_out, activation="none"):
@@ -275,7 +275,7 @@ def make_stage(kind, rng):
 def test_pool_state_carries_each_graphs_kept_count(kept_rows):
     rng = Rng(16)
     sizes = np.array([5, 1, 8])
-    adj = SparseAdj.block_diag([random_adj(rng.derive(i), int(n), 0.4)
+    adj = block_diag([random_adj(rng.derive(i), int(n), 0.4)
                                 for i, n in enumerate(sizes)])
     out = TopKPool(rng.normal(1, 3, 1.0)[0], k=0.6).forward(
         State(adj, rng.normal(14, 3, 1.0), sizes))

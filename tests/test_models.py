@@ -53,8 +53,8 @@ def test_mlp_ignores_rewiring_bit_exact():
     model = build(spec, 3, 2, Rng(5))
     rng = Rng(6)
     x = rng.normal(7, 3, 1.0)
-    g1 = dense_graph(random_adj(rng.derive(0), 7, 0.3), x, 0, 0)
-    g2 = dense_graph(random_adj(rng.derive(1), 7, 0.7), x, 0, 1)
+    g1 = dense_graph(random_adj(rng.derive(0), 7, 0.3), x)
+    g2 = dense_graph(random_adj(rng.derive(1), 7, 0.7), x)
     assert np.array_equal(model.forward(Batch.of([g1])), model.forward(Batch.of([g2])))
 
 
@@ -63,8 +63,8 @@ def test_mlp_mean_readout_blind_to_node_count():
     spec = ModelSpec(kind="mlp", hidden_dim=8, mlp_dims=(8, 8))
     model = build(spec, 3, 2, Rng(7))
     row = np.array([0.5, -1.25, 2.0])
-    small = dense_graph(SparseAdj.from_edges(2, []), np.tile(row, (2, 1)), 0, 0)
-    large = dense_graph(random_adj(Rng(8), 9, 0.4), np.tile(row, (9, 1)), 0, 1)
+    small = dense_graph(SparseAdj.from_edges(2, []), np.tile(row, (2, 1)))
+    large = dense_graph(random_adj(Rng(8), 9, 0.4), np.tile(row, (9, 1)))
     assert np.array_equal(model.forward(Batch.of([small])), model.forward(Batch.of([large])))
 
 

@@ -5,7 +5,7 @@ from gnnlab import Rng, SparseAdj, _kernels
 from gnnlab.errors import DomainError, ShapeError
 from gnnlab.numcore import Moments
 
-from conftest import edge_set, random_adj, to_dense
+from conftest import block_diag, edge_set, random_adj, to_dense
 
 
 def test_matmul_identity():
@@ -110,10 +110,10 @@ def test_sparse_adj_is_an_unweighted_pattern():
 
 
 def test_from_edges_over_stacked_graphs_is_the_block_diag_of_each_graphs_own():
-    """``parse_tu`` builds one CSR over every graph's nodes, stacked, and cuts
-    it into diagonal blocks: that must equal building each graph on its own,
-    bit for bit, with the graphs' pairs interleaved as in a file, repeated
-    and given both ways."""
+    """``parse_tu`` builds one CSR over every graph's nodes, stacked, whose
+    diagonal blocks batches gather: that must equal building each graph on
+    its own, bit for bit, with the graphs' pairs interleaved as in a file,
+    repeated and given both ways."""
     rng = Rng(41)
     for _ in range(60):
         adjs, pairs, offset = [], [], 0
@@ -128,7 +128,7 @@ def test_from_edges_over_stacked_graphs_is_the_block_diag_of_each_graphs_own():
             offset += n
         stacked = np.concatenate(pairs)[rng.permutation(sum(p.shape[0] for p in pairs))]
         got = SparseAdj.from_edges(offset, stacked)
-        want = SparseAdj.block_diag(adjs)
+        want = block_diag(adjs)
         assert got.n == want.n
         _assert_csr_equal((got.indptr, got.indices), (want.indptr, want.indices))
 
