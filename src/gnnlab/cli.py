@@ -9,8 +9,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics
 from .config import (JK_AGGS, MODEL_KINDS, DatasetConfig, ExperimentConfig, TrainConfig,
                      read_json)
@@ -18,7 +16,7 @@ from .errors import ConfigError, GnnLabError
 from .graphdata import (DEFAULT_TU_URL, FEATURE_POLICIES, Dataset, default_cache_dir,
                         fetch_tu, is_cached, parse_tu)
 from .layers import READOUT_KINDS
-from .training import run_cv
+from .training import fold_mean_std, run_cv
 
 
 def load_dataset(dc: DatasetConfig) -> Dataset:
@@ -153,8 +151,7 @@ def cmd_sweep_epochs(args) -> int:
         writer.writerow(("epochs", "mean_acc", "std_acc", "variant"))
         for i, budget in enumerate(budgets):
             for (variant, _), report in zip(configs, reports):
-                accs = np.array([f.accuracies[i] for f in report.folds])
-                mean, std = float(accs.mean()), float(accs.std())  # as run_cv reduces
+                mean, std = fold_mean_std([f.accuracies[i] for f in report.folds])
                 writer.writerow((budget, repr(mean), repr(std), variant))
                 print(f"epochs={budget} {variant}: {mean:.2f} +/- {std:.2f}")
     print(f"wrote {csv_path}")

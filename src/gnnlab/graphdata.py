@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConsistencyError, IngestError, IntegrityError, ShapeError,
+from .errors import (ConsistencyError, DomainError, IngestError, IntegrityError, ShapeError,
                      StratificationError, TransportError, TuParseError)
 from .numcore import Rng, SparseAdj
 
@@ -101,8 +101,8 @@ class Batch:
     def __len__(self):
         return self.ids.shape[0]
 
-    def __getitem__(self, key) -> "Batch":  # the graphs ids[key], a slice or an id array
-        return Batch(self.dataset, self.ids[key])
+    def __getitem__(self, key) -> "Batch":  # the graphs ids[key]: an index, slice or id array
+        return Batch(self.dataset, np.atleast_1d(self.ids[key]))
 
     @property
     def labels(self) -> np.ndarray:
@@ -149,6 +149,8 @@ class Batch:
     def of(cls, batches) -> "Batch":
         """The graphs of ``batches``, all of one dataset, as one batch in order."""
         batches = list(batches)
+        if not batches:
+            raise DomainError("Batch.of got no batches to merge")
         if any(b.dataset is not batches[0].dataset for b in batches):
             raise ShapeError("the graphs of a batch must come from one dataset")
         return cls(batches[0].dataset, np.concatenate([b.ids for b in batches]))

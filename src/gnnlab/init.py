@@ -2,18 +2,18 @@
 
 The standard scheme draws convolution weights from a fan-in-scaled normal
 distribution and projection/dense weights from a fan-sum-scaled uniform one;
-biases start at zero. The rescaling pass ("reinit") then walks the block
-stack in order, measuring the standard deviation of each block's output over
-a calibration set and dividing it out, so every block emits unit-variance
-activations on that set. The calibration graphs, merged once, run through
-the blocks in the chunks training uses (:func:`gnnlab.graphdata.chunks`),
-and each sweep resumes from a temp-file stash of raw arrays the one before
-it left: per chunk, a stage's output before its divisor, its output
-adjacency's CSR arrays and the graph sizes. Each stage applies its divisor
-itself (``rescale``): a convolution folds it into its weights and bias; a
-pool, whose scores ignore the norm of its projection, keeps it as a
-forward-time scale. Which scheme a run uses is its
-:class:`~gnnlab.config.InitScheme`, declared with the other settings in
+biases start at zero. The rescaling pass ("reinit") then makes every block
+emit unit-variance activations on a calibration set, in one loop of sweeps
+over the block stack: sweep i takes the state entering stage i, whose
+standard deviation verifies stage i - 1, then runs stage i and divides out
+its output's. The calibration graphs, merged once, run in the chunks
+training uses (:func:`gnnlab.graphdata.chunks`), and each sweep resumes from
+a temp-file stash of raw arrays the one before it left: per chunk, a stage's
+output before its divisor, its output adjacency's CSR arrays and the graph
+sizes. Each stage applies its divisor itself (``rescale``): a convolution
+folds it into its weights and bias; a pool, whose scores ignore the norm of
+its projection, keeps it as a forward-time scale. Which scheme a run uses is
+its :class:`~gnnlab.config.InitScheme`, declared with the other settings in
 :mod:`gnnlab.config`.
 """
 
@@ -129,81 +129,75 @@ class _Stash:
             self._fh = None
 
 
-def _output_stds(model, calibration, stash, idx: int, into=None) -> list:
-    """Output stds of flat stages ``idx - 1`` and ``idx`` (those that exist),
-    each pooled over every entry of every calibration chunk. Stage ``idx -
-    1``'s are its halves in ``stash`` resumed, or, without one, each chunk
-    walks from its raw batch. Writes each chunk's half of stage ``idx``, with
-    its output adjacency and sizes, to the stash ``into`` if given."""
-    stages = model.block_stages()
-    first, last = max(idx - 1, 0), min(idx, len(stages) - 1)
-    if stash is None:
-        runs = (model.run_blocks(b.state, last)[first:] for b in chunks(calibration, model.width))
+def _entering(model, calibration, stash, idx: int):
+    """Per calibration chunk, one alive at a time, the state entering flat
+    stage ``idx``: stage ``idx - 1``'s halves in ``stash``, which is closed
+    once read, resumed under its final divisor or, without a stash, the raw
+    chunk walked through stages ``0..idx - 1``."""
+    if stash is not None:
+        prev = model.block_stages()[idx - 1][1]
+        for adj, half, sizes in stash.read():
+            yield State(adj, prev.resume(half), sizes)
+        stash.close()
     else:
-        prev = stages[idx - 1][1]
-        runs = ([State(adj, prev.resume(half), sizes)] for adj, half, sizes in stash.read())
-    moments = [Moments() for _ in range(first, last + 1)]
-    for outs in runs:  # lazily: one chunk alive at a time
-        if stash is not None and idx == last:  # run stage idx from stage idx - 1's output
-            outs += model.run_blocks(outs[0], idx, idx)
-        for mom, out in zip(moments, outs):
-            mom.add(out.x)
-        if into is not None:
-            into.write(outs[-1].adj, stages[idx][1].half, outs[-1].sizes)
-    return [mom.std() for mom in moments]
+        for batch in chunks(calibration, model.width):
+            yield model.run_blocks(batch.state, idx - 1)[-1] if idx else batch.state
 
 
 def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     """Rescale each block in turn so its calibration-set output std is one.
 
-    Walks the flattened conv/pool stack; for each stage the calibration
-    graphs are pushed through everything rescaled so far, the std of this
-    stage's output (post-activation for convolutions) is measured, and its
-    inverse is applied. Rescaling a stage leaves the stages before it
-    unchanged, so the sweep that measures stage i also verifies stage i - 1;
-    one more sweep verifies the last stage: S + 1 sweeps for S stages.
+    One loop of S + 1 sweeps over the flattened conv/pool stack of S stages;
+    none when S is 0. Sweep ``idx`` takes each chunk's state entering stage
+    ``idx``, from everything rescaled so far, and pools its std to verify
+    stage ``idx - 1``, which rescaling later stages leaves unchanged. While
+    stages remain, it then runs stage ``idx`` once per chunk, measures that
+    output's std (post-activation for convolutions) and applies its inverse.
 
     Each sweep starts where the one before it left off. A divisor touches
-    only a stage's last step (``resume``), so sweep i runs stage i alone and
-    stashes each chunk's unscaled ``half`` of it with its output adjacency
-    and sizes (:class:`_Stash`), and sweep i + 1 resumes those halves under
-    stage i's final divisor: S layer forwards plus S divisor applications
-    per chunk, each stage seeing, bit for bit, the input a walk from the raw
-    chunk gives it. Of the S stash files at most two are open at once, each
-    about calibration nodes x ``Model.width`` x 8 B plus 8 B per adjacency
-    entry. A sweep whose stash cannot be created or written leaves none, and
-    the next sweep walks every chunk from its raw batch. The MLP head is
-    never touched. Raises :class:`CalibrationError` when a stage emits
-    constant output, then when a rescaled std misses one by more than
-    ``tol``, and when a written stash cannot be read back in full.
+    only a stage's last step (``resume``), so sweep i stashes each chunk's
+    unscaled ``half`` of stage i with its output adjacency and sizes
+    (:class:`_Stash`), and sweep i + 1 resumes those halves under stage i's
+    final divisor: S layer forwards plus S divisor applications per chunk,
+    each stage seeing, bit for bit, the input a walk from the raw chunk
+    gives it. Of the S stash files at most two are open at once, each about
+    calibration nodes x ``Model.width`` x 8 B plus 8 B per adjacency entry.
+    A sweep whose stash cannot be created or written leaves none, and the
+    next sweep walks every chunk from its raw batch. The MLP head is never
+    touched. Raises :class:`CalibrationError` when a stage emits constant
+    output, then when a rescaled std misses one by more than ``tol``, and
+    when a written stash cannot be read back in full.
     """
     if not calibration:
         raise CalibrationError("reinit needs a non-empty calibration set")
     calibration = Batch.of(calibration)
     stages = model.block_stages()
-    report = ReinitReport()
+    report = ReinitReport(blocks=[name for name, _ in stages])
     read = write = None  # the stashes the current sweep reads and writes
     try:
-        for idx, (name, layer) in enumerate(stages):
-            write = _Stash()
-            *verified, sigma = _output_stds(model, calibration, read, idx, write)
-            if read is not None:
-                read.close()
-            read, write = write, None
-            if read is not None and not read.seal():
-                read = None
-            report.post_std += verified
-            if sigma < 1e-300:
-                raise CalibrationError(f"block {name} produced constant output during reinit")
-            layer.rescale(sigma)
-            report.blocks.append(name)
-            report.divisors.append(float(sigma))
-        if stages:
-            report.post_std += _output_stds(model, calibration, read, len(stages))
+        for idx in range(len(stages) + 1) if stages else ():
+            verified, measured = Moments(), Moments()
+            write = _Stash() if idx < len(stages) else None
+            for state in _entering(model, calibration, read, idx):
+                if idx:
+                    verified.add(state.x)
+                if write is not None:
+                    out, = model.run_blocks(state, idx, idx)
+                    measured.add(out.x)
+                    write.write(out.adj, stages[idx][1].half, out.sizes)
+            read = write if write is not None and write.seal() else None
+            if idx:
+                report.post_std.append(verified.std())
+            if idx < len(stages):
+                name, layer = stages[idx]
+                sigma = measured.std()
+                if sigma < 1e-300:
+                    raise CalibrationError(f"block {name} produced constant output during reinit")
+                layer.rescale(sigma)
+                report.divisors.append(float(sigma))
     finally:
-        for stash in (read, write):
-            if stash is not None:
-                stash.close()
+        for stash in filter(None, (read, write)):
+            stash.close()
     for name, post in zip(report.blocks, report.post_std):
         if abs(post - 1.0) > max(tol, 1e-9):
             raise CalibrationError(

@@ -239,6 +239,12 @@ def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
                       best_epoch=int(np.argmin(losses)) + 1, reinit_report=reinit_report)
 
 
+def fold_mean_std(accuracies) -> tuple:
+    """The mean and population std of per-fold accuracies, as reports give them."""
+    accs = np.array(accuracies)
+    return float(accs.mean()), float(accs.std())
+
+
 def _run_fold_job(args):
     ds, split, fold, spec, cfg, trace, budgets = args
     sink = diagnostics.TraceSink() if trace else None
@@ -266,11 +272,10 @@ def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = 10,
         outcomes = [_run_fold_job(a) for a in jobs_args]
     results = [o[0] for o in outcomes]
     traces = [o[1] for o in outcomes]
-    accs = np.array([r.accuracy for r in results])
+    mean, std = fold_mean_std([r.accuracy for r in results])
     report = RunReport(
         model=spec.to_dict(), config=cfg.to_dict(), dataset=ds.name,
-        feature_policy=ds.feature_policy, folds=results,
-        mean=float(accs.mean()), std=float(accs.std()),
+        feature_policy=ds.feature_policy, folds=results, mean=mean, std=std,
         reinit_divisors=([r.reinit_report.to_dict() for r in results]
                          if cfg.init.kind == "standard_then_reinit" else None),
         wall_clock_s=time.perf_counter() - started)

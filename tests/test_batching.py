@@ -13,7 +13,7 @@ import pytest
 from gnnlab import (Batch, ModelSpec, Rng, SparseAdj, TopKPool, TrainConfig, build, evaluate,
                     reinit, train_model)
 from gnnlab import graphdata
-from gnnlab.errors import ShapeError
+from gnnlab.errors import DomainError, ShapeError
 from gnnlab.graphdata import chunks
 
 from conftest import (block_diag, dense_graph, random_adj, random_graph, randomize_params,
@@ -309,6 +309,21 @@ def test_a_batch_comes_from_one_dataset_and_only_a_graph_has_a_label():
     assert [g.label for g in first.graphs] == [0, 1, 0, 1]
     with pytest.raises(ShapeError, match="2 graphs"):
         Batch.of(first.graphs[:2]).label
+
+
+def test_an_integer_key_gives_a_one_graph_batch_and_no_batches_merge_to_none():
+    ds = synth_dataset(5, seed=4)
+    batch = Batch(ds, np.arange(5))
+    for i in (2, -1):
+        one = batch[i]
+        assert len(one) == 1
+        assert one.ids.tolist() == ds.graphs[i].ids.tolist()
+        assert one.features.tobytes() == ds.graphs[i].features.tobytes()
+    merged, want = Batch.of([batch[2], batch[-1]]), Batch.of([ds.graphs[2], ds.graphs[4]])
+    assert merged.ids.tolist() == [2, 4]
+    assert merged.adj.indices.tobytes() == want.adj.indices.tobytes()
+    with pytest.raises(DomainError, match="no batches"):
+        Batch.of([])
 
 
 def test_no_batch_holds_a_float_array_after_every_graph_is_read():

@@ -280,6 +280,20 @@ def test_reinit_without_a_writable_stash_walks_from_the_raw_chunks(fail, fail_fr
     assert all(fh.closed for fh in opened)
 
 
+def test_reinit_of_a_model_without_stages_runs_no_sweep(monkeypatch):
+    # mlp has no conv/pool stage: nothing to rescale, so no stash is opened
+    # and no calibration chunk is gathered
+    graphs = _calibration(37, count=90)
+    model = build(ModelSpec(kind="mlp", hidden_dim=7, mlp_dims=(6, 5)), 3, 2, Rng(37))
+    assert model.block_stages() == []
+    opened, _ = _spy_stash_files(monkeypatch)
+    gathers, gather = [], Batch.features.fget
+    monkeypatch.setattr(Batch, "features", property(lambda b: gathers.append(1) or gather(b)))
+    report = reinit(model, graphs)
+    assert report.to_dict() == {"blocks": [], "divisors": [], "post_std": []}
+    assert opened == [] and gathers == []
+
+
 def test_reinit_stash_read_failure_is_a_calibration_error(monkeypatch):
     # the second stash fails while being read back, with the third open
     opened, peak = _spy_stash_files(monkeypatch, "read", fail_from=2)
