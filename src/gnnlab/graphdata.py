@@ -325,8 +325,12 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
             first_width = first_width or len(values)
             if len(values) != first_width:
                 raise TuParseError(f"{attr_path.name}:{lineno}: expected {first_width} values")
+            if not np.isfinite(values).all():
+                raise TuParseError(f"{attr_path.name}:{lineno}: expected finite values")
 
         attributes = _read_table(attr_path, np.float64, check_attributes)
+        if not np.isfinite(attributes).all():
+            _scan(attr_path, check_attributes)  # raises at the first non-finite value
         if attributes.shape[0] != num_nodes:
             raise ConsistencyError(
                 f"{attr_path.name} has {attributes.shape[0]} rows for {num_nodes} nodes")
@@ -336,10 +340,9 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
                           "label_onehot" if node_labels is not None else "degree_onehot")
     if feature_policy not in FEATURE_POLICIES:
         raise IngestError(f"unknown feature policy {feature_policy!r}")
-    if feature_policy == "attributes" and attributes is None:
-        raise IngestError(f"{name} has no node attributes file")
-    if feature_policy == "label_onehot" and node_labels is None:
-        raise IngestError(f"{name} has no node labels file")
+    for policy, kind in (("attributes", "node_attributes"), ("label_onehot", "node_labels")):
+        if feature_policy == policy and not paths[kind].is_file():
+            raise IngestError(f"feature policy {policy!r} needs {paths[kind].name} in {directory}")
 
     adj = SparseAdj.from_edges(num_nodes, row[ends])  # no edge crosses graphs
     # one row id per stacked node into a shared table; no N x width matrix

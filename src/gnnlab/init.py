@@ -144,7 +144,7 @@ def _entering(model, calibration, stash, idx: int):
             yield model.run_blocks(batch.state, idx - 1)[-1] if idx else batch.state
 
 
-def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
+def reinit(model, calibration) -> ReinitReport:
     """Rescale each block in turn so its calibration-set output std is one.
 
     One loop of S + 1 sweeps over the flattened conv/pool stack of S stages;
@@ -164,9 +164,10 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
     calibration nodes x ``Model.width`` x 8 B plus 8 B per adjacency entry.
     A sweep whose stash cannot be created or written leaves none, and the
     next sweep walks every chunk from its raw batch. The MLP head is never
-    touched. Raises :class:`CalibrationError` when a stage emits constant
-    output, then when a rescaled std misses one by more than ``tol``, and
-    when a written stash cannot be read back in full.
+    touched. Raises :class:`CalibrationError` when a stage's output std is
+    not finite or its output is constant, then when a rescaled std misses
+    one by more than ``REINIT_TOL``, and when a written stash cannot be read
+    back in full.
     """
     if not calibration:
         raise CalibrationError("reinit needs a non-empty calibration set")
@@ -191,6 +192,8 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
             if idx < len(stages):
                 name, layer = stages[idx]
                 sigma = measured.std()
+                if not math.isfinite(sigma):
+                    raise CalibrationError(f"block {name} output std is {sigma} during reinit")
                 if sigma < 1e-300:
                     raise CalibrationError(f"block {name} produced constant output during reinit")
                 layer.rescale(sigma)
@@ -199,7 +202,7 @@ def reinit(model, calibration, tol: float = REINIT_TOL) -> ReinitReport:
         for stash in filter(None, (read, write)):
             stash.close()
     for name, post in zip(report.blocks, report.post_std):
-        if abs(post - 1.0) > max(tol, 1e-9):
+        if not abs(post - 1.0) <= REINIT_TOL:  # NaN fails too
             raise CalibrationError(
-                f"block {name} std is {post:.9f} after reinit (expected 1 within {tol})")
+                f"block {name} std is {post:.9f} after reinit (expected 1 within {REINIT_TOL})")
     return report

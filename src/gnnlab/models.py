@@ -21,8 +21,9 @@ walk over the flat convolution/pool stack serves forward, reinit
 (:meth:`Model.run_blocks`, which can start at any stage from a given state)
 and tracing. Every stage maps a :class:`~gnnlab.graphdata.State` to a State
 (:mod:`gnnlab.layers`), so the walk is a fold that never asks a stage's kind.
-Each tap reads one state of that walk, and forward stops at the last state a
-tap reads: with convolution taps, ``jk_sum`` never runs its third pool. The
+Each tap reads one state of that walk, named by its index: 0 the input, s the
+output of flat stage s - 1. Forward stops at the last state a tap reads: with
+convolution taps, ``jk_sum`` never runs its third pool. The
 batch's adjacency is gathered only when a stage runs: never for ``mlp``.
 """
 
@@ -44,19 +45,21 @@ _BLOCKS = {"mlp": 0, "gcn_mlp": 1, "gcn_r_mlp": 1, "jk_sum": 3, "probe4": 4}
 @functools.cache
 def _layout(spec: ModelSpec, num_features: int, num_classes: int) -> tuple:
     """A model of the spec as far as the arguments fix it, worked out once
-    for each, off every build's cost: tap sources, readout kind and MLP-input
-    columns; each parameter's (name, shape, span of ``theta``) in registry
-    order, trained spans first; the frozen names; trained and total sizes."""
+    for each, off every build's cost: the state each tap reads, whether each
+    state's gradient reaches a trained parameter, readout kind, MLP-input
+    columns, each parameter's (name, shape, span of ``theta``) in registry
+    order (trained spans first), the frozen names, trained and total sizes."""
     if num_features < 1 or num_classes < 1:
         raise SpecError("need at least one feature and one class")
     nblocks, hidden = _BLOCKS[spec.kind], spec.hidden_dim
-    sources = {"mlp": ("input",), "gcn_mlp": ("input", ("gcn", 0)),
-               "gcn_r_mlp": ("input", ("gcn", 0)), "probe4": ("final",),
-               "jk_sum": tuple(("pool" if spec.tap_pooled else "gcn", i) for i in range(nblocks))
-               }[spec.kind]
+    pooled = spec.kind in ("jk_sum", "probe4")
+    nstages = nblocks * (1 + pooled)
+    # state 0 is the input, state s the output of flat stage s - 1; jk_sum's
+    # block i convolves into state 2i + 1 and pools into 2i + 2
+    taps = {"mlp": (0,), "gcn_mlp": (0, 1), "gcn_r_mlp": (0, 1), "probe4": (nstages,),
+            "jk_sum": tuple(2 * i + 1 + spec.tap_pooled for i in range(nblocks))}[spec.kind]
     readout = {"jk_sum": "max_and_sum", "probe4": "mean"}.get(spec.kind, spec.readout_kind)
-    widths = [Readout(readout).width(num_features if source == "input" else hidden)
-              for source in sources]
+    widths = [Readout(readout).width(hidden if t else num_features) for t in taps]
     # summed taps add elementwise; concatenated ones side by side
     if spec.jk_agg == "sum" and len(set(widths)) > 1:
         raise SpecError(f"jk_agg 'sum' needs taps of equal width, {spec.kind} has {widths}")
@@ -65,7 +68,7 @@ def _layout(spec: ModelSpec, num_features: int, num_classes: int) -> tuple:
     for i in range(1, nblocks + 1):
         shapes[f"gcn{i}.W"] = (num_features if i == 1 else hidden, hidden)
         shapes[f"gcn{i}.b"] = (hidden,)
-        if spec.kind in ("jk_sum", "probe4"):
+        if pooled:
             shapes[f"pool{i}.p"] = (hidden,)
     dims = [widths[0] if spec.jk_agg == "sum" else sum(widths), *spec.mlp_dims, num_classes]
     for j in range(1, 4):
@@ -77,7 +80,10 @@ def _layout(spec: ModelSpec, num_features: int, num_classes: int) -> tuple:
     for name in sorted(shapes, key=frozen.__contains__):  # stable: trained first
         spans[name] = slice(end, end + int(np.prod(shapes[name])))
         end = spans[name].stop
-    return (sources, readout, tap_cols,
+    # the gradient on state s reaches a trained parameter when a stage before
+    # it has one: every stage does, save gcn_r_mlp's one frozen convolution
+    grad_into = tuple(s > 0 and not frozen for s in range(nstages + 1))
+    return (taps, grad_into, readout, tap_cols,
             tuple((name, shape, spans[name]) for name, shape in shapes.items()), frozen,
             sum(int(np.prod(shape)) for name, shape in shapes.items() if name not in frozen), end)
 
@@ -89,22 +95,22 @@ class Model:
     gradient one into ``grad``; both start with the ``n_trained`` trained
     entries. ``params`` and ``last_grads`` name the views in registry order.
 
-    ``taps`` lists (source, Readout) pairs feeding the MLP head; a source is
-    ``"input"``, ``"final"``, ``("gcn", i)`` or ``("pool", i)``. Each source
-    resolves once to an index into the state list of the stage walk: 0 is the
-    input, s the output of flat stage s - 1 (see :meth:`block_stages`), and S
-    the final output. Forward runs stages up to the highest tap index only,
-    so a pool no tap reads is skipped, and caches the states, so an instance
-    is single-owner during a step.
+    ``taps`` lists (state, Readout) pairs feeding the MLP head; a state is
+    an index into the state list of the stage walk: 0 is the input, s the
+    output of flat stage s - 1 (see :meth:`block_stages`). Forward runs
+    stages up to the highest tap state only, so a pool no tap reads is
+    skipped, and caches the states, so an instance is single-owner during a
+    step.
     """
 
     def __init__(self, spec: ModelSpec, num_features: int, num_classes: int):
         """The layer stack for the spec; :func:`build` draws its parameters."""
-        sources, readout, self._tap_cols, self._registry, self.frozen, self.n_trained, size = (
-            _layout(spec, num_features, num_classes))
+        (states, self._grad_into, readout, self._tap_cols, self._registry, self.frozen,
+         self.n_trained, size) = _layout(spec, num_features, num_classes)
         self.spec, self.num_features, self.num_classes = spec, num_features, num_classes
         nblocks = _BLOCKS[spec.kind]
-        self.taps = [(source, Readout(readout)) for source in sources]
+        self.taps = [(t, Readout(readout)) for t in states]
+        self._live = max(states)  # stages a forward runs
         self.theta = np.zeros(size)
         self.params = p = self._views(self.theta)
         self.blocks = [(GcnLayer(p[f"gcn{i}.W"], p[f"gcn{i}.b"]),
@@ -114,19 +120,6 @@ class Model:
                                activation="relu" if j < 3 else "none") for j in range(1, 4)]
         self._stages = [(f"{kind}{i}", layer) for i, block in enumerate(self.blocks, start=1)
                         for kind, layer in zip(("gcn", "pool"), block) if layer is not None]
-        names = [name for name, _ in self._stages]
-        self._tap_index = [0 if source == "input" else
-                           len(names) if source == "final" else
-                           names.index(f"{source[0]}{source[1] + 1}") + 1
-                           for source in sources]
-        self._live = max(self._tap_index)  # stages a forward runs
-        # whether the gradient on state i reaches a trained parameter: some
-        # stage before state i has one
-        self._grad_into = [False]
-        for name, _ in self._stages:
-            trained = any(key.startswith(f"{name}.") and key not in self.frozen for key in p)
-            self._grad_into.append(self._grad_into[-1] or trained)
-        self._head_grad = any(self._grad_into[t] for t in self._tap_index)
         # entries of the widest node row a forward holds: the input's, and
         # the hidden rows of any stage; chunks are budgeted by it
         self.width = max(num_features, spec.hidden_dim) if nblocks else num_features
@@ -172,8 +165,7 @@ class Model:
         self._cache = None  # let the previous batch's outputs go first
         # with no stage to run, the batch's adjacency is never gathered
         states = self._walk(State(batch.adj if self._live else None, x, batch.sizes), self._live)
-        tap_mats = [ro.forward(states[t].x, states[t].sizes)
-                    for t, (_, ro) in zip(self._tap_index, self.taps)]
+        tap_mats = [ro.forward(states[t].x, states[t].sizes) for t, ro in self.taps]
         if self.spec.jk_agg == "sum":
             a = np.sum(tap_mats, axis=0)
         else:
@@ -195,9 +187,10 @@ class Model:
         self._cache = None
         grads = self.last_grads
         z_grad = np.asarray(grad_scores, dtype=np.float64)
+        # reach only grows along the walk, so the last tapped state's is the head's
         for j in range(len(self.mlp), 0, -1):
             z_grad, layer_grads = self.mlp[j - 1].backward(
-                z_grad, input_grad=j > 1 or self._head_grad)
+                z_grad, input_grad=j > 1 or self._grad_into[self._live])
             for k, g in layer_grads.items():
                 grads[f"mlp{j}.{k}"] += g
         if self.spec.jk_agg == "sum" or z_grad is None:
@@ -207,7 +200,7 @@ class Model:
         # gradient on each state's node matrix; None where nothing reads it
         # or it reaches no trained parameter
         state_grads = [None] * (self._live + 1)
-        for t, (_, ro), gmat in zip(self._tap_index, self.taps, tap_grads):
+        for (t, ro), gmat in zip(self.taps, tap_grads):
             # every readout the forward ran gets its one backward, which
             # releases its cache, also where it computes nothing
             mat = ro.backward(gmat, input_grad=self._grad_into[t])

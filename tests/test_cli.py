@@ -53,9 +53,10 @@ def test_train_rejects_single_fold(tu_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_train_stops_on_a_non_finite_gradient(tmp_path, capsys, jobs):
-    # eight two-node graphs with one attribute each; graph 0's first node is inf
+    # eight two-node graphs with one attribute each; both nodes of graph 0 hold
+    # the largest float (ingest rejects inf), so the mean readout's sum is inf
     attributes = [[float(i % 3)] for i in range(16)]
-    attributes[0] = [float("inf")]
+    attributes[:2] = [[float(np.finfo(np.float64).max)]] * 2
     write_tu_files(tmp_path / "INF" / "raw", "INF", [(2, [(1, 2)])] * 8,
                    [1, 2] * 4, node_attributes=attributes)
     split = stratified_folds(parse_tu(tmp_path / "INF" / "raw", "INF"), 2, seed=0)
@@ -63,7 +64,7 @@ def test_train_stops_on_a_non_finite_gradient(tmp_path, capsys, jobs):
     args = ["train", "--dataset", "INF", "--data-dir", str(tmp_path), "--model", "mlp",
             "--feature-policy", "attributes", "--epochs", "2", "--folds", "2",
             "--fold-seed", "0", "--out", str(tmp_path / "o"), "--jobs", jobs]
-    with np.errstate(all="ignore"):  # the forward meets the inf first, on purpose
+    with np.errstate(all="ignore"):  # the readout overflows first, on purpose
         assert main(args) == 1
     err = capsys.readouterr().err
     assert err == f"error: fold {fold}, epoch 1, non-finite gradient for mlp1.W\n"

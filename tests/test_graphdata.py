@@ -366,6 +366,44 @@ def test_parse_mismatched_attribute_widths_name_the_line(tmp_path):
         parse_tu(tmp_path, "TOY")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_non_finite_attribute_names_the_line(tmp_path, value):
+    write_tu_files(tmp_path, "TOY", [(3, [(1, 2)])], labels=[1])
+    (tmp_path / "TOY_node_attributes.txt").write_text(f"1.0, 2.0\n3.0, {value}\n5.0, nan\n")
+    with pytest.raises(TuParseError, match="TOY_node_attributes.txt:2: expected finite values"):
+        parse_tu(tmp_path, "TOY")
+
+
+# malformed variants of a 3-node, 2-graph corpus: (file to write and its
+# text, or None; forced feature policy; error class; what the message names)
+MALFORMED_CORPORA = {
+    "empty-indicator": (("graph_indicator", ""), None, IngestError,
+                        "TOY_graph_indicator.txt is empty"),
+    "label-count": (("graph_labels", "1\n"), None, ConsistencyError,
+                    "TOY_graph_labels.txt has 1 labels"),
+    "node-label-rows": (("node_labels", "0\n1\n"), None, ConsistencyError,
+                        "TOY_node_labels.txt has 2 rows"),
+    "attribute-rows": (("node_attributes", "0.5\n"), None, ConsistencyError,
+                       "TOY_node_attributes.txt has 1 rows"),
+    "attributes-without-file": (None, "attributes", IngestError, "TOY_node_attributes.txt"),
+    "label_onehot-without-file": (None, "label_onehot", IngestError, "TOY_node_labels.txt"),
+    "unknown-policy": (None, "bogus", IngestError, "unknown feature policy 'bogus'"),
+    # Python's int reads 1_000, numpy does not: no line fails its check
+    "digit-separator": (("graph_labels", "1\n1_000\n"), None, TuParseError,
+                        "TOY_graph_labels.txt: "),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CORPORA)
+def test_parse_malformed_corpus_raises_naming_its_file(tmp_path, case):
+    edit, policy, error, names = MALFORMED_CORPORA[case]
+    write_tu_files(tmp_path, "TOY", [(2, [(1, 2)]), (1, [])], labels=[1, 2])
+    if edit is not None:
+        (tmp_path / f"TOY_{edit[0]}.txt").write_text(edit[1])
+    with pytest.raises(error, match=re.escape(names)):
+        parse_tu(tmp_path, "TOY", feature_policy=policy)
+
+
 def test_parse_crossing_edge_after_blank_line_names_its_line(tmp_path):
     write_tu_files(tmp_path, "TOY", [(2, []), (2, [])], labels=[1, 2])
     (tmp_path / "TOY_A.txt").write_text("1, 2\n\n2, 1\n\n\n3, 4\n2, 3\n")

@@ -442,6 +442,15 @@ def test_reinit_degenerate_calibration():
         reinit(model, graphs)
 
 
+def test_reinit_non_finite_std_is_a_calibration_error():
+    # NaN slips past every comparison, so the check must ask for a finite std
+    ds = synth_dataset(30, seed=7)
+    model = build(ModelSpec(kind="jk_sum"), ds.feature_dim, ds.num_classes, Rng(0))
+    model.params["gcn1.W"][0, 0] = np.nan
+    with pytest.raises(CalibrationError, match="gcn1"):
+        reinit(model, ds.graphs)
+
+
 def test_reinit_empty_calibration():
     model = build(ModelSpec(kind="probe4", hidden_dim=5, mlp_dims=(4, 4)),
                   3, 2, Rng(14))

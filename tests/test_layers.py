@@ -263,6 +263,27 @@ def test_topk_backward_matches_finite_differences(k, expect_drop, kept_rows):
     assert worst < 1e-6
 
 
+def test_topk_degenerate_projection_gradient_matches_finite_differences(kept_rows):
+    # under PNORM_EPS the score divides by the guard, not |p|, so it is linear
+    # in p and the quotient rule does not apply; steps of 1e-16 on a p of norm
+    # 1e-14 keep p under the guard and the kept nodes the same
+    rng = Rng(3100)
+    adj, x = random_adj(rng.derive(0), 6, 0.4), rng.normal(6, 3, 1.0)
+    p = rng.normal(1, 3, 1.0)[0]
+    pool = TopKPool(p * (1e-14 / np.linalg.norm(p)), k=0.5)
+    pool.forward(one_graph(adj, x))
+    direction = rng.normal(kept_rows[-1].shape[0], 3, 1.0)
+
+    def run():
+        return float((pool.forward(one_graph(adj, x)).x * direction).sum())
+
+    run()
+    _, grads = pool.backward(direction)
+    worst = layer_fd_max_rel_err({"p": (pool.p, grads["p"])}, run, h=1e-16)
+    assert all(np.array_equal(kept, kept_rows[0]) for kept in kept_rows)
+    assert worst < 1e-6
+
+
 # --------------------------------------------------------------------------
 # the stage contract shared by convolutions and pools
 

@@ -39,7 +39,7 @@ def test_probe4_shape():
     assert len(model.blocks) == 4
     assert all(pool is not None for _, pool in model.blocks)
     assert model.params["mlp1.W"].shape == (128, 128)
-    assert model.taps[0][0] == "final"
+    assert [t for t, _ in model.taps] == [8]  # the final state
 
 
 def test_three_layer_mlp_head_everywhere():
@@ -151,16 +151,16 @@ def test_jk_sum_first_tap_matches_gcn_mlp_wiring():
     # same convolution geometry, tap on the convolution output
     jk = build(ModelSpec(kind="jk_sum", hidden_dim=6, mlp_dims=(5, 4)), 3, 2, Rng(13))
     single = build(ModelSpec(kind="gcn_mlp", hidden_dim=6, mlp_dims=(5, 4)), 3, 2, Rng(13))
-    assert jk.taps[0][0] == ("gcn", 0)
-    assert single.taps[1][0] == ("gcn", 0)
+    assert jk.taps[0][0] == 1
+    assert single.taps[1][0] == 1
     assert jk.blocks[0][0].w.shape == single.blocks[0][0].w.shape
-    assert [t[0] for t in jk.taps] == [("gcn", 0), ("gcn", 1), ("gcn", 2)]
+    assert [t for t, _ in jk.taps] == [1, 3, 5]  # the convolution outputs
 
 
 def test_tap_pooled_variant():
     model = build(ModelSpec(kind="jk_sum", hidden_dim=6, mlp_dims=(5, 4),
                             tap_pooled=True), 3, 2, Rng(14))
-    assert [t[0] for t in model.taps] == [("pool", 0), ("pool", 1), ("pool", 2)]
+    assert [t for t, _ in model.taps] == [2, 4, 6]  # the pool outputs
     g = random_graph(Rng(15), 8, 3)
     randomize_params(model, Rng(16))
     worst = fd_max_rel_err(model, Batch.of([g]), Rng(17).normal(1, 2, 1.0))
@@ -249,20 +249,20 @@ def test_unread_pool_gets_an_exactly_zero_gradient():
 
 
 # every backward call of one model backward, in order: (layer, input_grad,
-# whether an input gradient came back); readouts are named after their tap
+# whether an input gradient came back); readouts are named after the state they read
 BACKWARD_CALLS = {
     "mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False),
-            ("input", False, False)],
+            ("state0-tap", False, False)],
     "gcn_r_mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False),
-                  ("input", False, False), ("gcn1-tap", False, False)],
+                  ("state0-tap", False, False), ("state1-tap", False, False)],
     "gcn_mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
-                ("input", False, False), ("gcn1-tap", True, True), ("gcn1", False, False)],
+                ("state0-tap", False, False), ("state1-tap", True, True), ("gcn1", False, False)],
     "jk_sum": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
-               ("gcn1-tap", True, True), ("gcn2-tap", True, True), ("gcn3-tap", True, True),
+               ("state1-tap", True, True), ("state3-tap", True, True), ("state5-tap", True, True),
                ("gcn3", True, True), ("pool2", True, True), ("gcn2", True, True),
                ("pool1", True, True), ("gcn1", False, False)],
     "probe4": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
-               ("final-tap", True, True), ("pool4", True, True), ("gcn4", True, True),
+               ("state8-tap", True, True), ("pool4", True, True), ("gcn4", True, True),
                ("pool3", True, True), ("gcn3", True, True), ("pool2", True, True),
                ("gcn2", True, True), ("pool1", True, True), ("gcn1", False, False)],
 }
@@ -274,9 +274,7 @@ def test_backward_computes_only_gradients_a_trained_parameter_reads(kind, monkey
     randomize_params(model, Rng(81))
     names = {id(layer): name for name, layer in model.block_stages()}
     names.update({id(layer): f"mlp{j}" for j, layer in enumerate(model.mlp, start=1)})
-    names.update({id(ro): "input" if src == "input" else
-                  "final-tap" if src == "final" else f"gcn{src[1] + 1}-tap"
-                  for src, ro in model.taps})
+    names.update({id(ro): f"state{t}-tap" for t, ro in model.taps})
     calls = []
 
     def spy(cls):
