@@ -20,11 +20,13 @@ CSR, and keeps neither; each convolution derives its propagation operator
 from that adjacency when it runs.
 """
 
+import itertools
 import logging
 import os
 import shutil
 import tempfile
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -186,63 +188,70 @@ class FoldSplit:
 # --------------------------------------------------------------------------
 # parsing
 
-def _read_lines(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+def _value(token: str, dtype):
+    """``token`` as numpy's ``loadtxt`` reads it: by Python's ``int`` or ``float``
+    grammar, less ``_`` separators and non-ASCII digits, integers within int64."""
+    text = token.strip()
+    with suppress(ValueError):
+        if text.isascii() and "_" not in text:
+            value = (int if dtype is np.int64 else float)(text)
+            if dtype is np.float64 or -2**63 <= value < 2**63:
+                return value
+    what = "an integer" if dtype is np.int64 else "a number"
+    raise TuParseError(f"expected {what}, got {token!r}")
 
 
-def _parse(token: str, path: Path, lineno: int, kind=int):
-    try:
-        return kind(token.strip())
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise TuParseError(f"{path.name}:{lineno}: expected {what}, got {token!r}") from None
-
-
-def _scan(path: Path, check) -> None:
-    """Error path: ``check(line, lineno)`` every non-blank line in order, so
-    the first bad line raises an error that names it."""
-    for lineno, line in _read_lines(path):
-        check(line, lineno)
-
-
-def _read_table(path: Path, dtype, check, width=None, usecols=None) -> np.ndarray:
+def _read_table(path: Path, dtype=np.int64, check=lambda table: None, width=1, usecols=None,
+                arity="expected an integer, got {line!r}") -> np.ndarray:
     """The comma-separated values of a TU file as a 2-D array of ``width``
-    columns (any width if None), read by numpy in one pass. When numpy
-    rejects the file, :func:`_scan` runs ``check`` to name the first bad
-    line; if every line passes (numpy also refuses whitespace-only lines,
-    which the format allows), the non-blank lines are read again."""
-    kwargs = dict(dtype=dtype, delimiter=",", ndmin=2, comments=None,
-                  encoding="utf-8", usecols=usecols)
-
+    columns (the first line's count if None; by default one integer per line),
+    read by numpy in one pass. ``check(table)`` gives the first row breaking a
+    rule of the file as ``(row, error class, message)``, or None. If numpy
+    rejects the file or ``check`` flags a row, numpy reads the non-blank lines
+    again in checked blocks of 4096 and :func:`_value` the lines of a block
+    numpy rejects, up to the first unreadable one (a bad token, or not
+    ``width`` of them: message ``arity``). The first bad line raises an error
+    naming ``file:line``; with none, numpy refused only whitespace-only lines."""
     def load(source):
-        table = np.loadtxt(source, **kwargs)
-        return table.reshape(0, width or 0) if table.size == 0 else table
+        with warnings.catch_warnings():
+            # a file without data lines is an empty table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(source, dtype=dtype, delimiter=",", ndmin=2, comments=None,
+                               encoding="utf-8", usecols=usecols)
+        if width not in (None, table.shape[1]):
+            raise ValueError(f"expected {width} columns")
+        return table
 
-    with warnings.catch_warnings():
-        # a file without data lines is an empty table
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            table = load(path)
-            if width in (None, table.shape[1]):
-                return table
-        except ValueError:
-            pass
-        _scan(path, check)
-        try:
-            return load([line for _, line in _read_lines(path)])
-        except ValueError as exc:
-            raise TuParseError(f"{path.name}: {exc}") from None
-
-
-def _read_ints(path: Path, first_column: bool = False) -> np.ndarray:
-    """One integer per line, or the first of a line's comma-separated values."""
-    def check(line, lineno):
-        _parse(line.split(",")[0] if first_column else line, path, lineno)
-    return _read_table(path, np.int64, check, 1, 0 if first_column else None)[:, 0]
+    with suppress(ValueError):
+        if check(table := load(path)) is None:
+            return table
+    blocks, unreadable = [], None
+    with open(path, encoding="utf-8") as fh:
+        lines = ((n, text) for n, raw in enumerate(fh, start=1) if (text := raw.strip()))
+        while unreadable is None and (block := list(itertools.islice(lines, 4096))):
+            try:
+                table = load([line for _, line in block])
+            except ValueError:  # the rows before the first line numpy cannot read
+                rows = []
+                for lineno, line in block:
+                    tokens = line.split(",")[:1] if usecols == 0 else line.split(",")
+                    width = width or len(tokens)
+                    try:
+                        if len(tokens) != width:
+                            raise TuParseError(arity.format(width=width, line=line))
+                        rows.append([_value(token, dtype) for token in tokens])
+                    except TuParseError as exc:
+                        unreadable = f"{path.name}:{lineno}: {exc}"
+                        break
+                table = np.array(rows, dtype=dtype).reshape(len(rows), width)
+            width = table.shape[1]
+            blocks.append(table)
+            if (flagged := check(table)) is not None:  # before the unreadable line
+                row, error, message = flagged
+                raise error(f"{path.name}:{block[row][0]}: {message}")
+    if unreadable is not None:
+        raise TuParseError(unreadable)
+    return np.concatenate(blocks) if blocks else np.empty((0, width or 0), dtype)
 
 
 def parse_tu(directory, name: str, feature_policy: str | None = None,
@@ -258,13 +267,12 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     """
     directory = Path(directory)
     paths = {kind: directory / f"{name}_{kind}.txt"
-             for kind in ("A", "graph_indicator", "graph_labels",
-                          "node_labels", "node_attributes")}
-    for kind in ("A", "graph_indicator", "graph_labels"):
+             for kind in (*MANDATORY_SUFFIXES, "node_labels", "node_attributes")}
+    for kind in MANDATORY_SUFFIXES:
         if not paths[kind].is_file():
             raise IngestError(f"missing mandatory file {paths[kind].name} in {directory}")
 
-    indicator = _read_ints(paths["graph_indicator"])
+    indicator = _read_table(paths["graph_indicator"])[:, 0]
     if indicator.size == 0:
         raise IngestError(f"{paths['graph_indicator'].name} is empty")
     num_nodes = indicator.shape[0]
@@ -274,66 +282,50 @@ def parse_tu(directory, name: str, feature_policy: str | None = None,
     num_graphs = graph_ids.shape[0]
     sizes = np.bincount(node_graph, minlength=num_graphs)
     order = np.argsort(node_graph, kind="stable")  # the stack's rows, as file nodes
-    row = np.empty(num_nodes, dtype=np.int64)  # each file node's row in the stack
-    row[order] = np.arange(num_nodes)
+    row = np.zeros(num_nodes + 1, dtype=np.int64)  # 1-based node id -> its stack row
+    row[1:][order] = np.arange(num_nodes)
 
-    raw_labels = _read_ints(paths["graph_labels"])
+    raw_labels = _read_table(paths["graph_labels"])[:, 0]
     if raw_labels.shape[0] != num_graphs:
         raise ConsistencyError(
             f"{paths['graph_labels'].name} has {raw_labels.shape[0]} labels "
             f"but the indicator names {num_graphs} graphs")
     label_values, labels = np.unique(raw_labels, return_inverse=True)
 
-    edge_path = paths["A"]
+    graph_of = np.append(-1, node_graph)  # 1-based node id -> its graph index
 
-    def check_edge(line, lineno):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TuParseError(f"{edge_path.name}:{lineno}: expected 'i, j', got {line!r}")
-        i, j = (_parse(token, edge_path, lineno) for token in parts)
-        if not (1 <= i <= num_nodes) or not (1 <= j <= num_nodes):
-            raise ConsistencyError(f"{edge_path.name}:{lineno}: node id out of range")
-        if node_graph[i - 1] != node_graph[j - 1]:
-            raise ConsistencyError(
-                f"{edge_path.name}:{lineno}: edge ({i}, {j}) crosses graph boundaries")
+    def bad_edge(ends):
+        first = ends.shape[0]  # the first row with an id out of range, if any
+        if ends.size and (ends.min() < 1 or ends.max() > num_nodes):
+            first = int(((ends < 1) | (ends > num_nodes)).any(axis=1).argmax())
+        crosses = graph_of[ends[:first, 0]] != graph_of[ends[:first, 1]]  # rows before it
+        if crosses.any():
+            r = int(crosses.argmax())
+            return r, ConsistencyError, "edge ({}, {}) crosses graph boundaries".format(*ends[r])
+        if first < ends.shape[0]:
+            return first, ConsistencyError, "node id out of range"
 
-    ends = _read_table(edge_path, np.int64, check_edge, width=2) - 1
-    if not ((ends >= 0) & (ends < num_nodes)).all() or \
-            (node_graph[ends[:, 0]] != node_graph[ends[:, 1]]).any():
-        _scan(edge_path, check_edge)  # raises at the first bad line
+    ends = _read_table(paths["A"], np.int64, bad_edge, 2, arity="expected 'i, j', got {line!r}")
     loops = ends[:, 0] == ends[:, 1]
     if loops.any():
         log.warning("dropped %d raw self-loop(s) while parsing %s", int(loops.sum()), name)
         ends = ends[~loops]
 
-    node_labels = None
-    if paths["node_labels"].is_file():
-        # some TU dumps carry multiple comma-separated labels; use the first
-        node_labels = _read_ints(paths["node_labels"], first_column=True)
-        if node_labels.shape[0] != num_nodes:
-            raise ConsistencyError(f"{paths['node_labels'].name} has "
-                                   f"{node_labels.shape[0]} rows for {num_nodes} nodes")
+    def bad_attributes(table):
+        if not (finite := np.isfinite(table).all(axis=1)).all():
+            return int(finite.argmin()), TuParseError, "expected finite values"
 
-    attributes = None
-    if paths["node_attributes"].is_file():
-        attr_path = paths["node_attributes"]
-        first_width = None
-
-        def check_attributes(line, lineno):
-            nonlocal first_width
-            values = [_parse(tok, attr_path, lineno, float) for tok in line.split(",")]
-            first_width = first_width or len(values)
-            if len(values) != first_width:
-                raise TuParseError(f"{attr_path.name}:{lineno}: expected {first_width} values")
-            if not np.isfinite(values).all():
-                raise TuParseError(f"{attr_path.name}:{lineno}: expected finite values")
-
-        attributes = _read_table(attr_path, np.float64, check_attributes)
-        if not np.isfinite(attributes).all():
-            _scan(attr_path, check_attributes)  # raises at the first non-finite value
-        if attributes.shape[0] != num_nodes:
+    def per_node(kind, read):  # an optional file of one row per node, or None
+        table = read(paths[kind]) if paths[kind].is_file() else None
+        if table is not None and table.shape[0] != num_nodes:
             raise ConsistencyError(
-                f"{attr_path.name} has {attributes.shape[0]} rows for {num_nodes} nodes")
+                f"{paths[kind].name} has {table.shape[0]} rows for {num_nodes} nodes")
+        return table
+
+    # some TU dumps carry multiple comma-separated labels; use the first
+    node_labels = per_node("node_labels", lambda path: _read_table(path, usecols=0)[:, 0])
+    attributes = per_node("node_attributes", lambda path: _read_table(
+        path, np.float64, bad_attributes, None, arity="expected {width} values"))
 
     if feature_policy is None:
         feature_policy = ("attributes" if attributes is not None else

@@ -109,32 +109,40 @@ class Adam:
     def from_config(cls, model: Model, cfg: TrainConfig) -> "Adam":
         return cls(model, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps, weight_decay=cfg.weight_decay)
 
-    def check(self) -> None:
-        """Raise NonFiniteError naming the first trained parameter with a non-finite gradient."""
-        if not np.isfinite(self.model.grad[:self.model.n_trained]).all():
-            raise NonFiniteError(next(
-                name for name, grad in self.model.last_grads.items()
-                if name not in self.model.frozen and not np.isfinite(grad).all()))
+    def check(self, squares=True) -> np.ndarray:
+        """The trained gradient after the coupled decay. Raises NonFiniteError
+        naming the first trained parameter with an entry NaN or inf or, given
+        ``squares``, squaring to inf (as ``v`` then would); the squares go to ``_a``."""
+        n, g = self.model.n_trained, self.model.grad[:self.model.n_trained]
+        if self.weight_decay:
+            np.multiply(self.model.theta[:n], self.weight_decay, out=self._b)
+            g = np.add(self._b, g, out=self._b)
+
+        def bad(x, out=None):
+            return not np.isfinite(np.square(x, out=out) if squares else x).all()
+
+        with np.errstate(over="ignore"):  # the overflow looked for
+            if bad(g, self._a):
+                raise NonFiniteError(next(
+                    name for name, grad in self.model.last_grads.items()
+                    if name not in self.model.frozen
+                    and bad(grad + self.weight_decay * self.model.params[name])))
+        return g
 
     def step(self) -> None:
         """One update from the model's gradient, after :meth:`check`."""
-        self.check()
+        g = self.check()
         n, a, b, m, v = self.model.n_trained, self._a, self._b, self.m, self.v
-        theta, g = self.model.theta[:n], self.model.grad[:n]
+        theta = self.model.theta[:n]
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        if self.weight_decay:
-            np.multiply(theta, self.weight_decay, out=b)
-            b += g
-            g = b
+        v *= self.beta2
+        a *= 1.0 - self.beta2  # the squares check() took
+        v += a
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=a)
         m += a
-        v *= self.beta2
-        np.square(g, out=a)
-        a *= 1.0 - self.beta2
-        v += a
         np.divide(m, bc1, out=a)
         a *= self.lr
         np.divide(v, bc2, out=b)
@@ -178,7 +186,7 @@ def train_model(model: Model, graphs, cfg: TrainConfig, shuffle_rng: Rng,
                 diagnostics.record_backward(sink, epoch, model)
             try:
                 if not math.isfinite(total):  # finite while every chunk's loss is
-                    opt.check()  # a non-finite gradient, which names a parameter, first
+                    opt.check(squares=False)  # a NaN or inf gradient, named, first
                     raise NonFiniteError(None)
                 opt.step()
             except NonFiniteError as exc:

@@ -498,6 +498,43 @@ def test_train_rejects_bad_config_values(tu_dir, tmp_path, capsys, section, key,
     assert not (tmp_path / "o").exists()
 
 
+# the --config text (None: no file) and what the one error line names; every
+# run also passes --data-dir, a directory without TU files
+CONFIG_ERRORS = {
+    "missing-file": (None, "config file {path} does not exist"),
+    "invalid-json": ("{", "{path}: invalid JSON"),
+    "top-level-list": ("[]", "{path}: top level must be a JSON object"),
+    "model-not-an-object": ({"model": 3}, "ExperimentConfig.model: expected an object, got 3"),
+    "mlp-dims-not-a-list": ({"model": {"kind": "mlp", "mlp_dims": 128}},
+                            "ExperimentConfig.model.mlp_dims: expected a list, got 128"),
+    "unknown-feature-policy": ({"dataset": {"name": "SYNTH", "feature_policy": "bogus"}},
+                               "ExperimentConfig.dataset: unknown feature policy 'bogus'"),
+    "unknown-jk-agg": ({"model": {"kind": "mlp", "jk_agg": "bogus"}},
+                       "ExperimentConfig.model: unknown jk aggregation 'bogus'"),
+    "batch-size-zero": ({"train": {"batch_size": 0}},
+                        "ExperimentConfig.train: batch size must be positive"),
+    "data-dir-without-tu-files": ({}, "no TU files for SYNTH under {empty}"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_train_config_errors_exit_2_naming_the_file_or_key(tmp_path, capsys, case):
+    text, names = CONFIG_ERRORS[case]
+    path, empty = tmp_path / "exp.json", tmp_path / "empty"
+    empty.mkdir()
+    if isinstance(text, dict):  # these keys over a valid config
+        d = {"dataset": {"name": "SYNTH"}, "model": {"kind": "mlp"}}
+        d.update(text)
+        text = json.dumps(d)
+    if text is not None:
+        path.write_text(text)
+    args = ["train", "--config", str(path), "--data-dir", str(empty), "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + names.format(path=path, empty=empty))
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag", ["--seed", "--fold-seed"])
 def test_train_rejects_a_negative_seed_flag(tu_dir, tmp_path, capsys, flag):
     out = tmp_path / "o"

@@ -22,7 +22,7 @@ import gnnlab
 from gnnlab import Batch, Rng, SparseAdj, parse_tu, stratified_folds, write_tu
 from gnnlab.errors import (ConsistencyError, IngestError, IntegrityError,
                            StratificationError, TransportError, TuParseError)
-from gnnlab.graphdata import fetch_tu
+from gnnlab.graphdata import _read_table, _value, fetch_tu
 
 from conftest import edge_set, random_adj, stack, synth_dataset, write_tu_files
 
@@ -388,9 +388,9 @@ MALFORMED_CORPORA = {
     "attributes-without-file": (None, "attributes", IngestError, "TOY_node_attributes.txt"),
     "label_onehot-without-file": (None, "label_onehot", IngestError, "TOY_node_labels.txt"),
     "unknown-policy": (None, "bogus", IngestError, "unknown feature policy 'bogus'"),
-    # Python's int reads 1_000, numpy does not: no line fails its check
+    # Python's int reads 1_000, numpy does not; the line reader keeps numpy's grammar
     "digit-separator": (("graph_labels", "1\n1_000\n"), None, TuParseError,
-                        "TOY_graph_labels.txt: "),
+                        "TOY_graph_labels.txt:2: expected an integer, got '1_000'"),
 }
 
 
@@ -427,6 +427,36 @@ def test_parse_reports_the_first_bad_line_in_file_order(tmp_path):
     (tmp_path / "TOY_graph_indicator.txt").write_text("1\n# 1\n")
     with pytest.raises(TuParseError, match="TOY_graph_indicator.txt:2: expected an integer"):
         parse_tu(tmp_path, "TOY")
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("token", ["1_000", "\u0661\u0662", "+5", " 7 ", "-0", "1e3", "5.0",
+                                   "1_0.5", "inf", "Infinity", "+.5", "\u0663.5"])
+def test_line_reader_reads_a_token_exactly_when_numpy_does(tmp_path, token, dtype):
+    # numpy refuses the file at its second line, so the line reader reads the
+    # first: it names line 1 if numpy refuses the token there, else line 2
+    path = tmp_path / "T.txt"
+    path.write_text(f"{token}\nx\n", encoding="utf-8")
+    try:
+        want = np.loadtxt([token], dtype=dtype, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        with pytest.raises(TuParseError, match="^expected"):
+            _value(token, dtype)
+        with pytest.raises(TuParseError, match="^T.txt:1: expected"):
+            _read_table(path, dtype)
+    else:
+        assert np.array([[_value(token, dtype)]], dtype=dtype).tobytes() == want.tobytes()
+        with pytest.raises(TuParseError, match="^T.txt:2: expected"):
+            _read_table(path, dtype)
+
+
+def test_parse_attributes_with_whitespace_only_lines_equal_those_without(tmp_path):
+    rows = ["0.1, -2.5e-300", "1e300, 3.0", "-0.0, 0.30000000000000004"]
+    for name, sep in (("PLAIN", "\n"), ("SPACED", "\n \n\t\n")):
+        write_tu_files(tmp_path, name, [(2, [(1, 2)]), (1, [])], labels=[1, 2])
+        (tmp_path / f"{name}_node_attributes.txt").write_text(sep.join(rows) + "\n")
+    plain, spaced = (parse_tu(tmp_path, name).table for name in ("PLAIN", "SPACED"))
+    assert plain.shape == (3, 2) and spaced.tobytes() == plain.tobytes()
 
 
 def test_stratified_folds_balanced():

@@ -451,6 +451,18 @@ def test_reinit_non_finite_std_is_a_calibration_error():
         reinit(model, ds.graphs)
 
 
+def test_reinit_rejects_a_stage_left_off_unit_std(monkeypatch):
+    # gcn2 divides by twice the measured std, so its output std verifies at 1/2
+    ds = synth_dataset(30, seed=7)
+    model = build(ModelSpec(kind="jk_sum"), ds.feature_dim, ds.num_classes, Rng(0))
+    name, layer = model.block_stages()[2]
+    rescale = layer.rescale
+    monkeypatch.setattr(layer, "rescale", lambda sigma: rescale(2.0 * sigma))
+    with pytest.raises(CalibrationError,
+                       match=rf"^block {name} std is 0\.(4999|5000)\d* after reinit"):
+        reinit(model, ds.graphs)
+
+
 def test_reinit_empty_calibration():
     model = build(ModelSpec(kind="probe4", hidden_dim=5, mlp_dims=(4, 4)),
                   3, 2, Rng(14))

@@ -185,7 +185,8 @@ def test_adam_matches_the_per_parameter_update_bit_for_bit(lr, weight_decay):
             assert np.array_equal(opt.v, np.concatenate([v[name].ravel() for name in trained]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# 1e200 is finite, but its square overflows the second moment
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_adam_non_finite_gradient_names_the_parameter_and_changes_nothing(bad):
     model = _model("gcn_r_mlp")
     opt = Adam(model, lr=0.1, weight_decay=0.1)
