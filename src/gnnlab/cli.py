@@ -7,11 +7,11 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import diagnostics
-from .config import (JK_AGGS, MODEL_KINDS, DatasetConfig, ExperimentConfig, TrainConfig,
-                     read_json)
+from .config import JK_AGGS, MODEL_KINDS, DatasetConfig, ExperimentConfig, read_json
 from .errors import ConfigError, GnnLabError
 from .graphdata import (DEFAULT_TU_URL, FEATURE_POLICIES, Dataset, default_cache_dir,
                         fetch_tu, is_cached, parse_tu)
@@ -141,7 +141,7 @@ def cmd_sweep_epochs(args) -> int:
     for variant, cfg in configs:
         if cfg.dataset not in datasets:  # every setting of a dataset config shapes its parse
             datasets[cfg.dataset] = load_dataset(cfg.dataset)
-        train = TrainConfig.from_dict({**cfg.train.to_dict(), "epochs": budgets[-1]})
+        train = replace(cfg.train, epochs=budgets[-1])
         reports.append(run_cv(datasets[cfg.dataset], cfg.model, train, folds=cfg.folds.count,
                               fold_seed=cfg.folds.seed, jobs=args.jobs, trace=False,
                               budgets=budgets)[0])

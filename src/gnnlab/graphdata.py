@@ -209,8 +209,8 @@ def _read_table(path: Path, dtype=np.int64, check=lambda table: None, width=1, u
     rule of the file as ``(row, error class, message)``, or None. If numpy
     rejects the file or ``check`` flags a row, numpy reads the non-blank lines
     again in checked blocks of 4096 and :func:`_value` the lines of a block
-    numpy rejects, up to the first unreadable one (a bad token, or not
-    ``width`` of them: message ``arity``). The first bad line raises an error
+    numpy rejects, up to the first unreadable one (not UTF-8, a bad token, or
+    not ``width`` of them: message ``arity``). The first bad line raises,
     naming ``file:line``; with none, numpy refused only whitespace-only lines."""
     def load(source):
         with warnings.catch_warnings():
@@ -226,8 +226,18 @@ def _read_table(path: Path, dtype=np.int64, check=lambda table: None, width=1, u
         if check(table := load(path)) is None:
             return table
     blocks, unreadable = [], None
-    with open(path, encoding="utf-8") as fh:
-        lines = ((n, text) for n, raw in enumerate(fh, start=1) if (text := raw.strip()))
+
+    def numbered(fh):  # non-blank lines to the first not UTF-8 (read as lone surrogates)
+        nonlocal unreadable
+        for n, raw in enumerate(fh, start=1):
+            if not raw.isascii() and any("\udc80" <= c <= "\udcff" for c in raw):
+                unreadable = f"{path.name}:{n}: expected UTF-8 text"
+                return
+            if text := raw.strip():
+                yield n, text
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # "\r" ends lines too
+        lines = numbered(fh)
         while unreadable is None and (block := list(itertools.islice(lines, 4096))):
             try:
                 table = load([line for _, line in block])
@@ -356,7 +366,8 @@ def write_tu(ds: Dataset, directory) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
 
     def write(kind, lines):
-        (directory / f"{ds.name}_{kind}.txt").write_text("\n".join(lines) + "\n")
+        (directory / f"{ds.name}_{kind}.txt").write_text("\n".join(lines) + "\n",
+                                                          encoding="utf-8")
 
     rows = np.repeat(np.arange(1, ds.adj.n + 1), ds.adj.degrees())  # ids are 1-based
     write("A", map("{}, {}".format, rows.tolist(), (ds.adj.indices + 1).tolist()))

@@ -20,11 +20,11 @@ its :class:`~gnnlab.config.InitScheme`, declared with the other settings in
 import math
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InitScheme  # noqa: F401  (importable from here too)
+from .config import InitScheme, Settings  # noqa: F401  (InitScheme: importable from here too)
 from .errors import CalibrationError
 from .graphdata import Batch, State, chunks
 from .numcore import Moments, Rng, SparseAdj
@@ -32,17 +32,12 @@ from .numcore import Moments, Rng, SparseAdj
 REINIT_TOL = 1e-6
 
 
-@dataclass
-class ReinitReport:
+@dataclass(frozen=True)
+class ReinitReport(Settings):
     """Per-block divisors and the verified post-rescale output stds."""
-    blocks: list = field(default_factory=list)
-    divisors: list = field(default_factory=list)
-    post_std: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"blocks": list(self.blocks),
-                "divisors": [float(v) for v in self.divisors],
-                "post_std": [float(v) for v in self.post_std]}
+    blocks: tuple[str, ...]
+    divisors: tuple[float, ...]
+    post_std: tuple[float, ...]
 
 
 def kaiming_std(fan_in: int) -> float:
@@ -173,7 +168,7 @@ def reinit(model, calibration) -> ReinitReport:
         raise CalibrationError("reinit needs a non-empty calibration set")
     calibration = Batch.of(calibration)
     stages = model.block_stages()
-    report = ReinitReport(blocks=[name for name, _ in stages])
+    divisors, post_std = [], []
     read = write = None  # the stashes the current sweep reads and writes
     try:
         for idx in range(len(stages) + 1) if stages else ():
@@ -188,7 +183,7 @@ def reinit(model, calibration) -> ReinitReport:
                     write.write(out.adj, stages[idx][1].half, out.sizes)
             read = write if write is not None and write.seal() else None
             if idx:
-                report.post_std.append(verified.std())
+                post_std.append(verified.std())
             if idx < len(stages):
                 name, layer = stages[idx]
                 sigma = measured.std()
@@ -197,10 +192,11 @@ def reinit(model, calibration) -> ReinitReport:
                 if sigma < 1e-300:
                     raise CalibrationError(f"block {name} produced constant output during reinit")
                 layer.rescale(sigma)
-                report.divisors.append(float(sigma))
+                divisors.append(sigma)
     finally:
         for stash in filter(None, (read, write)):
             stash.close()
+    report = ReinitReport(tuple(name for name, _ in stages), tuple(divisors), tuple(post_std))
     for name, post in zip(report.blocks, report.post_std):
         if not abs(post - 1.0) <= REINIT_TOL:  # NaN fails too
             raise CalibrationError(

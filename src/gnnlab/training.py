@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .config import ModelSpec, TrainConfig
+from .config import ModelSpec, Settings, TrainConfig
 from .errors import HarnessError, NonFiniteError, ShapeError
 from .graphdata import Batch, Dataset, FoldSplit, chunks, stratified_folds
 from .init import ReinitReport, reinit
@@ -27,45 +27,25 @@ from .models import Model, build
 from .numcore import Rng
 
 
-@dataclass
-class FoldResult:
+@dataclass(frozen=True)
+class FoldResult(Settings):
     fold: int
-    accuracies: list           # percentage on the held-out fold after each budget
-    train_losses: list         # one mean loss per epoch
-    best_epoch: int            # 1-based epoch with the lowest train loss
-    reinit_report: ReinitReport | None = None  # set when the rescaling init ran
-
-    @property
-    def accuracy(self) -> float:  # at the final epoch
-        return self.accuracies[-1]
-
-    def to_dict(self) -> dict:
-        return {"fold": self.fold, "accuracy": self.accuracy,
-                "train_losses": [float(v) for v in self.train_losses],
-                "best_epoch": self.best_epoch}
+    accuracies: tuple[float, ...]  # percentage on the held-out fold after each budget
+    train_losses: tuple[float, ...]  # one mean loss per epoch
+    reinit: ReinitReport | None = None  # set when the rescaling init ran
 
 
-@dataclass
-class RunReport:
-    model: dict
-    config: dict
+@dataclass(frozen=True)
+class RunReport(Settings):
+    """A cross-validation run as ``report.json`` holds it; ``from_dict`` reads one back."""
+    model: ModelSpec
+    config: TrainConfig
     dataset: str
     feature_policy: str
-    folds: list
+    folds: tuple[FoldResult, ...]
     mean: float
     std: float
-    reinit_divisors: list | None
     wall_clock_s: float
-
-    def to_dict(self) -> dict:
-        out = {"model": self.model, "config": self.config, "dataset": self.dataset,
-               "feature_policy": self.feature_policy,
-               "folds": [f.to_dict() for f in self.folds],
-               "mean": self.mean, "std": self.std,
-               "wall_clock_s": self.wall_clock_s}
-        if self.reinit_divisors is not None:
-            out["reinit_divisors"] = self.reinit_divisors
-        return out
 
 
 def cross_entropy(scores: np.ndarray, labels: np.ndarray):
@@ -243,8 +223,7 @@ def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
             accuracies.append(evaluate(model, test_graphs))
     except NonFiniteError as exc:
         raise NonFiniteError(exc.param, exc.epoch, fold) from None
-    return FoldResult(fold=fold, accuracies=accuracies, train_losses=losses,
-                      best_epoch=int(np.argmin(losses)) + 1, reinit_report=reinit_report)
+    return FoldResult(fold, tuple(accuracies), tuple(losses), reinit_report)
 
 
 def fold_mean_std(accuracies) -> tuple:
@@ -278,13 +257,8 @@ def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = 10,
             outcomes = pool.map(_run_fold_job, jobs_args)
     else:
         outcomes = [_run_fold_job(a) for a in jobs_args]
-    results = [o[0] for o in outcomes]
-    traces = [o[1] for o in outcomes]
-    mean, std = fold_mean_std([r.accuracy for r in results])
-    report = RunReport(
-        model=spec.to_dict(), config=cfg.to_dict(), dataset=ds.name,
-        feature_policy=ds.feature_policy, folds=results, mean=mean, std=std,
-        reinit_divisors=([r.reinit_report.to_dict() for r in results]
-                         if cfg.init.kind == "standard_then_reinit" else None),
-        wall_clock_s=time.perf_counter() - started)
+    results, traces = zip(*outcomes)
+    mean, std = fold_mean_std([r.accuracies[-1] for r in results])
+    report = RunReport(spec, cfg, ds.name, ds.feature_policy, results, mean, std,
+                       wall_clock_s=time.perf_counter() - started)
     return report, traces

@@ -9,10 +9,12 @@ import pytest
 
 from gnnlab import (ExperimentConfig, InitScheme, ModelSpec, Rng, TrainConfig, build, cli,
                     parse_tu, run_cv, stratified_folds, training, write_tu)
-from gnnlab.cli import FLAG_KEYS, _config_from_args, build_parser, main
+from gnnlab.cli import FLAG_KEYS, _config_from_args, _write_report, build_parser, main
 from gnnlab.config import DatasetConfig, Folds
 from gnnlab.errors import ConfigError
+from gnnlab.training import RunReport
 
+import test_golden
 from conftest import synth_dataset, write_tu_files
 from test_graphdata import tu_server  # fixture: local TU archive server
 
@@ -114,6 +116,15 @@ def test_train_stops_on_a_non_finite_loss(tmp_path, capsys, jobs):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_train_on_a_file_that_is_not_utf_8_exits_1_naming_its_line(tmp_path, capsys):
+    write_tu_files(tmp_path, "TOY", [(2, [(1, 2)]), (1, [])], labels=[1, 2])
+    (tmp_path / "TOY_graph_labels.txt").write_bytes(b"1\n\xff\n")
+    args = ["train", "--dataset", "TOY", "--data-dir", str(tmp_path), "--model", "mlp",
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: TOY_graph_labels.txt:2: expected UTF-8 text\n"
+
+
 def test_train_missing_dataset_args(capsys):
     assert main(["train"]) == 2
     assert "error" in capsys.readouterr().err
@@ -139,7 +150,18 @@ def test_train_reinit_flag(tu_dir, tmp_path):
     assert main(args) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["init"]["kind"] == "standard_then_reinit"
-    assert len(report["reinit_divisors"]) == 2
+    assert [len(f["reinit"]["divisors"]) for f in report["folds"]] == [8, 8]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_golden_report_reads_back_to_its_bytes(tmp_path, jobs):
+    test_golden.write_corpus(tmp_path)
+    for name, out in test_golden.train_variants(tmp_path, jobs):
+        text = (out / "report.json").read_bytes()
+        again = tmp_path / f"{name}_again"
+        again.mkdir()
+        report = RunReport.from_dict(json.loads(text))
+        assert _write_report(report, [], again, False).read_bytes() == text, name
 
 
 def _strip_wall_clock(path):
@@ -577,7 +599,7 @@ def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):
         == {"epochs": 2, "lr": 0.01, "weight_decay": 0.001, "batch_size": 4, "seed": 3}
     assert report["config"]["init"] == {"kind": "standard_then_reinit", "seed": None,
                                         "reinit_sample_cap": 10}
-    assert len(report["folds"]) == 3 and len(report["reinit_divisors"]) == 3
+    assert len(report["folds"]) == 3 and all(f["reinit"] is not None for f in report["folds"])
     assert not list(out.glob("trace_fold*.csv"))
     assert not (tmp_path / "ignored").exists()
     # the two overrides report.json does not echo

@@ -25,6 +25,9 @@ each budget that run's numbers: its entry changes only with those of the
 train runs, for a stated numeric reason. Re-record with::
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+which prints each (run, field) whose value the re-record changes, and their
+count, before it writes the file.
 """
 
 import contextlib
@@ -67,14 +70,20 @@ def _provenance() -> dict:
             "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
 
 
-def _runs(work: Path) -> dict:
-    """Every golden run, in this process (the subprocess's side)."""
+def write_corpus(work: Path) -> None:
+    """The golden corpus, in TU form under ``work``."""
     from conftest import synth_dataset
-    from gnnlab import cli, write_tu
+    from gnnlab import write_tu
 
     ds = synth_dataset(36, seed=11, signal=0.7, n_lo=6, n_hi=16, name="GOLDEN")
     write_tu(ds, work / "GOLDEN" / "raw")
-    runs = {}
+
+
+def train_variants(work: Path, jobs: int = 1):
+    """Run each golden train run on the corpus in ``work`` with ``--jobs
+    jobs``; yields its name and output directory."""
+    from gnnlab import cli
+
     for variant, kind, flags, config in VARIANTS:
         if config is not None:
             flags = flags + ["--config", str(work / f"{variant}.json")]
@@ -83,21 +92,30 @@ def _runs(work: Path) -> dict:
             name = f"{variant}_reinit" if reinit else variant
             out = work / name
             argv = ["train", "--dataset", "GOLDEN", "--data-dir", str(work), "--model", kind,
-                    "--epochs", "2", "--folds", "3", "--seed", "7", "--out", str(out)] + flags
+                    "--epochs", "2", "--folds", "3", "--seed", "7", "--out", str(out),
+                    "--jobs", str(jobs)] + flags
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(argv + ["--reinit"] * reinit)
             if code != 0:
                 raise RuntimeError(f"{name}: gnnlab train exited with {code}")
-            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-            del report["wall_clock_s"]
-            canonical = json.dumps(report, indent=2, sort_keys=True).encode()
-            runs[name] = {
-                "report_sha256": _sha256(canonical),
-                "trace_sha256": {p.name: _sha256(p.read_bytes())
-                                 for p in sorted(out.glob("trace_fold*.csv"))},
-                "train_losses": [f["train_losses"] for f in report["folds"]],
-                "accuracies": [f["accuracy"] for f in report["folds"]],
-            }
+            yield name, out
+
+
+def _runs(work: Path) -> dict:
+    """Every golden run, in this process (the subprocess's side)."""
+    write_corpus(work)
+    runs = {}
+    for name, out in train_variants(work):
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        del report["wall_clock_s"]
+        canonical = json.dumps(report, indent=2, sort_keys=True).encode()
+        runs[name] = {
+            "report_sha256": _sha256(canonical),
+            "trace_sha256": {p.name: _sha256(p.read_bytes())
+                             for p in sorted(out.glob("trace_fold*.csv"))},
+            "train_losses": [f["train_losses"] for f in report["folds"]],
+            "accuracies": [f["accuracies"][-1] for f in report["folds"]],
+        }
     return {"provenance": _provenance(), "runs": runs, "sweep": _sweep(work)}
 
 
@@ -136,6 +154,28 @@ def record() -> dict:
     return json.loads(proc.stdout)
 
 
+def changes(old: dict, new: dict) -> list:
+    """The sorted (run, field) pairs whose value differs between two records;
+    the provenance and the sweep count as runs of their own."""
+    def values(rec):
+        runs = {"provenance": rec.get("provenance", {}), "sweep": rec.get("sweep", {}),
+                **rec.get("runs", {})}
+        return {(run, key): v for run, fields in runs.items() for key, v in fields.items()}
+    a, b = values(old), values(new)
+    return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+
+
+def test_record_changes_name_each_run_and_field():
+    old = {"provenance": {"numpy": "1"}, "runs": {"mlp": {"report_sha256": "a", "accuracies": [1]}},
+           "sweep": {"rows": [1]}}
+    new = {"provenance": {"numpy": "2"}, "runs": {"mlp": {"report_sha256": "b", "accuracies": [1]},
+                                                  "jk": {"accuracies": [2]}},
+           "sweep": {"rows": [1]}}
+    assert changes(old, new) == [("jk", "accuracies"), ("mlp", "report_sha256"),
+                                 ("provenance", "numpy")]
+    assert changes(new, new) == []
+
+
 def test_golden_runs_match_the_record():
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = record()
@@ -162,8 +202,13 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--emit"]:
         print(json.dumps(_runs(Path(sys.argv[2]))))
     elif sys.argv[1:] == ["--record"]:
-        GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+        new = record()
+        old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+        changed = changes(old, new)
+        for run, field in changed:
+            print(f"{run}: {field}")
+        print(f"{len(changed)} (run, field) value(s) change")
+        GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {GOLDEN}")
     else:
         sys.exit("usage: test_golden.py --record")

@@ -391,6 +391,9 @@ MALFORMED_CORPORA = {
     # Python's int reads 1_000, numpy does not; the line reader keeps numpy's grammar
     "digit-separator": (("graph_labels", "1\n1_000\n"), None, TuParseError,
                         "TOY_graph_labels.txt:2: expected an integer, got '1_000'"),
+    # "\udcff" is written as the byte 0xff, which no UTF-8 text holds
+    "not-utf-8": (("graph_labels", "1\n2\udcff\n"), None, TuParseError,
+                  "TOY_graph_labels.txt:2: expected UTF-8 text"),
 }
 
 
@@ -399,7 +402,7 @@ def test_parse_malformed_corpus_raises_naming_its_file(tmp_path, case):
     edit, policy, error, names = MALFORMED_CORPORA[case]
     write_tu_files(tmp_path, "TOY", [(2, [(1, 2)]), (1, [])], labels=[1, 2])
     if edit is not None:
-        (tmp_path / f"TOY_{edit[0]}.txt").write_text(edit[1])
+        (tmp_path / f"TOY_{edit[0]}.txt").write_bytes(edit[1].encode("utf-8", "surrogateescape"))
     with pytest.raises(error, match=re.escape(names)):
         parse_tu(tmp_path, "TOY", feature_policy=policy)
 
@@ -426,6 +429,25 @@ def test_parse_reports_the_first_bad_line_in_file_order(tmp_path):
     # the format has no comment lines
     (tmp_path / "TOY_graph_indicator.txt").write_text("1\n# 1\n")
     with pytest.raises(TuParseError, match="TOY_graph_indicator.txt:2: expected an integer"):
+        parse_tu(tmp_path, "TOY")
+
+
+def test_a_line_that_is_not_utf_8_is_named_in_file_order(tmp_path):
+    write_tu_files(tmp_path, "TOY", [(2, []), (2, [])], labels=[1, 2])
+    path = tmp_path / "TOY_A.txt"
+    for text, error, names in [
+            (b"1, 2\n3, 9\n1, \xff2\n", ConsistencyError, "TOY_A.txt:2: node id out of range"),
+            (b"1, 2\n1, x\n\xff\n", TuParseError, "TOY_A.txt:2: expected an integer"),
+            (b"1, 2\n\n\xc3\n1, x\n", TuParseError, "TOY_A.txt:3: expected UTF-8 text"),
+            # lines end at "\r" on the line reader as they do in numpy
+            (b"1, 2\r2, 1\r2, \xe9\r", TuParseError, "TOY_A.txt:3: expected UTF-8 text"),
+            (b"1, 2\r2, 1\r2, x\r", TuParseError, "TOY_A.txt:3: expected an integer")]:
+        path.write_bytes(text)
+        with pytest.raises(error, match=re.escape(names)):
+            parse_tu(tmp_path, "TOY")
+    # beyond the first block of 4096 lines
+    path.write_bytes(b"1, 2\n" * 5000 + b"2, 1\xa0\n")
+    with pytest.raises(TuParseError, match=re.escape("TOY_A.txt:5001: expected UTF-8 text")):
         parse_tu(tmp_path, "TOY")
 
 

@@ -117,7 +117,7 @@ def test_reinit_post_std_equals_a_verification_sweep_after_rescaling():
 def _reference_reinit(model, calibration):
     """Oracle: the O(S^2) reinit, in which every sweep walks each chunk from
     its raw batch through all stages up to the one it measures. Returns the
-    divisors and post-rescale stds."""
+    divisors and post-rescale stds, as tuples like the report's."""
     def stds(first, upto):
         moments = [Moments() for _ in range(first, upto + 1)]
         for batch in chunks(Batch.of(calibration), model.width):
@@ -132,7 +132,7 @@ def _reference_reinit(model, calibration):
         post_std += verified
         layer.rescale(sigma)
         divisors.append(sigma)
-    return divisors, post_std + stds(len(stages) - 1, len(stages) - 1)
+    return tuple(divisors), tuple(post_std + stds(len(stages) - 1, len(stages) - 1))
 
 
 STASH_SPECS = {
@@ -415,8 +415,8 @@ def test_reinit_divisor_bookkeeping():
     model = build(ModelSpec(kind="probe4", hidden_dim=6, mlp_dims=(5, 5)),
                   3, 2, Rng(12))
     report = reinit(model, graphs)
-    assert report.blocks == ["gcn1", "pool1", "gcn2", "pool2",
-                             "gcn3", "pool3", "gcn4", "pool4"]
+    assert report.blocks == ("gcn1", "pool1", "gcn2", "pool2",
+                             "gcn3", "pool3", "gcn4", "pool4")
     assert all(d > 0 for d in report.divisors)
     # pool divisors are carried as forward-time scales
     for (name, layer), d in zip(model.block_stages(), report.divisors):

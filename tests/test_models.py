@@ -42,6 +42,20 @@ def test_probe4_shape():
     assert [t for t, _ in model.taps] == [8]  # the final state
 
 
+def test_probe4_scores_are_its_head_on_the_mean_of_the_last_pool():
+    rng = Rng(41)
+    graphs = share_table(random_graph(rng.derive(i), n, 3) for i, n in enumerate((9, 14, 11)))
+    batch = Batch.of(graphs)
+    model = build(ModelSpec(kind="probe4", hidden_dim=6, mlp_dims=(5, 4)), 3, 2, Rng(42))
+    last = model.run_blocks(batch.state, len(model.block_stages()) - 1)[-1]
+    assert last.sizes.min() > 1  # a sum of one row would equal its mean
+    ends = np.cumsum(last.sizes)
+    a = np.stack([last.x[e - n:e].mean(axis=0) for n, e in zip(last.sizes, ends)])
+    for layer in model.mlp:
+        a = layer.forward(a)
+    np.testing.assert_allclose(model.forward(batch), a, rtol=1e-12, atol=1e-15)
+
+
 def test_three_layer_mlp_head_everywhere():
     for kind in ("mlp", "gcn_mlp", "gcn_r_mlp", "jk_sum", "probe4"):
         model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4)), 3, 2, Rng(4))

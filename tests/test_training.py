@@ -12,6 +12,8 @@ from gnnlab import (Adam, InitScheme, ModelSpec, Rng, TrainConfig, build,
                     cross_entropy, diagnostics, evaluate, run_cv, stratified_folds,
                     train_fold, train_model, training)
 from gnnlab.errors import ConfigError, HarnessError, NonFiniteError, ShapeError
+from gnnlab.init import ReinitReport
+from gnnlab.training import FoldResult, RunReport
 
 from conftest import BLAS_PINNED_BEFORE_NUMPY, constant_feature_dataset, synth_dataset
 
@@ -247,8 +249,7 @@ def test_training_on_separable_fixture_reaches_full_accuracy():
                                                 mlp_dims=(16, 16)), cfg)
     losses = result.train_losses
     assert all(losses[i + 1] < losses[i] for i in range(9))
-    assert result.accuracy == 100.0
-    assert result.best_epoch == int(np.argmin(losses)) + 1
+    assert result.accuracies == (100.0,)
 
 
 def test_epoch_is_one_optimiser_pass_per_batch():
@@ -269,9 +270,8 @@ def test_train_fold_deterministic():
     spec = ModelSpec(kind="gcn_mlp", hidden_dim=8, mlp_dims=(8, 8))
     a = train_fold(ds, split, 1, spec, cfg)
     b = train_fold(ds, split, 1, spec, cfg)
-    assert a.accuracy == b.accuracy
+    assert a.accuracies == b.accuracies
     assert a.train_losses == b.train_losses
-    assert a.best_epoch == b.best_epoch
 
 
 def test_train_fold_tests_after_each_budget_of_one_traced_run():
@@ -290,9 +290,9 @@ def test_train_fold_tests_after_each_budget_of_one_traced_run():
     alone = diagnostics.TraceSink()
     whole = train_fold(ds, split, 1, spec, cfg, sink=alone)
     assert events == alone.events()
-    assert swept.to_dict() == whole.to_dict() and swept.accuracy == swept.accuracies[-1]
+    assert swept.train_losses == whole.train_losses and swept.reinit == whole.reinit
     short = train_fold(ds, split, 1, spec, dataclasses.replace(cfg, epochs=2))
-    assert swept.accuracies == [short.accuracy, whole.accuracy]
+    assert swept.accuracies == short.accuracies + whole.accuracies
 
 
 def test_a_non_finite_loss_after_the_first_budget_names_the_absolute_epoch(monkeypatch):
@@ -341,14 +341,15 @@ def test_run_cv_aggregation():
     report, traces = run_cv(ds, ModelSpec(kind="mlp", hidden_dim=8, mlp_dims=(8, 8)),
                             cfg, folds=2, fold_seed=0)
     assert len(report.folds) == 2
-    accs = [f.accuracy for f in report.folds]
+    accs = [f.accuracies[-1] for f in report.folds]
     assert report.mean == pytest.approx(float(np.mean(accs)), abs=1e-12)
     assert report.std == pytest.approx(float(np.std(accs)), abs=1e-12)
-    assert report.reinit_divisors is None
+    assert all(f.reinit is None for f in report.folds)
     assert report.wall_clock_s > 0
     d = report.to_dict()
     assert set(d) == {"model", "config", "dataset", "feature_policy", "folds",
                       "mean", "std", "wall_clock_s"}
+    assert all(f["reinit"] is None for f in d["folds"])
 
 
 def test_run_cv_constant_features_learn_majority_class():
@@ -365,12 +366,41 @@ def test_run_cv_with_reinit_reports_divisors():
                       init=InitScheme(kind="standard_then_reinit"))
     report, _ = run_cv(ds, ModelSpec(kind="probe4", hidden_dim=6, mlp_dims=(5, 4)),
                        cfg, folds=2, fold_seed=0)
-    assert report.reinit_divisors is not None
-    assert len(report.reinit_divisors) == 2
-    for fold_report in report.reinit_divisors:
-        assert len(fold_report["divisors"]) == 8
-        assert all(abs(s - 1.0) < 1e-6 for s in fold_report["post_std"])
-    assert "reinit_divisors" in report.to_dict()
+    assert len(report.folds) == 2
+    for fold in report.folds:
+        assert len(fold.reinit.divisors) == 8
+        assert all(abs(s - 1.0) < 1e-6 for s in fold.reinit.post_std)
+    assert all(f["reinit"] is not None for f in report.to_dict()["folds"])
+
+
+def _bad_fold(fold: dict, edit: str) -> None:
+    if edit == "unknown key":
+        fold["best_epoch"] = 1
+    elif edit == "string accuracy":
+        fold["accuracies"][1] = "50.0"
+    elif edit == "unknown reinit key":
+        fold["reinit"]["sigma"] = []
+    else:
+        del fold["train_losses"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("unknown key", "RunReport.folds[1]: unknown key(s) ['best_epoch']"),
+    ("string accuracy", "RunReport.folds[1].accuracies[1]: expected float, got '50.0'"),
+    ("missing losses", "RunReport.folds[1]: missing key(s) ['train_losses']"),
+    ("unknown reinit key", "RunReport.folds[1].reinit: unknown key(s) ['sigma']"),
+])
+def test_report_from_dict_names_the_bad_key(edit, message):
+    reinit = ReinitReport(("gcn1",), (0.5,), (1.0,))
+    folds = tuple(FoldResult(f, (25.0, 50.0), (0.7, 0.6), reinit) for f in range(2))
+    report = RunReport(ModelSpec(kind="gcn_mlp"), TrainConfig(), "SYNTH", "attributes", folds,
+                       50.0, 0.0, 0.25)
+    d = report.to_dict()
+    assert RunReport.from_dict(d) == report
+    _bad_fold(d["folds"][1], edit)
+    with pytest.raises(ConfigError) as err:
+        RunReport.from_dict(d)
+    assert str(err.value) == message
 
 
 def test_reinit_sample_cap_limits_calibration():
@@ -381,7 +411,7 @@ def test_reinit_sample_cap_limits_calibration():
                                       reinit_sample_cap=5))
     result = train_fold(ds, split, 0, ModelSpec(kind="probe4", hidden_dim=6,
                                                 mlp_dims=(5, 4)), cfg)
-    assert result.reinit_report is not None
+    assert result.reinit is not None
 
 
 def test_run_cv_parallel_matches_sequential():
