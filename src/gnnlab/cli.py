@@ -1,6 +1,6 @@
 """Command-line entry point: fetch, train, sweep-epochs, plot.
 
-Exit codes: 0 on success, 1 on runtime failure, 2 on usage/config errors.
+Exit codes: 0 on success, 1 on runtime failure, 2 on usage/config/spec errors.
 """
 
 import argparse
@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import diagnostics
 from .config import JK_AGGS, MODEL_KINDS, DatasetConfig, ExperimentConfig, read_json
-from .errors import ConfigError, GnnLabError
+from .errors import ConfigError, GnnLabError, SpecError
 from .graphdata import (DEFAULT_TU_URL, FEATURE_POLICIES, Dataset, default_cache_dir,
                         fetch_tu, is_cached, parse_tu)
 from .layers import READOUT_KINDS
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, SpecError) as exc:  # SpecError: raised at the first build
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GnnLabError, OSError) as exc:  # OSError: an unwritable --out, say

@@ -39,6 +39,10 @@ class ReinitReport(Settings):
     divisors: tuple[float, ...]
     post_std: tuple[float, ...]
 
+    def __post_init__(self):
+        if not len(self.blocks) == len(self.divisors) == len(self.post_std):
+            raise ValueError("blocks, divisors and post_std must be of one length")
+
 
 def kaiming_std(fan_in: int) -> float:
     return math.sqrt(2.0 / fan_in)

@@ -171,7 +171,7 @@ class TopKPool:
 
     last_preactivation = None  # a pool has no preactivation to trace
 
-    def __init__(self, p, k=0.8):
+    def __init__(self, p, k):
         if not (0 <= k < 1):
             raise ValueError("k must lie in [0, 1)")
         self.p = np.asarray(p, dtype=np.float64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
-from .config import ModelSpec, Settings, TrainConfig
+from .config import Folds, ModelSpec, Settings, TrainConfig
 from .errors import HarnessError, NonFiniteError, ShapeError
 from .graphdata import Batch, Dataset, FoldSplit, chunks, stratified_folds
 from .init import ReinitReport, reinit
@@ -34,6 +34,11 @@ class FoldResult(Settings):
     train_losses: tuple[float, ...]  # one mean loss per epoch
     reinit: ReinitReport | None = None  # set when the rescaling init ran
 
+    def __post_init__(self):
+        accs = self.accuracies
+        if self.fold < 0 or not (self.train_losses and accs and all(0 <= a <= 100 for a in accs)):
+            raise ValueError("need fold >= 0 and non-empty train_losses, accuracies in [0, 100]")
+
 
 @dataclass(frozen=True)
 class RunReport(Settings):
@@ -46,6 +51,16 @@ class RunReport(Settings):
     mean: float
     std: float
     wall_clock_s: float
+
+    def __post_init__(self):
+        reinit = self.config.init.kind == "standard_then_reinit"
+        for i, f in enumerate(self.folds):
+            got = (f.fold, len(f.train_losses), len(f.accuracies), f.reinit is not None)
+            want = (i, self.config.epochs, len(self.folds[0].accuracies), reinit)
+            if got != want:
+                raise ValueError(f"folds[{i}]: (fold, losses, accuracies, reinit) {got} != {want}")
+        if (self.mean, self.std) != fold_mean_std([f.accuracies[-1] for f in self.folds]):
+            raise ValueError("mean and std are not those of the folds' last accuracies")
 
 
 def cross_entropy(scores: np.ndarray, labels: np.ndarray):
@@ -75,7 +90,8 @@ class Adam:
     bits are those of one.
     """
 
-    def __init__(self, model: Model, lr=5e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, model: Model, lr=TrainConfig.lr, betas=TrainConfig.betas,
+                 eps=TrainConfig.eps, weight_decay=TrainConfig.weight_decay):
         self.model = model
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
@@ -239,8 +255,8 @@ def _run_fold_job(args):
     return result, sink.events() if sink is not None else None
 
 
-def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = 10,
-           fold_seed: int = 12345, jobs: int = 1, trace: bool = False, budgets=None):
+def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = Folds.count,
+           fold_seed: int = Folds.seed, jobs: int = 1, trace: bool = False, budgets=None):
     """Run cross-validation over stratified folds; returns (RunReport, fold traces).
 
     Each fold is tested after each of ``budgets`` (see :func:`train_fold`), the

@@ -125,6 +125,27 @@ def test_train_on_a_file_that_is_not_utf_8_exits_1_naming_its_line(tmp_path, cap
     assert capsys.readouterr().err == "error: TOY_graph_labels.txt:2: expected UTF-8 text\n"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_train_on_a_spec_the_dataset_cannot_serve_exits_2(tu_dir, tmp_path, capsys, jobs):
+    # the corpus has 3 feature columns, so gcn_mlp's taps are 3 and 5 wide
+    args = _train_args(tu_dir, tmp_path / "o", ["--model", "gcn_mlp", "--jk-agg", "sum",
+                                                "--hidden-dim", "5", "--jobs", jobs])
+    assert main(args) == 2
+    assert capsys.readouterr().err == \
+        "error: jk_agg 'sum' needs taps of equal width, gcn_mlp has [3, 5]\n"
+
+
+def test_a_minimal_preset_writes_every_field_of_its_report(tmp_path):
+    write_tu(synth_dataset(40, seed=1, name="PROTEINS"), tmp_path / "PROTEINS" / "raw")
+    preset = Path(__file__).resolve().parents[1] / "configs" / "proteins_mlp.json"
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(preset), "--data-dir", str(tmp_path),
+                 "--epochs", "1", "--folds", "2", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["model"] == ModelSpec(kind="mlp").to_dict()
+    assert report["config"] == TrainConfig(epochs=1).to_dict()
+
+
 def test_train_missing_dataset_args(capsys):
     assert main(["train"]) == 2
     assert "error" in capsys.readouterr().err

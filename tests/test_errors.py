@@ -15,7 +15,7 @@ from conftest import synth_dataset
 
 def _pool_rows_wider_than_its_projection():
     state = State(SparseAdj.from_edges(2, [(0, 1)]), np.ones((2, 4)), np.array([2]))
-    TopKPool(np.ones(3)).forward(state)
+    TopKPool(np.ones(3), k=0.8).forward(state)
 
 
 def _run_blocks_past_the_last_stage():

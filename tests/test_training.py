@@ -373,6 +373,15 @@ def test_run_cv_with_reinit_reports_divisors():
     assert all(f["reinit"] is not None for f in report.to_dict()["folds"])
 
 
+def _two_fold_reinit_report() -> RunReport:
+    """Two epochs, tested after each, of a rescaled ``gcn_mlp`` on two folds."""
+    reinit = ReinitReport(("gcn1",), (0.5,), (1.0,))
+    folds = tuple(FoldResult(f, (25.0, 50.0), (0.7, 0.6), reinit) for f in range(2))
+    cfg = TrainConfig(epochs=2, init=InitScheme(kind="standard_then_reinit"))
+    return RunReport(ModelSpec(kind="gcn_mlp"), cfg, "SYNTH", "attributes", folds,
+                     50.0, 0.0, 0.25)
+
+
 def _bad_fold(fold: dict, edit: str) -> None:
     if edit == "unknown key":
         fold["best_epoch"] = 1
@@ -391,13 +400,57 @@ def _bad_fold(fold: dict, edit: str) -> None:
     ("unknown reinit key", "RunReport.folds[1].reinit: unknown key(s) ['sigma']"),
 ])
 def test_report_from_dict_names_the_bad_key(edit, message):
-    reinit = ReinitReport(("gcn1",), (0.5,), (1.0,))
-    folds = tuple(FoldResult(f, (25.0, 50.0), (0.7, 0.6), reinit) for f in range(2))
-    report = RunReport(ModelSpec(kind="gcn_mlp"), TrainConfig(), "SYNTH", "attributes", folds,
-                       50.0, 0.0, 0.25)
+    report = _two_fold_reinit_report()
     d = report.to_dict()
     assert RunReport.from_dict(d) == report
     _bad_fold(d["folds"][1], edit)
+    with pytest.raises(ConfigError) as err:
+        RunReport.from_dict(d)
+    assert str(err.value) == message
+
+
+def test_report_from_dict_rejects_numbers_that_contradict_each_other():
+    d = _two_fold_reinit_report().to_dict()
+    d["folds"][0].update(accuracies=[], train_losses=[0.7])
+    d["folds"][1]["fold"] = 7
+    d["mean"] = 99.0
+    with pytest.raises(ConfigError) as err:
+        RunReport.from_dict(d)
+    assert str(err.value) == f"RunReport.folds[0]: {FOLD_RULE}"
+
+
+def _set_in(d: dict, keys: str, value) -> None:
+    """``d[k1][k2]... = value`` for the dotted ``keys``; a digit key indexes a list."""
+    *path, last = [int(k) if k.isdigit() else k for k in keys.split(".")]
+    for key in path:
+        d = d[key]
+    d[last] = value
+
+
+FOLD_RULE = "need fold >= 0 and non-empty train_losses, accuracies in [0, 100]"
+FOLD_SHAPE = "RunReport: folds[{}]: (fold, losses, accuracies, reinit) {} != {}"
+
+
+@pytest.mark.parametrize("keys,value,message", [
+    ("folds.1.fold", -1, f"RunReport.folds[1]: {FOLD_RULE}"),
+    ("folds.1.accuracies", [], f"RunReport.folds[1]: {FOLD_RULE}"),
+    ("folds.1.accuracies", [25.0, 100.5], f"RunReport.folds[1]: {FOLD_RULE}"),
+    ("folds.1.accuracies", [-0.5, 50.0], f"RunReport.folds[1]: {FOLD_RULE}"),
+    ("folds.1.train_losses", [], f"RunReport.folds[1]: {FOLD_RULE}"),
+    ("folds.1.reinit.post_std", [], "RunReport.folds[1].reinit: blocks, divisors and "
+                                    "post_std must be of one length"),
+    ("folds.1.fold", 0, FOLD_SHAPE.format(1, (0, 2, 2, True), (1, 2, 2, True))),
+    ("folds.1.train_losses", [0.7], FOLD_SHAPE.format(1, (1, 1, 2, True), (1, 2, 2, True))),
+    ("config.epochs", 3, FOLD_SHAPE.format(0, (0, 2, 2, True), (0, 3, 2, True))),
+    ("folds.1.accuracies", [50.0], FOLD_SHAPE.format(1, (1, 2, 1, True), (1, 2, 2, True))),
+    ("folds.1.reinit", None, FOLD_SHAPE.format(1, (1, 2, 2, False), (1, 2, 2, True))),
+    ("config.init.kind", "standard", FOLD_SHAPE.format(0, (0, 2, 2, True), (0, 2, 2, False))),
+    ("mean", 50.5, "RunReport: mean and std are not those of the folds' last accuracies"),
+    ("std", 1e-300, "RunReport: mean and std are not those of the folds' last accuracies"),
+])
+def test_report_from_dict_names_each_contradiction(keys, value, message):
+    d = _two_fold_reinit_report().to_dict()
+    _set_in(d, keys, value)
     with pytest.raises(ConfigError) as err:
         RunReport.from_dict(d)
     assert str(err.value) == message
