@@ -188,79 +188,65 @@ class FoldSplit:
 # --------------------------------------------------------------------------
 # parsing
 
-def _value(token: str, dtype):
-    """``token`` as numpy's ``loadtxt`` reads it: by Python's ``int`` or ``float``
-    grammar, less ``_`` separators and non-ASCII digits, integers within int64."""
-    text = token.strip()
-    with suppress(ValueError):
-        if text.isascii() and "_" not in text:
-            value = (int if dtype is np.int64 else float)(text)
-            if dtype is np.float64 or -2**63 <= value < 2**63:
-                return value
-    what = "an integer" if dtype is np.int64 else "a number"
-    raise TuParseError(f"expected {what}, got {token!r}")
-
-
 def _read_table(path: Path, dtype=np.int64, check=lambda table: None, width=1, usecols=None,
                 arity="expected an integer, got {line!r}") -> np.ndarray:
     """The comma-separated values of a TU file as a 2-D array of ``width``
-    columns (the first line's count if None; by default one integer per line),
-    read by numpy in one pass. ``check(table)`` gives the first row breaking a
-    rule of the file as ``(row, error class, message)``, or None. If numpy
-    rejects the file or ``check`` flags a row, numpy reads the non-blank lines
-    again in checked blocks of 4096 and :func:`_value` the lines of a block
-    numpy rejects, up to the first unreadable one (not UTF-8, a bad token, or
-    not ``width`` of them: message ``arity``). The first bad line raises,
-    naming ``file:line``; with none, numpy refused only whitespace-only lines."""
-    def load(source):
+    columns (the first non-blank line's count if None; by default one integer
+    per line), read by numpy in one pass. ``check(table)`` gives the first row
+    breaking a rule of the file as ``(row, error class, message)``, or None. If
+    numpy rejects the file or ``check`` flags a row, numpy reads the non-blank
+    lines again in checked blocks of 4096, and a block it refuses one line at
+    a time, up to the first line not UTF-8 or refused alone. That line raises,
+    naming ``file:line`` and the first reason that holds: not UTF-8, not
+    ``width`` values (message ``arity``), or the first token numpy refuses. A
+    row ``check`` flags before it raises first. With no bad line, numpy
+    refused only whitespace-only lines."""
+    def load(source, width):
         with warnings.catch_warnings():
             # a file without data lines is an empty table
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(source, dtype=dtype, delimiter=",", ndmin=2, comments=None,
                                encoding="utf-8", usecols=usecols)
-        if width not in (None, table.shape[1]):
+        if table.size and width not in (None, table.shape[1]):
             raise ValueError(f"expected {width} columns")
-        return table
+        return table.reshape(len(table), width or table.shape[1])
+
+    def read(lines, width):  # None if numpy refuses them; a blank token is no row to it
+        with suppress(ValueError):
+            if (table := load(lines, width)).shape[0] == len(lines):
+                return table
+
+    def not_utf_8(line):  # its undecodable bytes read as lone surrogates
+        return not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line)
+
+    def why(line):
+        tokens = line.split(",")[:1] if usecols == 0 else line.split(",")
+        if not_utf_8(line):
+            return "expected UTF-8 text"
+        if len(tokens) != width:
+            return arity.format(width=width, line=line)
+        token = next(token for token in tokens if read([token], 1) is None)
+        return f"expected {'an integer' if dtype is np.int64 else 'a number'}, got {token!r}"
 
     with suppress(ValueError):
-        if check(table := load(path)) is None:
+        if check(table := load(path, width)) is None:
             return table
-    blocks, unreadable = [], None
-
-    def numbered(fh):  # non-blank lines to the first not UTF-8 (read as lone surrogates)
-        nonlocal unreadable
-        for n, raw in enumerate(fh, start=1):
-            if not raw.isascii() and any("\udc80" <= c <= "\udcff" for c in raw):
-                unreadable = f"{path.name}:{n}: expected UTF-8 text"
-                return
-            if text := raw.strip():
-                yield n, text
-
+    blocks = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:  # "\r" ends lines too
-        lines = numbered(fh)
-        while unreadable is None and (block := list(itertools.islice(lines, 4096))):
-            try:
-                table = load([line for _, line in block])
-            except ValueError:  # the rows before the first line numpy cannot read
-                rows = []
-                for lineno, line in block:
-                    tokens = line.split(",")[:1] if usecols == 0 else line.split(",")
-                    width = width or len(tokens)
-                    try:
-                        if len(tokens) != width:
-                            raise TuParseError(arity.format(width=width, line=line))
-                        rows.append([_value(token, dtype) for token in tokens])
-                    except TuParseError as exc:
-                        unreadable = f"{path.name}:{lineno}: {exc}"
-                        break
-                table = np.array(rows, dtype=dtype).reshape(len(rows), width)
-            width = table.shape[1]
-            blocks.append(table)
-            if (flagged := check(table)) is not None:  # before the unreadable line
+        lines = ((n, text) for n, raw in enumerate(fh, start=1) if (text := raw.strip()))
+        while block := list(itertools.islice(lines, 4096)):
+            linenos, texts = zip(*block)
+            width = width or len(texts[0].split(","))
+            good = next((i for i, text in enumerate(texts) if not_utf_8(text)), len(texts))
+            if (table := read(texts[:good], width)) is None:
+                good = next(i for i in range(good) if read(texts[i:i + 1], width) is None)
+                table = load(texts[:good], width)
+            if (flagged := check(table)) is not None:
                 row, error, message = flagged
-                raise error(f"{path.name}:{block[row][0]}: {message}")
-    if unreadable is not None:
-        raise TuParseError(unreadable)
+                raise error(f"{path.name}:{linenos[row]}: {message}")
+            if good < len(texts):
+                raise TuParseError(f"{path.name}:{linenos[good]}: {why(texts[good])}")
+            blocks.append(table)
     return np.concatenate(blocks) if blocks else np.empty((0, width or 0), dtype)
 
 

@@ -53,6 +53,8 @@ class RunReport(Settings):
     wall_clock_s: float
 
     def __post_init__(self):
+        if not self.folds:
+            raise ValueError("folds: a run has at least one fold")
         reinit = self.config.init.kind == "standard_then_reinit"
         for i, f in enumerate(self.folds):
             got = (f.fold, len(f.train_losses), len(f.accuracies), f.reinit is not None)

@@ -6,6 +6,7 @@ import io
 import logging
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import gnnlab
 from gnnlab import Batch, Rng, SparseAdj, parse_tu, stratified_folds, write_tu
 from gnnlab.errors import (ConsistencyError, IngestError, IntegrityError,
                            StratificationError, TransportError, TuParseError)
-from gnnlab.graphdata import _read_table, _value, fetch_tu
+from gnnlab.graphdata import _read_table, fetch_tu
 
 from conftest import edge_set, random_adj, stack, synth_dataset, write_tu_files
 
@@ -394,6 +395,12 @@ MALFORMED_CORPORA = {
     # "\udcff" is written as the byte 0xff, which no UTF-8 text holds
     "not-utf-8": (("graph_labels", "1\n2\udcff\n"), None, TuParseError,
                   "TOY_graph_labels.txt:2: expected UTF-8 text"),
+    # numpy reads a blank token alone as an empty line, which it accepts
+    "blank-token": (("A", "1, 2\n2,\n"), None, TuParseError,
+                    "TOY_A.txt:2: expected an integer, got ''"),
+    # numpy ignores the labels after the first, so only the UTF-8 scan sees it
+    "not-utf-8-in-an-ignored-label": (("node_labels", "1\n1, 2\udcff\n1\n"), None,
+                                      TuParseError, "TOY_node_labels.txt:2: expected UTF-8 text"),
 }
 
 
@@ -460,16 +467,83 @@ def test_line_reader_reads_a_token_exactly_when_numpy_does(tmp_path, token, dtyp
     path = tmp_path / "T.txt"
     path.write_text(f"{token}\nx\n", encoding="utf-8")
     try:
-        want = np.loadtxt([token], dtype=dtype, delimiter=",", ndmin=2, comments=None)
+        np.loadtxt([token], dtype=dtype, delimiter=",", ndmin=2, comments=None)
     except ValueError:
-        with pytest.raises(TuParseError, match="^expected"):
-            _value(token, dtype)
         with pytest.raises(TuParseError, match="^T.txt:1: expected"):
             _read_table(path, dtype)
     else:
-        assert np.array([[_value(token, dtype)]], dtype=dtype).tobytes() == want.tobytes()
         with pytest.raises(TuParseError, match="^T.txt:2: expected"):
             _read_table(path, dtype)
+
+
+# (dtype, width, usecols) of the readers of a graph indicator, an edge list,
+# node attributes and node labels
+READERS = [(np.int64, 1, None), (np.int64, 2, None), (np.float64, None, None), (np.int64, 1, 0)]
+GOOD_TOKENS = {np.int64: ["1", " 12 ", "-4", "+5", "0"],
+               np.float64: ["1.5", " -2e-3", "1e300", "-0.0", "nan", "7"]}
+BAD_TOKENS = ["x", "1_000", "\u0661", "", " ", "1.0", "9223372036854775808", "1e400", "#1"]
+
+
+def random_table_text(rng, dtype, width, count) -> bytes:
+    """``count`` lines of ``width`` tokens, some of them blank, of another
+    width, with a bad token or with a byte that is not UTF-8."""
+    lines = []
+    for i in range(count):
+        r = rng.random()
+        if i and r < 0.05:
+            lines.append(rng.choice([b"", b" ", b"\t"]))
+            continue
+        tokens = rng.choices(GOOD_TOKENS[dtype], k=max(1, width + rng.choice([-1, 1]))
+                             if r < 0.08 else width)
+        if r > 0.97:
+            tokens[rng.randrange(len(tokens))] = rng.choice(BAD_TOKENS)
+        line = ",".join(tokens).encode()
+        if 0.5 < r < 0.53:
+            at = rng.randrange(len(line) + 1)
+            line = line[:at] + b"\xff" + line[at:]
+        lines.append(line)
+    return b"".join(line + rng.choice([b"\n", b"\n", b"\r", b"\r\n"]) for line in lines)
+
+
+def first_bad_line(data: bytes, dtype, width, usecols):
+    """The number of the first non-blank line of ``data`` that is not UTF-8 or
+    that numpy refuses alone at the file's width (the first line's count if
+    ``width`` is None), or None; and the non-blank lines."""
+    text = data.decode("utf-8", "surrogateescape")
+    lines = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    width = width or len(lines[0][1].split(","))
+    for n, line in lines:
+        try:
+            line.encode("utf-8")
+            row = np.loadtxt([line], dtype=dtype, delimiter=",", ndmin=2, comments=None,
+                             usecols=usecols)
+        except (UnicodeEncodeError, ValueError):
+            return n, lines
+        if row.shape != (1, width):  # a line of blank tokens is no row to numpy
+            return n, lines
+    return None, lines
+
+
+def test_the_first_bad_line_of_random_files_is_the_one_numpy_refuses_alone(tmp_path):
+    rng = random.Random(33)
+    path = tmp_path / "T.txt"
+    for i in range(300):
+        dtype, width, usecols = READERS[i % len(READERS)]
+        columns = rng.randint(1, 3) if width is None or usecols == 0 else width
+        data = random_table_text(rng, dtype, columns, rng.randint(1, 12))
+        if i == 0:  # past the first block of 4096 lines, then one not UTF-8
+            data = b"1\n" * 4100 + data + b"\xff\n"
+        path.write_bytes(data)
+        bad, lines = first_bad_line(data, dtype, width, usecols)
+        if bad is None:
+            want = np.loadtxt([line for _, line in lines], dtype=dtype, delimiter=",",
+                              ndmin=2, comments=None, usecols=usecols)
+            got = _read_table(path, dtype, width=width, usecols=usecols)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), data
+        else:
+            with pytest.raises(TuParseError, match=f"^T.txt:{bad}: expected"):
+                _read_table(path, dtype, width=width, usecols=usecols)
+            assert i or bad > 4096
 
 
 def test_parse_attributes_with_whitespace_only_lines_equal_those_without(tmp_path):

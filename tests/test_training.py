@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,16 @@ def test_report_from_dict_names_each_contradiction(keys, value, message):
     with pytest.raises(ConfigError) as err:
         RunReport.from_dict(d)
     assert str(err.value) == message
+
+
+def test_report_from_dict_without_folds_names_them_and_warns_nothing():
+    d = _two_fold_reinit_report().to_dict()
+    d["folds"] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            RunReport.from_dict(d)
+    assert str(err.value) == "RunReport: folds: a run has at least one fold"
 
 
 def test_reinit_sample_cap_limits_calibration():
