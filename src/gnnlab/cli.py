@@ -12,9 +12,8 @@ from pathlib import Path
 
 from . import diagnostics
 from .config import JK_AGGS, MODEL_KINDS, DatasetConfig, ExperimentConfig, read_json
-from .errors import ConfigError, GnnLabError, SpecError
-from .graphdata import (DEFAULT_TU_URL, FEATURE_POLICIES, Dataset, default_cache_dir,
-                        fetch_tu, is_cached, parse_tu)
+from .errors import ConfigError, GnnLabError, SpecError, StratificationError
+from .graphdata import DEFAULT_TU_URL, FEATURE_POLICIES, Dataset, fetch_tu, is_cached, parse_tu
 from .layers import READOUT_KINDS
 from .training import fold_mean_std, run_cv
 
@@ -82,14 +81,13 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(d)
 
 
-def _write_report(report, traces, out_dir: Path, diagnostics_on: bool) -> Path:
+def _write_report(report, traces, out_dir: Path) -> Path:
     report_path = out_dir / "report.json"
     report_path.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if diagnostics_on:
-        for fold, events in enumerate(traces):
-            if events is not None:
-                diagnostics.write_events_csv(events, out_dir / f"trace_fold{fold}.csv")
+    for fold, events in enumerate(traces):
+        if events is not None:
+            diagnostics.write_events_csv(events, out_dir / f"trace_fold{fold}.csv")
     return report_path
 
 
@@ -99,12 +97,9 @@ def _check_jobs(jobs: int) -> None:
 
 
 def cmd_fetch(args) -> int:
-    cache_dir = args.cache_dir or default_cache_dir()
-    if is_cached(args.name, cache_dir):
-        print(f"cached: {Path(cache_dir) / args.name / 'raw'}")
-        return 0
-    path = fetch_tu(args.name, url_base=args.url_base, cache_dir=cache_dir)
-    print(f"fetched: {path}")
+    cached = is_cached(args.name, args.cache_dir)
+    path = fetch_tu(args.name, url_base=args.url_base, cache_dir=args.cache_dir)
+    print(f"{'cached' if cached else 'fetched'}: {path}")
     return 0
 
 
@@ -117,7 +112,7 @@ def cmd_train(args) -> int:
     report, traces = run_cv(ds, cfg.model, cfg.train, folds=cfg.folds.count,
                             fold_seed=cfg.folds.seed, jobs=args.jobs,
                             trace=cfg.diagnostics)
-    report_path = _write_report(report, traces, out_dir, cfg.diagnostics)
+    report_path = _write_report(report, traces, out_dir)
     print(f"{ds.name} {cfg.model.kind}: {report.mean:.2f} +/- {report.std:.2f} "
           f"(over {cfg.folds.count} folds) -> {report_path}")
     return 0
@@ -223,7 +218,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SpecError) as exc:  # SpecError: raised at the first build
+    # a spec (at the first build) or fold count the dataset cannot serve is a setting error
+    except (ConfigError, SpecError, StratificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GnnLabError, OSError) as exc:  # OSError: an unwritable --out, say

@@ -35,14 +35,11 @@ class TraceSink:
         # scalars pooled under it, in first-insertion order of the keys
         self._acc = {}
 
-    def add_entries(self, epoch: int, layer: str, stat: str, x: np.ndarray):
-        """Pool matrix entries into the (epoch, layer) accumulator for ``stat``
-        ("act" yields act_mean/act_std events, "preact" yields preact_std)."""
-        self._acc.setdefault((epoch, layer, stat), Moments()).add(x)
-
-    def add_scalar(self, epoch: int, layer: str, kind: str, value: float):
-        """Pool one scalar; its ``kind`` event is the mean of those pooled."""
-        self._acc.setdefault((epoch, layer, kind), Moments()).add(np.float64(value))
+    def add(self, epoch: int, layer: str, tag: str, x):
+        """Pool the entries of ``x`` (a matrix or a scalar) under (epoch, layer,
+        tag): "act" yields act_mean/act_std events, "preact" yields
+        preact_std, and any other tag an event of the mean pooled."""
+        self._acc.setdefault((epoch, layer, tag), Moments()).add(np.asarray(x))
 
     def events(self) -> list:
         """Materialise events in first-insertion order of their keys."""
@@ -61,19 +58,19 @@ class TraceSink:
 def record_forward(sink: TraceSink, epoch: int, model) -> None:
     """Pool activation stats of the most recent forward into the sink."""
     for layer_id, out, pre in model.trace_states():
-        sink.add_entries(epoch, layer_id, "act", out)
+        sink.add(epoch, layer_id, "act", out)
         if pre is not None:
-            sink.add_entries(epoch, layer_id, "preact", pre)
+            sink.add(epoch, layer_id, "preact", pre)
 
 
 def record_backward(sink: TraceSink, epoch: int, model) -> None:
     """Record the L2 norm of each named parameter's current step gradient."""
     for name, grad in model.last_grads.items():
-        sink.add_scalar(epoch, name, "grad_norm", float(np.linalg.norm(grad)))
+        sink.add(epoch, name, "grad_norm", np.linalg.norm(grad))
 
 
 def record_loss(sink: TraceSink, epoch: int, value: float) -> None:
-    sink.add_scalar(epoch, "model", "train_loss", value)
+    sink.add(epoch, "model", "train_loss", value)
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +103,9 @@ def load_events_csv(path) -> list:
                 continue
             try:
                 epoch, layer, kind, value = row
-                events.append(TraceEvent(int(epoch), layer, kind, float(value)))
+                if not np.isfinite(value := float(value)):  # a chart cannot place it
+                    raise ValueError(value)
+                events.append(TraceEvent(int(epoch), layer, kind, value))
             except ValueError:
                 raise RenderError(f"{path}:{reader.line_num}: malformed row {row!r}") from None
     return events
@@ -139,8 +138,6 @@ def parse_series_spec(spec: str | None) -> dict:
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi == lo:
-        return [lo]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 

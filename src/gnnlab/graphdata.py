@@ -176,7 +176,6 @@ def chunks(batch: Batch, width: int):
 class FoldSplit:
     fold_count: int
     assignments: np.ndarray
-    seed: int
 
     def train_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments != fold)[0]
@@ -470,4 +469,4 @@ def stratified_folds(ds: Dataset, k: int, seed: int = DEFAULT_FOLD_SEED) -> Fold
         assignments[members[rng.permutation(members.shape[0])]] = \
             (start + np.arange(members.shape[0])) % k
         start = (start + members.shape[0]) % k
-    return FoldSplit(fold_count=k, assignments=assignments, seed=seed)
+    return FoldSplit(fold_count=k, assignments=assignments)

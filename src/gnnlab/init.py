@@ -56,15 +56,14 @@ def init_standard(model, rng: Rng) -> None:
     """Kaiming-normal convolution weights, Glorot-uniform pool/dense weights,
     zero biases, unit pool scale divisors. Draw order follows the registry."""
     for gcn, pool in model.blocks:
-        gcn.w[...] = rng.normal(gcn.fan_in, gcn.fan_out, kaiming_std(gcn.fan_in))
+        gcn.w[...] = rng.normal(*gcn.w.shape, kaiming_std(gcn.w.shape[0]))
         gcn.b[...] = 0.0
         if pool is not None:
             f = pool.p.shape[0]
             pool.p[...] = rng.uniform(1, f, glorot_bound(f, 1))[0]
             pool.scale = 1.0
     for layer in model.mlp:
-        layer.w[...] = rng.uniform(layer.fan_in, layer.fan_out,
-                                   glorot_bound(layer.fan_in, layer.fan_out))
+        layer.w[...] = rng.uniform(*layer.w.shape, glorot_bound(*layer.w.shape))
         layer.b[...] = 0.0
 
 

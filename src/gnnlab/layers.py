@@ -53,14 +53,6 @@ class DenseLayer:
         self.activation = activation
         self._cache = None
 
-    @property
-    def fan_in(self):
-        return self.w.shape[0]
-
-    @property
-    def fan_out(self):
-        return self.w.shape[1]
-
     def _affine(self, x):
         """(preactivation, output) of the map on ``x``."""
         if x.shape[1] != self.w.shape[0]:

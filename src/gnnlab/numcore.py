@@ -1,8 +1,7 @@
-"""Dense matrices, sparse adjacencies, entry moments and a deterministic RNG.
+"""Entry moments, sparse adjacencies and a deterministic RNG.
 
-Matrices are plain 2-D float64 numpy arrays. Adjacencies are immutable,
-undirected CSR structures; each propagation operator is built from one when a
-convolution reads it and is not kept.
+Adjacencies are immutable, undirected CSR structures; each propagation
+operator is built from one when a convolution reads it and is not kept.
 """
 
 import math
@@ -106,15 +105,11 @@ class Rng:
     def normal(self, rows: int, cols: int, std: float) -> np.ndarray:
         if std < 0:
             raise DomainError("std must be non-negative")
-        if std == 0:
-            return np.zeros((rows, cols), dtype=np.float64)
         return self._gen.normal(0.0, std, size=(rows, cols))
 
     def uniform(self, rows: int, cols: int, bound: float) -> np.ndarray:
         if bound < 0:
             raise DomainError("bound must be non-negative")
-        if bound == 0:
-            return np.zeros((rows, cols), dtype=np.float64)
         return self._gen.uniform(-bound, bound, size=(rows, cols))
 
     def permutation(self, n: int) -> np.ndarray:

@@ -182,7 +182,7 @@ def test_every_golden_report_reads_back_to_its_bytes(tmp_path, jobs):
         again = tmp_path / f"{name}_again"
         again.mkdir()
         report = RunReport.from_dict(json.loads(text))
-        assert _write_report(report, [], again, False).read_bytes() == text, name
+        assert _write_report(report, [], again).read_bytes() == text, name
 
 
 def _strip_wall_clock(path):
@@ -258,11 +258,11 @@ def test_fetch_prints_cached_on_second_call(tu_server, tmp_path, capsys):
     assert main(["fetch", "MINI", "--cache-dir", str(cache),
                  "--url-base", tu_server]) == 0
     first = capsys.readouterr().out
-    assert "fetched" in first
+    assert first == f"fetched: {cache / 'MINI' / 'raw'}\n"
     assert main(["fetch", "MINI", "--cache-dir", str(cache),
                  "--url-base", tu_server]) == 0
     second = capsys.readouterr().out
-    assert "cached" in second
+    assert second == f"cached: {cache / 'MINI' / 'raw'}\n"
 
 
 def test_fetch_unknown_name_fails(tu_server, tmp_path, capsys):
@@ -456,8 +456,10 @@ def test_plot_unknown_series_exit_code(tu_dir, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["epoch,layer,kind,value\n2,gcn1,act_std,abc\n", None],
-                         ids=["malformed_row", "missing_file"])
+@pytest.mark.parametrize("text", ["epoch,layer,kind,value\n2,gcn1,act_std,abc\n", None,
+                                  *(f"epoch,layer,kind,value\n1,gcn1,act_std,0.5\n"
+                                    f"2,gcn1,act_std,{v}\n" for v in ("nan", "inf", "-inf"))],
+                         ids=["malformed_row", "missing_file", "nan", "inf", "neg_inf"])
 def test_plot_unreadable_csv_exit_code(tmp_path, capsys, text):
     path = tmp_path / "trace.csv"
     if text is not None:
@@ -480,6 +482,23 @@ def test_plot_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "missing" / "x.svg"
     assert main(["plot", str(csv_path), "--out", str(out)]) == 1
     assert str(out) in _one_error_line(capsys)
+
+
+def test_train_with_more_folds_than_a_class_has_graphs_exits_2(tu_dir, tmp_path, capsys):
+    # each of SYNTH's two classes has 14 graphs
+    assert main(["train", "--dataset", "SYNTH", "--data-dir", str(tu_dir), "--model", "mlp",
+                 "--epochs", "1", "--folds", "15", "--out", str(tmp_path / "o")]) == 2
+    assert _one_error_line(capsys) == "error: class 0 has 14 graphs, fewer than k=15"
+
+
+def test_sweep_with_more_folds_than_a_class_has_graphs_exits_2(tu_dir, tmp_path, capsys):
+    cfg = ExperimentConfig(dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
+                           model=ModelSpec(kind="mlp"), folds=Folds(count=15))
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["sweep-epochs", "--config", str(path), "--epochs", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert _one_error_line(capsys) == "error: class 0 has 14 graphs, fewer than k=15"
 
 
 def test_train_out_on_a_file_fails_before_any_fold(tu_dir, tmp_path, capsys, monkeypatch):

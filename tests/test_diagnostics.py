@@ -141,8 +141,11 @@ def test_load_csv_rejects_bad_header(tmp_path):
         load_events_csv(path)
 
 
-@pytest.mark.parametrize("row", ["2,gcn1,act_std,abc", "1,gcn1", "x,gcn1,act_std,1.0"],
-                         ids=["bad_value", "short_row", "bad_epoch"])
+@pytest.mark.parametrize("row", ["2,gcn1,act_std,abc", "1,gcn1", "x,gcn1,act_std,1.0",
+                                 # no chart can place a non-finite value
+                                 "2,gcn1,act_std,nan", "2,gcn1,act_std,inf",
+                                 "2,gcn1,act_std,-inf"],
+                         ids=["bad_value", "short_row", "bad_epoch", "nan", "inf", "neg_inf"])
 def test_load_csv_names_file_and_line_of_a_malformed_row(tmp_path, row):
     path = tmp_path / "trace.csv"
     path.write_text("epoch,layer,kind,value\n1,gcn1,act_std,0.5\n\n" + row + "\n")
@@ -170,7 +173,7 @@ def test_scalar_event_is_the_running_sum_over_the_count():
     sink = TraceSink()
     total = 0.0
     for v in values:
-        sink.add_scalar(4, "mlp1.W", "grad_norm", v)
+        sink.add(4, "mlp1.W", "grad_norm", v)
         total += v
     assert sink.events() == [TraceEvent(4, "mlp1.W", "grad_norm", total / len(values))]
 

@@ -25,7 +25,7 @@ def _run_blocks_past_the_last_stage():
 
 def _train_fold_with_every_graph_in_the_test_fold():
     ds = synth_dataset(6, seed=0)
-    split = FoldSplit(fold_count=2, assignments=np.zeros(len(ds), dtype=np.int64), seed=0)
+    split = FoldSplit(fold_count=2, assignments=np.zeros(len(ds), dtype=np.int64))
     train_fold(ds, split, 0, ModelSpec(kind="mlp"), TrainConfig(epochs=1))
 
 

@@ -404,8 +404,8 @@ def test_reinit_applies_on_top_of_any_scheme():
                   3, 2, Rng(11))
     rng = Rng(77)
     for gcn, _ in model.blocks:
-        bound = glorot_bound(gcn.fan_in, gcn.fan_out)
-        gcn.w[...] = rng.uniform(gcn.fan_in, gcn.fan_out, bound)
+        bound = glorot_bound(*gcn.w.shape)
+        gcn.w[...] = rng.uniform(*gcn.w.shape, bound)
     report = reinit(model, graphs)
     assert all(abs(s - 1.0) < 1e-6 for s in report.post_std)
 

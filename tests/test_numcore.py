@@ -166,9 +166,11 @@ def test_moments_empty_matrix():
 
 
 def test_rng_zero_std_and_bound():
+    # +0.0 everywhere: array_equal alone would pass -0.0 (a negative scale
+    # raises, see test_errors.py)
     rng = Rng(5)
-    assert np.array_equal(rng.normal(3, 2, 0.0), np.zeros((3, 2)))
-    assert np.array_equal(rng.uniform(3, 2, 0.0), np.zeros((3, 2)))
+    for zeros in (rng.normal(3, 2, 0.0), rng.uniform(3, 2, 0.0)):
+        assert np.array_equal(zeros, np.zeros((3, 2))) and not np.signbit(zeros).any()
 
 
 def test_rng_determinism():
