@@ -22,35 +22,37 @@ def load_dataset(dc: DatasetConfig) -> Dataset:
     """Resolve a dataset config to parsed graphs (local path or fetch+cache)."""
     if dc.path:
         root = Path(dc.path)
-        candidates = [root, root / dc.name / "raw", root / dc.name, root / "raw"]
-        for cand in candidates:
-            if (cand / f"{dc.name}_A.txt").is_file():
-                return parse_tu(cand, dc.name, feature_policy=dc.feature_policy,
-                                degree_cap=dc.degree_cap)
-        raise ConfigError(f"no TU files for {dc.name} under {root}")
-    raw = fetch_tu(dc.name, url_base=dc.url_base or DEFAULT_TU_URL,
-                   cache_dir=dc.cache_dir)
-    return parse_tu(raw, dc.name, feature_policy=dc.feature_policy,
-                    degree_cap=dc.degree_cap)
+        raw = next((cand for cand in (root, root / dc.name / "raw", root / dc.name, root / "raw")
+                    if (cand / f"{dc.name}_A.txt").is_file()), None)
+        if raw is None:
+            raise ConfigError(f"no TU files for {dc.name} under {root}")
+    else:
+        raw = fetch_tu(dc.name, url_base=dc.url_base or DEFAULT_TU_URL, cache_dir=dc.cache_dir)
+    return parse_tu(raw, dc.name, feature_policy=dc.feature_policy, degree_cap=dc.degree_cap)
 
 
-# each `train` flag overrides one (section, key) of the experiment config
-FLAG_KEYS = {
-    "dataset": ("dataset", "name"),
-    "data_dir": ("dataset", "path"),
-    "cache_dir": ("dataset", "cache_dir"),
-    "feature_policy": ("dataset", "feature_policy"),
-    "model": ("model", "kind"),
-    "hidden_dim": ("model", "hidden_dim"),
-    "jk_agg": ("model", "jk_agg"),
-    "readout": ("model", "readout_kind"),
-    "epochs": ("train", "epochs"),
-    "lr": ("train", "lr"),
-    "weight_decay": ("train", "weight_decay"),
-    "batch_size": ("train", "batch_size"),
-    "seed": ("train", "seed"),
-    "folds": ("folds", "count"),
-    "fold_seed": ("folds", "seed"),
+# every setting flag of `train`: the config key path it overrides and its
+# argparse keywords; a flag not given (None) writes nothing
+TRAIN_FLAGS = {
+    "--dataset": (("dataset", "name"), {}),
+    "--data-dir": (("dataset", "path"), {"help": "local dir with raw TU files"}),
+    "--cache-dir": (("dataset", "cache_dir"), {}),
+    "--feature-policy": (("dataset", "feature_policy"), {"choices": FEATURE_POLICIES}),
+    "--model": (("model", "kind"), {"choices": MODEL_KINDS}),
+    "--hidden-dim": (("model", "hidden_dim"), {"type": int}),
+    "--jk-agg": (("model", "jk_agg"), {"choices": JK_AGGS}),
+    "--readout": (("model", "readout_kind"), {"choices": READOUT_KINDS}),
+    "--epochs": (("train", "epochs"), {"type": int}),
+    "--lr": (("train", "lr"), {"type": float}),
+    "--weight-decay": (("train", "weight_decay"), {"type": float}),
+    "--batch-size": (("train", "batch_size"), {"type": int}),
+    "--seed": (("train", "seed"), {"type": int}),
+    "--reinit": (("train", "init", "kind"),
+                 {"action": "store_const", "const": "standard_then_reinit"}),
+    "--folds": (("folds", "count"), {"type": int}),
+    "--fold-seed": (("folds", "seed"), {"type": int}),
+    "--no-diagnostics": (("diagnostics",), {"action": "store_const", "const": False}),
+    "--out": (("out_dir",), {}),
 }
 
 
@@ -69,15 +71,10 @@ def _config_from_args(args) -> ExperimentConfig:
     """The ``--config`` file (or an empty config) with every given flag
     written over its key; defaults come from the settings classes alone."""
     d = read_json(args.config) if args.config else {}
-    for flag, keys in FLAG_KEYS.items():
-        if getattr(args, flag) is not None:
-            _set(d, keys, getattr(args, flag))
-    if args.reinit:
-        _set(d, ("train", "init", "kind"), "standard_then_reinit")
-    if args.no_diagnostics:
-        d["diagnostics"] = False
-    if args.out is not None:
-        d["out_dir"] = args.out
+    for flag, (keys, _) in TRAIN_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest for it
+        if value is not None:
+            _set(d, keys, value)
     return ExperimentConfig.from_dict(d)
 
 
@@ -175,25 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run k-fold cross-validation and write a report")
     p.add_argument("--config", default=None,
                    help="experiment config JSON; setting flags override its keys")
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--data-dir", default=None, help="local dir with raw TU files")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--feature-policy", choices=FEATURE_POLICIES, default=None)
-    p.add_argument("--model", choices=MODEL_KINDS, default=None)
-    p.add_argument("--hidden-dim", type=int, default=None)
-    p.add_argument("--jk-agg", choices=JK_AGGS, default=None)
-    p.add_argument("--readout", choices=READOUT_KINDS, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--reinit", action="store_true", default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--fold-seed", type=int, default=None)
-    p.add_argument("--no-diagnostics", action="store_true", default=None)
+    for flag, (_, kwargs) in TRAIN_FLAGS.items():
+        p.add_argument(flag, **kwargs)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sweep-epochs", help="train once, test after each epoch budget")
@@ -218,13 +199,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    # a spec (at the first build) or fold count the dataset cannot serve is a setting error
-    except (ConfigError, SpecError, StratificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GnnLabError, OSError) as exc:  # OSError: an unwritable --out, say
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # a spec (at the first build) or fold count the dataset cannot serve is a setting error
+        return 2 if isinstance(exc, (ConfigError, SpecError, StratificationError)) else 1
 
 
 if __name__ == "__main__":

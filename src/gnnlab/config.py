@@ -11,6 +11,7 @@ overrides of these same keys (see :mod:`gnnlab.cli`).
 """
 
 import json
+import math
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields
@@ -149,12 +150,14 @@ class TrainConfig(Settings):
     init: InitScheme = field(default_factory=InitScheme)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.lr < math.inf:  # a NaN fails every such comparison
+            raise ValueError(f"lr must be finite and above 0, got {self.lr}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and above 0, got {self.eps}")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and at least 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
         if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):

@@ -162,6 +162,8 @@ def render_svg(csv_path, series_spec: str | None, out_path, title: str | None = 
     ys = [p[1] for pts in series.values() for p in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    if not np.isfinite(y_hi - y_lo):  # the scale would map every point to nan
+        raise RenderError(f"{csv_path}: values {y_lo!r} to {y_hi!r} span more than a float holds")
     if x_hi == x_lo:
         x_hi = x_lo + 1
     if y_hi == y_lo:

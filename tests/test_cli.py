@@ -9,7 +9,7 @@ import pytest
 
 from gnnlab import (ExperimentConfig, InitScheme, ModelSpec, Rng, TrainConfig, build, cli,
                     parse_tu, run_cv, stratified_folds, training, write_tu)
-from gnnlab.cli import FLAG_KEYS, _config_from_args, _write_report, build_parser, main
+from gnnlab.cli import TRAIN_FLAGS, _config_from_args, _write_report, build_parser, main
 from gnnlab.config import DatasetConfig, Folds
 from gnnlab.errors import ConfigError
 from gnnlab.training import RunReport
@@ -476,6 +476,16 @@ def _one_error_line(capsys):
     return err[0]
 
 
+def test_plot_of_a_value_span_beyond_the_float_range_is_one_error_line(tmp_path, capsys):
+    csv_path = tmp_path / "trace.csv"
+    csv_path.write_text("epoch,layer,kind,value\n1,gcn1,act_std,1e308\n2,gcn1,act_std,-1e308\n")
+    svg = tmp_path / "x.svg"
+    assert main(["plot", str(csv_path), "--out", str(svg)]) == 1
+    assert _one_error_line(capsys) == (f"error: {csv_path}: values -1e+308 to 1e+308 "
+                                       "span more than a float holds")
+    assert not svg.exists()
+
+
 def test_plot_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
     csv_path = tmp_path / "trace.csv"
     csv_path.write_text("epoch,layer,kind,value\n1,gcn1,act_std,0.5\n2,gcn1,act_std,0.25\n")
@@ -575,6 +585,12 @@ CONFIG_ERRORS = {
                        "ExperimentConfig.model: unknown jk aggregation 'bogus'"),
     "batch-size-zero": ({"train": {"batch_size": 0}},
                         "ExperimentConfig.train: batch size must be positive"),
+    **{f"{key}-{value}": ({"train": {key: value}},
+                          f"ExperimentConfig.train: {key} must be finite and {rule}, got {value}")
+       for key, rule, values in (("lr", "above 0", (math.nan, math.inf, 0)),
+                                 ("weight_decay", "at least 0", (math.nan, math.inf, -1e-3)),
+                                 ("eps", "above 0", (math.nan, math.inf, 0, -1e-8)))
+       for value in values},
     "data-dir-without-tu-files": ({}, "no TU files for SYNTH under {empty}"),
 }
 
@@ -605,6 +621,15 @@ def test_train_rejects_a_negative_seed_flag(tu_dir, tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,key", [("--lr", "lr"), ("--weight-decay", "weight_decay")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_refuses_a_non_finite_optimiser_flag(tu_dir, tmp_path, capsys, flag, key, value):
+    out = tmp_path / "o"
+    assert main(_train_args(tu_dir, out, [f"{flag}={value}"])) == 2
+    assert f"ExperimentConfig.train: {key} must be finite" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({
@@ -622,7 +647,8 @@ def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):
              "jk_agg": "concat", "readout": "max_and_sum", "epochs": "2", "lr": "0.01",
              "weight_decay": "0.001", "batch_size": "4", "seed": "3", "folds": "3",
              "fold_seed": "5"}
-    assert set(flags) == set(FLAG_KEYS)
+    assert {"--" + dest.replace("_", "-") for dest in flags} \
+        == set(TRAIN_FLAGS) - {"--reinit", "--no-diagnostics", "--out"}
     args = ["train", "--config", str(path), "--reinit", "--no-diagnostics", "--out", str(out)]
     for dest, value in flags.items():
         args += ["--" + dest.replace("_", "-"), value]
@@ -652,9 +678,46 @@ def test_train_flags_and_settings_do_not_drift():
     namespace = vars(build_parser().parse_args(["train"]))
     own = {"command", "fn", "jobs"}
     assert {k: v for k, v in namespace.items() if k not in own and v is not None} == {}
-    # every parsed flag reaches the config, and lands on a real settings field
-    assert set(namespace) - own - {"config", "reinit", "no_diagnostics", "out"} \
-        == set(FLAG_KEYS)
-    sections = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    for section, key in FLAG_KEYS.values():
-        assert key in {f.name for f in dataclasses.fields(sections[section])}
+    # every parsed flag is a row of the table, and each row's key path walks
+    # down the settings classes to a real field
+    assert set(namespace) - own - {"config"} \
+        == {flag[2:].replace("-", "_") for flag in TRAIN_FLAGS}
+    for keys, _ in TRAIN_FLAGS.values():
+        tp = ExperimentConfig
+        for key in keys:
+            assert dataclasses.is_dataclass(tp)
+            tp = {f.name: f.type for f in dataclasses.fields(tp)}[key]
+
+
+def _leaves(d, path=()):
+    """``{key path: value}`` for every non-object value of a nested dict."""
+    out = {}
+    for k, v in d.items():
+        out.update(_leaves(v, path + (k,)) if isinstance(v, dict) else {path + (k,): v})
+    return out
+
+
+@pytest.mark.parametrize("flag", TRAIN_FLAGS)
+def test_each_train_flag_alone_changes_exactly_its_key(flag):
+    keys, kwargs = TRAIN_FLAGS[flag]
+    base_args = ["train", "--dataset", "SYNTH", "--model", "mlp"]
+    base = _leaves(_config_from_args(build_parser().parse_args(base_args)).to_dict())
+    if "const" in kwargs:  # a switch takes no value
+        given, want = [], kwargs["const"]
+    elif "choices" in kwargs:
+        want = next(c for c in kwargs["choices"] if c != base[keys])
+        given = [want]
+    else:
+        given = [{int: "7", float: "0.25"}.get(kwargs.get("type"), "x")]
+        want = kwargs.get("type", str)(given[0])
+    cfg = _config_from_args(build_parser().parse_args(base_args + [flag, *given]))
+    changed = {path: v for path, v in _leaves(cfg.to_dict()).items() if base[path] != v}
+    assert changed == {keys: want}
+
+
+@pytest.mark.parametrize("command", ["fetch", "train", "sweep-epochs", "plot"])
+def test_help_renders(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: gnnlab {command}")

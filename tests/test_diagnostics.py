@@ -232,6 +232,15 @@ def test_render_svg_unwritable_path(tmp_path):
         render_svg(csv_path, None, tmp_path / "missing_dir" / "x.svg")
 
 
+
+def test_render_svg_refuses_a_value_span_beyond_the_float_range(tmp_path):
+    csv_path = tmp_path / "trace.csv"
+    csv_path.write_text("epoch,layer,kind,value\n1,gcn1,act_std,1e308\n2,gcn1,act_std,-1e308\n")
+    out = tmp_path / "x.svg"
+    with pytest.raises(RenderError, match=r"trace\.csv: values -1e\+308 to 1e\+308 span"):
+        render_svg(csv_path, None, out)
+    assert not out.exists()
+
 def test_tracing_is_observationally_pure():
     ds = synth_dataset(16, seed=12)
     cfg = TrainConfig(lr=1e-3, epochs=3, batch_size=8, seed=1)

@@ -1,13 +1,15 @@
 """List the statements of ``src/gnnlab`` that the shipped workflows never run.
 
 Under ``sys.settrace`` it trains every preset in ``configs/`` (2 folds, 1
-epoch) on a seeded synthetic corpus named after the preset's dataset, sweeps
-two presets over one epoch budget and plots one trace CSV. It then prints each
+epoch) on a seeded synthetic corpus named after the preset's dataset, trains
+once more with each ``train`` option no preset sets (``EXTRA``, and a config
+file holding a list and a null on a corpus of node attributes), sweeps two
+presets over one epoch budget and plots one trace CSV. It then prints each
 statement line of ``src/gnnlab`` that no run executed as ``file:line: text``,
 and their count; lines that start with ``raise`` or ``except`` are left out.
-What remains is error and guard paths, options no preset sets, and code that
-only other callers (perfbench, the tests) reach: a candidate list for
-deletion, not a verdict. Exits 0 whatever it lists, and 1 if a run fails.
+What remains is error and guard paths, ``fetch``, and code that only other
+callers (perfbench, the tests) reach: a candidate list for deletion, not a
+verdict. Exits 0 whatever it lists, and 1 if a run fails.
 
     python tests/traffic.py
 
@@ -21,12 +23,17 @@ import json
 import sys
 import tempfile
 import types
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gnnlab"
 PRESETS = sorted((ROOT / "configs").glob("*.json"))
 SWEPT = ("proteins_mlp", "proteins_jk_sum")
+# each `train` option no preset sets, given once on top of a preset
+EXTRA = {"proteins_jk_sum": ("--jk-agg", "sum", "--reinit", "--no-diagnostics"),
+         "proteins_gcn_mlp": ("--readout", "sum"),
+         "proteins_mlp": ("--jobs", "2")}
 
 
 def statement_lines(path: Path) -> set:
@@ -70,13 +77,29 @@ def run_traced(workdir: Path) -> tuple:
                     failed.append(" ".join(argv))
 
         data, written = workdir / "data", set()
+
+        def train(config, out, *extra):
+            gnnlab("train", "--config", str(config), "--data-dir", str(data),
+                   "--folds", "2", "--epochs", "1", "--out", str(workdir / out), *extra)
+
         for preset in PRESETS:
             name = json.loads(preset.read_text())["dataset"]["name"]
             if name not in written:
                 write_tu(synth_dataset(40, seed=1, name=name), data / name / "raw")
                 written.add(name)
-            gnnlab("train", "--config", str(preset), "--data-dir", str(data),
-                   "--folds", "2", "--epochs", "1", "--out", str(workdir / preset.stem))
+            train(preset, preset.stem)
+        for stem, extra in EXTRA.items():
+            train(ROOT / "configs" / f"{stem}.json", f"{stem}_extra", *extra)
+        # a config file holding a list and a null, on a corpus of node attributes
+        # that its feature policy's default (attributes first) picks
+        attributed = replace(synth_dataset(40, seed=1, name="ATTR"), feature_policy="attributes")
+        write_tu(attributed, data / "ATTR" / "raw")
+        config = workdir / "attributes.json"
+        config.write_text(json.dumps({
+            "dataset": {"name": "ATTR"},
+            "model": {"kind": "gcn_mlp", "mlp_dims": [16, 8]},
+            "train": {"init": {"kind": "standard", "seed": None}}}))
+        train(config, "attributes")
         swept = []
         for stem in SWEPT:  # a config file names its data; point it at the corpus
             cfg = json.loads((ROOT / "configs" / f"{stem}.json").read_text())
