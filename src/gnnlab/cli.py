@@ -1,4 +1,4 @@
-"""Command-line entry point: fetch, train, sweep-epochs, plot.
+"""Command-line entry point: fetch, train, table, plot.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage/config/spec errors.
 """
@@ -7,7 +7,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import diagnostics
@@ -15,7 +14,7 @@ from .config import JK_AGGS, MODEL_KINDS, DatasetConfig, ExperimentConfig, read_
 from .errors import ConfigError, GnnLabError, SpecError, StratificationError
 from .graphdata import DEFAULT_TU_URL, FEATURE_POLICIES, Dataset, fetch_tu, is_cached, parse_tu
 from .layers import READOUT_KINDS
-from .training import fold_mean_std, run_cv
+from .training import RunReport, fold_mean_std, run_cv
 
 
 def load_dataset(dc: DatasetConfig) -> Dataset:
@@ -43,6 +42,7 @@ TRAIN_FLAGS = {
     "--jk-agg": (("model", "jk_agg"), {"choices": JK_AGGS}),
     "--readout": (("model", "readout_kind"), {"choices": READOUT_KINDS}),
     "--epochs": (("train", "epochs"), {"type": int}),
+    "--eval-at": (("train", "eval_at"), {"type": int, "nargs": "+"}),
     "--lr": (("train", "lr"), {"type": float}),
     "--weight-decay": (("train", "weight_decay"), {"type": float}),
     "--batch-size": (("train", "batch_size"), {"type": int}),
@@ -88,11 +88,6 @@ def _write_report(report, traces, out_dir: Path) -> Path:
     return report_path
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-
-
 def cmd_fetch(args) -> int:
     cached = is_cached(args.name, args.cache_dir)
     path = fetch_tu(args.name, url_base=args.url_base, cache_dir=args.cache_dir)
@@ -101,7 +96,8 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_jobs(args.jobs)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _config_from_args(args)
     ds = load_dataset(cfg.dataset)
     out_dir = Path(cfg.out_dir)
@@ -115,38 +111,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sweep_epochs(args) -> int:
-    _check_jobs(args.jobs)
-    budgets = set()
-    for tok in filter(None, map(str.strip, args.epochs.split(","))):
-        try:
-            budgets.add(int(tok))
-        except ValueError:
-            raise ConfigError(f"--epochs: budget {tok!r} is not an integer") from None
-    budgets = sorted(budgets)
-    if not budgets or budgets[0] < 1:
-        raise ConfigError("--epochs needs a comma-separated list of positive budgets")
-    configs = [(Path(p).stem, ExperimentConfig.load(p)) for p in args.config]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    datasets, reports = {}, []
-    for variant, cfg in configs:
-        if cfg.dataset not in datasets:  # every setting of a dataset config shapes its parse
-            datasets[cfg.dataset] = load_dataset(cfg.dataset)
-        train = replace(cfg.train, epochs=budgets[-1])
-        reports.append(run_cv(datasets[cfg.dataset], cfg.model, train, folds=cfg.folds.count,
-                              fold_seed=cfg.folds.seed, jobs=args.jobs, trace=False,
-                              budgets=budgets)[0])
-    csv_path = out_dir / "accuracy_vs_epochs.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+def cmd_table(args) -> int:
+    """One CSV row per tested epoch and run, of the reports in ``args.runs``."""
+    variants = [Path(run).name for run in args.runs]
+    if len(set(variants)) < len(variants):  # rows name their run by it alone
+        raise ConfigError(f"the run directories share a name: {args.runs}")
+    reports = [RunReport.from_dict(read_json(Path(run) / "report.json")) for run in args.runs]
+    tested = [(*r.config.eval_at, r.config.epochs) for r in reports]
+    if len(set(tested)) > 1:
+        raise ConfigError("the reports were tested after different epochs: " + ", ".join(
+            f"{run} {list(epochs)}" for run, epochs in zip(args.runs, tested)))
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("epochs", "mean_acc", "std_acc", "variant"))
-        for i, budget in enumerate(budgets):
-            for (variant, _), report in zip(configs, reports):
+        for i, epochs in enumerate(tested[0]):
+            for variant, report in zip(variants, reports):
                 mean, std = fold_mean_std([f.accuracies[i] for f in report.folds])
-                writer.writerow((budget, repr(mean), repr(std), variant))
-                print(f"epochs={budget} {variant}: {mean:.2f} +/- {std:.2f}")
-    print(f"wrote {csv_path}")
+                writer.writerow((epochs, repr(mean), repr(std), variant))
+                print(f"epochs={epochs} {variant}: {mean:.2f} +/- {std:.2f}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -177,12 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("sweep-epochs", help="train once, test after each epoch budget")
-    p.add_argument("--config", nargs="+", required=True)
-    p.add_argument("--epochs", required=True, help="comma-separated budgets, e.g. 10,50,100")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_sweep_epochs)
+    p = sub.add_parser("table", help="tabulate the accuracy after each tested epoch of runs")
+    p.add_argument("runs", nargs="+", metavar="RUN_DIR", help="a train --out directory")
+    p.add_argument("--out", required=True, help="the CSV to write")
+    p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("plot", help="render a trace CSV to an SVG line chart")
     p.add_argument("csv")

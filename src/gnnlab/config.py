@@ -2,9 +2,11 @@
 
 Each settings class is a frozen dataclass deriving from :class:`Settings`:
 its fields, their annotations and their defaults are the only declaration
-of a setting. ``to_dict``/``from_dict`` are derived from the fields, and
-``from_dict`` rejects unknown keys, missing required keys and values of the
-wrong JSON type, and reports out-of-range values from ``__post_init__`` as
+of a setting. ``to_dict``/``from_dict`` are derived from the fields:
+``to_dict`` writes a field only when it differs from its default (a required
+field always), and ``from_dict`` fills the defaults back in. ``from_dict``
+rejects unknown keys, missing required keys and values of the wrong JSON
+type, and reports out-of-range values from ``__post_init__`` as
 :class:`ConfigError`; a typo in a config file fails loudly rather than
 silently running a different experiment. The ``gnnlab train`` flags are
 overrides of these same keys (see :mod:`gnnlab.cli`).
@@ -30,7 +32,9 @@ class Settings:
     """Base of the settings dataclasses: the JSON codec over their fields."""
 
     def to_dict(self) -> dict:
-        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+        # a field equal to its default is left out; a required one (MISSING) never is
+        return {f.name: _encode(v) for f in fields(self) if (v := getattr(self, f.name))
+                != (f.default if f.default_factory is MISSING else f.default_factory())}
 
     @classmethod
     def from_dict(cls, d):
@@ -143,6 +147,7 @@ class TrainConfig(Settings):
     lr: float = 5e-4
     weight_decay: float = 0.0
     epochs: int = 100
+    eval_at: tuple[int, ...] = ()  # earlier epochs after which each fold is also tested
     batch_size: int = 64
     betas: tuple[float, ...] = (0.9, 0.999)
     eps: float = 1e-8
@@ -164,6 +169,10 @@ class TrainConfig(Settings):
             raise ValueError(f"betas must be two values in [0, 1), got {list(self.betas)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.eval_at and not all(a < b for a, b in zip((0, *self.eval_at),
+                                                          (*self.eval_at, self.epochs))):
+            raise ValueError(f"eval_at must ascend strictly from at least 1 to below epochs "
+                             f"{self.epochs}, got {list(self.eval_at)}")
 
 
 @dataclass(frozen=True)
@@ -187,18 +196,22 @@ class ExperimentConfig(Settings):
     diagnostics: bool = True
     out_dir: str = "out"
 
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_json(path))
-
 
 def read_json(path) -> dict:
-    """The JSON object in the file at ``path``."""
+    """The JSON object in the file at ``path``; a key given twice in one
+    object is refused, not left to the last value."""
     path = Path(path)
+
+    def unique(pairs):
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ConfigError(f"{path}: key {max(keys, key=keys.count)!r} given twice")
+        return dict(pairs)
+
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
     except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist") from None
+        raise ConfigError(f"{path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):

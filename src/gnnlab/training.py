@@ -30,7 +30,7 @@ from .numcore import Rng
 @dataclass(frozen=True)
 class FoldResult(Settings):
     fold: int
-    accuracies: tuple[float, ...]  # percentage on the held-out fold after each budget
+    accuracies: tuple[float, ...]  # percentage on the held-out fold after each tested epoch
     train_losses: tuple[float, ...]  # one mean loss per epoch
     reinit: ReinitReport | None = None  # set when the rescaling init ran
 
@@ -38,6 +38,8 @@ class FoldResult(Settings):
         accs = self.accuracies
         if self.fold < 0 or not (self.train_losses and accs and all(0 <= a <= 100 for a in accs)):
             raise ValueError("need fold >= 0 and non-empty train_losses, accuracies in [0, 100]")
+        if not all(map(math.isfinite, self.train_losses)):  # training stops at such a loss
+            raise ValueError(f"train_losses must be finite, got {list(self.train_losses)}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,12 @@ class RunReport(Settings):
     def __post_init__(self):
         if not self.folds:
             raise ValueError("folds: a run has at least one fold")
+        if not 0 <= self.wall_clock_s < math.inf:
+            raise ValueError(f"wall_clock_s must be finite and at least 0, got {self.wall_clock_s}")
         reinit = self.config.init.kind == "standard_then_reinit"
         for i, f in enumerate(self.folds):
             got = (f.fold, len(f.train_losses), len(f.accuracies), f.reinit is not None)
-            want = (i, self.config.epochs, len(self.folds[0].accuracies), reinit)
+            want = (i, self.config.epochs, len(self.config.eval_at) + 1, reinit)
             if got != want:
                 raise ValueError(f"folds[{i}]: (fold, losses, accuracies, reinit) {got} != {want}")
         if (self.mean, self.std) != fold_mean_std([f.accuracies[-1] for f in self.folds]):
@@ -219,12 +223,9 @@ def prepare_fold_model(ds: Dataset, train_graphs, spec: ModelSpec,
 
 
 def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
-               cfg: TrainConfig, sink=None, budgets=None) -> FoldResult:
+               cfg: TrainConfig, sink=None) -> FoldResult:
     """Train on every fold but ``fold`` to ``cfg.epochs``, testing on ``fold`` after
-    each of ``budgets``: epoch counts ascending to ``cfg.epochs``, by default that alone."""
-    budgets = list(budgets or [cfg.epochs])
-    if budgets != sorted(set(budgets)) or budgets[0] < 1 or budgets[-1] != cfg.epochs:
-        raise HarnessError(f"epoch budgets {budgets} must ascend from 1 to {cfg.epochs}")
+    each of ``cfg.eval_at`` and after the last epoch."""
     if fold >= split.fold_count:
         raise HarnessError(f"fold {fold} out of range for {split.fold_count}-fold split")
     train_graphs = [ds.graphs[i] for i in split.train_indices(fold)]
@@ -235,8 +236,8 @@ def train_fold(ds: Dataset, split: FoldSplit, fold: int, spec: ModelSpec,
     shuffle_rng, opt = Rng(cfg.seed ^ fold).derive(1), Adam.from_config(model, cfg)
     losses, accuracies = [], []
     try:
-        for budget in budgets:
-            losses += train_model(model, train_graphs, replace(cfg, epochs=budget),
+        for budget in (*cfg.eval_at, cfg.epochs):
+            losses += train_model(model, train_graphs, replace(cfg, epochs=budget, eval_at=()),
                                   shuffle_rng, sink=sink, opt=opt, done=len(losses))
             accuracies.append(evaluate(model, test_graphs))
     except NonFiniteError as exc:
@@ -251,24 +252,24 @@ def fold_mean_std(accuracies) -> tuple:
 
 
 def _run_fold_job(args):
-    ds, split, fold, spec, cfg, trace, budgets = args
+    ds, split, fold, spec, cfg, trace = args
     sink = diagnostics.TraceSink() if trace else None
-    result = train_fold(ds, split, fold, spec, cfg, sink=sink, budgets=budgets)
+    result = train_fold(ds, split, fold, spec, cfg, sink=sink)
     return result, sink.events() if sink is not None else None
 
 
 def run_cv(ds: Dataset, spec: ModelSpec, cfg: TrainConfig, folds: int = Folds.count,
-           fold_seed: int = Folds.seed, jobs: int = 1, trace: bool = False, budgets=None):
+           fold_seed: int = Folds.seed, jobs: int = 1, trace: bool = False):
     """Run cross-validation over stratified folds; returns (RunReport, fold traces).
 
-    Each fold is tested after each of ``budgets`` (see :func:`train_fold`), the
-    mean and std at the last. Folds are independent; with ``jobs > 1`` they run
-    in worker processes and are reduced in fold order, so results match the
-    sequential run exactly.
+    Each fold is tested after each of ``cfg.eval_at`` and after the last epoch
+    (see :func:`train_fold`), the mean and std at the last. Folds are
+    independent; with ``jobs > 1`` they run in worker processes and are
+    reduced in fold order, so results match the sequential run exactly.
     """
     split = stratified_folds(ds, folds, seed=fold_seed)
     started = time.perf_counter()
-    jobs_args = [(ds, split, fold, spec, cfg, trace, budgets) for fold in range(folds)]
+    jobs_args = [(ds, split, fold, spec, cfg, trace) for fold in range(folds)]
     if jobs > 1:
         import multiprocessing as mp
         with mp.get_context("spawn").Pool(min(jobs, folds)) as pool:

@@ -391,10 +391,10 @@ def test_criterion_13_epoch_sweep_shape(tu_dataset_dir):
 
         def best_budget(init_kind):
             # one run per fold to the largest budget, tested after each
-            cfg = TrainConfig(lr=5e-4, epochs=budgets[-1], batch_size=64,
+            cfg = TrainConfig(lr=5e-4, epochs=budgets[-1], eval_at=budgets[:-1], batch_size=64,
                               seed=12345, init=InitScheme(kind=init_kind))
             report, _ = run_cv(ds, ModelSpec(kind="jk_sum"), cfg, folds=10,
-                               fold_seed=12345, jobs=4, trace=False, budgets=budgets)
+                               fold_seed=12345, jobs=4, trace=False)
             means = [float(np.mean([f.accuracies[i] for f in report.folds]))
                      for i in range(len(budgets))]
             print(f"  {init_kind}: {dict(zip(budgets, means))}")

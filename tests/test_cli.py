@@ -10,7 +10,7 @@ import pytest
 from gnnlab import (ExperimentConfig, InitScheme, ModelSpec, Rng, TrainConfig, build, cli,
                     parse_tu, run_cv, stratified_folds, training, write_tu)
 from gnnlab.cli import TRAIN_FLAGS, _config_from_args, _write_report, build_parser, main
-from gnnlab.config import DatasetConfig, Folds
+from gnnlab.config import DatasetConfig, Folds, read_json
 from gnnlab.errors import ConfigError
 from gnnlab.training import RunReport
 
@@ -135,15 +135,15 @@ def test_train_on_a_spec_the_dataset_cannot_serve_exits_2(tu_dir, tmp_path, caps
         "error: jk_agg 'sum' needs taps of equal width, gcn_mlp has [3, 5]\n"
 
 
-def test_a_minimal_preset_writes_every_field_of_its_report(tmp_path):
+def test_a_minimal_preset_writes_only_what_differs_from_the_defaults(tmp_path):
     write_tu(synth_dataset(40, seed=1, name="PROTEINS"), tmp_path / "PROTEINS" / "raw")
     preset = Path(__file__).resolve().parents[1] / "configs" / "proteins_mlp.json"
     out = tmp_path / "o"
     assert main(["train", "--config", str(preset), "--data-dir", str(tmp_path),
                  "--epochs", "1", "--folds", "2", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["model"] == ModelSpec(kind="mlp").to_dict()
-    assert report["config"] == TrainConfig(epochs=1).to_dict()
+    assert report["model"] == {"kind": "mlp"}
+    assert report["config"] == {"epochs": 1}
 
 
 def test_train_missing_dataset_args(capsys):
@@ -183,6 +183,11 @@ def test_every_golden_report_reads_back_to_its_bytes(tmp_path, jobs):
         again.mkdir()
         report = RunReport.from_dict(json.loads(text))
         assert _write_report(report, [], again).read_bytes() == text, name
+        # a report that spells out every field, as the codec wrote them before
+        # it left defaults out (and before train.eval_at), reads back the same
+        every = json.loads(json.dumps(dataclasses.asdict(report)))
+        del every["config"]["eval_at"]
+        assert RunReport.from_dict(every) == report, name
 
 
 def _strip_wall_clock(path):
@@ -207,7 +212,7 @@ def test_train_from_config_file(tu_dir, tmp_path):
         folds=Folds(count=2), out_dir=str(tmp_path / "cfgrun"))
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
-    loaded = ExperimentConfig.load(cfg_path)
+    loaded = ExperimentConfig.from_dict(read_json(cfg_path))
     assert loaded == cfg
     assert loaded.to_dict() == cfg.to_dict()
     assert main(["train", "--config", str(cfg_path), "--epochs", "2"]) == 0
@@ -226,7 +231,7 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 2
     assert "unknown" in capsys.readouterr().err
     with pytest.raises(ConfigError):
-        ExperimentConfig.load(bad)
+        ExperimentConfig.from_dict(read_json(bad))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dataset": {"name": "X", "mirror": 1},
                                     "model": {"kind": "mlp"}})
@@ -272,40 +277,49 @@ def test_fetch_unknown_name_fails(tu_server, tmp_path, capsys):
     assert "404" in capsys.readouterr().err
 
 
+def _sweep(runs, out, *flags):
+    """``gnnlab train --config`` on each (run directory, config path) with
+    ``flags`` and ``--out`` the run directory, then ``gnnlab table`` over the
+    runs into the CSV ``out``; returns the CSV's lines."""
+    for run, config in runs:
+        assert main(["train", "--config", str(config), *flags, "--out", str(run)]) == 0
+    assert main(["table", *map(str, (run for run, _ in runs)), "--out", str(out)]) == 0
+    return Path(out).read_text().splitlines()
+
+
+def _config_file(tu_dir, path, **fields):
+    """The ``ExperimentConfig`` over SYNTH in ``tu_dir`` with ``fields``,
+    written to ``path``."""
+    cfg = ExperimentConfig(dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)), **fields)
+    path.write_text(json.dumps(cfg.to_dict()))
+    return cfg
+
+
 def test_sweep_epochs(tu_dir, tmp_path, capsys):
-    cfgs = []
+    runs = []
     for kind in ("mlp", "gcn_mlp"):
-        cfg = ExperimentConfig(
-            dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
-            model=__import__("gnnlab").ModelSpec(kind=kind, hidden_dim=8,
-                                                 mlp_dims=(8, 8)),
-            folds=Folds(count=2))
         path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(cfg.to_dict()))
-        cfgs.append(str(path))
-    out = tmp_path / "sweep"
-    assert main(["sweep-epochs", "--config", *cfgs, "--epochs", "2,1",
-                 "--out", str(out)]) == 0
-    rows = (out / "accuracy_vs_epochs.csv").read_text().strip().split("\n")
+        _config_file(tu_dir, path, folds=Folds(count=2),
+                     model=ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(8, 8)))
+        runs.append((tmp_path / "runs" / kind, path))
+    csv_path = tmp_path / "sweep.csv"
+    rows = _sweep(runs, csv_path, "--epochs", "2", "--eval-at", "1")
     assert rows[0] == "epochs,mean_acc,std_acc,variant"
-    assert len(rows) == 1 + 4  # two variants x two budgets
-    budgets = [int(r.split(",")[0]) for r in rows[1:]]
-    assert budgets == sorted(budgets)
+    # budget-major, the runs in argument order, each named by its directory
+    assert [tuple(r.split(",")[::3]) for r in rows[1:]] \
+        == [("1", "mlp"), ("1", "gcn_mlp"), ("2", "mlp"), ("2", "gcn_mlp")]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed[-5:-1]] \
+        == ["epochs=1 mlp", "epochs=1 gcn_mlp", "epochs=2 mlp", "epochs=2 gcn_mlp"]
+    assert printed[-1] == f"wrote {csv_path}"
 
 
 def test_sweep_single_budget(tu_dir, tmp_path):
-    cfg = ExperimentConfig(
-        dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
-        model=__import__("gnnlab").ModelSpec(kind="mlp", hidden_dim=8,
-                                             mlp_dims=(8, 8)),
-        folds=Folds(count=2))
     path = tmp_path / "one.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    out = tmp_path / "sweep1"
-    assert main(["sweep-epochs", "--config", str(path), "--epochs", "2",
-                 "--out", str(out)]) == 0
-    rows = (out / "accuracy_vs_epochs.csv").read_text().strip().split("\n")
-    assert len(rows) == 2
+    _config_file(tu_dir, path, folds=Folds(count=2),
+                 model=ModelSpec(kind="mlp", hidden_dim=8, mlp_dims=(8, 8)))
+    rows = _sweep([(tmp_path / "one", path)], tmp_path / "sweep1.csv", "--epochs", "2")
+    assert len(rows) == 2 and rows[1].startswith("2,") and rows[1].endswith(",one")
 
 
 def _sweep_configs(tu_dir, tmp_path):
@@ -314,24 +328,22 @@ def _sweep_configs(tu_dir, tmp_path):
     out = []
     for variant, kind, init in (("jk_reinit", "jk_sum", "standard_then_reinit"),
                                 ("mlp", "mlp", "standard")):
-        cfg = ExperimentConfig(
-            dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
-            model=ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(8, 8)),
+        path = tmp_path / f"{variant}.json"
+        cfg = _config_file(
+            tu_dir, path, model=ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(8, 8)),
             train=TrainConfig(lr=1e-2, batch_size=8, seed=3, init=InitScheme(kind=init)),
             folds=Folds(count=3, seed=1))
-        path = tmp_path / f"{variant}.json"
-        path.write_text(json.dumps(cfg.to_dict()))
-        out.append((variant, cfg, str(path)))
+        out.append((variant, cfg, path))
     return out
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_rows_equal_a_separate_run_per_budget(tu_dir, tmp_path, jobs):
-    # oracle: one cross-validation per budget; budgets unsorted, one repeated
+    # oracle: one cross-validation per budget
     variants = _sweep_configs(tu_dir, tmp_path)
-    out = tmp_path / "sweep"
-    assert main(["sweep-epochs", "--config", *(path for _, _, path in variants),
-                 "--epochs", "3,1,2,3", "--jobs", jobs, "--out", str(out)]) == 0
+    rows = _sweep([(tmp_path / "runs" / variant, path) for variant, _, path in variants],
+                  tmp_path / "sweep.csv", "--eval-at", "1", "2", "--epochs", "3",
+                  "--no-diagnostics", "--jobs", jobs)
     ds = cli.load_dataset(variants[0][1].dataset)
     want = ["epochs,mean_acc,std_acc,variant"]
     for budget in (1, 2, 3):
@@ -339,7 +351,7 @@ def test_sweep_rows_equal_a_separate_run_per_budget(tu_dir, tmp_path, jobs):
             report, _ = run_cv(ds, cfg.model, dataclasses.replace(cfg.train, epochs=budget),
                                folds=cfg.folds.count, fold_seed=cfg.folds.seed)
             want.append(f"{budget},{report.mean!r},{report.std!r},{variant}")
-    assert (out / "accuracy_vs_epochs.csv").read_text().splitlines() == want
+    assert rows == want
 
 
 def test_sweep_trains_each_fold_once_to_the_largest_budget(tu_dir, tmp_path, monkeypatch):
@@ -355,8 +367,8 @@ def test_sweep_trains_each_fold_once_to_the_largest_budget(tu_dir, tmp_path, mon
     monkeypatch.setattr(training, "reinit", counting("reinit", training.reinit))
     monkeypatch.setattr(cli, "run_cv", counting("run_cv", cli.run_cv))
     variants = _sweep_configs(tu_dir, tmp_path)
-    assert main(["sweep-epochs", "--config", *(path for _, _, path in variants),
-                 "--epochs", "2,5,1", "--out", str(tmp_path / "sweep")]) == 0
+    _sweep([(tmp_path / variant, path) for variant, _, path in variants], tmp_path / "sweep.csv",
+           "--eval-at", "1", "2", "--epochs", "5", "--no-diagnostics")
     cfg = variants[0][1]
     split = stratified_folds(cli.load_dataset(cfg.dataset), cfg.folds.count, seed=cfg.folds.seed)
     steps_per_epoch = sum(math.ceil(len(split.train_indices(f)) / cfg.train.batch_size)
@@ -367,56 +379,44 @@ def test_sweep_trains_each_fold_once_to_the_largest_budget(tu_dir, tmp_path, mon
                       "run_cv": 2}
 
 
-def test_sweep_parses_each_distinct_dataset_config(tu_dir, tmp_path, monkeypatch):
-    # two configs on one corpus that differ only in the degree cap must not
-    # share the first one's parse
-    parses, widths = [], []
-    monkeypatch.setattr(cli, "parse_tu", lambda *a, **k: parses.append(k) or parse_tu(*a, **k))
-    monkeypatch.setattr(cli, "run_cv", lambda ds, *a, **k: widths.append(ds.feature_dim)
-                        or run_cv(ds, *a, **k))
-    paths = []
-    for cap in (64, 8):
-        cfg = ExperimentConfig(
-            dataset=DatasetConfig(name="SYNTH", path=str(tu_dir), degree_cap=cap,
-                                  feature_policy="degree_onehot"),
-            model=ModelSpec(kind="mlp", hidden_dim=8, mlp_dims=(8, 8)), folds=Folds(count=2))
-        paths.append(tmp_path / f"cap{cap}.json")
-        paths[-1].write_text(json.dumps(cfg.to_dict()))
-    assert main(["sweep-epochs", "--config", *map(str, paths), "--epochs", "1",
-                 "--out", str(tmp_path / "sweep")]) == 0
-    assert [k["degree_cap"] for k in parses] == widths == [64, 8]
+def test_table_refuses_reports_tested_after_different_epochs(tu_dir, tmp_path, capsys):
+    for run, extra in (("a", ["--eval-at", "1"]), ("b", [])):
+        assert main(_train_args(tu_dir, tmp_path / run, ["--no-diagnostics", *extra])) == 0
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["table", str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(csv_path)]) == 2
+    assert _one_error_line(capsys) == ("error: the reports were tested after different epochs: "
+                                       f"{tmp_path / 'a'} [1, 3], {tmp_path / 'b'} [3]")
+    assert not csv_path.exists()
+
+
+def test_table_refuses_runs_that_share_a_directory_name(tmp_path, capsys):
+    # each row names its run by the directory's name alone; checked before any report is read
+    runs = [str(tmp_path / side / "run") for side in ("a", "b")]
+    assert main(["table", *runs, "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert _one_error_line(capsys) == f"error: the run directories share a name: {runs}"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("epochs", ["0,2", "-1"])
-def test_sweep_rejects_a_budget_below_one(tmp_path, capsys, epochs):
-    assert main(["sweep-epochs", "--config", str(tmp_path / "none.json"),
-                 "--epochs", epochs, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "positive" in err
+def test_sweep_rejects_a_budget_below_one(tu_dir, tmp_path, capsys, epochs):
+    out = tmp_path / "o"
+    assert main(_train_args(tu_dir, out, ["--eval-at", *epochs.split(",")])) == 2
+    assert _one_error_line(capsys).startswith("error: ExperimentConfig.train: eval_at must ")
+    assert not out.exists()
 
 
-def test_sweep_rejects_a_non_integer_budget(tmp_path, capsys):
-    # budgets are parsed before any config is read
-    assert main(["sweep-epochs", "--config", str(tmp_path / "none.json"),
-                 "--epochs", "1,abc", "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'abc'" in err
+def test_sweep_rejects_a_non_integer_budget(tu_dir, tmp_path, capsys):
+    # a usage error: argparse reads the budgets, before any config is read
+    with pytest.raises(SystemExit) as exc:
+        main(_train_args(tu_dir, tmp_path / "o", ["--eval-at", "1", "abc"]))
+    assert exc.value.code == 2
+    assert "'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_train_rejects_jobs_below_one(tu_dir, tmp_path, capsys, jobs):
     out = tmp_path / "o"
     assert main(_train_args(tu_dir, out, ["--jobs", jobs])) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--jobs" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
-    out = tmp_path / "o"
-    assert main(["sweep-epochs", "--config", str(tmp_path / "none.json"),
-                 "--epochs", "1", "--jobs", jobs, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--jobs" in err
     assert not out.exists()
@@ -502,12 +502,7 @@ def test_train_with_more_folds_than_a_class_has_graphs_exits_2(tu_dir, tmp_path,
 
 
 def test_sweep_with_more_folds_than_a_class_has_graphs_exits_2(tu_dir, tmp_path, capsys):
-    cfg = ExperimentConfig(dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
-                           model=ModelSpec(kind="mlp"), folds=Folds(count=15))
-    path = tmp_path / "one.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert main(["sweep-epochs", "--config", str(path), "--epochs", "1",
-                 "--out", str(tmp_path / "o")]) == 2
+    assert main(_train_args(tu_dir, tmp_path / "o", ["--eval-at", "1", "--folds", "15"])) == 2
     assert _one_error_line(capsys) == "error: class 0 has 14 graphs, fewer than k=15"
 
 
@@ -522,14 +517,11 @@ def test_train_out_on_a_file_fails_before_any_fold(tu_dir, tmp_path, capsys, mon
 
 
 def test_sweep_out_on_a_file_is_one_error_line(tu_dir, tmp_path, capsys):
-    cfg = ExperimentConfig(dataset=DatasetConfig(name="SYNTH", path=str(tu_dir)),
-                           model=ModelSpec(kind="mlp"), folds=Folds(count=2))
-    path = tmp_path / "one.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    out = tmp_path / "taken"
-    out.write_text("")
-    assert main(["sweep-epochs", "--config", str(path), "--epochs", "1",
-                 "--out", str(out)]) == 1
+    assert main(_train_args(tu_dir, tmp_path / "run", ["--no-diagnostics"])) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sweep.csv"
+    assert main(["table", str(tmp_path / "run"), "--out", str(out)]) == 1
     assert str(out) in _one_error_line(capsys)
 
 
@@ -573,7 +565,13 @@ def test_train_rejects_bad_config_values(tu_dir, tmp_path, capsys, section, key,
 # the --config text (None: no file) and what the one error line names; every
 # run also passes --data-dir, a directory without TU files
 CONFIG_ERRORS = {
-    "missing-file": (None, "config file {path} does not exist"),
+    "missing-file": (None, "{path} does not exist"),
+    # a key given twice in one object, where the last value would silently win
+    "duplicate-model-key": ('{"dataset": {"name": "X"}, '
+                            '"model": {"kind": "mlp", "kind": "jk_sum"}}',
+                            "{path}: key 'kind' given twice"),
+    "duplicate-train-key": ('{"dataset": {"name": "X"}, "model": {"kind": "mlp"}, '
+                            '"train": {"lr": 0.01, "lr": 0.0005}}', "{path}: key 'lr' given twice"),
     "invalid-json": ("{", "{path}: invalid JSON"),
     "top-level-list": ("[]", "{path}: top level must be a JSON object"),
     "model-not-an-object": ({"model": 3}, "ExperimentConfig.model: expected an object, got 3"),
@@ -591,6 +589,11 @@ CONFIG_ERRORS = {
                                  ("weight_decay", "at least 0", (math.nan, math.inf, -1e-3)),
                                  ("eps", "above 0", (math.nan, math.inf, 0, -1e-8)))
        for value in values},
+    **{f"eval-at-{case}": ({"train": {"epochs": 3, "eval_at": at}},
+                           "ExperimentConfig.train: eval_at must ascend strictly from at least 1 "
+                           f"to below epochs 3, got {at}")
+       for case, at in (("not-ascending", [2, 1]), ("repeated", [1, 1]), ("below-1", [0, 2]),
+                        ("at-epochs", [1, 3]), ("beyond-epochs", [4]))},
     "data-dir-without-tu-files": ({}, "no TU files for SYNTH under {empty}"),
 }
 
@@ -644,28 +647,25 @@ def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):
     out = tmp_path / "flags"
     flags = {"dataset": "SYNTH", "data_dir": str(tu_dir), "cache_dir": str(tmp_path / "c"),
              "feature_policy": "label_onehot", "model": "gcn_mlp", "hidden_dim": "8",
-             "jk_agg": "concat", "readout": "max_and_sum", "epochs": "2", "lr": "0.01",
-             "weight_decay": "0.001", "batch_size": "4", "seed": "3", "folds": "3",
-             "fold_seed": "5"}
+             "jk_agg": "concat", "readout": "max_and_sum", "epochs": "2", "eval_at": "1",
+             "lr": "0.01", "weight_decay": "0.001", "batch_size": "4", "seed": "3",
+             "folds": "3", "fold_seed": "5"}
     assert {"--" + dest.replace("_", "-") for dest in flags} \
         == set(TRAIN_FLAGS) - {"--reinit", "--no-diagnostics", "--out"}
     args = ["train", "--config", str(path), "--reinit", "--no-diagnostics", "--out", str(out)]
     for dest, value in flags.items():
         args += ["--" + dest.replace("_", "-"), value]
     assert main(args) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["dataset"] == "SYNTH"
-    assert report["feature_policy"] == "label_onehot"
-    assert {k: report["model"][k] for k in ("kind", "hidden_dim", "jk_agg", "readout_kind")} \
-        == {"kind": "gcn_mlp", "hidden_dim": 8, "jk_agg": "concat",
-            "readout_kind": "max_and_sum"}
-    assert report["model"]["mlp_dims"] == [8, 8] and report["model"]["k"] == 0.5
-    assert {k: report["config"][k] for k in ("epochs", "lr", "weight_decay", "batch_size",
-                                             "seed")} \
-        == {"epochs": 2, "lr": 0.01, "weight_decay": 0.001, "batch_size": 4, "seed": 3}
-    assert report["config"]["init"] == {"kind": "standard_then_reinit", "seed": None,
-                                        "reinit_sample_cap": 10}
-    assert len(report["folds"]) == 3 and all(f["reinit"] is not None for f in report["folds"])
+    # read back, so a key the report leaves out at its default counts too
+    report = RunReport.from_dict(json.loads((out / "report.json").read_text()))
+    assert (report.dataset, report.feature_policy) == ("SYNTH", "label_onehot")
+    assert report.model == ModelSpec(kind="gcn_mlp", hidden_dim=8, mlp_dims=(8, 8), k=0.5,
+                                     jk_agg="concat", readout_kind="max_and_sum")
+    assert report.config == TrainConfig(
+        epochs=2, eval_at=(1,), lr=0.01, weight_decay=0.001, batch_size=4, seed=3,
+        init=InitScheme(kind="standard_then_reinit", reinit_sample_cap=10))
+    assert len(report.folds) == 3
+    assert all(f.reinit is not None and len(f.accuracies) == 2 for f in report.folds)
     assert not list(out.glob("trace_fold*.csv"))
     assert not (tmp_path / "ignored").exists()
     # the two overrides report.json does not echo
@@ -701,7 +701,11 @@ def _leaves(d, path=()):
 def test_each_train_flag_alone_changes_exactly_its_key(flag):
     keys, kwargs = TRAIN_FLAGS[flag]
     base_args = ["train", "--dataset", "SYNTH", "--model", "mlp"]
-    base = _leaves(_config_from_args(build_parser().parse_args(base_args)).to_dict())
+
+    def every_field(args):  # to_dict leaves defaults out; this spells each one
+        return _leaves(dataclasses.asdict(_config_from_args(build_parser().parse_args(args))))
+
+    base = every_field(base_args)
     if "const" in kwargs:  # a switch takes no value
         given, want = [], kwargs["const"]
     elif "choices" in kwargs:
@@ -710,12 +714,14 @@ def test_each_train_flag_alone_changes_exactly_its_key(flag):
     else:
         given = [{int: "7", float: "0.25"}.get(kwargs.get("type"), "x")]
         want = kwargs.get("type", str)(given[0])
-    cfg = _config_from_args(build_parser().parse_args(base_args + [flag, *given]))
-    changed = {path: v for path, v in _leaves(cfg.to_dict()).items() if base[path] != v}
+        if "nargs" in kwargs:  # a list of one
+            want = (want,)
+    changed = {path: v for path, v in every_field(base_args + [flag, *given]).items()
+               if base[path] != v}
     assert changed == {keys: want}
 
 
-@pytest.mark.parametrize("command", ["fetch", "train", "sweep-epochs", "plot"])
+@pytest.mark.parametrize("command", ["fetch", "train", "table", "plot"])
 def test_help_renders(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])

@@ -1,5 +1,6 @@
-"""Golden runs: sixteen seeded ``gnnlab train`` runs and one ``gnnlab
-sweep-epochs`` run whose results must not move.
+"""Golden runs: sixteen seeded ``gnnlab train`` runs and one sweep, two
+``gnnlab train --eval-at`` runs and a ``gnnlab table`` over them, whose
+results must not move.
 
 Each model kind, and ``jk_sum`` with summed taps, with taps after the pools
 and on degree one-hots instead of node-label one-hots, trains with and
@@ -10,8 +11,9 @@ thread. ``golden.json`` holds, per run, the sha256 of the report
 losses and accuracies, and the provenance of the record: the numpy version,
 the BLAS build, the SIMD extensions numpy found on the CPU and the BLAS
 thread count. The sweep (``jk_sum`` with the rescaling init and ``mlp``,
-budgets 2,1,3, on the same corpus and folds) adds the sha256 of its
-``accuracy_vs_epochs.csv`` and its rows. Where the provenance matches the
+each trained for 3 epochs and tested after epochs 1, 2 and 3, on the same
+corpus and folds) adds the sha256 of the ``accuracy_vs_epochs.csv`` that
+``table`` writes and its rows. Where the provenance matches the
 record the hashes must match; elsewhere the losses and the sweep's means and
 stds must match to a relative 1e-12, and the accuracies, budgets and
 variants exactly. The test never skips.
@@ -123,19 +125,22 @@ def _sweep(work: Path) -> dict:
     """The golden sweep over the corpus ``_runs`` wrote."""
     from gnnlab import cli
 
-    paths = []
+    runs = []
     for variant, kind, init in SWEEP:
         config = {"dataset": {"name": "GOLDEN", "path": str(work)}, "model": {"kind": kind},
                   "train": {"seed": 7, "init": {"kind": init}}, "folds": {"count": 3}}
-        paths.append(work / f"{variant}.json")
-        paths[-1].write_text(json.dumps(config), encoding="utf-8")
-    out = work / "sweep"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["sweep-epochs", "--config", *map(str, paths), "--epochs", "2,1,3",
-                         "--out", str(out)])
-    if code != 0:
-        raise RuntimeError(f"gnnlab sweep-epochs exited with {code}")
-    data = (out / "accuracy_vs_epochs.csv").read_bytes()
+        path, out = work / f"{variant}.json", work / variant
+        path.write_text(json.dumps(config), encoding="utf-8")
+        runs.append(["train", "--config", str(path), "--eval-at", "1", "2", "--epochs", "3",
+                     "--no-diagnostics", "--out", str(out)])
+    csv_path = work / "accuracy_vs_epochs.csv"
+    runs.append(["table", *(argv[-1] for argv in runs), "--out", str(csv_path)])
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"gnnlab {argv[0]} exited with {code}")
+    data = csv_path.read_bytes()
     rows = [line.split(",") for line in data.decode().splitlines()[1:]]
     return {"csv_sha256": _sha256(data),
             "rows": [[int(e), float(mean), float(std), v] for e, mean, std, v in rows]}

@@ -282,7 +282,7 @@ def test_train_fold_tests_after_each_budget_of_one_traced_run():
                       init=InitScheme(kind="standard_then_reinit"))
     spec = ModelSpec(kind="jk_sum", hidden_dim=8, mlp_dims=(8, 8))
     sink = diagnostics.TraceSink()
-    swept = train_fold(ds, split, 1, spec, cfg, sink=sink, budgets=(2, 5))
+    swept = train_fold(ds, split, 1, spec, dataclasses.replace(cfg, eval_at=(2,)), sink=sink)
     events = sink.events()
     # each epoch is traced once, under its number in the whole run
     assert [e.epoch for e in events if e.kind == "train_loss"] == [1, 2, 3, 4, 5]
@@ -308,20 +308,22 @@ def test_a_non_finite_loss_after_the_first_budget_names_the_absolute_epoch(monke
         return acc
 
     monkeypatch.setattr(training, "evaluate", evaluate_then_overflow)
-    cfg = TrainConfig(epochs=4, batch_size=4, seed=0)
+    cfg = TrainConfig(epochs=4, eval_at=(3,), batch_size=4, seed=0)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
-        train_fold(ds, split, 1, ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(5, 3)), cfg,
-                   budgets=[3, 4])
+        train_fold(ds, split, 1, ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(5, 3)), cfg)
     assert str(err.value) == "fold 1, epoch 4, non-finite loss"
     assert (err.value.fold, err.value.epoch) == (1, 4)
 
 
-@pytest.mark.parametrize("budgets", [[2, 1, 3], [1, 1, 3], [0, 3], [1, 2], [2, 4]])
+# train.eval_at not ascending, repeated, below 1, at the epochs, beyond them
+@pytest.mark.parametrize("budgets", [[2, 1], [1, 1], [0, 2], [1, 3], [2, 4]])
 def test_train_fold_rejects_budgets_that_do_not_ascend_to_the_epochs(budgets):
-    ds = synth_dataset(12, seed=4)
-    split = stratified_folds(ds, 2, seed=0)
-    with pytest.raises(HarnessError, match="budgets"):
-        train_fold(ds, split, 0, ModelSpec(kind="mlp"), TrainConfig(epochs=3), budgets=budgets)
+    # a fold is tested after each of train.eval_at and after the last epoch;
+    # the config refuses a list that would not ascend strictly to the epochs
+    with pytest.raises(ConfigError) as err:
+        TrainConfig.from_dict({"epochs": 3, "eval_at": budgets})
+    assert str(err.value) == ("TrainConfig: eval_at must ascend strictly from at least 1 "
+                              f"to below epochs 3, got {budgets}")
 
 
 def test_train_fold_errors():
@@ -350,7 +352,7 @@ def test_run_cv_aggregation():
     d = report.to_dict()
     assert set(d) == {"model", "config", "dataset", "feature_policy", "folds",
                       "mean", "std", "wall_clock_s"}
-    assert all(f["reinit"] is None for f in d["folds"])
+    assert all("reinit" not in f for f in d["folds"])  # None, its default
 
 
 def test_run_cv_constant_features_learn_majority_class():
@@ -378,7 +380,7 @@ def _two_fold_reinit_report() -> RunReport:
     """Two epochs, tested after each, of a rescaled ``gcn_mlp`` on two folds."""
     reinit = ReinitReport(("gcn1",), (0.5,), (1.0,))
     folds = tuple(FoldResult(f, (25.0, 50.0), (0.7, 0.6), reinit) for f in range(2))
-    cfg = TrainConfig(epochs=2, init=InitScheme(kind="standard_then_reinit"))
+    cfg = TrainConfig(epochs=2, eval_at=(1,), init=InitScheme(kind="standard_then_reinit"))
     return RunReport(ModelSpec(kind="gcn_mlp"), cfg, "SYNTH", "attributes", folds,
                      50.0, 0.0, 0.25)
 
@@ -446,6 +448,14 @@ FOLD_SHAPE = "RunReport: folds[{}]: (fold, losses, accuracies, reinit) {} != {}"
     ("folds.1.accuracies", [50.0], FOLD_SHAPE.format(1, (1, 2, 1, True), (1, 2, 2, True))),
     ("folds.1.reinit", None, FOLD_SHAPE.format(1, (1, 2, 2, False), (1, 2, 2, True))),
     ("config.init.kind", "standard", FOLD_SHAPE.format(0, (0, 2, 2, True), (0, 2, 2, False))),
+    ("config.eval_at", [], FOLD_SHAPE.format(0, (0, 2, 2, True), (0, 2, 1, True))),
+    ("folds.1.train_losses", [math.nan, 0.6],
+     "RunReport.folds[1]: train_losses must be finite, got [nan, 0.6]"),
+    ("folds.1.train_losses", [0.7, math.inf],
+     "RunReport.folds[1]: train_losses must be finite, got [0.7, inf]"),
+    ("wall_clock_s", -5.0, "RunReport: wall_clock_s must be finite and at least 0, got -5.0"),
+    ("wall_clock_s", math.inf, "RunReport: wall_clock_s must be finite and at least 0, got inf"),
+    ("wall_clock_s", math.nan, "RunReport: wall_clock_s must be finite and at least 0, got nan"),
     ("mean", 50.5, "RunReport: mean and std are not those of the folds' last accuracies"),
     ("std", 1e-300, "RunReport: mean and std are not those of the folds' last accuracies"),
 ])

@@ -3,8 +3,9 @@
 Under ``sys.settrace`` it trains every preset in ``configs/`` (2 folds, 1
 epoch) on a seeded synthetic corpus named after the preset's dataset, trains
 once more with each ``train`` option no preset sets (``EXTRA``, and a config
-file holding a list and a null on a corpus of node attributes), sweeps two
-presets over one epoch budget and plots one trace CSV. It then prints each
+file holding a list and a null on a corpus of node attributes), trains two
+presets for 2 epochs tested after epoch 1 too (``--eval-at 1``), tabulates
+them with ``table`` and plots one trace CSV. It then prints each
 statement line of ``src/gnnlab`` that no run executed as ``file:line: text``,
 and their count; lines that start with ``raise`` or ``except`` are left out.
 What remains is error and guard paths, ``fetch``, and code that only other
@@ -100,15 +101,11 @@ def run_traced(workdir: Path) -> tuple:
             "model": {"kind": "gcn_mlp", "mlp_dims": [16, 8]},
             "train": {"init": {"kind": "standard", "seed": None}}}))
         train(config, "attributes")
-        swept = []
-        for stem in SWEPT:  # a config file names its data; point it at the corpus
-            cfg = json.loads((ROOT / "configs" / f"{stem}.json").read_text())
-            cfg["dataset"]["path"], cfg["folds"] = str(data), {"count": 2}
-            swept.append(workdir / "sweep_configs" / f"{stem}.json")
-            swept[-1].parent.mkdir(exist_ok=True)
-            swept[-1].write_text(json.dumps(cfg))
-        gnnlab("sweep-epochs", "--config", *map(str, swept), "--epochs", "1",
-               "--out", str(workdir / "sweep"))
+        for stem in SWEPT:
+            train(ROOT / "configs" / f"{stem}.json", f"sweep/{stem}", "--epochs", "2",
+                  "--eval-at", "1", "--no-diagnostics")
+        gnnlab("table", *(str(workdir / "sweep" / stem) for stem in SWEPT),
+               "--out", str(workdir / "accuracy_vs_epochs.csv"))
         gnnlab("plot", str(workdir / SWEPT[1] / "trace_fold0.csv"), "--series", "kind=act_std",
                "--out", str(workdir / "plot.svg"))
     finally:
