@@ -24,7 +24,13 @@ from .graphdata import DEFAULT_DEGREE_CAP, DEFAULT_FOLD_SEED, FEATURE_POLICIES
 from .layers import READOUT_KINDS
 
 INIT_KINDS = ("standard", "standard_then_reinit")
-MODEL_KINDS = ("mlp", "gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4")
+# one row per kind: (convolution blocks, whether they pool, stages the head reads,
+# the readout it forces or None, stages frozen at their initial values)
+MODEL_KINDS = {"mlp": (0, False, ("input",), None, ()),
+               "gcn_r_mlp": (1, False, ("input", "gcn1"), None, ("gcn1",)),
+               "gcn_mlp": (1, False, ("input", "gcn1"), None, ()),
+               "jk_sum": (3, True, ("gcn1", "gcn2", "gcn3"), "max_and_sum", ()),
+               "probe4": (4, True, ("pool4",), "mean", ())}
 JK_AGGS = ("concat", "sum")
 
 
@@ -106,7 +112,7 @@ class ModelSpec(Settings):
     k: float = 0.8
     readout_kind: str = "mean"
     jk_agg: str = "concat"
-    tap_pooled: bool = False  # tap block outputs after the pool instead of the GCN
+    tap_pooled: bool = False  # where blocks pool, a tapped gcnI reads poolI instead
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -169,6 +175,9 @@ class TrainConfig(Settings):
             raise ValueError(f"betas must be two values in [0, 1), got {list(self.betas)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # tuples, as from_dict makes them: hashable, and equal to their defaults
+        object.__setattr__(self, "betas", tuple(self.betas))
+        object.__setattr__(self, "eval_at", tuple(self.eval_at))
         if self.eval_at and not all(a < b for a, b in zip((0, *self.eval_at),
                                                           (*self.eval_at, self.epochs))):
             raise ValueError(f"eval_at must ascend strictly from at least 1 to below epochs "

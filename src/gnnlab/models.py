@@ -1,19 +1,17 @@
 """Model zoo: declarative specs wired into layer stacks with JK-style taps.
 
-A :class:`~gnnlab.config.ModelSpec` (declared with the other settings in
-:mod:`gnnlab.config`) names one of five kinds:
+A :class:`~gnnlab.config.ModelSpec` names a kind, one row of
+``config.MODEL_KINDS``: its convolution blocks, the stages its MLP head reads
+(joined by ``jk_agg``), their readout (the spec's ``readout_kind`` unless the
+row forces one) and any stage frozen at its random initial values.
 
-* ``mlp`` — structure-blind baseline: global readout of the input features
-  into a three-layer MLP; the adjacency is never touched.
-* ``gcn_mlp`` / ``gcn_r_mlp`` — a single graph convolution whose readout is
-  concatenated with the readout of the raw input (the skip from the input
-  graph) before the MLP; the ``_r`` variant keeps the convolution frozen at
-  its random initial values (the fixed-weight baseline, and the only kind
-  with frozen parameters).
-* ``jk_sum`` — three convolution+pool blocks, the max-and-sum readout of
-  every convolution output fed to the MLP through skip taps.
-* ``probe4`` — four convolution+pool blocks, global mean of the final
-  representation into the MLP, no skip taps (the diagnostics probe).
+* ``mlp`` — no block; reads ``input``: the structure-blind baseline.
+* ``gcn_mlp`` — one block, no pool; reads ``input`` and ``gcn1``.
+* ``gcn_r_mlp`` — ``gcn_mlp`` with ``gcn1`` frozen: the fixed-weight baseline.
+* ``jk_sum`` — three pooled blocks; reads ``gcn1``-``gcn3`` with
+  ``max_and_sum``: the jumping-knowledge net.
+* ``probe4`` — four pooled blocks; reads ``pool4`` with ``mean``: the
+  diagnostics probe, with no skip taps.
 
 A model runs on a :class:`~gnnlab.graphdata.Batch`, the disjoint union of
 one or more graphs, and emits one row of class scores per graph. One stage
@@ -31,15 +29,12 @@ import functools
 
 import numpy as np
 
-from .config import ModelSpec
+from .config import MODEL_KINDS, ModelSpec
 from .errors import ShapeError, SpecError, StateError
 from .graphdata import Batch, State
 from .init import init_standard
 from .layers import DenseLayer, GcnLayer, Readout, TopKPool
 from .numcore import Rng
-
-
-_BLOCKS = {"mlp": 0, "gcn_mlp": 1, "gcn_r_mlp": 1, "jk_sum": 3, "probe4": 4}
 
 
 @functools.cache
@@ -51,38 +46,37 @@ def _layout(spec: ModelSpec, num_features: int, num_classes: int) -> tuple:
     order (trained spans first), the frozen names, trained and total sizes."""
     if num_features < 1 or num_classes < 1:
         raise SpecError("need at least one feature and one class")
-    nblocks, hidden = _BLOCKS[spec.kind], spec.hidden_dim
-    pooled = spec.kind in ("jk_sum", "probe4")
-    nstages = nblocks * (1 + pooled)
-    # state 0 is the input, state s the output of flat stage s - 1; jk_sum's
-    # block i convolves into state 2i + 1 and pools into 2i + 2
-    taps = {"mlp": (0,), "gcn_mlp": (0, 1), "gcn_r_mlp": (0, 1), "probe4": (nstages,),
-            "jk_sum": tuple(2 * i + 1 + spec.tap_pooled for i in range(nblocks))}[spec.kind]
-    readout = {"jk_sum": "max_and_sum", "probe4": "mean"}.get(spec.kind, spec.readout_kind)
-    widths = [Readout(readout).width(hidden if t else num_features) for t in taps]
+    nblocks, pooled, tapped, forced, frozen_stages = MODEL_KINDS[spec.kind]
+    # state 0 is the input, state s the output of flat stage s - 1; where
+    # blocks pool, tap_pooled makes a tapped gcnI read poolI
+    states = ["input", *(f"{stage}{i}" for i in range(1, nblocks + 1)
+                         for stage in ("gcn", "pool")[:1 + pooled])]
+    taps = tuple(states.index(t.replace("gcn", "pool") if pooled and spec.tap_pooled else t)
+                 for t in tapped)
+    readout = forced or spec.readout_kind
+    widths = [Readout(readout).width(spec.hidden_dim if t else num_features) for t in taps]
     # summed taps add elementwise; concatenated ones side by side
     if spec.jk_agg == "sum" and len(set(widths)) > 1:
         raise SpecError(f"jk_agg 'sum' needs taps of equal width, {spec.kind} has {widths}")
     tap_cols = tuple(slice(e - w, e) for w, e in zip(widths, np.cumsum(widths).tolist()))
     shapes = {}
     for i in range(1, nblocks + 1):
-        shapes[f"gcn{i}.W"] = (num_features if i == 1 else hidden, hidden)
-        shapes[f"gcn{i}.b"] = (hidden,)
+        shapes[f"gcn{i}.W"] = (num_features if i == 1 else spec.hidden_dim, spec.hidden_dim)
+        shapes[f"gcn{i}.b"] = (spec.hidden_dim,)
         if pooled:
-            shapes[f"pool{i}.p"] = (hidden,)
+            shapes[f"pool{i}.p"] = (spec.hidden_dim,)
     dims = [widths[0] if spec.jk_agg == "sum" else sum(widths), *spec.mlp_dims, num_classes]
     for j in range(1, 4):
         shapes[f"mlp{j}.W"] = (dims[j - 1], dims[j])
         shapes[f"mlp{j}.b"] = (dims[j],)
-    # the fixed-weight baseline keeps its convolution at its initial values
-    frozen = frozenset(n for n in shapes if spec.kind == "gcn_r_mlp" and n.startswith("gcn"))
+    frozen = frozenset(n for n in shapes if n.split(".")[0] in frozen_stages)
     spans, end = {}, 0
     for name in sorted(shapes, key=frozen.__contains__):  # stable: trained first
         spans[name] = slice(end, end + int(np.prod(shapes[name])))
         end = spans[name].stop
-    # the gradient on state s reaches a trained parameter when a stage before
-    # it has one: every stage does, save gcn_r_mlp's one frozen convolution
-    grad_into = tuple(s > 0 and not frozen for s in range(nstages + 1))
+    # the gradient on state s reaches a trained parameter when a stage up to s is trained
+    grad_into = tuple(any(t not in frozen_stages for t in states[1:s + 1])
+                      for s in range(len(states)))
     return (taps, grad_into, readout, tap_cols,
             tuple((name, shape, spans[name]) for name, shape in shapes.items()), frozen,
             sum(int(np.prod(shape)) for name, shape in shapes.items() if name not in frozen), end)
@@ -108,7 +102,7 @@ class Model:
         (states, self._grad_into, readout, self._tap_cols, self._registry, self.frozen,
          self.n_trained, size) = _layout(spec, num_features, num_classes)
         self.spec, self.num_features, self.num_classes = spec, num_features, num_classes
-        nblocks = _BLOCKS[spec.kind]
+        nblocks = MODEL_KINDS[spec.kind][0]
         self.taps = [(t, Readout(readout)) for t in states]
         self._live = max(states)  # stages a forward runs
         self.theta = np.zeros(size)

@@ -641,7 +641,9 @@ def tu_server(tmp_path):
     _Handler.payloads = {"MINI.zip": buf.getvalue(), "BROKEN.zip": b"not a zip",
                          "PARTIAL.zip": partial.getvalue()}
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the serving loop's next poll: keep the poll short
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

@@ -12,6 +12,7 @@ from gnnlab.config import MODEL_KINDS
 
 from conftest import (dense_graph, fd_max_rel_err, permute_graph, random_adj, random_graph,
                       randomize_params, share_table)
+from test_golden import KINDS as GOLDEN_KINDS
 
 
 def test_mlp_width_accounting_and_structure_blind_by_construction():
@@ -57,7 +58,7 @@ def test_probe4_scores_are_its_head_on_the_mean_of_the_last_pool():
 
 
 def test_three_layer_mlp_head_everywhere():
-    for kind in ("mlp", "gcn_mlp", "gcn_r_mlp", "jk_sum", "probe4"):
+    for kind in MODEL_KINDS:
         model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4)), 3, 2, Rng(4))
         assert len(model.mlp) == 3
 
@@ -82,7 +83,7 @@ def test_mlp_mean_readout_blind_to_node_count():
     assert np.array_equal(model.forward(Batch.of([small])), model.forward(Batch.of([large])))
 
 
-@pytest.mark.parametrize("kind", ["mlp", "gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_prediction_permutation_invariance(kind):
     for trial in range(6):
         rng = Rng(100 + trial)
@@ -220,6 +221,40 @@ def test_jk_agg_sum_needs_taps_of_equal_width():
     randomize_params(model, Rng(50))
     graphs = share_table([random_graph(Rng(51 + i), 5 + i, 3) for i in range(2)])
     assert fd_max_rel_err(model, Batch.of(graphs), Rng(53).normal(2, 2, 1.0)) < 1e-6
+
+
+# --------------------------------------------------------------------------
+# a kind is one row of MODEL_KINDS, which fixes the keys it reads
+
+# per key, a value other than the one the test builds with, and the kinds that
+# read the key, as docs/config.md states them
+KEY_READERS = {
+    "readout_kind": ("sum", {"mlp", "gcn_r_mlp", "gcn_mlp"}),
+    "tap_pooled": (True, {"jk_sum"}),
+    "k": (0.3, {"jk_sum", "probe4"}),
+    "hidden_dim": (7, {"gcn_r_mlp", "gcn_mlp", "jk_sum", "probe4"}),
+    "jk_agg": ("sum", {"gcn_r_mlp", "gcn_mlp", "jk_sum"}),
+}
+
+
+@pytest.mark.parametrize("key", KEY_READERS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_key_changes_the_model_exactly_where_its_kind_reads_it(kind, key):
+    other, readers = KEY_READERS[key]
+    batch = Batch.of(share_table([random_graph(Rng(110 + i), 9 + i, 6) for i in range(3)]))
+    # a hidden width equal to the 6 feature columns lets every kind sum its taps
+    base = {"kind": kind, "hidden_dim": 6, "mlp_dims": (4, 4), "k": 0.6}
+    models = [build(ModelSpec(**spec), 6, 2, Rng(120)) for spec in (base, {**base, key: other})]
+    for m in models:  # random biases too, so probe4's deep stages do not read out zeros
+        randomize_params(m, Rng(121))
+    registries = [[(name, p.shape) for name, p in m.params.items()] for m in models]
+    scores = [m.forward(batch) for m in models]
+    same = registries[0] == registries[1] and np.array_equal(scores[0], scores[1])
+    assert same == (kind not in readers)
+
+
+def test_every_kind_has_a_golden_run():
+    assert sorted(GOLDEN_KINDS) == sorted(MODEL_KINDS)
 
 
 # --------------------------------------------------------------------------

@@ -242,6 +242,14 @@ def test_train_config_round_trip():
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_a_train_config_given_lists_equals_its_tuple_spelling():
+    # as from_dict builds it: hashable, equal, and a default-valued list not written
+    cfg = TrainConfig(betas=[0.9, 0.999], eval_at=[1])
+    assert cfg == TrainConfig(eval_at=(1,)) and (cfg.betas, cfg.eval_at) == ((0.9, 0.999), (1,))
+    assert hash(cfg) == hash(TrainConfig(eval_at=(1,)))
+    assert cfg.to_dict() == {"eval_at": [1]}
+
+
 def test_training_on_separable_fixture_reaches_full_accuracy():
     ds = synth_dataset(40, seed=1, signal=1.0)  # pure class one-hots: separable
     split = stratified_folds(ds, 2, seed=0)
