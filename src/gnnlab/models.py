@@ -22,7 +22,9 @@ and tracing. Every stage maps a :class:`~gnnlab.graphdata.State` to a State
 Each tap reads one state of that walk, named by its index: 0 the input, s the
 output of flat stage s - 1. Forward stops at the last state a tap reads: with
 convolution taps, ``jk_sum`` never runs its third pool. The
-batch's adjacency is gathered only when a stage runs: never for ``mlp``.
+batch's features and adjacency are gathered only when a stage runs: never
+for ``mlp``. The input tap is read once per model and dataset: a graph's
+row there is a fixed function of the graph.
 """
 
 import functools
@@ -31,7 +33,7 @@ import numpy as np
 
 from .config import MODEL_KINDS, ModelSpec
 from .errors import ShapeError, SpecError, StateError
-from .graphdata import Batch, State
+from .graphdata import Batch, State, chunks
 from .init import init_standard
 from .layers import DenseLayer, GcnLayer, Readout, TopKPool
 from .numcore import Rng
@@ -117,7 +119,7 @@ class Model:
         # entries of the widest node row a forward holds: the input's, and
         # the hidden rows of any stage; chunks are budgeted by it
         self.width = max(num_features, spec.hidden_dim) if nblocks else num_features
-        self._cache = None
+        self._cache = self._input = None  # _input: (dataset, its input-tap rows)
 
     def _views(self, flat) -> dict:
         """Each parameter's view of ``flat``, laid out as ``theta``, in registry order."""
@@ -151,15 +153,27 @@ class Model:
 
     # ---------------------------------------------------------------- forward
 
+    def _input_rows(self, ro: Readout, batch: Batch) -> np.ndarray:
+        """The input tap's row of each graph of the batch. ``ro`` reads out
+        every graph of the batch's dataset, chunk by chunk, on the model's
+        first batch of it: a graph's row does not depend on where it sits."""
+        if self._input is None or self._input[0] is not batch.dataset:
+            self._input, parts = None, []  # let the previous dataset's rows go first
+            for chunk in chunks(Batch(batch.dataset, np.arange(len(batch.dataset))), self.width):
+                parts.append(ro.forward(chunk.features, chunk.sizes))
+                ro.backward(None, input_grad=False)  # releases its cache
+            self._input = (batch.dataset, np.concatenate(parts))
+        return self._input[1][batch.ids]
+
     def forward(self, batch: Batch) -> np.ndarray:
         """Class scores, one row per graph of the batch."""
-        x = batch.features
-        if x.shape[1] != self.num_features:
-            raise ShapeError(f"model expects {self.num_features} features, got {x.shape[1]}")
+        if (f := batch.dataset.feature_dim) != self.num_features:
+            raise ShapeError(f"model expects {self.num_features} features, got {f}")
         self._cache = None  # let the previous batch's outputs go first
-        # with no stage to run, the batch's adjacency is never gathered
-        states = self._walk(State(batch.adj if self._live else None, x, batch.sizes), self._live)
-        tap_mats = [ro.forward(states[t].x, states[t].sizes) for t, ro in self.taps]
+        # with no stage to run, the batch's features and adjacency are never gathered
+        states = self._walk(batch.state, self._live) if self._live else [None]
+        tap_mats = [ro.forward(states[t].x, states[t].sizes) if t else self._input_rows(ro, batch)
+                    for t, ro in self.taps]
         if self.spec.jk_agg == "sum":
             a = np.sum(tap_mats, axis=0)
         else:
@@ -196,9 +210,11 @@ class Model:
         state_grads = [None] * (self._live + 1)
         for (t, ro), gmat in zip(self.taps, tap_grads):
             # every readout the forward ran gets its one backward, which
-            # releases its cache, also where it computes nothing
-            mat = ro.backward(gmat, input_grad=self._grad_into[t])
-            state_grads[t] = _add(state_grads[t], mat)
+            # releases its cache, also where it computes nothing; the input
+            # tap's rows were read out before, and reach no trained parameter
+            if t:
+                state_grads[t] = _add(state_grads[t],
+                                      ro.backward(gmat, input_grad=self._grad_into[t]))
         for s in range(self._live, 0, -1):
             name, layer = self._stages[s - 1]
             if not self._grad_into[s]:

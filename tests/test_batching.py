@@ -217,26 +217,53 @@ def test_minibatch_gradient_independent_of_chunking(kind, monkeypatch):
         assert whole[2] == accuracy
 
 
+def _spy_gathers(monkeypatch) -> list:
+    """The (property, graph count) of each read of a batch's features or
+    adjacency from now on, in order."""
+    calls = []
+
+    def spy(name):
+        gather = getattr(Batch, name).fget
+        monkeypatch.setattr(Batch, name, property(
+            lambda batch: calls.append((name, len(batch))) or gather(batch)))
+
+    spy("features")
+    spy("adj")
+    return calls
+
+
 def test_mlp_never_builds_a_batch_adjacency(monkeypatch):
     ds = synth_dataset(40, seed=4, n_lo=10, n_hi=30)
     graphs = list(ds.graphs)
     cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
-    calls = []
-    gather = Batch.adj.fget
-
-    def spy(batch):
-        calls.append(len(batch))
-        return gather(batch)
-
-    monkeypatch.setattr(Batch, "adj", property(spy))
+    calls = _spy_gathers(monkeypatch)
     for kind in ("mlp", "gcn_mlp"):
-        calls.clear()
         model = build(ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(6, 5)),
                       ds.feature_dim, ds.num_classes, Rng(1))
+        calls.clear()
+        model.forward(ds.graphs[0])
+        # the first forward reads every graph's input-tap row, from the
+        # features of one chunk of the whole dataset at either width; only
+        # gcn_mlp's stage walk reads its one graph's
+        assert calls == [("adj", 1), ("features", 1)] * (kind == "gcn_mlp") + [
+            ("features", len(ds))], kind
+        calls.clear()
         train_model(model, graphs, cfg, Rng(2))
         evaluate(model, graphs)
         # the spy sees the graph models' multi-graph chunks, and none of mlp's
         assert (calls == []) == (kind == "mlp"), kind
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn_mlp"])
+def test_a_dataset_of_the_wrong_width_raises_before_anything_is_gathered(kind, monkeypatch):
+    ds = synth_dataset(10, seed=5, feat_dim=4)
+    model = build(ModelSpec(kind=kind, hidden_dim=8, mlp_dims=(6, 5)), 3, 2, Rng(1))
+    calls = _spy_gathers(monkeypatch)
+    with pytest.raises(ShapeError, match="expects 3 features, got 4"):
+        model.forward(Batch(ds, np.arange(len(ds))))
+    assert calls == []
+    right = synth_dataset(10, seed=5)
+    assert model.forward(Batch(right, np.arange(len(right)))).shape == (len(right), 2)
 
 
 def test_training_merges_its_graphs_once_and_slices_them_per_step(monkeypatch):
@@ -250,7 +277,8 @@ def test_training_merges_its_graphs_once_and_slices_them_per_step(monkeypatch):
     model = build(ModelSpec(kind="mlp"), ds.feature_dim, ds.num_classes, Rng(1))
     train_model(model, graphs, TrainConfig(epochs=2, batch_size=16, seed=0), Rng(2))
     steps = 2 * 3  # 40 graphs in mini-batches of 16, one chunk each at mlp's width
-    assert len(merges) == 1 and len(made) == 1 + 2 * steps
+    # and, once, the whole dataset and its one chunk, whose input-tap rows mlp reads
+    assert len(merges) == 1 and len(made) == 1 + 2 * steps + 2
 
 
 def test_reinit_divisors_independent_of_chunking(monkeypatch):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from gnnlab import (Adam, Batch, ModelSpec, Rng, SparseAdj, TrainConfig, build, cross_entropy,
-                    reinit, train_model)
+                    graphdata, reinit, train_model)
 from gnnlab.errors import ConfigError, ShapeError, SpecError, StateError
 from gnnlab.layers import READOUT_KINDS, DenseLayer, GcnLayer, Readout, TopKPool
 from gnnlab.config import MODEL_KINDS
+from gnnlab.graphdata import chunks
 
 from conftest import (dense_graph, fd_max_rel_err, permute_graph, random_adj, random_graph,
-                      randomize_params, share_table)
+                      randomize_params, share_table, stack, synth_dataset)
 from test_golden import KINDS as GOLDEN_KINDS
 
 
@@ -297,15 +298,19 @@ def test_unread_pool_gets_an_exactly_zero_gradient():
     assert grads["pool2.p"].any() and grads["gcn3.W"].any()
 
 
-# every backward call of one model backward, in order: (layer, input_grad,
-# whether an input gradient came back); readouts are named after the state they read
+# every backward call of a model's first forward and backward, in order:
+# (layer, input_grad, whether an input gradient came back); readouts are named
+# after the state they read. The input tap's readout is released where the
+# first forward reads its dataset's rows, and never run backward after that.
 BACKWARD_CALLS = {
-    "mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False),
-            ("state0-tap", False, False)],
-    "gcn_r_mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False),
-                  ("state0-tap", False, False), ("state1-tap", False, False)],
-    "gcn_mlp": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
-                ("state0-tap", False, False), ("state1-tap", True, True), ("gcn1", False, False)],
+    "mlp": [("state0-tap", False, False),
+            ("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False)],
+    "gcn_r_mlp": [("state0-tap", False, False),
+                  ("mlp3", True, True), ("mlp2", True, True), ("mlp1", False, False),
+                  ("state1-tap", False, False)],
+    "gcn_mlp": [("state0-tap", False, False),
+                ("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
+                ("state1-tap", True, True), ("gcn1", False, False)],
     "jk_sum": [("mlp3", True, True), ("mlp2", True, True), ("mlp1", True, True),
                ("state1-tap", True, True), ("state3-tap", True, True), ("state5-tap", True, True),
                ("gcn3", True, True), ("pool2", True, True), ("gcn2", True, True),
@@ -342,6 +347,10 @@ def test_backward_computes_only_gradients_a_trained_parameter_reads(kind, monkey
     model.forward(batch)
     grads = model.backward(Rng(85).normal(3, 2, 1.0))
     assert calls == BACKWARD_CALLS[kind]
+    calls.clear()  # the dataset's input-tap rows are read: no readout of state 0 again
+    model.forward(batch)
+    grads = model.backward(Rng(85).normal(3, 2, 1.0))
+    assert calls == [call for call in BACKWARD_CALLS[kind] if call[0] != "state0-tap"]
     for name in model.frozen:
         assert not grads[name].any()
     if model.frozen:  # the frozen convolution was not run backward, yet its cache is gone
@@ -511,3 +520,139 @@ def test_a_spec_given_list_widths_is_hashable_and_builds():
     assert spec.mlp_dims == (5, 3)
     assert hash(spec) == hash(ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(5, 3)))
     assert build(spec, 3, 2, Rng(0)).params["mlp2.W"].shape == (5, 3)
+
+
+# ------------------------------------------------- input-tap rows, read once
+
+
+def _stack_with_one_node_graphs(rng: Rng, policy: str, count: int = 30, f: int = 3):
+    """``count`` random graphs of 1-7 nodes, every third of one node, with
+    label one-hot rows or continuous attribute rows."""
+    sizes = [1 if i % 3 == 0 else 1 + rng.integers(0, 7) for i in range(count)]
+    if policy == "label_onehot":
+        table, rows = np.eye(f), [np.array([rng.integers(0, f) for _ in range(n)]) for n in sizes]
+    else:
+        table = rng.normal(sum(sizes), f, 1.0)
+        ends = np.cumsum(sizes).tolist()
+        rows = [np.arange(end - n, end) for n, end in zip(sizes, ends)]
+    return stack([(random_adj(rng.derive(i), n), r, i % 2)
+                  for i, (n, r) in enumerate(zip(sizes, rows))], table, feature_policy=policy)
+
+
+@pytest.mark.parametrize("policy", ["label_onehot", "attributes"])
+@pytest.mark.parametrize("readout_kind", READOUT_KINDS)
+def test_input_rows_equal_each_training_chunks_readout_bit_for_bit(readout_kind, policy,
+                                                                   monkeypatch):
+    # the rows are read out over chunks of the whole dataset in order; a
+    # training chunk is a shuffled run of graphs, cut at other boundaries
+    monkeypatch.setattr(graphdata, "CHUNK_ENTRIES", 3 * 12)
+    for trial in range(4):
+        rng = Rng(300 + trial)
+        ds = _stack_with_one_node_graphs(rng, policy)
+        model = build(ModelSpec(kind="mlp", hidden_dim=4, mlp_dims=(4, 4),
+                                readout_kind=readout_kind), 3, 2, rng.derive(100))
+        data = Batch(ds, np.arange(len(ds)))
+        seen = 0
+        for size in (1, 4, 11):
+            order = rng.derive(200 + size).permutation(len(ds))
+            for start in range(0, len(ds), size):
+                for chunk in chunks(data[order[start:start + size]], model.width):
+                    model.forward(chunk)
+                    want = Readout(readout_kind).forward(chunk.features, chunk.sizes)
+                    assert np.array_equal(model._input[1][chunk.ids], want)
+                    seen += len(chunk) > 1 and chunk.sizes.min() == 1
+        assert model._input[0] is ds and seen  # multi-graph chunks holding a one-node graph
+
+
+def _hand_forward_backward(model, batch, direction):
+    """Scores and parameter gradients of ``model`` on ``batch``, its input tap
+    read out from ``batch.features`` on the spot, and the gradient of
+    sum(scores * direction), by the layers alone."""
+    (_, ro0), *conv_taps = model.taps
+    mats = [Readout(ro0.kind).forward(batch.features, batch.sizes)]
+    if conv_taps:
+        gcn = model.blocks[0][0]
+        h = gcn.forward(batch.state)
+        ro1 = Readout(conv_taps[0][1].kind)
+        mats.append(ro1.forward(h.x, h.sizes))
+    a = np.concatenate(mats, axis=1)
+    for layer in model.mlp:
+        a = layer.forward(a)
+    grads, g = {}, direction
+    for j in (3, 2, 1):
+        g, layer_grads = model.mlp[j - 1].backward(g, input_grad=True)
+        grads.update({f"mlp{j}.{k}": v for k, v in layer_grads.items()})
+    if conv_taps and "gcn1.W" not in model.frozen:
+        x_grad = ro1.backward(g[:, mats[0].shape[1]:])
+        _, layer_grads = gcn.backward(x_grad, input_grad=False)
+        grads.update({f"gcn1.{k}": v for k, v in layer_grads.items()})
+    return a, grads
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn_mlp", "gcn_r_mlp"])
+def test_input_tap_rows_give_the_scores_and_gradients_of_reading_the_features(kind,
+                                                                               monkeypatch):
+    monkeypatch.setattr(graphdata, "CHUNK_ENTRIES", 6 * 10)  # the rows are read in chunks
+    for trial in range(3):
+        rng = Rng(320 + trial)
+        ds = _stack_with_one_node_graphs(rng, ("attributes", "label_onehot")[trial % 2])
+        model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4)), 3, 2,
+                      rng.derive(100))
+        randomize_params(model, rng.derive(101))
+        hand = copy.deepcopy(model)
+        batch = Batch(ds, rng.derive(102).permutation(len(ds))[:9])
+        direction = rng.derive(103).normal(9, 2, 1.0)
+        scores = model.forward(batch)
+        grads = model.backward(direction)
+        want_scores, want_grads = _hand_forward_backward(hand, batch, direction)
+        assert np.array_equal(scores, want_scores)
+        for name, g in grads.items():
+            assert np.array_equal(g, want_grads.get(name, np.zeros_like(g))), name
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn_mlp"])
+def test_gradients_through_input_tap_rows_match_finite_differences(kind):
+    worst = 0.0
+    for trial in range(3):
+        rng = Rng(340 + trial)
+        ds = _stack_with_one_node_graphs(rng, "attributes", count=8)
+        model = build(ModelSpec(kind=kind, hidden_dim=5, mlp_dims=(4, 4)), 3, 2,
+                      rng.derive(100))
+        randomize_params(model, rng.derive(101))
+        model.forward(Batch(ds, np.arange(len(ds))))  # reads every graph's input-tap row
+        batch = Batch(ds, rng.derive(102).permutation(len(ds))[:3])
+        worst = max(worst, fd_max_rel_err(model, batch, rng.derive(103).normal(3, 2, 1.0)))
+        assert model._input[0] is ds
+    assert worst < 1e-6
+
+
+def test_a_model_reads_the_input_tap_rows_of_the_dataset_it_runs_on():
+    # same graph count, shape and name, other features: only the table differs
+    a = _stack_with_one_node_graphs(Rng(350), "attributes")
+    b = stack([(g.adj, g.dataset.rows[g.nodes], g.label) for g in a.graphs],
+              Rng(351).normal(a.table.shape[0], 3, 1.0))
+    for kind in ("mlp", "gcn_mlp"):
+        model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4)), 3, 2, Rng(352))
+        scores = []
+        for ds in (a, b, a):
+            for ids in (np.arange(len(ds)), np.arange(len(ds))[::-2]):
+                # a copy holds no rows, so it reads those of ds
+                want = copy.deepcopy(model).forward(Batch(ds, ids))
+                scores.append(model.forward(Batch(ds, ids)))
+                assert np.array_equal(scores[-1], want), kind
+        assert not np.array_equal(scores[0], scores[2])
+
+
+@pytest.mark.parametrize("kind", ["mlp", "gcn_mlp", "gcn_r_mlp"])
+def test_copies_of_a_model_that_read_its_input_tap_rows_predict_as_it_does(kind):
+    ds = synth_dataset(60, seed=9)
+    graphs = list(ds.graphs)
+    model = build(ModelSpec(kind=kind, hidden_dim=6, mlp_dims=(5, 4)), ds.feature_dim,
+                  ds.num_classes, Rng(360))
+    train_model(model, graphs[:40], TrainConfig(lr=1e-2, epochs=2, batch_size=8, seed=0),
+                Rng(361))
+    test = Batch.of(graphs[40:])
+    want = model.predict(test)
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert np.array_equal(twin.predict(test), want)
+        assert np.array_equal(twin.forward(test), model.forward(test))
