@@ -135,17 +135,13 @@ class ModelSpec(Settings):
 @dataclass(frozen=True)
 class InitScheme(Settings):
     kind: str = "standard"
-    seed: int | None = None            # defaults to the training seed
-    reinit_sample_cap: int | None = None  # calibration graphs; None = all
+    seed: int | None = None  # defaults to the training seed
 
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ConfigError(f"unknown init kind {self.kind!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.reinit_sample_cap is not None and self.reinit_sample_cap < 1:
-            raise ConfigError(f"reinit sample cap must be at least 1 or null, "
-                              f"got {self.reinit_sample_cap}")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ over the block stack: sweep i takes the state entering stage i, whose
 standard deviation verifies stage i - 1, then runs stage i and divides out
 its output's. The calibration graphs, merged once, run in the chunks
 training uses (:func:`gnnlab.graphdata.chunks`), and each sweep resumes from
-a temp-file stash of raw arrays the one before it left: per chunk, a stage's
-output before its divisor, its output adjacency's CSR arrays and the graph
-sizes. Each stage applies its divisor itself (``rescale``): a convolution
+the halves the one before it kept in memory: per chunk, a stage's output
+before its divisor, its output adjacency and the graph sizes. A training
+fold of more than ``REINIT_ENTRIES // Model.width`` nodes calibrates on a
+class-stratified sample within that many (:func:`calibration_sample`), so
+the halves stay within about 2 x ``REINIT_ENTRIES`` x 8 B plus the adjacency.
+Each stage applies its divisor itself (``rescale``): a convolution
 folds it into its weights and bias; a pool, whose scores ignore the norm of
 its projection, keeps it as a forward-time scale. Which scheme a run uses is
 its :class:`~gnnlab.config.InitScheme`, declared with the other settings in
@@ -18,18 +21,18 @@ its :class:`~gnnlab.config.InitScheme`, declared with the other settings in
 """
 
 import math
-import tempfile
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import InitScheme, Settings  # noqa: F401  (InitScheme: importable from here too)
 from .errors import CalibrationError
-from .graphdata import Batch, State, chunks
-from .numcore import Moments, Rng, SparseAdj
+from .graphdata import CHUNK_ENTRIES, Batch, State, chunks
+from .numcore import Moments, Rng
 
 REINIT_TOL = 1e-6
+# calibration nodes x Model.width that reinit holds per sweep: 8192 nodes at width 128
+REINIT_ENTRIES = 32 * CHUNK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -67,79 +70,40 @@ def init_standard(model, rng: Rng) -> None:
         layer.b[...] = 0.0
 
 
-class _Stash:
-    """Stage halves of successive calibration chunks, written in chunk order
-    to an anonymous temp file (no path, mode 0600, in ``$TMPDIR``) and read
-    back in that order: per chunk, four int64s (nodes, adjacency entries,
-    columns, graphs), then the raw output adjacency CSR, half and sizes. When
-    the file cannot be created or written (a full disk, say) the stash drops
-    it and stays unusable, so the next sweep walks from the raw chunks."""
+def calibration_sample(model, graphs, rng: Rng) -> list:
+    """The graphs :func:`reinit` calibrates ``model`` on: all of ``graphs``
+    while their nodes fit the budget of ``REINIT_ENTRIES // model.width``,
+    else a class-stratified sample drawn with ``rng``.
 
-    def __init__(self):
-        self._count = 0
-        try:
-            self._fh = tempfile.TemporaryFile()
-        except OSError:
-            self._fh = None
-
-    def write(self, adj: SparseAdj, half: np.ndarray, sizes: np.ndarray) -> None:
-        if self._fh is None:
-            return
-        head = [adj.n, adj.indices.shape[0], half.shape[1], sizes.shape[0]]
-        try:
-            for a in (np.array(head), adj.indptr, adj.indices, half, sizes):
-                self._fh.write(np.ascontiguousarray(a))
-            self._count += 1
-        except OSError:
-            self.close()
-
-    def seal(self) -> bool:
-        """Flush what is still buffered and rewind for reading; whether every
-        chunk reached the file."""
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                self._fh.seek(0)
-            except OSError:
-                self.close()
-        return self._fh is not None
-
-    def read(self):
-        for _ in range(self._count):
-            n, nnz, cols, graphs = self._fill(4, np.int64).tolist()
-            adj = SparseAdj(n, self._fill(n + 1, np.int64), self._fill(nnz, np.int64))
-            yield adj, self._fill((n, cols)), self._fill(graphs, np.int64)
-
-    def _fill(self, shape, dtype=np.float64) -> np.ndarray:
-        buf = np.empty(shape, dtype=dtype)
-        try:
-            if self._fh.readinto(buf) != buf.nbytes:
-                raise EOFError("the file ends early")
-        except (OSError, EOFError) as exc:
-            raise CalibrationError(f"reinit cannot read back its stage stash in "
-                                   f"{tempfile.gettempdir()}: {exc}") from exc
-        return buf
-
-    def close(self) -> None:
-        if self._fh is not None:
-            with suppress(OSError):  # a failed flush of data no one will read
-                self._fh.close()
-            self._fh = None
+    Each class's graphs are permuted, graph j of a class of n ranked at
+    (j + 1/2) / n, and all classes merged by rank, ties by class, so every
+    prefix holds each class within about one graph of its share. The sample
+    is the longest prefix within the budget, never less than one graph, in
+    the order of ``graphs``.
+    """
+    graphs = list(graphs)
+    batch = Batch.of(graphs)
+    budget = REINIT_ENTRIES // model.width
+    if int(batch.sizes.sum()) <= budget:
+        return graphs
+    labels, rank = batch.labels, np.empty(len(graphs))
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
+        rank[members[rng.permutation(members.shape[0])]] = \
+            (np.arange(members.shape[0]) + 0.5) / members.shape[0]
+    order = np.lexsort((labels, rank))
+    take = max(1, int(np.count_nonzero(np.cumsum(batch.sizes[order]) <= budget)))
+    return [graphs[i] for i in np.sort(order[:take])]
 
 
-def _entering(model, calibration, stash, idx: int):
-    """Per calibration chunk, one alive at a time, the state entering flat
-    stage ``idx``: stage ``idx - 1``'s halves in ``stash``, which is closed
-    once read, resumed under its final divisor or, without a stash, the raw
-    chunk walked through stages ``0..idx - 1``."""
-    if stash is not None:
-        prev = model.block_stages()[idx - 1][1]
-        for adj, half, sizes in stash.read():
-            yield State(adj, prev.resume(half), sizes)
-        stash.close()
-    else:
-        for batch in chunks(calibration, model.width):
-            yield model.run_blocks(batch.state, idx - 1)[-1] if idx else batch.state
+def _entering(model, calibration, held, idx: int):
+    """Per calibration chunk, the state entering flat stage ``idx``: the raw
+    chunk for stage 0, else stage ``idx - 1``'s ``held`` halves resumed under
+    its final divisor, one alive at a time."""
+    if not idx:
+        return (batch.state for batch in chunks(calibration, model.width))
+    prev = model.block_stages()[idx - 1][1]
+    return (State(adj, prev.resume(half), sizes) for adj, half, sizes in held)
 
 
 def reinit(model, calibration) -> ReinitReport:
@@ -153,52 +117,45 @@ def reinit(model, calibration) -> ReinitReport:
     output's std (post-activation for convolutions) and applies its inverse.
 
     Each sweep starts where the one before it left off. A divisor touches
-    only a stage's last step (``resume``), so sweep i stashes each chunk's
-    unscaled ``half`` of stage i with its output adjacency and sizes
-    (:class:`_Stash`), and sweep i + 1 resumes those halves under stage i's
-    final divisor: S layer forwards plus S divisor applications per chunk,
-    each stage seeing, bit for bit, the input a walk from the raw chunk
-    gives it. Of the S stash files at most two are open at once, each about
-    calibration nodes x ``Model.width`` x 8 B plus 8 B per adjacency entry.
-    A sweep whose stash cannot be created or written leaves none, and the
-    next sweep walks every chunk from its raw batch. The MLP head is never
-    touched. Raises :class:`CalibrationError` when a stage's output std is
-    not finite or its output is constant, then when a rescaled std misses
-    one by more than ``REINIT_TOL``, and when a written stash cannot be read
-    back in full.
+    only a stage's last step (``resume``), so sweep i keeps each chunk's
+    unscaled ``half`` of stage i in memory with its output adjacency and
+    sizes, and sweep i + 1 resumes those halves under stage i's final
+    divisor: S layer forwards plus S divisor applications per chunk, each
+    stage seeing, bit for bit, the input a walk from the raw chunk gives it.
+    At most two sweeps' halves are held at once, each about calibration
+    nodes x ``Model.width`` x 8 B plus 8 B per adjacency entry, which
+    :func:`calibration_sample` bounds. The MLP head is never touched. Raises
+    :class:`CalibrationError` when a stage's output std is not finite or its
+    output is constant, then when a rescaled std misses one by more than
+    ``REINIT_TOL``.
     """
     if not calibration:
         raise CalibrationError("reinit needs a non-empty calibration set")
     calibration = Batch.of(calibration)
     stages = model.block_stages()
     divisors, post_std = [], []
-    read = write = None  # the stashes the current sweep reads and writes
-    try:
-        for idx in range(len(stages) + 1) if stages else ():
-            verified, measured = Moments(), Moments()
-            write = _Stash() if idx < len(stages) else None
-            for state in _entering(model, calibration, read, idx):
-                if idx:
-                    verified.add(state.x)
-                if write is not None:
-                    out, = model.run_blocks(state, idx, idx)
-                    measured.add(out.x)
-                    write.write(out.adj, stages[idx][1].half, out.sizes)
-            read = write if write is not None and write.seal() else None
+    held = None  # per chunk, the previous sweep's output adjacency, half and sizes
+    for idx in range(len(stages) + 1) if stages else ():
+        verified, measured, halves = Moments(), Moments(), []
+        for state in _entering(model, calibration, held, idx):
             if idx:
-                post_std.append(verified.std())
+                verified.add(state.x)
             if idx < len(stages):
-                name, layer = stages[idx]
-                sigma = measured.std()
-                if not math.isfinite(sigma):
-                    raise CalibrationError(f"block {name} output std is {sigma} during reinit")
-                if sigma < 1e-300:
-                    raise CalibrationError(f"block {name} produced constant output during reinit")
-                layer.rescale(sigma)
-                divisors.append(sigma)
-    finally:
-        for stash in filter(None, (read, write)):
-            stash.close()
+                out, = model.run_blocks(state, idx, idx)
+                measured.add(out.x)
+                halves.append((out.adj, stages[idx][1].half, out.sizes))
+        held = halves
+        if idx:
+            post_std.append(verified.std())
+        if idx < len(stages):
+            name, layer = stages[idx]
+            sigma = measured.std()
+            if not math.isfinite(sigma):
+                raise CalibrationError(f"block {name} output std is {sigma} during reinit")
+            if sigma < 1e-300:
+                raise CalibrationError(f"block {name} produced constant output during reinit")
+            layer.rescale(sigma)
+            divisors.append(sigma)
     report = ReinitReport(tuple(name for name, _ in stages), tuple(divisors), tuple(post_std))
     for name, post in zip(report.blocks, report.post_std):
         if not abs(post - 1.0) <= REINIT_TOL:  # NaN fails too

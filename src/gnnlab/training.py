@@ -22,7 +22,7 @@ from . import diagnostics
 from .config import Folds, ModelSpec, Settings, TrainConfig
 from .errors import HarnessError, NonFiniteError, ShapeError
 from .graphdata import Batch, Dataset, FoldSplit, chunks, stratified_folds
-from .init import ReinitReport, reinit
+from .init import ReinitReport, calibration_sample, reinit
 from .models import Model, build
 from .numcore import Rng
 
@@ -216,9 +216,8 @@ def prepare_fold_model(ds: Dataset, train_graphs, spec: ModelSpec,
     model = build(spec, ds.feature_dim, ds.num_classes, Rng(seed ^ fold))
     report = None
     if cfg.init.kind == "standard_then_reinit":
-        cap = cfg.init.reinit_sample_cap
-        calibration = list(train_graphs if cap is None else train_graphs[:cap])
-        report = reinit(model, calibration)
+        report = reinit(model, calibration_sample(model, train_graphs,
+                                                  Rng(seed).derive(2, fold)))
     return model, report
 
 

@@ -546,8 +546,7 @@ def test_usage_error_exit_code():
     ("dataset", "degree_cap", 0),
     ("train", "seed", -1),
     ("train", "init", {"kind": "standard_then_reinit", "seed": -1}),
-    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": 0}),
-    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": -5}),
+    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": 10}),
     ("folds", "seed", -1),
 ])
 def test_train_rejects_bad_config_values(tu_dir, tmp_path, capsys, section, key, value):
@@ -641,7 +640,7 @@ def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):
         "model": {"kind": "mlp", "hidden_dim": 16, "mlp_dims": [8, 8], "k": 0.5,
                   "jk_agg": "sum", "readout_kind": "mean"},
         "train": {"epochs": 5, "lr": 0.5, "weight_decay": 0.0, "batch_size": 64,
-                  "seed": 1, "init": {"kind": "standard", "reinit_sample_cap": 10}},
+                  "seed": 1, "init": {"kind": "standard", "seed": 7}},
         "folds": {"count": 2, "seed": 1},
         "out_dir": str(tmp_path / "ignored")}))
     out = tmp_path / "flags"
@@ -663,7 +662,7 @@ def test_every_train_flag_overrides_its_config_key(tu_dir, tmp_path):
                                      jk_agg="concat", readout_kind="max_and_sum")
     assert report.config == TrainConfig(
         epochs=2, eval_at=(1,), lr=0.01, weight_decay=0.001, batch_size=4, seed=3,
-        init=InitScheme(kind="standard_then_reinit", reinit_sample_cap=10))
+        init=InitScheme(kind="standard_then_reinit", seed=7))
     assert len(report.folds) == 3
     assert all(f.reinit is not None and len(f.accuracies) == 2 for f in report.folds)
     assert not list(out.glob("trace_fold*.csv"))

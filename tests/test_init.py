@@ -1,5 +1,3 @@
-import errno
-import os
 import tempfile
 
 import numpy as np
@@ -10,10 +8,10 @@ from gnnlab import (Batch, GcnLayer, InitScheme, Model, ModelSpec, Rng, SparseAd
 from gnnlab import graphdata
 from gnnlab.errors import CalibrationError, ConfigError
 from gnnlab.graphdata import chunks
-from gnnlab.init import _Stash, glorot_bound, kaiming_std
+from gnnlab.init import glorot_bound, kaiming_std
 from gnnlab.numcore import Moments
 
-from conftest import dense_graph, random_adj, random_graph, share_table, synth_dataset
+from conftest import dense_graph, random_graph, share_table, synth_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -192,182 +190,38 @@ def test_reinit_runs_one_layer_forward_per_stage_and_chunk(name, monkeypatch):
     reinit(model, graphs)
     stages = len(model.block_stages())
     assert calls["forward"] == stages * nchunks
-    # sweeps 1..S each resume every chunk's stashed half of the stage before
+    # sweeps 1..S each resume every chunk's held half of the stage before
     # under its final divisor
     assert calls["resume"] == stages * nchunks
     # one run_blocks call per chunk in sweeps 0..S-1; the last sweep runs none
     assert calls["run_blocks"] == stages * nchunks
 
 
-class _FailingDisk:
-    """A temp file whose writes fail as on a full disk, or whose reads fail
-    as on a bad sector."""
+def test_reinit_creates_no_file(monkeypatch):
+    # each sweep's halves stay in memory; no temp file is made at any point
+    made = []
 
-    def __init__(self, fh, fail):
-        self._fh = fh
-        self._fail = fail
-
-    def _broken(self, *args):
-        if self._fail == "write":
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
-
-    def __getattr__(self, name):
-        if name in {"write": ("write",),
-                    "read": ("read", "readinto", "readline", "peek")}[self._fail]:
-            return self._broken
-        return getattr(self._fh, name)
-
-
-def _spy_stash_files(monkeypatch, fail=None, fail_from=1):
-    """Record the temp files reinit opens and the most open at once. From the
-    ``fail_from``-th file on (1-based), ``fail`` is "create" (no file is
-    made), "write" (writes fail with ENOSPC) or "read" (reads fail with EIO)."""
-    opened, peak = [], [0]
-    real = tempfile.TemporaryFile
-
-    def spy(*args, **kwargs):
-        if fail == "create" and len(opened) + 1 >= fail_from:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        fh = real(*args, **kwargs)
-        opened.append(fh)
-        peak[0] = max(peak[0], sum(not f.closed for f in opened))
-        return _FailingDisk(fh, fail) if fail and len(opened) >= fail_from else fh
-    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
-    return opened, peak
-
-
-def test_reinit_closes_every_stash_file(monkeypatch):
-    opened, peak = _spy_stash_files(monkeypatch)
+    def spy(real):
+        return lambda *args, **kwargs: made.append(real) or real(*args, **kwargs)
+    for name in ("TemporaryFile", "NamedTemporaryFile", "mkstemp"):
+        monkeypatch.setattr(tempfile, name, spy(getattr(tempfile, name)))
     model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(33))
-    reinit(model, _calibration(33, count=90))
-    # sweeps 0..S-1 each write one stash that the next sweep reads
-    assert len(opened) == len(model.block_stages())
-    assert peak[0] == 2
-    assert all(fh.closed for fh in opened)
-
-
-def test_reinit_closes_every_stash_file_on_calibration_error(monkeypatch):
-    opened, peak = _spy_stash_files(monkeypatch)
-    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(34))
-    model.params["gcn2.W"][...] = 0.0  # gcn2 emits constant zeros
-    with pytest.raises(CalibrationError, match="gcn2"):
-        reinit(model, _calibration(34, count=90))
-    # sweeps 0, 1 and 2 (which measures gcn2) each opened one
-    assert len(opened) == 3 and peak[0] == 2
-    assert all(fh.closed for fh in opened)
-
-
-@pytest.mark.parametrize("fail,fail_from", [("write", 1), ("write", 2), ("create", 1),
-                                            ("create", 3)])
-def test_reinit_without_a_writable_stash_walks_from_the_raw_chunks(fail, fail_from,
-                                                                   monkeypatch):
-    # a full disk costs the stash's saving, not the run: a sweep left without
-    # a stash is followed by one that walks every chunk from stage 0
-    graphs = _calibration(35, count=90)
-    oracle = build(STASH_SPECS["jk_sum"], 3, 2, Rng(35))
-    divisors, post_std = _reference_reinit(oracle, graphs)
-    opened, peak = _spy_stash_files(monkeypatch, fail, fail_from)
-    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(35))
-    report = reinit(model, graphs)
-    assert report.divisors == divisors
-    assert report.post_std == post_std
-    for key, value in model.params.items():
-        assert np.array_equal(value, oracle.params[key])
-    assert len(opened) == (fail_from - 1 if fail == "create" else
-                           len(model.block_stages()))
-    assert peak[0] <= 2
-    assert all(fh.closed for fh in opened)
+    report = reinit(model, _calibration(33, count=90))
+    assert len(report.divisors) == len(model.block_stages())
+    assert made == []
 
 
 def test_reinit_of_a_model_without_stages_runs_no_sweep(monkeypatch):
-    # mlp has no conv/pool stage: nothing to rescale, so no stash is opened
-    # and no calibration chunk is gathered
+    # mlp has no conv/pool stage: nothing to rescale, so no calibration chunk
+    # is gathered
     graphs = _calibration(37, count=90)
     model = build(ModelSpec(kind="mlp", hidden_dim=7, mlp_dims=(6, 5)), 3, 2, Rng(37))
     assert model.block_stages() == []
-    opened, _ = _spy_stash_files(monkeypatch)
     gathers, gather = [], Batch.features.fget
     monkeypatch.setattr(Batch, "features", property(lambda b: gathers.append(1) or gather(b)))
     report = reinit(model, graphs)
     assert report.to_dict() == {"blocks": [], "divisors": [], "post_std": []}
-    assert opened == [] and gathers == []
-
-
-def test_reinit_stash_read_failure_is_a_calibration_error(monkeypatch):
-    # the second stash fails while being read back, with the third open
-    opened, peak = _spy_stash_files(monkeypatch, "read", fail_from=2)
-    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(36))
-    with pytest.raises(CalibrationError, match="read back its stage stash") as err:
-        reinit(model, _calibration(36, count=90))
-    assert tempfile.gettempdir() in str(err.value)
-    assert err.value.__cause__.errno == errno.EIO
-    assert len(opened) == 3 and peak[0] == 2
-    assert all(fh.closed for fh in opened)
-
-
-def test_reinit_truncated_stash_is_a_calibration_error(monkeypatch):
-    # the first stash loses its last byte once sealed, so the read of the
-    # last chunk comes up short while the second stash is open
-    opened, peak = _spy_stash_files(monkeypatch)
-    real_seal = _Stash.seal
-
-    def seal_then_cut(self):
-        sealed = real_seal(self)
-        if len(opened) == 1:
-            fh = opened[-1]  # the file being sealed is the newest one
-            fh.truncate(fh.seek(0, os.SEEK_END) - 1)
-            fh.seek(0)
-        return sealed
-    monkeypatch.setattr(_Stash, "seal", seal_then_cut)
-    model = build(STASH_SPECS["jk_sum"], 3, 2, Rng(38))
-    with pytest.raises(CalibrationError, match="read back its stage stash") as err:
-        reinit(model, _calibration(38, count=90))
-    assert tempfile.gettempdir() in str(err.value)
-    assert "ends early" in str(err.value)
-    assert len(opened) == 2 and peak[0] == 2
-    assert all(fh.closed for fh in opened)
-
-
-def _pooled_state(rng):
-    """A two-graph state after a top-k pool: sizes shrank, rows are gated."""
-    batch = Batch.of(share_table([random_graph(rng.derive(i), 6 + i, 4) for i in range(2)]))
-    pool = TopKPool(rng.normal(1, 4, 1.0)[0], k=0.5)
-    out = pool.forward(batch.state)
-    return out.adj, pool.half, out.sizes
-
-
-def test_stash_round_trips_states_bit_for_bit():
-    rng = Rng(39)
-    wide = rng.normal(5, 6, 1.0)
-    states = [
-        (SparseAdj.from_edges(3, []), rng.normal(3, 4, 1.0), np.array([3])),  # nnz 0
-        (SparseAdj.from_edges(1, [(0, 0)]), rng.normal(1, 3, 1.0), np.array([1])),
-        (random_adj(rng.derive(1), 5, 0.5), rng.normal(5, 1, 1.0), np.array([2, 3])),
-        (random_adj(rng.derive(2), 5, 0.5), wide[:, ::2], np.array([5])),  # non-contiguous
-        _pooled_state(rng.derive(3)),
-    ]
-    assert not states[3][1].flags.c_contiguous
-    assert states[4][0].n < 13 and states[4][2].sum() == states[4][0].n
-    stash = _Stash()
-    try:
-        for state in states:
-            stash.write(*state)
-        assert stash.seal()
-        size = os.fstat(stash._fh.fileno()).st_size
-        back = list(stash.read())
-    finally:
-        stash.close()
-    # per chunk: a four-int64 header, then 8 B per CSR, half and sizes entry
-    assert size == sum(32 + 8 * (adj.n + 1 + adj.indices.shape[0]) + 8 * half.size
-                       + 8 * sizes.shape[0] for adj, half, sizes in states)
-    assert len(back) == len(states)
-    for (adj, half, sizes), (adj2, half2, sizes2) in zip(states, back):
-        assert adj2.n == adj.n
-        for a, b in ((adj.indptr, adj2.indptr), (adj.indices, adj2.indices),
-                     (half, half2), (sizes, sizes2)):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+    assert gathers == []
 
 
 def test_reinit_idempotent_and_fixed_point():
@@ -473,11 +327,13 @@ def test_reinit_empty_calibration():
 def test_init_scheme_validation():
     with pytest.raises(ConfigError):
         InitScheme(kind="magic")
-    scheme = InitScheme.from_dict({"kind": "standard_then_reinit",
-                                   "seed": None, "reinit_sample_cap": 50})
-    assert scheme.reinit_sample_cap == 50
+    scheme = InitScheme.from_dict({"kind": "standard_then_reinit", "seed": None})
+    assert scheme == InitScheme(kind="standard_then_reinit")
     with pytest.raises(ConfigError):
         InitScheme.from_dict({"kind": "standard", "typo": 1})
+    # the calibration set is bounded by a node budget in the code, not a setting
+    with pytest.raises(ConfigError, match="reinit_sample_cap"):
+        InitScheme.from_dict({"kind": "standard_then_reinit", "reinit_sample_cap": 50})
 
 
 def test_init_standard_redraw_is_deterministic():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -11,12 +12,13 @@ import pytest
 
 from gnnlab import (Adam, InitScheme, ModelSpec, Rng, TrainConfig, build,
                     cross_entropy, diagnostics, evaluate, run_cv, stratified_folds,
-                    train_fold, train_model, training)
+                    init, reinit, train_fold, train_model, training)
 from gnnlab.errors import ConfigError, HarnessError, NonFiniteError, ShapeError
 from gnnlab.init import ReinitReport
 from gnnlab.training import FoldResult, RunReport
 
-from conftest import BLAS_PINNED_BEFORE_NUMPY, constant_feature_dataset, synth_dataset
+from conftest import (BLAS_PINNED_BEFORE_NUMPY, constant_feature_dataset, random_adj, stack,
+                      synth_dataset)
 
 
 def test_cross_entropy_uniform_scores():
@@ -485,15 +487,104 @@ def test_report_from_dict_without_folds_names_them_and_warns_nothing():
     assert str(err.value) == "RunReport: folds: a run has at least one fold"
 
 
-def test_reinit_sample_cap_limits_calibration():
+def _fold(ds, fold=0, folds=3):
+    """The training and test ids of ``fold`` of a stratified split."""
+    split = stratified_folds(ds, folds, seed=0)
+    return split.train_indices(fold), split.test_indices(fold)
+
+
+def _nodes(graphs) -> int:
+    return sum(int(g.sizes.sum()) for g in graphs)
+
+
+def test_reinit_calibrates_on_the_whole_fold_within_the_budget(monkeypatch):
     ds = synth_dataset(30, seed=8)
-    split = stratified_folds(ds, 3, seed=0)
-    cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=8, seed=4,
-                      init=InitScheme(kind="standard_then_reinit",
-                                      reinit_sample_cap=5))
-    result = train_fold(ds, split, 0, ModelSpec(kind="probe4", hidden_dim=6,
-                                                mlp_dims=(5, 4)), cfg)
-    assert result.reinit is not None
+    train = [ds.graphs[i] for i in _fold(ds)[0]]
+    spec = ModelSpec(kind="probe4", hidden_dim=6, mlp_dims=(5, 4))
+    cfg = TrainConfig(seed=4, init=InitScheme(kind="standard_then_reinit"))
+    model = build(spec, ds.feature_dim, ds.num_classes, Rng(0))
+    # the fold's nodes exactly fill the budget
+    monkeypatch.setattr(init, "REINIT_ENTRIES", _nodes(train) * model.width)
+    _, report = training.prepare_fold_model(ds, train, spec, cfg, 0)
+    assert report == reinit(build(spec, ds.feature_dim, ds.num_classes, Rng(4 ^ 0)), train)
+    # one node fewer and the fold is sampled
+    monkeypatch.setattr(init, "REINIT_ENTRIES", (_nodes(train) - 1) * model.width)
+    assert len(init.calibration_sample(model, train, Rng(4).derive(2, 0))) < len(train)
+
+
+def _grouped_dataset(counts, seed):
+    """Graphs of 4 to 12 nodes listed class by class, ``counts[c]`` of class c."""
+    rng = Rng(seed)
+    parts = []
+    for label, count in enumerate(counts):
+        for _ in range(count):
+            n = 4 + rng.integers(0, 9)
+            parts.append((random_adj(rng, n, 0.4), rng.integers(0, 3) + np.zeros(n, np.int64),
+                          label))
+    return stack(parts, np.eye(3), num_classes=len(counts))
+
+
+def test_reinit_samples_a_class_grouped_fold_in_proportion(monkeypatch):
+    # a TU file may list its graphs class by class; a sample that took the
+    # first graphs by id would calibrate on class 0 alone
+    ds = _grouped_dataset((45, 27, 18), seed=5)
+    assert np.all(np.diff(ds.labels) >= 0)
+    spec = ModelSpec(kind="gcn_mlp", hidden_dim=4, mlp_dims=(4, 4))
+    cfg = TrainConfig(seed=6, init=InitScheme(kind="standard_then_reinit"))
+    seen = []
+    monkeypatch.setattr(training, "reinit", lambda model, graphs: seen.append(graphs))
+    model = build(spec, ds.feature_dim, ds.num_classes, Rng(0))
+    for fold in range(3):
+        train_ids, test_ids = _fold(ds, fold)
+        train = [ds.graphs[i] for i in train_ids]
+        share = np.bincount(ds.labels[train_ids]) / len(train_ids)
+        for budget in (3, 40, 120, 250, _nodes(train) - 1):
+            monkeypatch.setattr(init, "REINIT_ENTRIES", budget * model.width)
+            training.prepare_fold_model(ds, train, spec, cfg, fold)
+            ids = np.concatenate([g.ids for g in seen.pop()])
+            # drawn from the init seed and the fold, on a stream of its own
+            keyed = init.calibration_sample(model, train, Rng(6).derive(2, fold))
+            assert np.array_equal(ids, np.concatenate([g.ids for g in keyed]))
+            assert np.all(np.diff(ids) > 0)  # ascending, each graph once
+            assert np.isin(ids, train_ids).all() and not np.isin(ids, test_ids).any()
+            assert int(ds.sizes[ids].sum()) <= budget or len(ids) == 1
+            counts = np.bincount(ds.labels[ids], minlength=3)
+            assert np.all(np.abs(counts - share * len(ids)) <= 1)
+            if budget >= 40:
+                assert np.all(counts > 0)
+
+
+def test_a_sampled_reinit_is_reproducible_across_runs_and_jobs():
+    # 512 feature columns make the model 512 wide, so the shipped budget is
+    # 2048 nodes, below a training fold here; spawned workers import the
+    # module afresh and see that budget too
+    ds = synth_dataset(360, seed=9, feat_dim=512)
+    spec = ModelSpec(kind="probe4", hidden_dim=6, mlp_dims=(5, 4))
+    train = [ds.graphs[i] for i in _fold(ds, folds=2)[0]]
+    model = build(spec, ds.feature_dim, ds.num_classes, Rng(0))
+    assert model.width == 512
+    assert len(init.calibration_sample(model, train, Rng(3).derive(2, 0))) < len(train)
+    cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=16, seed=3,
+                      init=InitScheme(kind="standard_then_reinit"))
+
+    def text(jobs):
+        report, _ = run_cv(ds, spec, cfg, folds=2, fold_seed=0, jobs=jobs)
+        return json.dumps({**report.to_dict(), "wall_clock_s": 0})
+    first = text(1)
+    assert text(1) == first
+    assert text(2) == first
+
+
+def test_a_quarter_sample_rescales_within_five_percent_of_the_whole_fold(monkeypatch):
+    ds = synth_dataset(300, seed=7)
+    train = [ds.graphs[i] for i in _fold(ds, folds=10)[0]]
+    spec = ModelSpec(kind="jk_sum")
+    cfg = TrainConfig(seed=2, init=InitScheme(kind="standard_then_reinit"))
+    whole = reinit(build(spec, ds.feature_dim, ds.num_classes, Rng(2 ^ 0)), train)
+    monkeypatch.setattr(init, "REINIT_ENTRIES", _nodes(train) // 4 * 128)
+    _, sampled = training.prepare_fold_model(ds, train, spec, cfg, 0)
+    assert sampled.divisors != whole.divisors
+    np.testing.assert_allclose(sampled.divisors, whole.divisors, rtol=0.05)
 
 
 def test_run_cv_parallel_matches_sequential():
