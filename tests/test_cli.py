@@ -546,7 +546,8 @@ def test_usage_error_exit_code():
     ("dataset", "degree_cap", 0),
     ("train", "seed", -1),
     ("train", "init", {"kind": "standard_then_reinit", "seed": -1}),
-    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": 10}),
+    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": 0}),
+    ("train", "init", {"kind": "standard_then_reinit", "reinit_sample_cap": -5}),
     ("folds", "seed", -1),
 ])
 def test_train_rejects_bad_config_values(tu_dir, tmp_path, capsys, section, key, value):
